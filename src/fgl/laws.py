@@ -113,9 +113,6 @@ class FormalGroupLaw:
     def coefficient(self, i: int, j: int) -> RingElement:
         return self.F.coefficient((i, j))
 
-    def one_var(self, series_in_T: TruncatedSeries) -> TruncatedSeries:
-        return series_in_T
-
     def plus(self, a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         """F(a, b) for two series over the same target variables."""
         return self.F.substitute({self.x: a, self.y: b})
@@ -134,6 +131,16 @@ class FormalGroupLaw:
     def from_bundle(cls, obj: dict, require: bool = True) -> "FormalGroupLaw":
         F = TruncatedSeries.from_json(obj["F"])
         return cls.from_series(F, require=require)
+
+
+def intertwining_defect(h: TruncatedSeries, F: TruncatedSeries,
+                        G: TruncatedSeries) -> TruncatedSeries:
+    """h(F(x, y)) - G(h(x), h(y)) in F's variables; zero iff the
+    one-variable series h carries the two-variable series F to G."""
+    ctx, N = F.ctx, F.trunc_degree
+    hx, hy = (h.substitute_single(TruncatedSeries.variable(ctx, F.variables, N, v))
+              for v in F.variables)
+    return h.substitute_single(F) - G.substitute(dict(zip(G.variables, (hx, hy))))
 
 
 def check_axioms_series(F: TruncatedSeries) -> AxiomReport:
@@ -237,15 +244,8 @@ def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
             raise NonInvertibleDivision(n, n) from None
         ell.terms[(n,)] = ctx.mul(c, inv_n)
     # the defining property doubles as a self-check
-    both = law.plus(
-        TruncatedSeries.variable(ctx, ("x", "y"), N, "x"),
-        TruncatedSeries.variable(ctx, ("x", "y"), N, "y"),
-    )
-    lhs = ell.substitute_single(both)
-    rhs = ell.substitute_single(
-        TruncatedSeries.variable(ctx, ("x", "y"), N, "x")
-    ) + ell.substitute_single(TruncatedSeries.variable(ctx, ("x", "y"), N, "y"))
-    if lhs != rhs:
+    x_plus_y = TruncatedSeries(ctx, ("x", "y"), N, {(1, 0): 1, (0, 1): 1})
+    if not intertwining_defect(ell, law.F, x_plus_y).is_zero():
         raise LawError("logarithm does not linearize the law; F is not a group law?")
     return ell
 
@@ -292,16 +292,7 @@ class FglEndomorphism:
 
     def defect(self) -> TruncatedSeries:
         """e(F(x,y)) - F(e(x), e(y)); zero iff this is an endomorphism."""
-        law = self.law
-        e = self.series
-        lhs = e.substitute_single(law.F)
-        ex = e.substitute_single(
-            TruncatedSeries.variable(law.ctx, law.F.variables, law.trunc_degree, law.x)
-        )
-        ey = e.substitute_single(
-            TruncatedSeries.variable(law.ctx, law.F.variables, law.trunc_degree, law.y)
-        )
-        return lhs - law.plus(ex, ey)
+        return intertwining_defect(self.series, self.law.F, self.law.F)
 
     def verify(self) -> None:
         d = self.defect()
@@ -344,15 +335,7 @@ def isomorphism_via_logs(f1: FormalGroupLaw, f2: FormalGroupLaw) -> TruncatedSer
     l1 = logarithm(f1)
     l2 = logarithm(f2)
     h = exponential(l2).substitute_single(l1)
-    lhs = h.substitute_single(f1.F)
-    hx = h.substitute_single(
-        TruncatedSeries.variable(f1.ctx, f1.F.variables, f1.trunc_degree, f1.x)
-    )
-    hy = h.substitute_single(
-        TruncatedSeries.variable(f1.ctx, f1.F.variables, f1.trunc_degree, f1.y)
-    )
-    rhs = f2.plus(hx, hy)
-    if lhs != rhs:
+    if not intertwining_defect(h, f1.F, f2.F).is_zero():
         raise LawError("log-transport did not produce an isomorphism")
     return h
 
@@ -439,6 +422,7 @@ class MonoidAction:
         self.assignment = dict(assignment)
         self.composition_tolerance = composition_tolerance
         self._endo_cache: dict = {}
+        self._power_tables: dict = {}
 
     def endo_for(self, elt) -> FglEndomorphism:
         payload = elt.payload if hasattr(elt, "payload") else elt
@@ -462,6 +446,16 @@ class MonoidAction:
             endo = FglEndomorphism(self.law, series)
         self._endo_cache[payload] = endo
         return endo
+
+    def powers(self, elt) -> list:
+        """Power table of [elt] up to its truncation degree, built once per
+        element; composing into [elt] reads it through substitute_powers."""
+        payload = elt.payload if hasattr(elt, "payload") else elt
+        table = self._power_tables.get(payload)
+        if table is None:
+            series = self.endo_for(payload).series
+            table = self._power_tables[payload] = series.powers(series.trunc_degree)
+        return table
 
     def alpha1(self, elt) -> RingElement:
         return self.endo_for(elt).linear_coefficient()
@@ -532,10 +526,10 @@ def verify_action(action: MonoidAction) -> ActionReport:
 
     for a, b in pairs:
         ab = a * b
-        ea, eb = action.endo_for(a), action.endo_for(b)
-        comp = ea.series.substitute_single(eb.series)
+        ea, eb = action.endo_for(a).series, action.endo_for(b).series
+        comp = ea.substitute_powers([action.powers(b)], eb)
         if isinstance(monoid, FreeCommutativeMonoid):
-            other = eb.series.substitute_single(ea.series)
+            other = eb.substitute_powers([action.powers(a)], ea)
             bad = series_congruent(comp, other)
             if bad:
                 report.violations.append(
@@ -559,10 +553,6 @@ def verify_action(action: MonoidAction) -> ActionReport:
             )
         report.checked_pairs += 1
     return report
-
-
-def action_to_bundle(action: MonoidAction) -> dict:
-    return action.to_bundle()
 
 
 def _tuplify(obj):

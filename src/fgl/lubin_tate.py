@@ -19,6 +19,7 @@ from .laws import (
     FglEndomorphism,
     FormalGroupLaw,
     MonoidAction,
+    intertwining_defect,
     isomorphism_via_logs,
 )
 from .monoids import PadicTruncationMonoid, RingSubsetMonoid
@@ -227,19 +228,8 @@ def _solve_defect(current, f_field, two_sided, deg):
     fd = f_field.truncate(deg)
     S = current.truncate(deg)
     if two_sided:
-        lhs = fd.substitute_single(S)
-        vars2 = S.variables
-        fx = fd.substitute_single(
-            TruncatedSeries.variable(S.ctx, vars2, deg, vars2[0])
-        )
-        fy = fd.substitute_single(
-            TruncatedSeries.variable(S.ctx, vars2, deg, vars2[1])
-        )
-        rhs = S.substitute({vars2[0]: fx, vars2[1]: fy})
-    else:
-        lhs = S.substitute_single(fd)
-        rhs = fd.substitute_single(S)
-    return lhs - rhs
+        return intertwining_defect(fd, S, S)
+    return S.substitute_single(fd) - fd.substitute_single(S)
 
 
 def _inductive_solve(start, f_field, field, pi, N, two_sided, sign,
@@ -333,15 +323,7 @@ def _check_intertwines(d: LubinTateDatum, F: TruncatedSeries, f: TruncatedSeries
     fN = f.truncate(min(N, f.trunc_degree))
     if fN.trunc_degree < N:
         fN = TruncatedSeries(f.ctx, fN.variables, N, dict(fN.terms))
-    lhs = fN.substitute_single(F)
-    fx = fN.substitute_single(
-        TruncatedSeries.variable(F.ctx, F.variables, N, F.variables[0])
-    )
-    fy = fN.substitute_single(
-        TruncatedSeries.variable(F.ctx, F.variables, N, F.variables[1])
-    )
-    rhs = F.substitute({F.variables[0]: fx, F.variables[1]: fy})
-    if lhs != rhs:
+    if not intertwining_defect(fN, F, F).is_zero():
         raise LubinTateError("reduced law no longer intertwines f")
 
 
@@ -527,15 +509,7 @@ def compare_lubin_tate(d1: LubinTateDatum, d2: LubinTateDatum,
     verified = False
     if report.all_integral:
         h_ring = reduce_series(h_field, d1.ctx)
-        lhs = h_ring.substitute_single(F1.F)
-        hx = h_ring.substitute_single(
-            TruncatedSeries.variable(d1.ctx, F1.F.variables, N, "x")
-        )
-        hy = h_ring.substitute_single(
-            TruncatedSeries.variable(d1.ctx, F1.F.variables, N, "y")
-        )
-        rhs = F2.plus(hx, hy)
-        verified = lhs == rhs
+        verified = intertwining_defect(h_ring, F1.F, F2.F).is_zero()
         if not verified:
             raise LubinTateError("integral h failed the ring-level check")
     return LubinTateComparison(h_field, report, h_ring, verified)

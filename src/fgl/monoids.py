@@ -309,6 +309,7 @@ class PadicTruncationMonoid(Monoid):
             self.unit_ctx = EisensteinExtension(ctx.p, n, ctx.poly)
             self.ram_index = ctx.e
         self._units = None
+        self._unit_group = None
 
     def unit_payloads(self) -> list:
         """All units of O/m^n, deterministically ordered."""
@@ -322,6 +323,14 @@ class PadicTruncationMonoid(Monoid):
                     t for t in itertools.product(*ranges) if t[0] % u.p
                 )
         return list(self._units)
+
+    @property
+    def unit_group(self) -> "UnitGroup":
+        """Invariant factors and matching generators of the unit part,
+        computed once per monoid."""
+        if self._unit_group is None:
+            self._unit_group = UnitGroup(self)
+        return self._unit_group
 
     def check_payload(self, payload):
         if payload == BOTTOM:
@@ -680,11 +689,6 @@ def _product(xs) -> int:
     return out
 
 
-def unit_group_structure(monoid: PadicTruncationMonoid) -> UnitGroup:
-    """Invariant factors and matching generators of the unit part."""
-    return UnitGroup(monoid)
-
-
 # ---------------------------------------------------------------------------
 # morphisms and generator-matched isomorphisms
 
@@ -765,8 +769,8 @@ def build_monoid_isomorphism(
     """
     if m1.V != m2.V:
         raise StructureMismatch(f"valuation caps differ: {m1.V} vs {m2.V}")
-    u1 = unit_group_structure(m1)
-    u2 = unit_group_structure(m2)
+    u1 = m1.unit_group
+    u2 = m2.unit_group
     if u1.factors != u2.factors:
         raise StructureMismatch(
             f"unit groups differ: {u1.factors} vs {u2.factors}"
@@ -801,7 +805,7 @@ def unit_isomorphism_variants(
     """A few distinct generator-matched isomorphisms: twist the largest
     invariant factor's generator by successive units.  Yields (powers, map)
     pairs so callers can report which twist produced which behaviour."""
-    u1 = unit_group_structure(m1)
+    u1 = m1.unit_group
     if not u1.factors:
         yield (), build_monoid_isomorphism(m1, m2)
         return

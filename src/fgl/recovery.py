@@ -33,7 +33,6 @@ from .monoids import (
     unit_isomorphism_variants,
 )
 from .rings import EisensteinExtension, RingError
-from .series import TruncatedSeries
 
 
 class RecoveryError(RingError):
@@ -54,60 +53,6 @@ def _payload_of(m):
     if isinstance(m, MonoidElement):
         return m.payload
     return m
-
-
-def _series_powers(terms: dict, ctx, N: int, top: int):
-    """terms, terms^2, ..., terms^top as one-variable term dicts."""
-    powers = [None, dict(terms)]
-    for _ in range(2, top + 1):
-        prev = powers[-1]
-        nxt: dict = {}
-        for (i,), a in prev.items():
-            for (j,), b in terms.items():
-                if i + j > N:
-                    continue
-                key = (i + j,)
-                c = ctx.mul(a, b)
-                if key in nxt:
-                    nxt[key] = ctx.add(nxt[key], c)
-                else:
-                    nxt[key] = c
-        powers.append({k: v for k, v in nxt.items() if not ctx.is_zero(v)})
-    return powers
-
-
-def _pair_sum_terms(law, pow_a, pow_b):
-    """Term dict of F([a](T), [b](T)) from cached powers of both series."""
-    ctx = law.ctx
-    N = law.trunc_degree
-    out: dict = {}
-    for (i, j), c in law.F.terms.items():
-        if i and i >= len(pow_a):
-            continue
-        if j and j >= len(pow_b):
-            continue
-        if i and j:
-            for (da,), ca in pow_a[i].items():
-                if da >= N:
-                    continue
-                for (db,), cb in pow_b[j].items():
-                    if da + db > N:
-                        continue
-                    _accumulate(out, ctx, (da + db,), ctx.mul(c, ctx.mul(ca, cb)))
-        elif i:
-            for (da,), ca in pow_a[i].items():
-                _accumulate(out, ctx, (da,), ctx.mul(c, ca))
-        elif j:
-            for (db,), cb in pow_b[j].items():
-                _accumulate(out, ctx, (db,), ctx.mul(c, cb))
-    return {k: v for k, v in out.items() if not ctx.is_zero(v)}
-
-
-def _accumulate(acc: dict, ctx, key, value):
-    if key in acc:
-        acc[key] = ctx.add(acc[key], value)
-    else:
-        acc[key] = value
 
 
 def _truncation_sum_class(action: MonoidAction, monoid: PadicTruncationMonoid,
@@ -161,13 +106,7 @@ def recover_sum(action: MonoidAction, m1, m2):
         raise NoMatch("absorbing operand has no additive meaning", capped=True)
     ea = action.endo_for(monoid.el(p1)).series
     eb = action.endo_for(monoid.el(p2)).series
-    N = action.law.trunc_degree
-    ctx = action.law.ctx
-    top = max((i for (i, j) in action.law.F.terms), default=1)
-    top_b = max((j for (i, j) in action.law.F.terms), default=1)
-    pow_a = _series_powers(ea.terms, ctx, N, top)
-    pow_b = _series_powers(eb.terms, ctx, N, top_b)
-    s_terms = _pair_sum_terms(action.law, pow_a, pow_b)
+    s_terms = action.law.plus(ea, eb).terms
     if isinstance(monoid, PadicTruncationMonoid):
         return _truncation_sum_class(action, monoid, s_terms)
     if isinstance(monoid, RingSubsetMonoid):
@@ -359,25 +298,17 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
-    ctx = action.law.ctx
-    N = action.law.trunc_degree
+    F = action.law.F
     els = sorted(p for p in monoid.payloads() if p != BOTTOM)
     lifts = {p: monoid.canonical_lift(p).payload for p in els}
-    top_i = max((i for (i, j) in action.law.F.terms), default=1)
-    top_j = max((j for (i, j) in action.law.F.terms), default=1)
-    top = max(top_i, top_j)
-    powers = {
-        p: _series_powers(action.endo_for(monoid.el(p)).series.terms, ctx, N, top)
-        for p in els
-    }
     table: dict = {}
     flags: dict = {}
     for ia, a in enumerate(els):
+        model, powers_a = action.endo_for(a).series, action.powers(a)
         for b in els[ia:]:
+            s = F.substitute_powers([powers_a, action.powers(b)], model)
             try:
-                entry = _truncation_sum_class(
-                    action, monoid, _pair_sum_terms(action.law, powers[a], powers[b])
-                )
+                entry = _truncation_sum_class(action, monoid, s.terms)
             except NoMatch as exc:
                 if not exc.capped:
                     raise
@@ -486,7 +417,6 @@ class VariationReport:
             "multiplication_identical": self.multiplication_identical,
             "every_variant_disagrees": self.all_variants_disagree,
             "variants": [v.to_json() for v in self.variants],
-            "seconds": round(self.seconds, 2),
         }
 
 
@@ -550,7 +480,7 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     comparison.  Multiplication is common to native and transported tables
     whenever the matching is multiplicative, which is verified exhaustively.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     k = precision if precision is not None else n + V + 3
     ctx1 = EisensteinExtension(p, k, tuple(poly1))
     ctx2 = EisensteinExtension(p, k, tuple(poly2))
@@ -588,5 +518,5 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
         outcome = _compare_tables(m1, r1, transported)
         outcome.twist = powers
         report.variants.append(outcome)
-    report.seconds = time.time() - t0
+    report.seconds = time.perf_counter() - t0
     return report

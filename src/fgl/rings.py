@@ -423,9 +423,6 @@ class EisensteinExtension(RingContext):
         self.coef_prec = tuple(max(0, -(-(k - i) // self.e)) for i in range(self.e))
         self.coef_mod = tuple(p**c for c in self.coef_prec)
 
-    def residue_degree(self) -> int:
-        return 1  # totally ramified by construction
-
     def normalize(self, payload):
         if isinstance(payload, int):
             payload = (payload,) + (0,) * (self.e - 1)

@@ -6,14 +6,45 @@ Terms are a dict from exponent tuples to nonzero coefficient payloads of the
 ring context.  One to three variables is all the formal group machinery
 needs, and substitution only accepts zero-constant-term arguments so that
 composition commutes with truncation.
+
+There is one kernel.  _pair_products is the only loop over pairs of terms;
+multiplication calls it directly and composition calls it through
+substitute_powers, the one composition path.  powers() is the only code that
+builds a power table [1, s, s^2, ...]: substitution, reversion, inversion
+and integer powers all read their powers from it, and a caller that
+composes into the same series many times keeps its table and passes it to
+substitute_powers.
 """
 from __future__ import annotations
+
+import operator
 
 from .rings import RingContext, RingElement, RingError, grlex_key
 
 
 class SeriesError(RingError):
     pass
+
+
+def _pair_products(ctx: RingContext, N: int, a: dict, b: dict) -> dict:
+    """The truncated product of two term dicts: the sum of a[ea] * b[eb] at
+    ea + eb over every pair of terms whose total degree stays <= N, zeros
+    not yet dropped.  This is the only loop over pairs of terms; b is
+    bucketed by degree so pairs past N are never formed."""
+    by_degree: list = [[] for _ in range(N + 1)]
+    for eb, cb in b.items():
+        d = sum(eb)
+        if d <= N:
+            by_degree[d].append((eb, cb))
+    mul, add, plus = ctx.mul, ctx.add, operator.add
+    acc: dict = {}
+    for ea, ca in a.items():
+        for bucket in by_degree[:max(0, N + 1 - sum(ea))]:
+            for eb, cb in bucket:
+                e = tuple(map(plus, ea, eb))
+                c = mul(ca, cb)
+                acc[e] = add(acc[e], c) if e in acc else c
+    return acc
 
 
 class TruncatedSeries:
@@ -150,32 +181,10 @@ class TruncatedSeries:
             return self.scale(other)
         self._check_compatible(other)
         ctx = self.ctx
-        N = self.trunc_degree
-        acc: dict = {}
-        by_deg_a = self._by_degree()
-        by_deg_b = other._by_degree()
-        for da, bucket_a in by_deg_a.items():
-            for db, bucket_b in by_deg_b.items():
-                if da + db > N:
-                    continue
-                for ea, ca in bucket_a:
-                    for eb, cb in bucket_b:
-                        exp = tuple(x + y for x, y in zip(ea, eb))
-                        c = ctx.mul(ca, cb)
-                        if exp in acc:
-                            acc[exp] = ctx.add(acc[exp], c)
-                        else:
-                            acc[exp] = c
-        acc = {e: c for e, c in acc.items() if not ctx.is_zero(c)}
-        return self._fresh(acc)
+        acc = _pair_products(ctx, self.trunc_degree, self.terms, other.terms)
+        return self._fresh({e: c for e, c in acc.items() if not ctx.is_zero(c)})
 
     __rmul__ = __mul__
-
-    def _by_degree(self):
-        out: dict = {}
-        for exp, c in self.terms.items():
-            out.setdefault(sum(exp), []).append((exp, c))
-        return out
 
     def scale(self, value) -> "TruncatedSeries":
         ctx = self.ctx
@@ -192,10 +201,18 @@ class TruncatedSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise SeriesError("only non-negative integer powers")
-        result = TruncatedSeries.constant(self.ctx, self.variables, self.trunc_degree, 1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return self.powers(n)[n]
+
+    def powers(self, top: int) -> list:
+        """The power table [1, s, s^2, ..., s^top], each power the previous
+        one times s.  Entries are shared with callers that keep the table,
+        so treat them as read-only."""
+        table = [TruncatedSeries.constant(self.ctx, self.variables, self.trunc_degree, 1)]
+        if top >= 1:
+            table.append(self._fresh(dict(self.terms)))
+        for _ in range(top - 1):
+            table.append(table[-1] * self)
+        return table
 
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         if new_degree > self.trunc_degree:
@@ -285,40 +302,45 @@ class TruncatedSeries:
             if not assignments[v].constant_term().is_zero():
                 raise SeriesError(f"assignment for {v!r} has a nonzero constant term")
 
+        N = model.trunc_degree
+        tops = [0] * len(self.variables)
+        for exp in self.terms:
+            if sum(exp) <= N:  # assignments have zero constant term
+                tops = list(map(max, tops, exp))
+        tables = [assignments[v].powers(top) if top else None
+                  for v, top in zip(self.variables, tops)]
+        return self.substitute_powers(tables, model)
+
+    def substitute_powers(self, tables, model: "TruncatedSeries") -> "TruncatedSeries":
+        """self with its k-th variable replaced by the series whose power
+        table is tables[k]; the result lives where model does.
+
+        No validation: the substituted series must have zero constant term,
+        and each table must reach the largest exponent its variable carries
+        in a term of degree <= N (None for a variable no such term uses).
+        Each term c * x^i * y^j ... adds c times the product of the table
+        entries, the product formed by _pair_products."""
         ctx = model.ctx
-        power_cache: dict = {}
-
-        def power(v: str, n: int) -> TruncatedSeries:
-            key = (v, n)
-            if key not in power_cache:
-                if n == 0:
-                    power_cache[key] = TruncatedSeries.constant(
-                        ctx, model.variables, model.trunc_degree, 1)
-                else:
-                    power_cache[key] = power(v, n - 1) * assignments[v]
-            return power_cache[key]
-
-        acc: dict = {}
+        N = model.trunc_degree
+        mul, add = ctx.mul, ctx.add
         zero_exp = (0,) * len(model.variables)
+        acc: dict = {}
         for exp, c in self.terms.items():
-            if sum(exp) > model.trunc_degree:
-                continue  # assignments have zero constant term, lands beyond N
+            if sum(exp) > N:
+                continue  # lands beyond N
             piece = None
-            for v, e in zip(self.variables, exp):
-                if e == 0:
-                    continue
-                factor = power(v, e)
-                piece = factor if piece is None else piece * factor
+            for table, e in zip(tables, exp):
+                if e:
+                    f = table[e].terms
+                    piece = f if piece is None else _pair_products(ctx, N, piece, f)
             if piece is None:
-                cur = acc.get(zero_exp)
-                acc[zero_exp] = c if cur is None else ctx.add(cur, c)
+                acc[zero_exp] = add(acc[zero_exp], c) if zero_exp in acc else c
                 continue
-            for pexp, pc in piece.terms.items():
-                val = ctx.mul(c, pc)
-                cur = acc.get(pexp)
-                acc[pexp] = val if cur is None else ctx.add(cur, val)
-        out = TruncatedSeries(ctx, model.variables, model.trunc_degree)
-        out.terms = {e: c for e, c in acc.items() if not ctx.is_zero(c)}
+            for e, v in piece.items():
+                v = mul(c, v)
+                acc[e] = add(acc[e], v) if e in acc else v
+        out = TruncatedSeries(ctx, model.variables, N)
+        out.terms = {e: v for e, v in acc.items() if not ctx.is_zero(v)}
         return out
 
     def substitute_single(self, target: "TruncatedSeries") -> "TruncatedSeries":
@@ -344,66 +366,34 @@ class TruncatedSeries:
         a1_inv = a1.inverse()
         g = TruncatedSeries.zero(ctx, self.variables, N)
         g.terms[(1,)] = a1_inv.payload
-        if N >= 2:
-            # cache powers of f for the running recomposition
-            fpow = {1: self}
-            for n in range(2, N + 1):
-                fpow[n] = fpow[n - 1] * self
-            a1_inv_pow = a1_inv
-            for n in range(2, N + 1):
-                a1_inv_pow = a1_inv_pow * a1_inv
-                acc = ctx.normalize(0)
-                for k in range(1, n):
-                    bk = g.terms.get((k,))
-                    if bk is None:
-                        continue
-                    ck = fpow[k].terms.get((n,))
-                    if ck is None:
-                        continue
-                    acc = ctx.add(acc, ctx.mul(bk, ck))
-                if not ctx.is_zero(acc):
-                    bn = ctx.mul(ctx.neg(acc), a1_inv_pow.payload)
-                    g.terms[(n,)] = bn
-        check = g.substitute_single(self)
+        table = self.powers(N)
+        a1_inv_pow = a1_inv
+        for n in range(2, N + 1):
+            a1_inv_pow = a1_inv_pow * a1_inv
+            acc = ctx.normalize(0)
+            for k in range(1, n):
+                bk = g.terms.get((k,))
+                if bk is None:
+                    continue
+                ck = table[k].terms.get((n,))
+                if ck is None:
+                    continue
+                acc = ctx.add(acc, ctx.mul(bk, ck))
+            if not ctx.is_zero(acc):
+                g.terms[(n,)] = ctx.mul(ctx.neg(acc), a1_inv_pow.payload)
         ident = TruncatedSeries.variable(ctx, self.variables, N, self.variables[0])
-        if check != ident:
+        if g.substitute_powers([table], self) != ident:
             raise SeriesError("reversion failed to verify; coefficient ring too lossy?")
         return g
 
     def multiplicative_inverse(self) -> "TruncatedSeries":
-        """1/f for f with unit constant term, by triangular solve."""
-        ctx = self.ctx
-        c0 = self.constant_term()
-        c0_inv = c0.inverse()
-        N = self.trunc_degree
-        inv = TruncatedSeries.constant(ctx, self.variables, N, c0_inv)
-        # w_{d} determined degree by degree from (f * w)_d = 0 for d >= 1
-        f_by_deg = self._by_degree()
-        for d in range(1, N + 1):
-            acc: dict = {}
-            inv_by_deg = inv._by_degree()
-            for df, bucket_f in f_by_deg.items():
-                if df == 0 or df > d:
-                    continue
-                bucket_w = inv_by_deg.get(d - df, [])
-                for ea, ca in bucket_f:
-                    for eb, cb in bucket_w:
-                        exp = tuple(x + y for x, y in zip(ea, eb))
-                        c = ctx.mul(ca, cb)
-                        if exp in acc:
-                            acc[exp] = ctx.add(acc[exp], c)
-                        else:
-                            acc[exp] = c
-            for exp, c in acc.items():
-                if ctx.is_zero(c):
-                    continue
-                corr = ctx.neg(ctx.mul(c, c0_inv.payload))
-                cur = inv.terms.get(exp)
-                inv.terms[exp] = corr if cur is None else ctx.add(cur, corr)
-                if ctx.is_zero(inv.terms[exp]):
-                    del inv.terms[exp]
-        product = self * inv
-        if product != TruncatedSeries.constant(ctx, self.variables, N, 1):
+        """1/f for f with unit constant term c0.  u = 1 - f/c0 has zero
+        constant term, so 1/f = (1 + u + u^2 + ... + u^N)/c0 exactly."""
+        c0_inv = self.constant_term().inverse()
+        one = TruncatedSeries.constant(self.ctx, self.variables, self.trunc_degree, 1)
+        table = (one - self.scale(c0_inv)).powers(self.trunc_degree)
+        inv = sum(table[1:], table[0]).scale(c0_inv)
+        if self * inv != one:
             raise SeriesError("series inversion failed to verify")
         return inv
 

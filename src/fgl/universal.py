@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import re
 
-from .laws import FglEndomorphism, FormalGroupLaw, MonoidAction
+from .laws import FglEndomorphism, FormalGroupLaw, MonoidAction, intertwining_defect
 from .lubin_tate import integrality_scan
 from .monoids import FreeCommutativeMonoid, Monoid, MonoidMorphism
 from .rings import (
@@ -325,13 +325,9 @@ def _extract_ideal(pres: UniversalPresentation) -> list:
     for exp in _monomials(3, 2, N):
         ideal.append((f"P_{exp[0]}_{exp[1]}_{exp[2]}", defect.coefficient(exp)))
 
-    xy = ("x", "y")
     for m in listed:
         name = pres.monoid_vars[m]
-        gm = pres.g[m]
-        gx = gm.embed(xy)
-        gy = gm.rename(("y",)).embed(xy)
-        dm = gm.substitute_single(pres.F) - pres.F.substitute({"x": gx, "y": gy})
+        dm = intertwining_defect(pres.g[m], pres.F, pres.F)
         for exp in _monomials(2, 1, N):
             ideal.append((f"Q_{name}_{exp[0]}_{exp[1]}", dm.coefficient(exp)))
 
@@ -644,12 +640,8 @@ def z_two_variable_check(pres: UniversalPresentation, a_payload, b_payload) -> d
     aname = pres.monoid_vars[a_payload]
     bname = pres.monoid_vars[b_payload]
     rhs = TruncatedSeries.zero(pres.ctx, ("x", "y"), N)
-    fpow = pres.F
-    for i in range(1, N + 1):
-        z = pres.generator(f"Z_{aname}_{bname}_{i}")
-        rhs = rhs + fpow.scale(z)
-        if i < N:
-            fpow = fpow * pres.F
+    for i, F_i in enumerate(pres.F.powers(N)[1:], 1):
+        rhs = rhs + F_i.scale(pres.generator(f"Z_{aname}_{bname}_{i}"))
     if lhs != rhs:
         delta = lhs - rhs
         exp = min(delta.terms, key=grlex_key)

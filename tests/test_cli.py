@@ -283,3 +283,12 @@ def test_bad_usage_exits_2(capsys):
     )
     assert code == 2
     assert err == "error: --precision is required with --p\n"
+
+
+def test_demo_variation_json_is_byte_stable(capsys):
+    argv = ("demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
+            "--n", "1", "--V", "2", "--json")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and first[2] == ""
+    assert run(capsys, *argv) == first
+    assert "seconds" not in json.loads(first[1])

@@ -1,0 +1,212 @@
+"""The series kernel against a naive expansion.
+
+The oracle below shares no code with fgl.series: it keeps a series as a dict
+from exponent tuples to RingElements and multiplies monomial by monomial with
+RingElement's own `*`, truncating at total degree N.  Substitution, powers,
+both inverses and the recovered addition table are checked against it over Q
+and over a ramified quadratic extension of Z_5.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standard_datum
+from fgl.monoids import BOTTOM, padic_truncation_of
+from fgl.recovery import ADJOINED_ZERO, CAPPED, build_addition_table
+from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
+from fgl.series import TruncatedSeries
+
+Q = RationalField()
+E = EisensteinExtension(5, 9, (-5, 0, 1))
+RINGS = {"Q": Q, "E": E}
+NAMES = ("x", "y", "z")
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+
+def _oracle(series: TruncatedSeries) -> dict:
+    return {e: series.ctx.el(c) for e, c in series.terms.items()}
+
+
+def _oracle_mul(a: dict, b: dict, N: int) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= N:
+                out[e] = out[e] + ca * cb if e in out else ca * cb
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _oracle_substitute(f: TruncatedSeries, args: list) -> dict:
+    """sum over terms c*x^i*y^j... of c times each argument multiplied in,
+    one factor at a time."""
+    model = args[0]
+    N, width = model.trunc_degree, len(model.variables)
+    acc = {}
+    for exp, c in f.terms.items():
+        piece = {(0,) * width: f.ctx.el(c)}
+        for arg, e in zip(args, exp):
+            for _ in range(e):
+                piece = _oracle_mul(piece, _oracle(arg), N)
+        for e, v in piece.items():
+            acc[e] = acc[e] + v if e in acc else v
+    return {e: c for e, c in acc.items() if not c.is_zero()}
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+def _coefficient(ctx):
+    if ctx is Q:
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+def _unit(ctx):
+    if ctx is Q:
+        return st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1),
+                         st.integers(1, 4))
+    prime_to_5 = st.integers(-30, 30).filter(lambda a: a % 5)
+    return st.tuples(prime_to_5, st.integers(-30, 30))
+
+
+@st.composite
+def _series(draw, ctx, width, N, constant=True):
+    exps = [e for e in _exponents(width, N) if constant or sum(e)]
+    chosen = []
+    if exps:
+        chosen = draw(st.lists(st.sampled_from(exps), max_size=6, unique=True))
+    terms = {e: draw(_coefficient(ctx)) for e in chosen}
+    return TruncatedSeries(ctx, NAMES[:width], N, terms)
+
+
+def _exponents(width, N):
+    if width == 0:
+        return [()]
+    return [(i,) + rest for i in range(N + 1)
+            for rest in _exponents(width - 1, N - i)]
+
+
+@st.composite
+def _substitution(draw, ctx):
+    width_f = draw(st.integers(1, 3))
+    width_args = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 4 if width_args < 3 else 3))
+    f = draw(_series(ctx, width_f, N))
+    args = [draw(_series(ctx, width_args, N, constant=False)) for _ in range(width_f)]
+    return f, args
+
+
+# ---------------------------------------------------------------------------
+# kernel against oracle
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_substitute_matches_naive_expansion(ring, data):
+    f, args = data.draw(_substitution(RINGS[ring]))
+    out = f.substitute(dict(zip(f.variables, args)))
+    assert _oracle(out) == _oracle_substitute(f, args)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_powers_and_pow_match_naive_expansion(ring, data):
+    ctx = RINGS[ring]
+    width = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(0, 4))
+    s = data.draw(_series(ctx, width, N))
+    top = data.draw(st.integers(0, 5))
+    table = s.powers(top)
+    expect = {(0,) * width: ctx.one()}
+    assert len(table) == top + 1
+    for k, entry in enumerate(table):
+        assert _oracle(entry) == expect
+        assert _oracle(s**k) == expect
+        expect = _oracle_mul(expect, _oracle(s), N)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_multiplicative_inverse_round_trips(ring, data):
+    ctx = RINGS[ring]
+    width = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(0, 5 if width == 1 else 3))
+    tail = data.draw(_series(ctx, width, N, constant=False))
+    unit = data.draw(_unit(ctx))
+    one = TruncatedSeries.constant(ctx, tail.variables, N, 1)
+    f = tail + TruncatedSeries.constant(ctx, tail.variables, N, unit)
+    inv = f.multiplicative_inverse()
+    assert _oracle_mul(_oracle(f), _oracle(inv), N) == _oracle(one)
+    assert inv.multiplicative_inverse() == f
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_compositional_inverse_round_trips(ring, data):
+    ctx = RINGS[ring]
+    N = data.draw(st.integers(1, 6))
+    tail = data.draw(_series(ctx, 1, N, constant=False))
+    tail = TruncatedSeries(ctx, ("x",), N,
+                           {e: c for e, c in tail.terms.items() if e != (1,)})
+    slope = data.draw(_unit(ctx))
+    f = tail + TruncatedSeries(ctx, ("x",), N, {(1,): slope})
+    g = f.compositional_inverse()
+    x = _oracle(TruncatedSeries.variable(ctx, ("x",), N, "x"))
+    assert _oracle_substitute(g, [f]) == x
+    assert _oracle_substitute(f, [g]) == x
+    assert g.compositional_inverse() == f
+
+
+# ---------------------------------------------------------------------------
+# recovered addition through the kernel
+
+
+def _multiplicative_action():
+    Z5 = PadicIntegers(5, 6)
+    d = multiplicative_datum(Z5, degree=4)
+    return build_action(d, build_fgl(d, 4), monoid=padic_truncation_of(Z5, 1, 2))
+
+
+def _eisenstein_action():
+    # degree q = 5, so F carries terms beyond x + y
+    d = standard_datum(E, degree=5)
+    return build_action(d, build_fgl(d, 5), monoid=padic_truncation_of(E, 1, 2))
+
+
+def _oracle_class(action, sum_series: dict):
+    if not sum_series:
+        return ADJOINED_ZERO
+    alpha = sum_series.get((1,))
+    if alpha is None or alpha.is_zero() or alpha.valuation() >= action.monoid.V:
+        return CAPPED
+    return action.monoid.class_of(alpha).payload
+
+
+@pytest.mark.parametrize("make_action", [_multiplicative_action, _eisenstein_action])
+def test_addition_table_matches_oracle_sums(make_action):
+    action = make_action()
+    monoid = action.monoid
+    F = action.law.F
+    ring = build_addition_table(action)
+    els = [p for p in monoid.payloads() if p != BOTTOM]
+    assert len(els) == 8
+    assert any(sum(e) > 1 for e in F.terms)  # the cross terms get exercised
+    for a in els:
+        for b in els:
+            ea = action.endo_for(a).series
+            eb = action.endo_for(b).series
+            expect = _oracle_substitute(F, [ea, eb])
+            assert _oracle(action.law.plus(ea, eb)) == expect
+            assert ring.table[(a, b)] == _oracle_class(action, expect)

@@ -8,7 +8,6 @@ from fgl.monoids import (
     RingSubsetMonoid,
     monoid_from_descriptor,
     padic_truncation_of,
-    unit_group_structure,
     unit_isomorphism_variants,
 )
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
@@ -110,11 +109,12 @@ def test_unit_group_invariant_factors():
     Z5 = PadicIntegers(5, 6)
     # (Z/25)^* is cyclic of order 20
     M = padic_truncation_of(Z5, 2, 1)
-    G = unit_group_structure(M)
+    G = M.unit_group
     assert G.factors == [20]
+    assert M.unit_group is G  # computed once per monoid
     E = EisensteinExtension(5, 6, (-5, 0, 1))
     # ramified quadratic: (O/pi^2)^* has order 20 as well, cyclic
-    G2 = unit_group_structure(padic_truncation_of(E, 2, 1))
+    G2 = padic_truncation_of(E, 2, 1).unit_group
     assert G2.size == 20
     assert G2.factors == [20]
 
