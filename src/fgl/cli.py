@@ -78,10 +78,17 @@ def _emit(args, payload, text: str | None = None):
     either form to a file."""
     body = _dump(payload) if args.json or text is None else text + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        _write_file(args.out, body)
     else:
         sys.stdout.write(body)
+
+
+def _write_file(path: str, body: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise _Invalid("file", f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _report_error(args, code: int, kind: str, message: str, details: dict) -> int:
@@ -109,14 +116,6 @@ def _build_ring(args):
     return PadicIntegers(args.p, args.precision)
 
 
-def _uniformizer_payload(ctx):
-    if isinstance(ctx, EisensteinExtension):
-        return ctx.uniformizer().payload
-    if isinstance(ctx, PadicIntegers):
-        return ctx.normalize(ctx.p)
-    return None
-
-
 def _build_datum(args, ctx) -> LubinTateDatum:
     if not isinstance(ctx, (PadicIntegers, EisensteinExtension)):
         raise _Invalid("ring", "this subcommand needs --p (and optionally --eisenstein)")
@@ -129,7 +128,7 @@ def _build_datum(args, ctx) -> LubinTateDatum:
     if preset == "multiplicative":
         return multiplicative_datum(ctx, degree=args.degree)
     f = parse_series(series, ctx, ("T",), max(args.degree, ctx.p),
-                     pi_payload=_uniformizer_payload(ctx))
+                     pi_payload=ctx.uniformizer().payload)
     return LubinTateDatum(ctx, f)
 
 
@@ -239,8 +238,8 @@ def _cmd_lubin_tate(args) -> int:
 
 def _cmd_from_log(args) -> int:
     ctx = _build_ring(args)
-    f = parse_series(args.series, ctx, ("T",), args.degree,
-                     pi_payload=_uniformizer_payload(ctx))
+    pi = None if isinstance(ctx, RationalField) else ctx.uniformizer().payload
+    f = parse_series(args.series, ctx, ("T",), args.degree, pi_payload=pi)
     try:
         law, g = from_logarithm(f)
     except NonInvertibleDivision as exc:
@@ -368,6 +367,8 @@ def _table_text(table: dict) -> str:
 def _cmd_demo_variation(args) -> int:
     poly1 = parse_integer_polynomial(args.e1)
     poly2 = parse_integer_polynomial(args.e2)
+    if args.variants < 1:
+        raise _Invalid("variants", f"--variants must be at least 1, got {args.variants}")
     try:
         report = variation_demo(args.p, poly1, poly2, args.n, args.V,
                                 trunc_degree=args.degree,
@@ -396,14 +397,13 @@ def _cmd_universal(args) -> int:
     monoid = monoid_from_descriptor(_load_json(args.monoid))
     pres = generate_presentation(monoid, args.degree)
     if args.cas:
-        with open(args.cas, "w") as fh:
-            fh.write(pres.polynomials_text() + "\n")
+        _write_file(args.cas, pres.polynomials_text() + "\n")
     payload = pres.to_json()
     nonzero = pres.nonzero_ideal()
     text = "\n".join(
         [f"variables: {', '.join(payload['variables'])}",
          f"relations ({len(nonzero)} nonzero of {len(pres.ideal)}):"]
-        + [f"  {label}: {pres._poly_text(poly)}" for label, poly in nonzero]
+        + [f"  {label}: {poly}" for label, poly in nonzero]
     )
     _emit(args, payload, text)
     return 0

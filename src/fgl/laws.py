@@ -12,6 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .monoids import (
+    FreeCommutativeMonoid,
+    PadicTruncationMonoid,
+    monoid_from_descriptor,
+)
 from .rings import RingContext, RingElement, RingError, grlex_key
 from .series import TruncatedSeries
 
@@ -213,21 +218,14 @@ def formal_inverse(law: FormalGroupLaw) -> TruncatedSeries:
     return iota
 
 
-def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
-    """The strict isomorphism to the additive law, l(T) = T + ...
-
-    l'(T) = 1 / (dF/dy)(T, 0), integrated termwise.  Over a ring where some
-    1/n does not exist the integration fails eagerly, naming the blocking
-    denominator, unless that coefficient happens to be zero.
-    """
-    ctx = law.ctx
-    N = law.trunc_degree
-    if N < 1:
-        raise LawError("need truncation degree at least 1")
-    dFy = law.F.derivative(law.y)
+def _integrated_log(F: TruncatedSeries) -> TruncatedSeries:
+    """l(T) with l'(T) = 1 / (dF/dy)(T, 0), integrated termwise over F's
+    ring.  Raises NonInvertibleDivision at the first nonzero coefficient
+    whose 1/n does not exist there."""
+    ctx, N = F.ctx, F.trunc_degree
+    x, y = F.variables
     T = TruncatedSeries.variable(ctx, ("T",), N, "T")
-    zero1 = TruncatedSeries.zero(ctx, ("T",), N)
-    u = dFy.substitute({law.x: T, law.y: zero1})
+    u = F.derivative(y).substitute({x: T, y: TruncatedSeries.zero(ctx, ("T",), N)})
     # the derivative's top slice uses unknown degree-(N+1) data; drop it
     u = u.truncate(max(0, N - 1))
     if u.constant_term() != ctx.one():
@@ -243,6 +241,21 @@ def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
         except RingError:
             raise NonInvertibleDivision(n, n) from None
         ell.terms[(n,)] = ctx.mul(c, inv_n)
+    return ell
+
+
+def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
+    """The strict isomorphism to the additive law, l(T) = T + ...
+
+    l'(T) = 1 / (dF/dy)(T, 0), integrated termwise.  Over a ring where some
+    1/n does not exist the integration fails eagerly, naming the blocking
+    denominator, unless that coefficient happens to be zero.
+    """
+    ctx = law.ctx
+    N = law.trunc_degree
+    if N < 1:
+        raise LawError("need truncation degree at least 1")
+    ell = _integrated_log(law.F)
     # the defining property doubles as a self-check
     x_plus_y = TruncatedSeries(ctx, ("x", "y"), N, {(1, 0): 1, (0, 1): 1})
     if not intertwining_defect(ell, law.F, x_plus_y).is_zero():
@@ -344,30 +357,22 @@ def isomorphism_via_logs(f1: FormalGroupLaw, f2: FormalGroupLaw) -> TruncatedSer
 # monoid actions
 
 
-def congruent_payloads(ctx: RingContext, a, b, pi_precision: int | None) -> bool:
-    """Exact equality, or valuation(a - b) >= pi_precision when given."""
-    if pi_precision is None:
-        return a == b
-    if pi_precision <= 0:
-        return True
-    diff = ctx.add(a, ctx.neg(b))
-    return ctx.valuation(diff) >= pi_precision
-
-
 def series_congruent(
-    s1: TruncatedSeries, s2: TruncatedSeries, tolerance=None
+    s1: TruncatedSeries, s2: TruncatedSeries, precisions: tuple | None = None
 ) -> tuple | None:
-    """First (exponent, delta) where the series differ beyond tolerance, else
-    None.  tolerance maps a total degree to a pi-adic precision or None."""
+    """First (exponent, delta) in graded-lex order where the series differ,
+    else None.  With precisions, total degree k only needs to agree mod
+    pi^precisions[k] (PadicTruncationMonoid.class_precisions)."""
     ctx = s1.ctx
-    exps = set(s1.terms) | set(s2.terms)
     zero = ctx.normalize(0)
-    for exp in sorted(exps, key=grlex_key):
-        tol = tolerance(sum(exp)) if tolerance else None
+    for exp in sorted(set(s1.terms) | set(s2.terms), key=grlex_key):
         a = s1.terms.get(exp, zero)
         b = s2.terms.get(exp, zero)
-        if not congruent_payloads(ctx, a, b, tol):
-            return exp, ctx.fmt(ctx.add(a, ctx.neg(b)))
+        if a == b:
+            continue
+        delta = ctx.add(a, ctx.neg(b))
+        if precisions is None or ctx.valuation(delta) < precisions[sum(exp)]:
+            return exp, ctx.fmt(delta)
     return None
 
 
@@ -413,14 +418,22 @@ class MonoidAction:
     monoids only the generators are assigned; composite elements get the
     composition in generator order (earlier generators applied first).  For
     finite monoids every non-absorbing element must be assigned.
+
+    tolerance is "exact", or "truncation" for a truncation monoid acting
+    through lifts of its classes: composition is then only checked at the
+    monoid's class precision.
     """
 
     def __init__(self, monoid, law: FormalGroupLaw, assignment: dict,
-                 composition_tolerance=None):
+                 tolerance: str = "exact"):
+        if tolerance not in ("exact", "truncation"):
+            raise LawError(f"unknown tolerance {tolerance!r}")
+        if tolerance == "truncation" and not isinstance(monoid, PadicTruncationMonoid):
+            raise LawError("truncation tolerance needs a truncation monoid")
         self.monoid = monoid
         self.law = law
         self.assignment = dict(assignment)
-        self.composition_tolerance = composition_tolerance
+        self.tolerance = tolerance
         self._endo_cache: dict = {}
         self._power_tables: dict = {}
 
@@ -431,8 +444,6 @@ class MonoidAction:
         if payload in self.assignment:
             endo = self.assignment[payload]
         else:
-            from .monoids import FreeCommutativeMonoid
-
             if not isinstance(self.monoid, FreeCommutativeMonoid):
                 raise LawError(f"no endomorphism assigned for {payload}")
             ctx = self.law.ctx
@@ -457,9 +468,6 @@ class MonoidAction:
             table = self._power_tables[payload] = series.powers(series.trunc_degree)
         return table
 
-    def alpha1(self, elt) -> RingElement:
-        return self.endo_for(elt).linear_coefficient()
-
     def verify(self) -> ActionReport:
         return verify_action(self)
 
@@ -467,8 +475,7 @@ class MonoidAction:
         return {
             "monoid": self.monoid.descriptor(),
             "law": self.law.to_bundle(),
-            "tolerance": "exact" if self.composition_tolerance is None
-            else "truncation",
+            "tolerance": self.tolerance,
             "endomorphisms": [
                 {
                     "element": self.monoid.label(p),
@@ -485,11 +492,9 @@ def verify_action(action: MonoidAction) -> ActionReport:
 
     Finite monoids get every pair checked; free monoids get all generator
     pairs.  Pairs whose product is absorbing (no assignment) are skipped and
-    counted.  composition_tolerance, when set, relaxes pair comparisons to a
-    per-degree pi-adic precision; the endomorphism law itself stays exact.
+    counted.  Under truncation tolerance a composition is compared at the
+    class precision of the product; the endomorphism law itself stays exact.
     """
-    from .monoids import FreeCommutativeMonoid
-
     report = ActionReport()
     law = action.law
     ctx = law.ctx
@@ -540,11 +545,10 @@ def verify_action(action: MonoidAction) -> ActionReport:
         if ab.payload not in action.assignment:
             report.skipped_pairs += 1
             continue
-        eab = action.endo_for(ab)
-        tol = None
-        if action.composition_tolerance is not None:
-            tol = action.composition_tolerance(a, b, ab)
-        bad = series_congruent(comp, eab.series, tol)
+        precisions = None
+        if action.tolerance == "truncation":
+            precisions = monoid.class_precisions(ab.payload[0], N)
+        bad = series_congruent(comp, action.endo_for(ab).series, precisions)
         if bad:
             report.violations.append(
                 ActionViolation(
@@ -564,8 +568,6 @@ def _tuplify(obj):
 def action_from_bundle(obj: dict, require: bool = True) -> MonoidAction:
     """Rebuild an action from its bundle; require=False defers all
     verification to an explicit check."""
-    from .monoids import PadicTruncationMonoid, monoid_from_descriptor
-
     monoid = monoid_from_descriptor(obj["monoid"])
     law = FormalGroupLaw.from_bundle(obj["law"], require=require)
     assignment = {}
@@ -573,9 +575,4 @@ def action_from_bundle(obj: dict, require: bool = True) -> MonoidAction:
         payload = _tuplify(entry["payload"])
         series = TruncatedSeries.from_json(entry["series"], law.ctx)
         assignment[payload] = FglEndomorphism(law, series)
-    tolerance = None
-    if obj.get("tolerance") == "truncation" and isinstance(monoid, PadicTruncationMonoid):
-        from .lubin_tate import truncation_tolerance
-
-        tolerance = truncation_tolerance(monoid)
-    return MonoidAction(monoid, law, assignment, composition_tolerance=tolerance)
+    return MonoidAction(monoid, law, assignment, obj.get("tolerance", "exact"))

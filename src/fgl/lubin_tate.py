@@ -19,6 +19,7 @@ from .laws import (
     FglEndomorphism,
     FormalGroupLaw,
     MonoidAction,
+    _integrated_log,
     intertwining_defect,
     isomorphism_via_logs,
 )
@@ -145,11 +146,7 @@ class LubinTateDatum:
         self.ctx = ctx
         self.p = ctx.p
         self.q = ctx.p
-        self.e = ctx.e if isinstance(ctx, EisensteinExtension) else 1
-        if isinstance(ctx, EisensteinExtension):
-            self.pi = ctx.uniformizer().payload
-        else:
-            self.pi = ctx.normalize(ctx.p)
+        self.pi = ctx.uniformizer().payload
         if f.trunc_degree < self.q:
             raise LubinTateError(
                 f"f must carry terms at least to degree q = {self.q}"
@@ -178,11 +175,7 @@ def standard_datum(ctx, degree: int | None = None) -> LubinTateDatum:
     """f = pi*T + T^q."""
     q = ctx.p
     N = max(degree or q, q)
-    if isinstance(ctx, EisensteinExtension):
-        pi = ctx.uniformizer().payload
-    else:
-        pi = ctx.normalize(ctx.p)
-    f = TruncatedSeries(ctx, ("T",), N, {(1,): pi, (q,): 1})
+    f = TruncatedSeries(ctx, ("T",), N, {(1,): ctx.uniformizer(), (q,): 1})
     return LubinTateDatum(ctx, f)
 
 
@@ -351,38 +344,6 @@ def build_endomorphism(
     return endo
 
 
-def padic_factorial_valuation(n: int, p: int) -> int:
-    v = 0
-    q = p
-    while q <= n:
-        v += n // q
-        q *= p
-    return v
-
-
-def truncation_tolerance(monoid: PadicTruncationMonoid):
-    """Composition comparisons for a truncation-monoid action.
-
-    Lifts of a product class agree with the product of lifts only mod
-    m^(v+n), and coefficient k of [a] moves p-adically like a degree-k
-    binomial in a, so degree-k coefficients are compared mod
-    m^(v + n - e*v_p(k!))."""
-    n = monoid.n
-    ctx = monoid.ctx
-    e = getattr(ctx, "e", 1)
-    p = ctx.p
-
-    def for_pair(a, b, ab):
-        v = ab.payload[0]
-
-        def per_degree(k: int):
-            return max(0, v + n - e * padic_factorial_valuation(k, p))
-
-        return per_degree
-
-    return for_pair
-
-
 def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
                  monoid=None) -> MonoidAction:
     """Monoid action by Lubin-Tate endomorphisms.
@@ -390,7 +351,7 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
     Either a list of ring elements (acting through a multiplicative window,
     products outside the list going unchecked) or a PadicTruncationMonoid
     (every class acts through its canonical lift; composition checks then
-    hold at class precision rather than exactly)."""
+    hold at class precision, PadicTruncationMonoid.class_precisions)."""
     if (elements is None) == (monoid is None):
         raise LubinTateError("pass exactly one of elements or monoid")
     if elements is not None:
@@ -412,10 +373,7 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
             continue
         lift = monoid.canonical_lift(payload)
         assignment[payload] = build_endomorphism(d, law, lift)
-    return MonoidAction(
-        monoid, law, assignment,
-        composition_tolerance=truncation_tolerance(monoid),
-    )
+    return MonoidAction(monoid, law, assignment, tolerance="truncation")
 
 
 # ---------------------------------------------------------------------------
@@ -524,29 +482,10 @@ def integrality_scan(law: FormalGroupLaw) -> tuple:
     self-check; a coefficient of negative valuation certifies that no
     degree-N coordinate change over the ring makes the law additive."""
     ctx = law.ctx
-    N = law.trunc_degree
-    field = fraction_field_of(ctx)
-    Ff = lift_series(law.F, field)
-    T = TruncatedSeries.variable(field, ("T",), N, "T")
-    zero1 = TruncatedSeries.zero(field, ("T",), N)
-    u = Ff.derivative(law.y).substitute({law.x: T, law.y: zero1})
-    u = u.truncate(max(0, N - 1))
-    w = u.multiplicative_inverse()
-    log_field = TruncatedSeries.zero(field, ("T",), N)
-    for n in range(1, N + 1):
-        c = w.terms.get((n - 1,))
-        if c is None:
-            continue
-        log_field.terms[(n,)] = field.mul(c, field.invert(field.int_payload(n)))
-    entries = [
-        IntegralityEntry(
-            n,
-            field_valuation(ctx, log_field.terms[(n,)])
-            if (n,) in log_field.terms
-            else math.inf,
-            (n,) not in log_field.terms
-            or field_valuation(ctx, log_field.terms[(n,)]) >= 0,
-        )
-        for n in range(1, N + 1)
-    ]
+    log_field = _integrated_log(lift_series(law.F, fraction_field_of(ctx)))
+    entries = []
+    for n in range(1, law.trunc_degree + 1):
+        c = log_field.terms.get((n,))
+        v = math.inf if c is None else field_valuation(ctx, c)
+        entries.append(IntegralityEntry(n, v, v >= 0))
     return log_field, IntegralityReport(entries)

@@ -304,12 +304,11 @@ class PadicTruncationMonoid(Monoid):
         self.V = V
         if isinstance(ctx, PadicIntegers):
             self.unit_ctx: RingContext = PadicIntegers(ctx.p, n)
-            self.ram_index = 1
         else:
             self.unit_ctx = EisensteinExtension(ctx.p, n, ctx.poly)
-            self.ram_index = ctx.e
         self._units = None
         self._unit_group = None
+        self._precisions: dict = {}
 
     def unit_payloads(self) -> list:
         """All units of O/m^n, deterministically ordered."""
@@ -345,11 +344,6 @@ class PadicTruncationMonoid(Monoid):
 
     def identity_payload(self):
         return (0, self.unit_ctx.int_payload(1))
-
-    def uniformizer_class(self) -> MonoidElement:
-        if self.V < 2:
-            return MonoidElement(self, BOTTOM)
-        return self.el((1, self.unit_ctx.int_payload(1)))
 
     def mul(self, a, b):
         if a == BOTTOM or b == BOTTOM:
@@ -389,10 +383,24 @@ class PadicTruncationMonoid(Monoid):
         if payload == BOTTOM:
             raise MonoidError("BOTTOM has no canonical lift")
         v, unit = payload
-        if isinstance(self.ctx, PadicIntegers):
-            return self.ctx.el(self.ctx.p**v * unit)
-        lifted = self.ctx.el(unit)
-        return lifted * self.ctx.uniformizer() ** v
+        return self.ctx.el(unit) * self.ctx.uniformizer() ** v
+
+    def class_precisions(self, v: int, N: int) -> tuple:
+        """Entry k is the pi-adic precision of degree-k coefficients of [a]
+        for a class of valuation v, k = 0..N; built once per (v, N).
+
+        The class pins a down only mod m^(v+n), and coefficient k of [a]
+        moves like a degree-k binomial in a, so it is pinned down mod
+        m^(v + n - e*v_p(k!)).  Every comparison on the carrier compares
+        degree k at this precision."""
+        out = self._precisions.get((v, N))
+        if out is None:
+            e, p = self.ctx.e, self.ctx.p
+            out = self._precisions[(v, N)] = tuple(
+                max(0, v + self.n - e * padic_factorial_valuation(k, p))
+                for k in range(N + 1)
+            )
+        return out
 
     def label(self, payload) -> str:
         if payload == BOTTOM:
@@ -410,6 +418,16 @@ class PadicTruncationMonoid(Monoid):
             "n": self.n,
             "V": self.V,
         }
+
+
+def padic_factorial_valuation(n: int, p: int) -> int:
+    """v_p(n!), by Legendre's formula."""
+    v = 0
+    q = p
+    while q <= n:
+        v += n // q
+        q *= p
+    return v
 
 
 def padic_truncation_of(ctx: RingContext, n: int, V: int) -> PadicTruncationMonoid:
@@ -801,21 +819,18 @@ def build_monoid_isomorphism(
 
 def unit_isomorphism_variants(
     m1: PadicTruncationMonoid, m2: PadicTruncationMonoid, count: int = 3
-):
-    """A few distinct generator-matched isomorphisms: twist the largest
-    invariant factor's generator by successive units.  Yields (powers, map)
-    pairs so callers can report which twist produced which behaviour."""
+) -> list:
+    """Up to count distinct generator-matched isomorphisms: twist the
+    largest invariant factor's generator by successive units.  Returns
+    (powers, map) pairs so callers can report which twist produced which
+    behaviour."""
+    if count < 1:
+        raise MonoidError(f"need at least one variant, got {count}")
     u1 = m1.unit_group
     if not u1.factors:
-        yield (), build_monoid_isomorphism(m1, m2)
-        return
+        return [((), build_monoid_isomorphism(m1, m2))]
     top = u1.factors[-1]
-    emitted = 0
-    for t in range(1, top):
-        if math.gcd(t, top) != 1:
-            continue
-        powers = (1,) * (len(u1.factors) - 1) + (t,)
-        yield powers, build_monoid_isomorphism(m1, m2, generator_powers=powers)
-        emitted += 1
-        if emitted >= count:
-            return
+    rest = (1,) * (len(u1.factors) - 1)
+    twists = [rest + (t,) for t in range(1, top) if math.gcd(t, top) == 1]
+    return [(powers, build_monoid_isomorphism(m1, m2, generator_powers=powers))
+            for powers in twists[:count]]

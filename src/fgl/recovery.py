@@ -16,13 +16,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .laws import MonoidAction, congruent_payloads
-from .lubin_tate import (
-    build_action,
-    build_fgl,
-    padic_factorial_valuation,
-    standard_datum,
-)
+from .laws import MonoidAction, series_congruent
+from .lubin_tate import build_action, build_fgl, standard_datum
 from .monoids import (
     BOTTOM,
     MonoidElement,
@@ -55,46 +50,15 @@ def _payload_of(m):
     return m
 
 
-def _truncation_sum_class(action: MonoidAction, monoid: PadicTruncationMonoid,
-                          s_terms: dict):
-    """Identify which carrier class the sum series belongs to."""
-    ctx = action.law.ctx
-    N = action.law.trunc_degree
-    if not s_terms:
-        return ADJOINED_ZERO
-    alpha = s_terms.get((1,))
-    if alpha is None or ctx.is_zero(alpha):
-        raise NoMatch("sum series has no usable linear coefficient", capped=True)
-    v = ctx.valuation(alpha)
-    if v >= monoid.V:
-        raise NoMatch(
-            f"sum has valuation {v}, outside the window (cap {monoid.V})",
-            capped=True,
-        )
-    cls = monoid.class_of(ctx.el(alpha))
-    cand = action.endo_for(cls).series
-    e = getattr(ctx, "e", 1)
-    n = monoid.n
-    zero = ctx.normalize(0)
-    for deg in range(1, N + 1):
-        tol = max(0, v + n - e * padic_factorial_valuation(deg, ctx.p))
-        a = s_terms.get((deg,), zero)
-        b = cand.terms.get((deg,), zero)
-        if not congruent_payloads(ctx, a, b, tol):
-            raise RecoveryError(
-                f"series mismatch at degree {deg} for candidate "
-                f"{monoid.label(cls.payload)}; action not strict here?"
-            )
-    return cls.payload
-
-
 def recover_sum(action: MonoidAction, m1, m2):
     """The carrier element whose endomorphism matches F([m1], [m2]).
 
     Returns a monoid payload or the adjoined zero.  The candidate comes from
     the linear coefficient alone (injective per class at working precision),
     so a second match cannot exist; the full-series check then either
-    confirms it or fails hard.
+    confirms it or fails hard.  Over a truncation monoid the check runs at
+    the candidate's class precision, and a sum whose valuation reaches the
+    cap raises NoMatch with capped set.
     """
     p1, p2 = _payload_of(m1), _payload_of(m2)
     if p1 == ADJOINED_ZERO:
@@ -104,25 +68,38 @@ def recover_sum(action: MonoidAction, m1, m2):
     monoid = action.monoid
     if p1 == BOTTOM or p2 == BOTTOM:
         raise NoMatch("absorbing operand has no additive meaning", capped=True)
-    ea = action.endo_for(monoid.el(p1)).series
-    eb = action.endo_for(monoid.el(p2)).series
-    s_terms = action.law.plus(ea, eb).terms
+    model = action.endo_for(p1).series
+    s = action.law.F.substitute_powers([action.powers(p1), action.powers(p2)], model)
+    if s.is_zero():
+        return ADJOINED_ZERO
+    alpha = s.terms.get((1,))
     if isinstance(monoid, PadicTruncationMonoid):
-        return _truncation_sum_class(action, monoid, s_terms)
+        ctx = model.ctx
+        if alpha is None:
+            raise NoMatch("sum series has no usable linear coefficient", capped=True)
+        v = ctx.valuation(alpha)
+        if v >= monoid.V:
+            raise NoMatch(
+                f"sum has valuation {v}, outside the window (cap {monoid.V})",
+                capped=True,
+            )
+        cls = monoid.class_of(ctx.el(alpha)).payload
+        precisions = monoid.class_precisions(v, model.trunc_degree)
+        bad = series_congruent(s, action.endo_for(cls).series, precisions)
+        if bad:
+            raise RecoveryError(
+                f"series mismatch at degree {sum(bad[0])} for candidate "
+                f"{monoid.label(cls)}; action not strict here?"
+            )
+        return cls
     if isinstance(monoid, RingSubsetMonoid):
-        if not s_terms:
-            return ADJOINED_ZERO
-        alpha = s_terms.get((1,))
-        for payload in monoid.payloads():
-            if payload == alpha:
-                cand = action.endo_for(monoid.el(payload)).series
-                if dict(cand.terms) != s_terms:
-                    raise RecoveryError(
-                        f"full series of {monoid.label(payload)} does not "
-                        "match the sum"
-                    )
-                return payload
-        raise NoMatch("sum lies outside the listed window")
+        if alpha not in monoid.listed:
+            raise NoMatch("sum lies outside the listed window")
+        if action.endo_for(alpha).series != s:
+            raise RecoveryError(
+                f"full series of {monoid.label(alpha)} does not match the sum"
+            )
+        return alpha
     raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
 
 
@@ -298,17 +275,14 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
-    F = action.law.F
     els = sorted(p for p in monoid.payloads() if p != BOTTOM)
     lifts = {p: monoid.canonical_lift(p).payload for p in els}
     table: dict = {}
     flags: dict = {}
     for ia, a in enumerate(els):
-        model, powers_a = action.endo_for(a).series, action.powers(a)
         for b in els[ia:]:
-            s = F.substitute_powers([powers_a, action.powers(b)], model)
             try:
-                entry = _truncation_sum_class(action, monoid, s.terms)
+                entry = recover_sum(action, a, b)
             except NoMatch as exc:
                 if not exc.capped:
                     raise
@@ -486,6 +460,7 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     ctx2 = EisensteinExtension(p, k, tuple(poly2))
     m1 = padic_truncation_of(ctx1, n, V)
     m2 = padic_truncation_of(ctx2, n, V)
+    isos = unit_isomorphism_variants(m1, m2, count=variants)
     d1 = standard_datum(ctx1)
     d2 = standard_datum(ctx2)
     law1 = build_fgl(d1, trunc_degree)
@@ -512,7 +487,7 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
         carrier_size=len(m1.payloads()),
         multiplication_identical=True,
     )
-    for powers, iso in unit_isomorphism_variants(m1, m2, count=variants):
+    for powers, iso in isos:
         iso.verify()  # exhaustive multiplicativity; backs the shared tables
         transported = transport_structure(iso, r2)
         outcome = _compare_tables(m1, r1, transported)

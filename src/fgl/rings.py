@@ -305,7 +305,10 @@ class RationalField(RingContext):
 
 
 class PadicIntegers(RingContext):
-    """p-adic integers at fixed absolute precision: residues mod p^k."""
+    """p-adic integers at fixed absolute precision: residues mod p^k.
+    Unramified: the uniformizer is p and e = 1."""
+
+    e = 1
 
     def __init__(self, p: int, k: int):
         if not is_prime(p):
@@ -345,6 +348,9 @@ class PadicIntegers(RingContext):
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def uniformizer(self) -> RingElement:
+        return self.el(self.p)
+
     def valuation(self, a):
         if a == 0:
             return math.inf
@@ -361,10 +367,6 @@ class PadicIntegers(RingContext):
         if r:
             raise RingError(f"{a} is not divisible by {self.p}^{v}")
         return q
-
-    def reduce_mod(self, a: int, n: int) -> int:
-        """Residue of the payload at the lower precision n <= k."""
-        return a % self.p**n
 
     def fmt(self, a) -> str:
         return f"{a} + O({self.p}^{self.k})"
@@ -707,12 +709,6 @@ class PolynomialQuotient(RingContext):
 
     def is_constant(self, a) -> bool:
         return len(a) == 0 or (len(a) == 1 and all(e == 0 for e in a[0][0]))
-
-    def constant_coefficient(self, a):
-        for exp, c in a:
-            if all(e == 0 for e in exp):
-                return c
-        return self.base.int_payload(0)
 
     def invert(self, a):
         if self.is_constant(a):

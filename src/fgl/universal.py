@@ -256,33 +256,10 @@ class UniversalPresentation:
             "size": self.size,
         }
 
-    def _poly_text(self, element: RingElement) -> str:
-        if not element.payload:
-            return "0"
-        parts = []
-        for exp, c in element.payload:
-            factors = []
-            for v, e in zip(self.ctx.variables, exp):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
-
     def polynomials_text(self) -> str:
         """Comma-separated nonzero relations, pasteable into external
         computer-algebra systems."""
-        return ", ".join(self._poly_text(g) for _, g in self.nonzero_ideal())
+        return ", ".join(str(g) for _, g in self.nonzero_ideal())
 
 
 def _monomials(width: int, lo: int, hi: int):

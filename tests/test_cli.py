@@ -292,3 +292,24 @@ def test_demo_variation_json_is_byte_stable(capsys):
     assert first[0] == 0 and first[2] == ""
     assert run(capsys, *argv) == first
     assert "seconds" not in json.loads(first[1])
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_demo_variation_refuses_no_variants(capsys, count):
+    code, out, err = run(
+        capsys, "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2",
+        "t^2-10", "--n", "1", "--V", "2", "--variants", count,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --variants must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cas"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, flag):
+    monoid = write_json(tmp_path / "m.json", {"kind": "free", "generators": ["m"]})
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "universal", "--monoid", monoid, "--degree", "2", flag, str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"

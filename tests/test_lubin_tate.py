@@ -1,9 +1,16 @@
+import json
 import math
 import random
 
 import pytest
 
-from fgl.laws import FormalGroupLaw
+from fgl.laws import (
+    FglEndomorphism,
+    LawError,
+    MonoidAction,
+    action_from_bundle,
+    verify_action,
+)
 from fgl.lubin_tate import (
     LubinTateDatum,
     LubinTateError,
@@ -14,11 +21,9 @@ from fgl.lubin_tate import (
     fraction_field_of,
     integrality_scan,
     multiplicative_datum,
-    padic_factorial_valuation,
     standard_datum,
-    truncation_tolerance,
 )
-from fgl.monoids import padic_truncation_of
+from fgl.monoids import padic_factorial_valuation, padic_truncation_of
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
 from fgl.series import TruncatedSeries
 
@@ -170,26 +175,56 @@ def test_comparison_standard_vs_multiplicative():
     assert cmp.h_ring.terms[(1,)] == 1
 
 
-def test_truncation_action_verifies_with_tolerance():
+def _small_truncation_action():
     Z5 = PadicIntegers(5, 8)
     d = standard_datum(Z5, degree=4)
     law = build_fgl(d, 4)
-    monoid = padic_truncation_of(Z5, 1, 2)
-    action = build_action(d, law, monoid=monoid)
-    report = action.verify()
+    return build_action(d, law, monoid=padic_truncation_of(Z5, 1, 2))
+
+
+def test_truncation_action_verifies_with_tolerance():
+    report = _small_truncation_action().verify()
     assert report.ok
     assert report.checked_pairs == 48
     assert report.skipped_pairs == 16  # pairs whose product hits the cap
 
 
-def test_truncation_tolerance_profile():
-    Z5 = PadicIntegers(5, 6)
-    monoid = padic_truncation_of(Z5, 2, 3)
-    tol = truncation_tolerance(monoid)
-    per_degree = tol(monoid.el((0, 1)), monoid.el((1, 1)), monoid.el((1, 1)))
-    # v + n = 3, eaten by v_5(k!): v_5(5!) = 1, v_5(24!) = 4, v_5(25!) = 6
-    assert [per_degree(k) for k in (1, 4, 5, 24, 25)] == [3, 3, 2, 0, 0]
-    assert padic_factorial_valuation(25, 5) == 6
+def test_truncation_action_bundle_round_trips():
+    action = _small_truncation_action()
+    text = json.dumps(action.to_bundle(), sort_keys=True)
+    again = action_from_bundle(json.loads(text))
+    assert again.tolerance == "truncation"
+    report = again.verify()
+    assert report.ok
+    assert (report.checked_pairs, report.skipped_pairs) == (48, 16)
+    assert json.dumps(again.to_bundle(), sort_keys=True) == text
+
+
+def test_truncation_tolerance_needs_a_truncation_monoid():
+    action = _small_truncation_action()
+    bundle = action.to_bundle()
+    bundle["monoid"] = {"kind": "free", "generators": []}
+    with pytest.raises(LawError, match="truncation monoid"):
+        action_from_bundle(bundle)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_composition_check_is_tight_at_class_precision(k):
+    """Moving [1:2] at degree k by pi^(precision - 1) breaks composition;
+    moving it by pi^precision stays inside the class."""
+    action = _small_truncation_action()
+    monoid, law = action.monoid, action.law
+    target = (1, 2)  # = 0:2 * 1:1, neither factor the identity
+    precisions = monoid.class_precisions(target[0], law.trunc_degree)
+    assert precisions == (2,) * 5  # v + n; v_5(k!) = 0 below k = 5
+    for shift, caught in ((precisions[k] - 1, True), (precisions[k], False)):
+        bump = TruncatedSeries(law.ctx, ("T",), law.trunc_degree, {(k,): 5**shift})
+        moved = FglEndomorphism(law, action.assignment[target].series + bump)
+        mutant = MonoidAction(monoid, law, {**action.assignment, target: moved},
+                              tolerance="truncation")
+        composition = [v.where for v in verify_action(mutant).violations
+                       if v.kind == "composition"]
+        assert ("0:2*1:1=1:2" in composition) is caught
 
 
 def test_eisenstein_law_reduces_to_additive_mod_pi():

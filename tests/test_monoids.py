@@ -7,6 +7,7 @@ from fgl.monoids import (
     MonoidMorphism,
     RingSubsetMonoid,
     monoid_from_descriptor,
+    padic_factorial_valuation,
     padic_truncation_of,
     unit_isomorphism_variants,
 )
@@ -93,6 +94,16 @@ def test_canonical_lift_round_trips():
         assert M.class_of(lift).payload == payload
 
 
+def test_class_precisions_profile():
+    Z5 = PadicIntegers(5, 6)
+    monoid = padic_truncation_of(Z5, 2, 3)
+    per_degree = monoid.class_precisions(1, 25)
+    # v + n = 3, eaten by v_5(k!): v_5(5!) = 1, v_5(24!) = 4, v_5(25!) = 6
+    assert [per_degree[k] for k in (1, 4, 5, 24, 25)] == [3, 3, 2, 0, 0]
+    assert padic_factorial_valuation(25, 5) == 6
+    assert monoid.class_precisions(1, 25) is per_degree
+
+
 def test_ring_subset_monoid_window():
     Z5 = PadicIntegers(5, 4)
     W = RingSubsetMonoid(Z5, [Z5.normalize(2), Z5.normalize(4)])
@@ -150,6 +161,15 @@ def test_unit_isomorphism_variants_are_isomorphisms():
         for payload in M1.payloads():
             assert back(iso(M1.el(payload))).payload == payload
     assert len(seen) == len(set(seen)) == 3
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_unit_isomorphism_variants_need_a_positive_count(count):
+    E1 = EisensteinExtension(5, 7, (-5, 0, 1))
+    E2 = EisensteinExtension(5, 7, (-10, 0, 1))
+    with pytest.raises(MonoidError, match="at least one variant"):
+        unit_isomorphism_variants(padic_truncation_of(E1, 1, 1),
+                                  padic_truncation_of(E2, 1, 1), count=count)
 
 
 def test_monoid_descriptor_round_trips():
