@@ -43,6 +43,7 @@ from .recovery import (
 from .rings import (
     EisensteinExtension,
     PadicIntegers,
+    PadicRing,
     RationalField,
     RingError,
 )
@@ -116,8 +117,13 @@ def _build_ring(args):
     return PadicIntegers(args.p, args.precision)
 
 
+def _check_degree(args):
+    if args.degree < 1:
+        raise _Invalid("degree", f"--degree must be at least 1, got {args.degree}")
+
+
 def _build_datum(args, ctx) -> LubinTateDatum:
-    if not isinstance(ctx, (PadicIntegers, EisensteinExtension)):
+    if not isinstance(ctx, PadicRing):
         raise _Invalid("ring", "this subcommand needs --p (and optionally --eisenstein)")
     preset = getattr(args, "preset", None)
     series = getattr(args, "series", None)
@@ -216,6 +222,7 @@ def _free_action(datum, law, pairs: list) -> MonoidAction:
 
 
 def _cmd_lubin_tate(args) -> int:
+    _check_degree(args)
     ctx = _build_ring(args)
     datum = _build_datum(args, ctx)
     law = _build_law(datum, args.degree)
@@ -295,6 +302,7 @@ def _cmd_log(args) -> int:
 
 
 def _cmd_recover_add(args) -> int:
+    _check_degree(args)
     ctx = _build_ring(args)
     datum = _build_datum(args, ctx)
     law = _build_law(datum, args.degree)
@@ -365,6 +373,7 @@ def _table_text(table: dict) -> str:
 
 
 def _cmd_demo_variation(args) -> int:
+    _check_degree(args)
     poly1 = parse_integer_polynomial(args.e1)
     poly2 = parse_integer_polynomial(args.e2)
     if args.variants < 1:

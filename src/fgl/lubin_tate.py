@@ -7,13 +7,14 @@ solved degree by degree; each correction divides by pi^d - pi, which is a
 unit obstruction only in the residue ring, so the whole solve runs in the
 fraction field and the result is reduced back with an integrality check.
 That keeps every identity exact at the ring's stored precision instead of
-losing digits to in-ring division.
+losing digits to in-ring division.  The base ring owns that field, the lifts
+into it and the reduction back (fgl.rings.PadicRing); this module never looks
+at how a ring stores its elements.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .laws import (
     FglEndomorphism,
@@ -24,15 +25,7 @@ from .laws import (
     isomorphism_via_logs,
 )
 from .monoids import PadicTruncationMonoid, RingSubsetMonoid
-from .rings import (
-    EisensteinExtension,
-    NonIntegralElement,
-    PadicIntegers,
-    PolynomialQuotient,
-    RationalField,
-    RingElement,
-    RingError,
-)
+from .rings import PadicIntegers, PadicRing, RingElement, RingError
 from .series import TruncatedSeries
 
 
@@ -40,92 +33,14 @@ class LubinTateError(RingError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# fraction-field plumbing
+def lift_series(s: TruncatedSeries) -> TruncatedSeries:
+    """Coefficient-wise lift into the fraction field of the series' ring."""
+    return s.map_coefficients(s.ctx.lift, s.ctx.fraction_field())
 
 
-def fraction_field_of(ctx):
-    """The exact field the inductive solves run in: Q for Z_p, Q[pi]/(E) for
-    a ramified extension.  Lifts use canonical integer representatives."""
-    if isinstance(ctx, PadicIntegers):
-        return RationalField()
-    if isinstance(ctx, EisensteinExtension):
-        ring = PolynomialQuotient(RationalField(), ("pi",))
-        t = ring.var("pi")
-        E = t**ctx.e
-        for i, c in enumerate(ctx.poly[:-1]):
-            if c:
-                E = E + t**i * c
-        return ring.with_ideal([E])
-    raise LubinTateError(f"no fraction field for {ctx!r}")
-
-
-def lift_payload(ctx, field, a):
-    """Canonical representative of a residue as an exact field element."""
-    if isinstance(ctx, PadicIntegers):
-        return Fraction(a)
-    acc = field.int_payload(0)
-    pi = field.var("pi").payload
-    power = field.int_payload(1)
-    for c in a:
-        if c:
-            acc = field.add(acc, field.mul(field.int_payload(c), power))
-        power = field.mul(power, pi)
-    return acc
-
-
-def reduce_payload(ctx, field, a):
-    """Field element back to the residue ring; raises when not integral."""
-    if isinstance(ctx, PadicIntegers):
-        if a.denominator % ctx.p == 0:
-            raise NonIntegralElement(
-                f"{a} has denominator divisible by {ctx.p}"
-            )
-        return ctx.normalize(a)
-    coeffs = [Fraction(0)] * ctx.e
-    for exp, c in a:
-        coeffs[exp[0]] = c
-    out = []
-    for i, c in enumerate(coeffs):
-        if c.denominator % ctx.p == 0:
-            raise NonIntegralElement(
-                f"pi^{i} coefficient {c} has denominator divisible by {ctx.p}"
-            )
-        m = ctx.coef_mod[i]
-        out.append(c.numerator * pow(c.denominator, -1, m) % m if m > 1 else 0)
-    return tuple(out)
-
-
-def field_valuation(ctx, a):
-    """pi-adic valuation of an exact field element (uncapped; Fractions may
-    have negative valuation)."""
-    def vp(n: int) -> int:
-        v = 0
-        while n % ctx.p == 0:
-            n //= ctx.p
-            v += 1
-        return v
-
-    if isinstance(ctx, PadicIntegers):
-        if a == 0:
-            return math.inf
-        return vp(a.numerator) - vp(a.denominator)
-    if not a:
-        return math.inf
-    best = math.inf
-    for exp, c in a:
-        best = min(best, ctx.e * (vp(c.numerator) - vp(c.denominator)) + exp[0])
-    return best
-
-
-def lift_series(s: TruncatedSeries, field) -> TruncatedSeries:
-    ctx = s.ctx
-    return s.map_coefficients(lambda c: lift_payload(ctx, field, c), field)
-
-
-def reduce_series(s: TruncatedSeries, ctx) -> TruncatedSeries:
-    field = s.ctx
-    return s.map_coefficients(lambda c: reduce_payload(ctx, field, c), ctx)
+def reduce_series(s: TruncatedSeries, ctx: PadicRing) -> TruncatedSeries:
+    """Field series back to ctx; raises NonIntegralElement when not integral."""
+    return s.map_coefficients(ctx.from_field, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +52,7 @@ class LubinTateDatum:
     ramified extension; q is the residue field size (= p here)."""
 
     def __init__(self, ctx, f: TruncatedSeries):
-        if not isinstance(ctx, (PadicIntegers, EisensteinExtension)):
+        if not isinstance(ctx, PadicRing):
             raise LubinTateError("base ring must be p-adic integers or an extension")
         if f.ctx.key() != ctx.key():
             raise LubinTateError("series ring does not match the datum ring")
@@ -199,11 +114,11 @@ def multiplicative_datum(ctx, degree: int | None = None) -> LubinTateDatum:
 
 
 def _field_setup(d: LubinTateDatum, N: int):
-    field = fraction_field_of(d.ctx)
-    f_field = lift_series(d.f.truncate(min(N, d.f.trunc_degree)), field)
+    field = d.ctx.fraction_field()
+    f_field = lift_series(d.f.truncate(min(N, d.f.trunc_degree)))
     if f_field.trunc_degree < N:
         f_field = TruncatedSeries(field, f_field.variables, N, dict(f_field.terms))
-    pi = lift_payload(d.ctx, field, d.pi)
+    pi = d.ctx.lift(d.pi)
     return field, f_field, pi
 
 
@@ -333,7 +248,7 @@ def build_endomorphism(
     else:
         a_payload = d.ctx.normalize(a)
     field, f_field, pi = _field_setup(d, N)
-    a_field = lift_payload(d.ctx, field, a_payload)
+    a_field = d.ctx.lift(a_payload)
     start = TruncatedSeries(field, ("T",), N, {(1,): a_field})
     e_field = _inductive_solve(
         start, f_field, field, pi, N, two_sided=False, sign=-1
@@ -423,7 +338,7 @@ class IntegralityReport:
 def series_integrality(ctx, field_series: TruncatedSeries) -> IntegralityReport:
     entries = []
     for exp, c in field_series.sorted_terms():
-        v = field_valuation(ctx, c)
+        v = ctx.field_valuation(c)
         entries.append(IntegralityEntry(sum(exp), v, v >= 0))
     return IntegralityReport(entries)
 
@@ -482,10 +397,12 @@ def integrality_scan(law: FormalGroupLaw) -> tuple:
     self-check; a coefficient of negative valuation certifies that no
     degree-N coordinate change over the ring makes the law additive."""
     ctx = law.ctx
-    log_field = _integrated_log(lift_series(law.F, fraction_field_of(ctx)))
+    if not isinstance(ctx, PadicRing):
+        raise LubinTateError(f"integrality needs a p-adic base ring, not {ctx!r}")
+    log_field = _integrated_log(lift_series(law.F))
     entries = []
     for n in range(1, law.trunc_degree + 1):
         c = log_field.terms.get((n,))
-        v = math.inf if c is None else field_valuation(ctx, c)
+        v = math.inf if c is None else ctx.field_valuation(c)
         entries.append(IntegralityEntry(n, v, v >= 0))
     return log_field, IntegralityReport(entries)

@@ -7,16 +7,9 @@ the zero that ring recovery later adjoins.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
-from .rings import (
-    EisensteinExtension,
-    PadicIntegers,
-    RingContext,
-    RingElement,
-    RingError,
-)
+from .rings import PadicRing, RingContext, RingElement, RingError
 
 
 class MonoidError(RingError):
@@ -293,19 +286,21 @@ class PadicTruncationMonoid(Monoid):
     """Multiplicative monoid (valuation < V, unit mod m^n) with absorbing BOTTOM."""
 
     def __init__(self, ctx: RingContext, n: int, V: int):
-        if not isinstance(ctx, (PadicIntegers, EisensteinExtension)):
+        if not isinstance(ctx, PadicRing):
             raise MonoidError("truncation monoids need a p-adic or Eisenstein ring")
         if n < 1 or V < 1:
             raise MonoidError("need n >= 1 and V >= 1")
-        if ctx.k < n:
-            raise MonoidError(f"ring precision {ctx.k} cannot represent units mod m^{n}")
+        # a class of valuation V - 1 reads its unit mod m^n, so its lift
+        # needs n + V - 1 digits
+        if ctx.k < n + V - 1:
+            raise MonoidError(
+                f"ring precision {ctx.k} cannot represent classes of valuation "
+                f"{V - 1} with units mod m^{n}; need at least {n + V - 1}"
+            )
         self.ctx = ctx
         self.n = n
         self.V = V
-        if isinstance(ctx, PadicIntegers):
-            self.unit_ctx: RingContext = PadicIntegers(ctx.p, n)
-        else:
-            self.unit_ctx = EisensteinExtension(ctx.p, n, ctx.poly)
+        self.unit_ctx = ctx.residue_ring(n)
         self._units = None
         self._unit_group = None
         self._precisions: dict = {}
@@ -313,14 +308,7 @@ class PadicTruncationMonoid(Monoid):
     def unit_payloads(self) -> list:
         """All units of O/m^n, deterministically ordered."""
         if self._units is None:
-            u = self.unit_ctx
-            if isinstance(u, PadicIntegers):
-                self._units = [a for a in range(1, u.modulus) if a % u.p]
-            else:
-                ranges = [range(m) if m else range(1) for m in u.coef_mod]
-                self._units = sorted(
-                    t for t in itertools.product(*ranges) if t[0] % u.p
-                )
+            self._units = self.unit_ctx.units()
         return list(self._units)
 
     @property
@@ -373,8 +361,6 @@ class PadicTruncationMonoid(Monoid):
             raise MonoidError("zero has no truncation class")
         if v >= self.V:
             return MonoidElement(self, BOTTOM)
-        if self.ctx.k - v < self.n:
-            raise MonoidError("not enough precision to read the unit part")
         raw = self.ctx.unit_part(elt.payload, v)
         return MonoidElement(self, (v, self.unit_ctx.normalize(raw)))
 
@@ -478,20 +464,8 @@ class RingSubsetMonoid(Monoid):
         return list(self.listed)
 
     def label(self, payload) -> str:
-        if isinstance(payload, int):
-            return str(payload)
-        if not isinstance(payload, tuple):
-            return self.ctx.fmt(payload)
-        parts = []
-        for i, c in enumerate(payload):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "pi" if c == 1 else f"{c}*pi"
-                parts.append(head if i == 1 else f"{head}^{i}")
-        return "+".join(parts) if parts else "0"
+        # the ring's own rendering, without its precision term or spaces
+        return self.ctx.fmt(payload).split(" + O(")[0].replace(" + ", "+")
 
     def key(self):
         return ("subset", self.ctx.key(), tuple(self.listed))

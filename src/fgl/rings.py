@@ -6,6 +6,7 @@ tuples), so elements can key dicts and survive JSON round trips byte-stably.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -304,11 +305,20 @@ class RationalField(RingContext):
         return Fraction(v)
 
 
-class PadicIntegers(RingContext):
-    """p-adic integers at fixed absolute precision: residues mod p^k.
-    Unramified: the uniformizer is p and e = 1."""
+def _vp(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
-    e = 1
+
+class PadicRing(RingContext):
+    """A p-adic integer ring O mod m^k with residue field F_p.  Each kind owns
+    its residue rings (residue_ring(n), units()) and its exact fraction field:
+    lift(a) into it, from_field(q) back (raises NonIntegralElement), and the
+    uncapped field_valuation(q)."""
 
     def __init__(self, p: int, k: int):
         if not is_prime(p):
@@ -317,6 +327,16 @@ class PadicIntegers(RingContext):
             raise RingError("precision must be at least 1")
         self.p = p
         self.k = k
+
+
+class PadicIntegers(PadicRing):
+    """p-adic integers at fixed absolute precision: residues mod p^k.
+    Unramified: the uniformizer is p and e = 1.  Fraction field: Q."""
+
+    e = 1
+
+    def __init__(self, p: int, k: int):
+        super().__init__(p, k)
         self.modulus = p**k
 
     def normalize(self, payload):
@@ -352,13 +372,7 @@ class PadicIntegers(RingContext):
         return self.el(self.p)
 
     def valuation(self, a):
-        if a == 0:
-            return math.inf
-        v = 0
-        while a % self.p == 0:
-            a //= self.p
-            v += 1
-        return v
+        return math.inf if a == 0 else _vp(a, self.p)
 
     def unit_part(self, a: int, v: int) -> int:
         """Exact quotient a / p^v.  Caller owns the precision bookkeeping:
@@ -367,6 +381,28 @@ class PadicIntegers(RingContext):
         if r:
             raise RingError(f"{a} is not divisible by {self.p}^{v}")
         return q
+
+    def residue_ring(self, n: int) -> "PadicIntegers":
+        return PadicIntegers(self.p, n)
+
+    def units(self) -> list:
+        return [a for a in range(1, self.modulus) if a % self.p]
+
+    def fraction_field(self) -> "RationalField":
+        return RationalField()
+
+    def lift(self, a) -> Fraction:
+        return Fraction(a)
+
+    def from_field(self, q: Fraction) -> int:
+        if q.denominator % self.p == 0:
+            raise NonIntegralElement(f"{q} has denominator divisible by {self.p}")
+        return self.normalize(q)
+
+    def field_valuation(self, q: Fraction):
+        if q == 0:
+            return math.inf
+        return _vp(q.numerator, self.p) - _vp(q.denominator, self.p)
 
     def fmt(self, a) -> str:
         return f"{a} + O({self.p}^{self.k})"
@@ -402,28 +438,25 @@ def eisenstein_check(p: int, poly: tuple) -> None:
         raise RingError(f"constant term {poly[0]} has valuation > 1 at {p}")
 
 
-class EisensteinExtension(RingContext):
+class EisensteinExtension(PadicRing):
     """Totally ramified extension O = Z_p[pi]/(E(pi)) at fixed precision.
 
     Precision k counts powers of the uniformizer pi, so elements are residues
     mod m^k.  Payload: tuple (a_0, ..., a_{e-1}) for sum a_i pi^i, with a_i a
-    residue mod p^ceil((k - i) / e).  v(pi) = 1 and v(p) = e.
+    residue mod p^ceil((k - i) / e).  v(pi) = 1 and v(p) = e.  Fraction
+    field: Q[pi]/(E), lifting each a_i to its integer representative.
     """
 
     def __init__(self, p: int, k: int, poly: tuple):
-        if not is_prime(p):
-            raise RingError(f"p = {p} is not prime")
-        if k < 1:
-            raise RingError("precision must be at least 1")
+        super().__init__(p, k)
         poly = tuple(poly)
         eisenstein_check(p, poly)
-        self.p = p
-        self.k = k
         self.poly = poly
         self.e = len(poly) - 1
         # coefficient moduli: a_i lives mod p^coef_prec[i]
         self.coef_prec = tuple(max(0, -(-(k - i) // self.e)) for i in range(self.e))
         self.coef_mod = tuple(p**c for c in self.coef_prec)
+        self._field = None
 
     def normalize(self, payload):
         if isinstance(payload, int):
@@ -433,7 +466,7 @@ class EisensteinExtension(RingContext):
             payload = self._reduce_poly(payload)
         elif len(payload) < self.e:
             payload = payload + (0,) * (self.e - len(payload))
-        return tuple(a % m if m else 0 for a, m in zip(payload, self.coef_mod))
+        return tuple(a % m for a, m in zip(payload, self.coef_mod))
 
     def _reduce_poly(self, coeffs: tuple) -> tuple:
         # fold degrees >= e using pi^e = -(c_{e-1} pi^{e-1} + ... + c_0)
@@ -447,10 +480,10 @@ class EisensteinExtension(RingContext):
         return tuple(work)
 
     def add(self, a, b):
-        return tuple((x + y) % m if m else 0 for x, y, m in zip(a, b, self.coef_mod))
+        return tuple((x + y) % m for x, y, m in zip(a, b, self.coef_mod))
 
     def neg(self, a):
-        return tuple((-x) % m if m else 0 for x, m in zip(a, self.coef_mod))
+        return tuple((-x) % m for x, m in zip(a, self.coef_mod))
 
     def mul(self, a, b):
         prod = [0] * (2 * self.e - 1)
@@ -460,10 +493,10 @@ class EisensteinExtension(RingContext):
                     if y:
                         prod[i + j] += x * y
         red = self._reduce_poly(tuple(prod))
-        return tuple(x % m if m else 0 for x, m in zip(red, self.coef_mod))
+        return tuple(x % m for x, m in zip(red, self.coef_mod))
 
     def int_payload(self, n: int):
-        return ((n % self.coef_mod[0]) if self.coef_mod[0] else 0,) + (0,) * (self.e - 1)
+        return (n % self.coef_mod[0],) + (0,) * (self.e - 1)
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
@@ -472,18 +505,8 @@ class EisensteinExtension(RingContext):
         return self.el((0, 1) + (0,) * (self.e - 2)) if self.e >= 2 else self.el((-self.poly[0],))
 
     def valuation(self, a):
-        if self.is_zero(a):
-            return math.inf
-        best = math.inf
-        for i, x in enumerate(a):
-            if x:
-                vp = 0
-                while x % self.p == 0:
-                    x //= self.p
-                    vp += 1
-                best = min(best, self.e * vp + i)
-        return min(best, self.k)
-
+        vs = [self.e * _vp(x, self.p) + i for i, x in enumerate(a) if x]
+        return min(self.k, *vs) if vs else math.inf
     def invert(self, a):
         if self.valuation(a) != 0:
             raise NotAUnit(f"{self.fmt(a)} has positive valuation")
@@ -520,10 +543,41 @@ class EisensteinExtension(RingContext):
             cur = self.shift_down(cur)
         return cur
 
-    def reduce_mod(self, a, n: int) -> tuple:
-        """Residue of the payload in O/m^n for n <= k."""
-        prec = tuple(max(0, -(-(n - i) // self.e)) for i in range(self.e))
-        return tuple(x % self.p**c if c else 0 for x, c in zip(a, prec))
+    def residue_ring(self, n: int) -> "EisensteinExtension":
+        return EisensteinExtension(self.p, n, self.poly)
+
+    def units(self) -> list:
+        return [t for t in itertools.product(*map(range, self.coef_mod)) if t[0] % self.p]
+
+    def fraction_field(self) -> "PolynomialQuotient":
+        if self._field is None:
+            ring = PolynomialQuotient(RationalField(), ("pi",))
+            E = {(i,): c for i, c in enumerate(self.poly) if c}
+            self._field = ring.with_ideal([E])
+        return self._field
+
+    def lift(self, a):
+        return self.fraction_field().normalize({(i,): c for i, c in enumerate(a) if c})
+
+    def from_field(self, q) -> tuple:
+        coeffs = [Fraction(0)] * self.e
+        for (i,), c in q:
+            coeffs[i] = c
+        out = []
+        for i, (c, m) in enumerate(zip(coeffs, self.coef_mod)):
+            if c.denominator % self.p == 0:
+                raise NonIntegralElement(
+                    f"pi^{i} coefficient {c} has denominator divisible by {self.p}"
+                )
+            out.append(c.numerator * pow(c.denominator, -1, m) % m)
+        return tuple(out)
+
+    def field_valuation(self, q):
+        return min(
+            (self.e * (_vp(c.numerator, self.p) - _vp(c.denominator, self.p)) + i
+             for (i,), c in q),
+            default=math.inf,
+        )
 
     def fmt(self, a) -> str:
         parts = []

@@ -313,3 +313,26 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, flag):
     )
     assert (code, out) == (2, "")
     assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_recover_add_refuses_carrier_beyond_precision(capsys):
+    # at precision 3 the class 3:1 would lift to 5^3 = 0 and add wrongly
+    code, out, err = run(
+        capsys, "recover-add", "--p", "5", "--precision", "3", "--preset",
+        "standard", "--degree", "4", "--n", "1", "--V", "4", "--table",
+    )
+    assert (code, out) == (2, "")
+    assert "need at least 4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lubin-tate", "--p", "5", "--precision", "6", "--preset", "standard"),
+    ("recover-add", "--p", "5", "--precision", "6", "--preset", "standard",
+     "--n", "1", "--V", "2", "--table"),
+    ("demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
+     "--n", "1", "--V", "2"),
+])
+def test_degree_below_one_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--degree", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --degree must be at least 1, got 0\n"

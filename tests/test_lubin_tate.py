@@ -6,6 +6,7 @@ import pytest
 
 from fgl.laws import (
     FglEndomorphism,
+    FormalGroupLaw,
     LawError,
     MonoidAction,
     action_from_bundle,
@@ -18,7 +19,6 @@ from fgl.lubin_tate import (
     build_endomorphism,
     build_fgl,
     compare_lubin_tate,
-    fraction_field_of,
     integrality_scan,
     multiplicative_datum,
     standard_datum,
@@ -106,8 +106,10 @@ def test_datum_validation():
 
 
 def test_fraction_field_of_rationals_rejected():
-    with pytest.raises(LubinTateError):
-        fraction_field_of(RationalField())
+    # only p-adic rings own a fraction field to scan in
+    law = FormalGroupLaw.multiplicative(RationalField(), 4)
+    with pytest.raises(LubinTateError, match="p-adic"):
+        integrality_scan(law)
 
 
 def test_random_pairs_compose_and_add():
@@ -187,6 +189,24 @@ def test_truncation_action_verifies_with_tolerance():
     assert report.ok
     assert report.checked_pairs == 48
     assert report.skipped_pairs == 16  # pairs whose product hits the cap
+
+
+def test_absorbing_pairs_are_not_composed(monkeypatch):
+    # the pair checks are the only one-variable compositions; the
+    # endomorphism-law checks compose into two-variable series
+    action = _small_truncation_action()
+    substitute_powers = TruncatedSeries.substitute_powers
+    compositions = []
+
+    def counting(self, tables, model):
+        if len(model.variables) == 1:
+            compositions.append(model)
+        return substitute_powers(self, tables, model)
+
+    monkeypatch.setattr(TruncatedSeries, "substitute_powers", counting)
+    report = action.verify()
+    assert (report.checked_pairs, report.skipped_pairs) == (48, 16)
+    assert len(compositions) == 48
 
 
 def test_truncation_action_bundle_round_trips():

@@ -5,6 +5,7 @@ from fgl.monoids import (
     FreeCommutativeMonoid,
     MonoidError,
     MonoidMorphism,
+    PadicTruncationMonoid,
     RingSubsetMonoid,
     monoid_from_descriptor,
     padic_factorial_valuation,
@@ -102,6 +103,22 @@ def test_class_precisions_profile():
     assert [per_degree[k] for k in (1, 4, 5, 24, 25)] == [3, 3, 2, 0, 0]
     assert padic_factorial_valuation(25, 5) == 6
     assert monoid.class_precisions(1, 25) is per_degree
+
+
+def test_truncation_monoid_needs_digits_for_its_deepest_class():
+    # a class v:u with v = V - 1 lifts to u * pi^v, so its unit mod m^n
+    # needs n + V - 1 digits; at k = 3 the class 3:1 would lift to 5^3 = 0
+    Z5 = PadicIntegers(5, 3)
+    with pytest.raises(MonoidError, match="need at least 4"):
+        PadicTruncationMonoid(Z5, 1, 4)
+    M = padic_truncation_of(Z5, 1, 3)
+    assert not M.canonical_lift((2, 4)).is_zero()
+    E = EisensteinExtension(5, 4, (-5, 0, 1))
+    with pytest.raises(MonoidError, match="need at least 5"):
+        PadicTruncationMonoid(E, 2, 4)
+    M = padic_truncation_of(E, 2, 3)
+    deepest = (2, E.residue_ring(2).normalize((1, 1)))
+    assert M.class_of(M.canonical_lift(deepest)).payload == deepest
 
 
 def test_ring_subset_monoid_window():

@@ -1,13 +1,17 @@
+import math
 import random
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgl.rings import (
     ContextMismatch,
     EisensteinExtension,
     IntegerRing,
+    NonIntegralElement,
     NotAUnit,
     PadicIntegers,
     PolynomialQuotient,
@@ -117,7 +121,8 @@ def test_eisenstein_shift_down_inverts_pi_multiplication():
     assert E.valuation(E.mul(a, pi)) == E.valuation(a) + 1
     # shifting down loses one pi of precision, so compare mod pi^7
     down = E.shift_down(E.mul(a, pi))
-    assert E.reduce_mod(down, 7) == E.reduce_mod(a, 7)
+    O7 = E.residue_ring(7)
+    assert O7.normalize(down) == O7.normalize(a)
 
 
 def test_polynomial_quotient_plain_arithmetic():
@@ -156,3 +161,80 @@ def test_descriptor_round_trips():
         assert again.key() == ctx.key()
         value = ctx.normalize(11)
         assert again.value_from_json(ctx.value_to_json(value)) == value
+
+
+# ---------------------------------------------------------------------------
+# p-adic rings: residue rings, units and the fraction field
+
+
+def _padic_rings(k):
+    return [PadicIntegers(5, k), EisensteinExtension(5, k, (-5, 0, 1))]
+
+
+@st.composite
+def padic_elements(draw):
+    """A ring of either kind and a payload x + y*pi times pi^j in it."""
+    ctx = draw(st.sampled_from(_padic_rings(draw(st.integers(1, 8)))))
+    x, y = draw(st.integers(0, 5**8)), draw(st.integers(0, 5**8))
+    j = draw(st.integers(0, ctx.k))
+    a = (ctx.from_int(x) + ctx.from_int(y) * ctx.uniformizer()) * ctx.uniformizer() ** j
+    return ctx, a.payload
+
+
+ORACLE = settings(max_examples=60, deadline=None)
+
+
+@ORACLE
+@given(padic_elements())
+def test_lift_then_reduce_is_identity(case):
+    ctx, a = case
+    assert ctx.from_field(ctx.lift(a)) == a
+
+
+@ORACLE
+@given(padic_elements())
+def test_field_valuation_of_a_lift_is_its_valuation(case):
+    ctx, a = case
+    if ctx.is_zero(a):
+        assert ctx.field_valuation(ctx.lift(a)) == math.inf
+    else:
+        assert ctx.field_valuation(ctx.lift(a)) == ctx.valuation(a)
+
+
+def _over_p(ctx, q):
+    field = ctx.fraction_field()
+    return field.mul(q, field.invert(field.int_payload(5)))
+
+
+@ORACLE
+@given(padic_elements())
+def test_dividing_by_p_leaves_the_ring_below_valuation_e(case):
+    ctx, a = case
+    if ctx.is_zero(a):
+        return
+    q = _over_p(ctx, ctx.lift(a))
+    assert ctx.field_valuation(q) == ctx.valuation(a) - ctx.e
+    if ctx.valuation(a) >= ctx.e:
+        ctx.from_field(q)
+    else:
+        with pytest.raises(NonIntegralElement):
+            ctx.from_field(q)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_one_over_p_is_not_integral(k):
+    for ctx in _padic_rings(k):
+        with pytest.raises(NonIntegralElement):
+            ctx.from_field(_over_p(ctx, ctx.lift(ctx.int_payload(1))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_residue_ring_units(n):
+    for ctx in _padic_rings(6):
+        R = ctx.residue_ring(n)
+        units = R.units()
+        assert len(units) == len(set(units)) == 4 * 5 ** (n - 1)
+        assert units == sorted(units)
+        for u in units:
+            assert R.valuation(u) == 0
+            assert R.mul(u, R.invert(u)) == R.int_payload(1)
