@@ -33,10 +33,10 @@ from .lubin_tate import (
 from .monoids import MonoidError, monoid_from_descriptor, padic_truncation_of
 from .parsing import ParseError, parse_integer_polynomial, parse_series
 from .recovery import (
-    ADJOINED_ZERO,
     NoMatch,
     RecoveryError,
     build_addition_table,
+    entry_label,
     recover_sum,
     variation_demo,
 )
@@ -56,18 +56,24 @@ from .universal import (
 )
 
 
-class _Invalid(Exception):
+class _Exit(Exception):
+    """A reported error; each subclass's code is the exit status main returns:
+    2 for invalid input, 1 for a failed computation or verification."""
+
+    code: int
+
     def __init__(self, kind: str, message: str, **details):
         super().__init__(message)
         self.kind = kind
         self.details = details
 
 
-class _Failed(Exception):
-    def __init__(self, kind: str, message: str, **details):
-        super().__init__(message)
-        self.kind = kind
-        self.details = details
+class _Invalid(_Exit):
+    code = 2
+
+
+class _Failed(_Exit):
+    code = 1
 
 
 def _dump(obj) -> str:
@@ -321,41 +327,24 @@ def _cmd_recover_add(args) -> int:
             return 0
         if args.a is None or args.b is None:
             raise _Invalid("missing-flag", "pass --a and --b, or --table")
-        ma = monoid.class_of(ctx.el(ctx.normalize(args.a)))
-        mb = monoid.class_of(ctx.el(ctx.normalize(args.b)))
-        try:
-            entry = recover_sum(action, ma, mb)
-        except NoMatch as exc:
-            if exc.capped:
-                payload = {"a": monoid.label(ma.payload),
-                           "b": monoid.label(mb.payload), "sum": "!cap"}
-                _emit(args, payload, f"{payload['a']} + {payload['b']} = !cap")
-                return 0
-            raise _Failed("no-match", str(exc)) from exc
-        except RecoveryError as exc:
-            raise _Failed("recovery", str(exc)) from exc
-        label = "0" if entry == ADJOINED_ZERO else monoid.label(entry)
-        payload = {"a": monoid.label(ma.payload), "b": monoid.label(mb.payload),
-                   "sum": label}
-        _emit(args, payload, f"{payload['a']} + {payload['b']} = {label}")
-        return 0
-    if args.elements is None or args.a is None or args.b is None:
-        raise _Invalid("missing-flag",
-                       "pass --elements with --a/--b, or --n/--V")
-    elements = _parse_elements(args.elements)
-    action = build_action(datum, law, elements=elements)
-    monoid = action.monoid
-    pa = ctx.normalize(args.a)
-    pb = ctx.normalize(args.b)
+        pa = monoid.class_of(ctx.el(ctx.normalize(args.a))).payload
+        pb = monoid.class_of(ctx.el(ctx.normalize(args.b))).payload
+    else:
+        if args.elements is None or args.a is None or args.b is None:
+            raise _Invalid("missing-flag",
+                           "pass --elements with --a/--b, or --n/--V")
+        action = build_action(datum, law, elements=_parse_elements(args.elements))
+        monoid = action.monoid
+        pa, pb = ctx.normalize(args.a), ctx.normalize(args.b)
     try:
-        entry = recover_sum(action, monoid.el(pa), monoid.el(pb))
+        entry = recover_sum(action, pa, pb)
     except NoMatch as exc:
         raise _Failed("no-match", str(exc)) from exc
     except RecoveryError as exc:
         raise _Failed("recovery", str(exc)) from exc
-    label = "0" if entry == ADJOINED_ZERO else monoid.label(entry)
-    payload = {"a": monoid.label(pa), "b": monoid.label(pb), "sum": label}
-    _emit(args, payload, f"{payload['a']} + {payload['b']} = {label}")
+    payload = {"a": monoid.label(pa), "b": monoid.label(pb),
+               "sum": entry_label(monoid, entry)}
+    _emit(args, payload, f"{payload['a']} + {payload['b']} = {payload['sum']}")
     return 0
 
 
@@ -595,10 +584,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except _Failed as exc:
-        return _report_error(args, 1, exc.kind, str(exc), exc.details)
-    except _Invalid as exc:
-        return _report_error(args, 2, exc.kind, str(exc), exc.details)
+    except _Exit as exc:
+        return _report_error(args, exc.code, exc.kind, str(exc), exc.details)
     except ParseError as exc:
         return _report_error(args, 2, "parse", str(exc),
                              {"position": exc.position})

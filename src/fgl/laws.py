@@ -16,6 +16,7 @@ from .monoids import (
     FreeCommutativeMonoid,
     PadicTruncationMonoid,
     monoid_from_descriptor,
+    payload_of,
 )
 from .rings import RingContext, RingElement, RingError, grlex_key
 from .series import TruncatedSeries
@@ -438,7 +439,7 @@ class MonoidAction:
         self._power_tables: dict = {}
 
     def endo_for(self, elt) -> FglEndomorphism:
-        payload = elt.payload if hasattr(elt, "payload") else elt
+        payload = payload_of(elt)
         if payload in self._endo_cache:
             return self._endo_cache[payload]
         if payload in self.assignment:
@@ -461,7 +462,7 @@ class MonoidAction:
     def powers(self, elt) -> list:
         """Power table of [elt] up to its truncation degree, built once per
         element; composing into [elt] reads it through substitute_powers."""
-        payload = elt.payload if hasattr(elt, "payload") else elt
+        payload = payload_of(elt)
         table = self._power_tables.get(payload)
         if table is None:
             series = self.endo_for(payload).series
@@ -502,7 +503,8 @@ def verify_action(action: MonoidAction) -> ActionReport:
     ident_series = TruncatedSeries.variable(ctx, ("T",), N, "T")
 
     monoid = action.monoid
-    id_endo = action.endo_for(monoid.identity())
+    label = monoid.label
+    id_endo = action.endo_for(monoid.identity_payload())
     if id_endo.series != ident_series:
         bad = series_congruent(id_endo.series, ident_series)
         report.violations.append(
@@ -511,14 +513,10 @@ def verify_action(action: MonoidAction) -> ActionReport:
 
     free = isinstance(monoid, FreeCommutativeMonoid)
     if free:
-        pairs = []
-        gens = [monoid.generator(g) for g in monoid.generators]
-        singles = gens
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                pairs.append((a, b))
+        singles = [monoid.generator(g).payload for g in monoid.generators]
+        pairs = [(a, b) for i, a in enumerate(singles) for b in singles[i + 1:]]
     else:
-        singles = [e for e in monoid.elements() if e.payload in action.assignment]
+        singles = [p for p in monoid.payloads() if p in action.assignment]
         pairs = [(a, b) for a in singles for b in singles]
 
     for a in singles:
@@ -527,12 +525,12 @@ def verify_action(action: MonoidAction) -> ActionReport:
         if not defect.is_zero():
             exp, c = _first_bad_term(defect)
             report.violations.append(
-                ActionViolation("endomorphism_law", a.label(), exp, c)
+                ActionViolation("endomorphism_law", label(a), exp, c)
             )
 
     for a, b in pairs:
-        ab = a * b
-        if not free and ab.payload not in action.assignment:
+        ab = monoid.mul(a, b)
+        if not free and ab not in action.assignment:
             report.skipped_pairs += 1
             continue
         ea, eb = action.endo_for(a).series, action.endo_for(b).series
@@ -542,18 +540,18 @@ def verify_action(action: MonoidAction) -> ActionReport:
             bad = series_congruent(comp, other)
             if bad:
                 report.violations.append(
-                    ActionViolation("commutation", f"{a.label()},{b.label()}", *bad)
+                    ActionViolation("commutation", f"{label(a)},{label(b)}", *bad)
                 )
             report.checked_pairs += 1
             continue
         precisions = None
         if action.tolerance == "truncation":
-            precisions = monoid.class_precisions(ab.payload[0], N)
+            precisions = monoid.class_precisions(ab[0], N)
         bad = series_congruent(comp, action.endo_for(ab).series, precisions)
         if bad:
             report.violations.append(
                 ActionViolation(
-                    "composition", f"{a.label()}*{b.label()}={ab.label()}", *bad
+                    "composition", f"{label(a)}*{label(b)}={label(ab)}", *bad
                 )
             )
         report.checked_pairs += 1

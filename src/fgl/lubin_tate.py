@@ -24,7 +24,7 @@ from .laws import (
     intertwining_defect,
     isomorphism_via_logs,
 )
-from .monoids import PadicTruncationMonoid, RingSubsetMonoid
+from .monoids import BOTTOM, PadicTruncationMonoid, RingSubsetMonoid
 from .rings import PadicIntegers, PadicRing, RingElement, RingError
 from .series import TruncatedSeries
 
@@ -284,7 +284,7 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
         raise LubinTateError("monoid over a different ring than the datum")
     assignment = {}
     for payload in monoid.payloads():
-        if payload == ("bot",):
+        if payload == BOTTOM:
             continue
         lift = monoid.canonical_lift(payload)
         assignment[payload] = build_endomorphism(d, law, lift)

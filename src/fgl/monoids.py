@@ -8,8 +8,9 @@ the zero that ring recovery later adjoins.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
-from .rings import PadicRing, RingContext, RingElement, RingError
+from .rings import PadicRing, RingContext, RingElement, RingError, _vp
 
 
 class MonoidError(RingError):
@@ -55,6 +56,11 @@ class MonoidElement:
         return f"<monoid elt {self.label()}>"
 
 
+def payload_of(x):
+    """The payload of a MonoidElement; anything else is taken as a payload."""
+    return x.payload if isinstance(x, MonoidElement) else x
+
+
 class Monoid:
     """Base class: payload-level multiplication plus enumeration."""
 
@@ -78,9 +84,6 @@ class Monoid:
 
     def payloads(self) -> list:
         raise MonoidError("not a finite monoid")
-
-    def elements(self) -> list:
-        return [MonoidElement(self, p) for p in self.payloads()]
 
     def label(self, payload) -> str:
         raise NotImplementedError
@@ -521,7 +524,8 @@ class UnitGroup:
         self._order_cache: dict = {}
         units = monoid.unit_payloads()
         self.size = len(units)
-        self.factors, self.generators = self._decompose(units)
+        self.factors = self._census_factors([self.order_of(u) for u in units])
+        self.generators = self._canonical_generators(units, self.factors)
         self.dlog = self._discrete_log_table()
 
     # -- group primitives on unit payloads
@@ -551,38 +555,29 @@ class UnitGroup:
 
     # -- structure
 
-    def _decompose(self, units):
-        total = len(units)
-        if total == 1:
-            return [], []
-        primes = _factorize(total)
-        per_prime: dict = {}
-        for ell, a in primes.items():
-            cofactor = total // ell**a
-            part = sorted({self._pow(u, cofactor) for u in units},
-                          key=self.ctx.sort_key)
-            per_prime[ell] = self._p_group_basis(part, ell)
-        # fuse each prime's cyclic orders slot-wise, largest with largest
-        width = max(len(b) for b in per_prime.values())
-        factors = []
-        for slot in range(width):
-            d = 1
-            for basis in per_prime.values():
-                if slot < len(basis):
-                    d *= basis[slot][1]
-            factors.append(d)
-        factors.reverse()  # ascending divisibility chain d_1 | d_2 | ...
-        if _product(factors) != total:
-            raise MonoidError("invariant factors do not multiply to the group order")
-        generators = self._canonical_generators(units, factors)
-        return factors, generators
+    def _census_factors(self, orders) -> list:
+        """Invariant factors from the census of element orders.  For a prime
+        ell, #{u : v_ell(ord u) <= j} / #{u : v_ell(ord u) <= j - 1} is ell to
+        the number of cyclic ell-factors of order at least ell^j.  The primes
+        fuse slot-wise, largest ell-factor into the largest invariant factor."""
+        slots: list = []  # invariant factors, largest first
+        for ell, a in _factorize(self.size).items():
+            census = Counter(_vp(o, ell) for o in orders)
+            below = census[0]
+            for j in range(1, a + 1):
+                upto = below + census[j]
+                for slot in range(_vp(upto // below, ell)):
+                    if slot == len(slots):
+                        slots.append(1)
+                    slots[slot] *= ell
+                below = upto
+        return slots[::-1]
 
     def _canonical_generators(self, units, factors):
         """Per slot, largest factor first: the smallest payload of exact order
         d whose span with the earlier picks stays a direct product."""
         chosen: list = []
         for d in reversed(factors):
-            found = False
             for x in sorted(
                 (u for u in units if self.order_of(u) == d), key=self.ctx.sort_key
             ):
@@ -591,54 +586,14 @@ class UnitGroup:
                 except MonoidError:
                     continue
                 chosen.append((x, d))
-                found = True
                 break
-            if not found:
+            else:
                 raise MonoidError(f"no generator of order {d} completes the basis")
-        chosen.reverse()
-        for d, (g, o) in zip(factors, chosen):
-            if self.order_of(g) != d or o != d:
-                raise MonoidError("unit group generator has wrong order")
-        return [g for g, _ in chosen]
-
-    def _p_group_basis(self, part, ell):
-        """Greedy basis of an abelian ell-group: repeatedly take an element of
-        maximal order in the quotient by the span so far, then clear its span
-        component so it generates a direct factor.  Ties go to the smallest
-        canonical payload, which pins the output."""
-        ident = self.ctx.int_payload(1)
-        basis: list = []  # (payload, order), orders descending
-        span = {ident: ()}
-        while len(span) < len(part):
-            best = None
-            best_ord = 0
-            for x in part:
-                if x in span:
-                    continue
-                t = 1
-                y = x
-                while y not in span:
-                    y = self._pow(y, ell)
-                    t *= ell
-                if t > best_ord or (
-                    t == best_ord and self.ctx.sort_key(x) < self.ctx.sort_key(best)
-                ):
-                    best, best_ord = x, t
-            inside = self._pow(best, best_ord)
-            exps = span[inside]
-            adjusted = best
-            for (g, o), a in zip(basis, exps):
-                if a % best_ord:
-                    raise MonoidError("basis invariant violated; not an abelian group?")
-                # clear the span component: multiply by g^(-a / best_ord)
-                adjusted = self._mul(adjusted, self._pow(g, (-(a // best_ord)) % o))
-            basis.append((adjusted, best_ord))
-            span = self._span(basis)
-        return basis
+        return [g for g, _ in reversed(chosen)]
 
     def _span(self, basis):
         out = {self.ctx.int_payload(1): ()}
-        for i, (g, o) in enumerate(basis):
+        for g, o in basis:
             nxt = {}
             p = self.ctx.int_payload(1)
             for e in range(o):
@@ -657,9 +612,6 @@ class UnitGroup:
             raise MonoidError("generators do not span the unit group")
         return table
 
-    def exponents_of(self, unit_payload) -> tuple:
-        return self.dlog[unit_payload]
-
 
 def _factorize(n: int) -> dict:
     out: dict = {}
@@ -671,13 +623,6 @@ def _factorize(n: int) -> dict:
         d += 1
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _product(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
     return out
 
 
@@ -774,14 +719,13 @@ def build_monoid_isomorphism(
     for t, d in zip(generator_powers, u1.factors):
         if math.gcd(t, d) != 1:
             raise StructureMismatch(f"twist {t} is not invertible mod {d}")
-    twisted = [u2._pow(g, t) for g, t in zip(u2.generators, generator_powers)]
-    # map every unit through matched exponents
-    unit_map = {}
-    for payload, exps in u1.dlog.items():
-        img = u2.ctx.int_payload(1)
-        for g, e in zip(twisted, exps):
-            img = u2.ctx.mul(img, u2._pow(g, e))
-        unit_map[payload] = img
+    # g^e goes to (h^t)^e = h^(e*t mod d), read off u2's inverted log table
+    unit_of = {exps: u for u, exps in u2.dlog.items()}
+    unit_map = {
+        payload: unit_of[tuple(e * t % d for e, t, d in
+                               zip(exps, generator_powers, u2.factors))]
+        for payload, exps in u1.dlog.items()
+    }
     if len(set(unit_map.values())) != len(unit_map):
         raise StructureMismatch("twisted generator matching is not injective")
     table = {BOTTOM: BOTTOM}

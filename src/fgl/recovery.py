@@ -4,8 +4,9 @@ For a strict action, [m1+m2](x) = F([m1](x), [m2](x)) determines the sum of
 two monoid elements from purely multiplicative data plus the law.  Over a
 truncation monoid this runs at class precision: the candidate class is read
 off the linear coefficient, then the full series is checked at a per-degree
-tolerance.  Sums whose valuation escapes the window are flagged rather than
-folded into the absorbing class; the adjoined zero is the exact series 0.
+tolerance.  Sums whose valuation escapes the window come back as CAPPED
+rather than folded into the absorbing class; the adjoined zero is the exact
+series 0.
 
 transport_structure moves a recovered addition table along a multiplicative
 isomorphism, which is how two rings sharing one monoid exhibit different
@@ -20,11 +21,11 @@ from .laws import MonoidAction, series_congruent
 from .lubin_tate import build_action, build_fgl, standard_datum
 from .monoids import (
     BOTTOM,
-    MonoidElement,
     MonoidMorphism,
     PadicTruncationMonoid,
     RingSubsetMonoid,
     padic_truncation_of,
+    payload_of,
     unit_isomorphism_variants,
 )
 from .rings import EisensteinExtension, RingError
@@ -35,56 +36,54 @@ class RecoveryError(RingError):
 
 
 class NoMatch(RecoveryError):
-    def __init__(self, message: str, capped: bool = False):
-        self.capped = capped
-        super().__init__(message)
+    """The sum of two listed elements lies outside the listed window."""
 
 
 ADJOINED_ZERO = ("zero",)
 CAPPED = ("cap",)
 
 
-def _payload_of(m):
-    if isinstance(m, MonoidElement):
-        return m.payload
-    return m
+def entry_label(monoid, entry) -> str:
+    """A table entry as printed: "!cap", "0" for the adjoined zero, or the
+    class label."""
+    if entry == CAPPED:
+        return "!cap"
+    if entry == ADJOINED_ZERO:
+        return "0"
+    return monoid.label(entry)
 
 
 def recover_sum(action: MonoidAction, m1, m2):
     """The carrier element whose endomorphism matches F([m1], [m2]).
 
-    Returns a monoid payload or the adjoined zero.  The candidate comes from
-    the linear coefficient alone (injective per class at working precision),
-    so a second match cannot exist; the full-series check then either
-    confirms it or fails hard.  Over a truncation monoid the check runs at
-    the candidate's class precision, and a sum whose valuation reaches the
-    cap raises NoMatch with capped set.
+    Returns a monoid payload, the adjoined zero, or CAPPED for a sum (or an
+    absorbing operand) whose valuation reaches a truncation monoid's cap.
+    The candidate comes from the linear coefficient alone (injective per
+    class at working precision), so a second match cannot exist; the
+    full-series check then either confirms it or fails hard.  Over a
+    truncation monoid the check runs at the candidate's class precision.
     """
-    p1, p2 = _payload_of(m1), _payload_of(m2)
+    p1, p2 = payload_of(m1), payload_of(m2)
     if p1 == ADJOINED_ZERO:
         return p2
     if p2 == ADJOINED_ZERO:
         return p1
     monoid = action.monoid
     if p1 == BOTTOM or p2 == BOTTOM:
-        raise NoMatch("absorbing operand has no additive meaning", capped=True)
+        return CAPPED
     model = action.endo_for(p1).series
     s = action.law.F.substitute_powers([action.powers(p1), action.powers(p2)], model)
     if s.is_zero():
         return ADJOINED_ZERO
     alpha = s.terms.get((1,))
     if isinstance(monoid, PadicTruncationMonoid):
-        ctx = model.ctx
+        # no linear term: alpha vanishes mod pi^k, past any cap
         if alpha is None:
-            raise NoMatch("sum series has no usable linear coefficient", capped=True)
-        v = ctx.valuation(alpha)
-        if v >= monoid.V:
-            raise NoMatch(
-                f"sum has valuation {v}, outside the window (cap {monoid.V})",
-                capped=True,
-            )
-        cls = monoid.class_of(ctx.el(alpha)).payload
-        precisions = monoid.class_precisions(v, model.trunc_degree)
+            return CAPPED
+        cls = monoid.class_of(model.ctx.el(alpha)).payload
+        if cls == BOTTOM:
+            return CAPPED
+        precisions = monoid.class_precisions(cls[0], model.trunc_degree)
         bad = series_congruent(s, action.endo_for(cls).series, precisions)
         if bad:
             raise RecoveryError(
@@ -110,9 +109,10 @@ def recover_sum(action: MonoidAction, m1, m2):
 class RecoveredRing:
     """Addition table on the carrier of a finite truncation monoid.
 
-    Rows and columns are the non-absorbing classes; the adjoined zero is
-    implicit (0 + m = m).  Entries are class payloads, ADJOINED_ZERO, or
-    CAPPED for sums escaping the valuation window.
+    Rows and columns are the non-absorbing classes, listed once in sorted
+    order as elements; the adjoined zero is implicit (0 + m = m).  Entries
+    are class payloads, ADJOINED_ZERO, or CAPPED for sums escaping the
+    valuation window.  A table starts empty and is filled through put.
 
     Two flag kinds keep the finite-level semantics honest.  "cap": the sum's
     valuation reaches the window, there is no class to return.  "precision":
@@ -122,20 +122,25 @@ class RecoveredRing:
     over unflagged entries, where class addition is independent of lifts.
     """
 
-    def __init__(self, monoid: PadicTruncationMonoid, table: dict,
-                 flags: dict, provenance: str,
+    def __init__(self, monoid: PadicTruncationMonoid, provenance: str,
                  action: MonoidAction | None = None):
         self.monoid = monoid
         self.elements = sorted(
             p for p in monoid.payloads() if p != BOTTOM
         )
-        self.table = table
-        self.flags = flags
+        self.table: dict = {}
+        self.flags: dict = {}
         self.provenance = provenance
         self.action = action
 
+    def put(self, a, b, entry, flag=None):
+        """Record a + b = b + a = entry, with its flag if it has one."""
+        self.table[(a, b)] = self.table[(b, a)] = entry
+        if flag is not None:
+            self.flags[(a, b)] = self.flags[(b, a)] = flag
+
     def add(self, a, b):
-        pa, pb = _payload_of(a), _payload_of(b)
+        pa, pb = payload_of(a), payload_of(b)
         if pa == ADJOINED_ZERO:
             return pb
         if pb == ADJOINED_ZERO:
@@ -148,7 +153,7 @@ class RecoveredRing:
         return self.table[(a, b)]
 
     def mul(self, a, b):
-        pa, pb = _payload_of(a), _payload_of(b)
+        pa, pb = payload_of(a), payload_of(b)
         if pa == ADJOINED_ZERO or pb == ADJOINED_ZERO:
             return ADJOINED_ZERO
         return self.monoid.mul(pa, pb)
@@ -227,13 +232,7 @@ class RecoveredRing:
         for a in self.elements:
             row = []
             for b in self.elements:
-                entry = self.table[(a, b)]
-                if entry == CAPPED:
-                    cell = "!cap"
-                elif entry == ADJOINED_ZERO:
-                    cell = "0"
-                else:
-                    cell = label(entry)
+                cell = entry_label(self.monoid, self.table[(a, b)])
                 if self.flags.get((a, b)) == "precision":
                     cell = cell + "?"
                 row.append(cell)
@@ -256,11 +255,10 @@ def _native_sum(monoid: PadicTruncationMonoid, a, b, sa, sb):
     s = ctx.add(sa, sb)
     if ctx.is_zero(s):
         return ADJOINED_ZERO, "cap"
-    v = ctx.valuation(s)
-    if v >= monoid.V:
-        return CAPPED, "cap"
     entry = monoid.class_of(ctx.el(s)).payload
-    if v > min(a[0], b[0]):
+    if entry == BOTTOM:
+        return CAPPED, "cap"
+    if entry[0] > min(a[0], b[0]):
         return entry, "precision"
     return entry, None
 
@@ -275,63 +273,40 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
-    els = sorted(p for p in monoid.payloads() if p != BOTTOM)
+    ring = RecoveredRing(monoid, "recovered", action)
+    els = ring.elements
     lifts = {p: monoid.canonical_lift(p).payload for p in els}
-    table: dict = {}
-    flags: dict = {}
     for ia, a in enumerate(els):
         for b in els[ia:]:
-            try:
-                entry = recover_sum(action, a, b)
-            except NoMatch as exc:
-                if not exc.capped:
-                    raise
-                entry = CAPPED
+            entry = recover_sum(action, a, b)
             native, flag = _native_sum(monoid, a, b, lifts[a], lifts[b])
             if entry != native:
                 raise RecoveryError(
                     f"recovered sum at ({monoid.label(a)}, {monoid.label(b)}) "
                     f"disagrees with native addition"
                 )
-            table[(a, b)] = entry
-            table[(b, a)] = entry
-            if flag is not None:
-                flags[(a, b)] = flag
-                flags[(b, a)] = flag
-    return RecoveredRing(monoid, table, flags, "recovered", action)
+            ring.put(a, b, entry, flag)
+    return ring
 
 
 def transport_structure(iso: MonoidMorphism, ring2: RecoveredRing) -> RecoveredRing:
     """Addition pulled back along a multiplicative isomorphism:
     a +' b = iso_inv(iso(a) + iso(b)).  Multiplication is untouched."""
-    m1 = iso.source
     if iso.target.key() != ring2.monoid.key():
         raise RecoveryError("isomorphism target does not carry the given table")
     fwd = iso.table
     if fwd is None:
         raise RecoveryError("transport needs a full table morphism")
     inv = {b: a for a, b in fwd.items()}
-    els = sorted(p for p in m1.payloads() if p != BOTTOM)
-    table: dict = {}
-    flags: dict = {}
+    inv[CAPPED], inv[ADJOINED_ZERO] = CAPPED, ADJOINED_ZERO  # not classes
+    ring = RecoveredRing(iso.source, "transported")
+    els = ring.elements
     for ia, a in enumerate(els):
         fa = fwd[a]
         for b in els[ia:]:
             fpair = (fa, fwd[b])
-            entry2 = ring2.table[fpair]
-            if entry2 == CAPPED:
-                entry = CAPPED
-            elif entry2 == ADJOINED_ZERO:
-                entry = ADJOINED_ZERO
-            else:
-                entry = inv[entry2]
-            table[(a, b)] = entry
-            table[(b, a)] = entry
-            flag = ring2.flags.get(fpair)
-            if flag is not None:
-                flags[(a, b)] = flag
-                flags[(b, a)] = flag
-    return RecoveredRing(m1, table, flags, "transported")
+            ring.put(a, b, inv[ring2.table[fpair]], ring2.flags.get(fpair))
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +369,13 @@ class VariationReport:
         }
 
 
-def _entry_label(m1, entry):
-    if entry == CAPPED:
-        return "!cap"
-    if entry == ADJOINED_ZERO:
-        return "0"
-    return m1.label(entry)
-
-
-def _compare_tables(m1, native: RecoveredRing, transported: RecoveredRing,
+def _compare_tables(native: RecoveredRing, transported: RecoveredRing,
                     sample_size: int = 10) -> VariantOutcome:
     """Pairs flagged on one side only count as flag mismatches; pairs flagged
     on both sides are set aside (their entries are lift artifacts on both
     carriers).  Unflagged pairs compare entry by entry."""
-    els = sorted(p for p in m1.payloads() if p != BOTTOM)
+    m1 = native.monoid
+    els = native.elements
     agreements = disagreements = flag_mismatches = both_flagged = 0
     sample = []
     for ia, a in enumerate(els):
@@ -433,8 +401,8 @@ def _compare_tables(m1, native: RecoveredRing, transported: RecoveredRing,
                 sample.append(
                     {
                         "pair": [lbl(a), lbl(b)],
-                        "native": _entry_label(m1, e1),
-                        "transported": _entry_label(m1, e2),
+                        "native": entry_label(m1, e1),
+                        "transported": entry_label(m1, e2),
                         "kind": kind,
                     }
                 )
@@ -490,7 +458,7 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     for powers, iso in isos:
         iso.verify()  # exhaustive multiplicativity; backs the shared tables
         transported = transport_structure(iso, r2)
-        outcome = _compare_tables(m1, r1, transported)
+        outcome = _compare_tables(r1, transported)
         outcome.twist = powers
         report.variants.append(outcome)
     report.seconds = time.perf_counter() - t0

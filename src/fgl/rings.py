@@ -902,8 +902,3 @@ def context_from_descriptor(d: dict) -> RingContext:
         gens = [free.value_from_json(g) for g in d["ideal"]]
         return PolynomialQuotient(base, tuple(d["variables"]), tuple(gens))
     raise RingError(f"unknown ring kind {kind!r}")
-
-
-def element_from_json(obj: dict) -> RingElement:
-    ctx = context_from_descriptor(obj["ring"])
-    return RingElement(ctx, ctx.value_from_json(obj["value"]))

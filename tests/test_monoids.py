@@ -1,3 +1,7 @@
+import itertools
+import math
+from collections import Counter
+
 import pytest
 
 from fgl.monoids import (
@@ -147,6 +151,37 @@ def test_unit_group_invariant_factors():
     assert G2.factors == [20]
 
 
+def _order_census(elements, mul, one) -> Counter:
+    """Element orders counted by repeated multiplication."""
+    census = Counter()
+    for x in elements:
+        y, k = x, 1
+        while y != one:
+            y, k = mul(y, x), k + 1
+        census[k] += 1
+    return census
+
+
+@pytest.mark.parametrize("ctx, n, V, factors", [
+    (PadicIntegers(2, 4), 3, 2, [2, 2]),
+    (PadicIntegers(2, 5), 4, 2, [2, 4]),
+    (EisensteinExtension(3, 5, (3, 0, 0, 1)), 4, 2, [3, 18]),
+    (EisensteinExtension(5, 9, (-5, 0, 1)), 3, 3, [5, 20]),
+    (EisensteinExtension(5, 9, (-10, 0, 1)), 3, 3, [5, 20]),
+])
+def test_unit_group_non_cyclic_factors_match_order_census(ctx, n, V, factors):
+    G = padic_truncation_of(ctx, n, V).unit_group
+    assert G.factors == factors
+    # the multiset of element orders of the group is that of + Z/d_i
+    group = _order_census(G.monoid.unit_payloads(), G.ctx.mul, G.ctx.int_payload(1))
+    model = Counter(
+        math.lcm(*(d // math.gcd(e, d) for e, d in zip(exps, factors)))
+        for exps in itertools.product(*(range(d) for d in factors))
+    )
+    assert group == model
+    assert [G.order_of(g) for g in G.generators] == factors
+
+
 def test_morphism_gen_images_and_verify():
     M = FreeCommutativeMonoid(("m",))
     C2 = FinitelyPresentedMonoid.from_relations(("g",), [((2,), (0,))])
@@ -158,10 +193,15 @@ def test_morphism_gen_images_and_verify():
 
 def test_morphism_table_verify_catches_non_multiplicative():
     C2 = FinitelyPresentedMonoid.from_relations(("g",), [((2,), (0,))])
+    moves_one = MonoidMorphism(C2, C2, table={(0,): (1,), (1,): (1,)})
+    with pytest.raises(MonoidError, match="identity is not preserved"):
+        moves_one.verify()
+    # fixes 1 but sends g^2 to g, so f(g) f(g) = g^2 != f(g^2)
+    C4 = FinitelyPresentedMonoid.from_relations(("g",), [((4,), (0,))])
     bad = MonoidMorphism(
-        C2, C2, table={(0,): C2.el((1,)), (1,): C2.el((1,))}
+        C4, C4, table={(0,): (0,), (1,): (1,), (2,): (1,), (3,): (3,)}
     )
-    with pytest.raises(MonoidError):
+    with pytest.raises(MonoidError, match=r"multiplicativity fails at \(g, g\)"):
         bad.verify()
 
 
