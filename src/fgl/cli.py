@@ -220,23 +220,24 @@ def _free_action(datum, law, pairs: list) -> MonoidAction:
     from .lubin_tate import build_endomorphism
 
     monoid = FreeCommutativeMonoid(tuple(name for name, _ in pairs))
-    assignment = {}
-    for idx, (_, scalar) in enumerate(pairs):
-        payload = tuple(1 if i == idx else 0 for i in range(len(pairs)))
-        assignment[payload] = build_endomorphism(datum, law, scalar)
+    assignment = {monoid.generator(name): build_endomorphism(datum, law, scalar)
+                  for name, scalar in pairs}
     return MonoidAction(monoid, law, assignment)
 
 
 def _cmd_lubin_tate(args) -> int:
     _check_degree(args)
+    if args.as_free is not None and args.elements is not None:
+        raise _Invalid("conflicting-flags", "pass --elements or --as-free, not both")
     ctx = _build_ring(args)
     datum = _build_datum(args, ctx)
     law = _build_law(datum, args.degree)
     try:
-        if args.as_free:
+        if args.as_free is not None:
             action = _free_action(datum, law, _parse_generator_scalars(args.as_free))
         else:
-            action = build_action(datum, law, elements=_parse_elements(args.elements))
+            elements = _parse_elements("2" if args.elements is None else args.elements)
+            action = build_action(datum, law, elements=elements)
     except (LubinTateError, LawError) as exc:
         raise _Failed("endomorphism", str(exc)) from exc
     report = action.verify()
@@ -309,12 +310,15 @@ def _cmd_log(args) -> int:
 
 def _cmd_recover_add(args) -> int:
     _check_degree(args)
+    truncation = args.n is not None or args.V is not None
+    if truncation and (args.n is None or args.V is None):
+        raise _Invalid("missing-flag", "pass --n and --V together")
+    if truncation and args.elements is not None:
+        raise _Invalid("conflicting-flags", "pass --elements or --n/--V, not both")
     ctx = _build_ring(args)
     datum = _build_datum(args, ctx)
     law = _build_law(datum, args.degree)
-    if args.n is not None:
-        if args.V is None:
-            raise _Invalid("missing-flag", "--V is required with --n")
+    if truncation:
         monoid = padic_truncation_of(ctx, args.n, args.V)
         action = build_action(datum, law, monoid=monoid)
         if args.table:
@@ -327,8 +331,8 @@ def _cmd_recover_add(args) -> int:
             return 0
         if args.a is None or args.b is None:
             raise _Invalid("missing-flag", "pass --a and --b, or --table")
-        pa = monoid.class_of(ctx.el(ctx.normalize(args.a))).payload
-        pb = monoid.class_of(ctx.el(ctx.normalize(args.b))).payload
+        pa = monoid.class_of(ctx.el(ctx.normalize(args.a)))
+        pb = monoid.class_of(ctx.el(ctx.normalize(args.b)))
     else:
         if args.elements is None or args.a is None or args.b is None:
             raise _Invalid("missing-flag",
@@ -499,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["standard", "multiplicative"], default=None)
     p.add_argument("--series", default=None, help="defining series f in T (and pi)")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--elements", default="2", help="comma-separated scalars to act by")
+    p.add_argument("--elements", default=None,
+                   help="comma-separated scalars to act by (default 2)")
     p.add_argument("--as-free", default=None, metavar="NAME=SCALAR,...",
                    help="act through a free monoid with named generators")
     _add_output_flags(p)

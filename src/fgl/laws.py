@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .monoids import (
-    FreeCommutativeMonoid,
-    PadicTruncationMonoid,
-    monoid_from_descriptor,
-    payload_of,
-)
+from .monoids import FreeCommutativeMonoid, PadicTruncationMonoid, monoid_from_descriptor
 from .rings import RingContext, RingElement, RingError, grlex_key
 from .series import TruncatedSeries
 
@@ -158,21 +153,9 @@ def check_axioms_series(F: TruncatedSeries) -> AxiomReport:
     checks = []
 
     # shape: F = x + y mod degree 2
-    shape_terms = {}
-    for exp, c in F.terms.items():
-        if sum(exp) >= 2:
-            continue
-        shape_terms[exp] = c
-    expected = {(1, 0): ctx.normalize(1), (0, 1): ctx.normalize(1)}
-    if N == 0:
-        expected = {}
-    delta = TruncatedSeries(ctx, F.variables, min(N, 1))
-    for exp in set(shape_terms) | set(expected):
-        d = ctx.add(shape_terms.get(exp, ctx.normalize(0)),
-                    ctx.neg(expected.get(exp, ctx.normalize(0))))
-        if not ctx.is_zero(d):
-            delta.terms[exp] = d
-    checks.append(_axiom("linear_shape", delta))
+    low = min(N, 1)
+    x_plus_y = TruncatedSeries(ctx, F.variables, low, {(1, 0): 1, (0, 1): 1})
+    checks.append(_axiom("linear_shape", F.truncate(low) - x_plus_y))
 
     T = TruncatedSeries.variable(ctx, ("T",), N, "T")
     zero1 = TruncatedSeries.zero(ctx, ("T",), N)
@@ -416,9 +399,9 @@ class MonoidAction:
     """A commutative monoid acting on a law by endomorphisms.
 
     assignment maps monoid element payloads to FglEndomorphism.  For free
-    monoids only the generators are assigned; composite elements get the
-    composition in generator order (earlier generators applied first).  For
-    finite monoids every non-absorbing element must be assigned.
+    monoids only the generators are assigned; a composite element gets the
+    composition along FreeCommutativeMonoid.word.  For finite monoids every
+    non-absorbing element must be assigned.
 
     tolerance is "exact", or "truncation" for a truncation monoid acting
     through lifts of its classes: composition is then only checked at the
@@ -438,8 +421,7 @@ class MonoidAction:
         self._endo_cache: dict = {}
         self._power_tables: dict = {}
 
-    def endo_for(self, elt) -> FglEndomorphism:
-        payload = payload_of(elt)
+    def endo_for(self, payload) -> FglEndomorphism:
         if payload in self._endo_cache:
             return self._endo_cache[payload]
         if payload in self.assignment:
@@ -447,22 +429,17 @@ class MonoidAction:
         else:
             if not isinstance(self.monoid, FreeCommutativeMonoid):
                 raise LawError(f"no endomorphism assigned for {payload}")
-            ctx = self.law.ctx
-            N = self.law.trunc_degree
-            series = TruncatedSeries.variable(ctx, ("T",), N, "T")
-            for gname, e in zip(self.monoid.generators, payload):
-                gen_payload = self.monoid.generator(gname).payload
-                gen_endo = self.assignment[gen_payload]
-                for _ in range(e):
-                    series = gen_endo.series.substitute_single(series)
-            endo = FglEndomorphism(self.law, series)
+            law = self.law
+            series = TruncatedSeries.variable(law.ctx, ("T",), law.trunc_degree, "T")
+            for gen in self.monoid.word(payload):
+                series = self.assignment[gen].series.substitute_single(series)
+            endo = FglEndomorphism(law, series)
         self._endo_cache[payload] = endo
         return endo
 
-    def powers(self, elt) -> list:
-        """Power table of [elt] up to its truncation degree, built once per
-        element; composing into [elt] reads it through substitute_powers."""
-        payload = payload_of(elt)
+    def powers(self, payload) -> list:
+        """Power table of [payload] up to its truncation degree, built once per
+        element; composing into [payload] reads it through substitute_powers."""
         table = self._power_tables.get(payload)
         if table is None:
             series = self.endo_for(payload).series
@@ -513,7 +490,7 @@ def verify_action(action: MonoidAction) -> ActionReport:
 
     free = isinstance(monoid, FreeCommutativeMonoid)
     if free:
-        singles = [monoid.generator(g).payload for g in monoid.generators]
+        singles = [monoid.generator(g) for g in monoid.generators]
         pairs = [(a, b) for i, a in enumerate(singles) for b in singles[i + 1:]]
     else:
         singles = [p for p in monoid.payloads() if p in action.assignment]

@@ -208,19 +208,22 @@ def _build_field_law(d: LubinTateDatum, N: int, correction_order=None):
         N,
         {(1, 0): field.int_payload(1), (0, 1): field.int_payload(1)},
     )
-    F_field = _inductive_solve(
+    return _inductive_solve(
         start, f_field, field, pi, N, two_sided=True, sign=+1,
         correction_order=correction_order,
     )
-    return field, F_field
 
 
 def build_fgl(d: LubinTateDatum, N: int, correction_order=None) -> FormalGroupLaw:
     """The unique F = x + y mod degree 2 with f(F(x,y)) = F(f(x), f(y)),
     solved exactly and reduced to the datum's ring."""
-    _, F_field = _build_field_law(d, N, correction_order)
-    F_ring = reduce_series(F_field, d.ctx)
-    law = FormalGroupLaw.from_series(F_ring)
+    return _reduce_law(d, _build_field_law(d, N, correction_order))
+
+
+def _reduce_law(d: LubinTateDatum, F_field: TruncatedSeries) -> FormalGroupLaw:
+    """The field-level law reduced to d's ring, with the axioms and the
+    intertwining with f re-checked there."""
+    law = FormalGroupLaw.from_series(reduce_series(F_field, d.ctx))
     _check_intertwines(d, law.F, d.f)
     return law
 
@@ -368,15 +371,15 @@ def compare_lubin_tate(d1: LubinTateDatum, d2: LubinTateDatum,
     holds, the intertwining is re-verified in the ring."""
     if d1.ctx.key() != d2.ctx.key():
         raise LubinTateError("data live over different rings")
-    F1 = build_fgl(d1, N)
-    F2 = build_fgl(d2, N)
     # the exact field-level laws, not lifts of residues: only those satisfy
     # the axioms on the nose, which the log transport needs
-    _, F1_field = _build_field_law(d1, N)
-    _, F2_field = _build_field_law(d2, N)
-    F1f = FormalGroupLaw.from_series(F1_field)
-    F2f = FormalGroupLaw.from_series(F2_field)
-    h_field = isomorphism_via_logs(F1f, F2f)
+    F1_field = _build_field_law(d1, N)
+    F2_field = _build_field_law(d2, N)
+    F1 = _reduce_law(d1, F1_field)
+    F2 = _reduce_law(d2, F2_field)
+    h_field = isomorphism_via_logs(
+        FormalGroupLaw.from_series(F1_field), FormalGroupLaw.from_series(F2_field)
+    )
     report = series_integrality(d1.ctx, h_field)
     h_ring = None
     verified = False

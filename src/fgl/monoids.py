@@ -24,51 +24,9 @@ class StructureMismatch(MonoidError):
 BOTTOM = ("bot",)
 
 
-class MonoidElement:
-    __slots__ = ("monoid", "payload")
-
-    def __init__(self, monoid: "Monoid", payload):
-        self.monoid = monoid
-        self.payload = payload
-
-    def __mul__(self, other):
-        if not isinstance(other, MonoidElement) or other.monoid.key() != self.monoid.key():
-            raise MonoidError("elements of different monoids")
-        return MonoidElement(self.monoid, self.monoid.mul(self.payload, other.payload))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonoidElement)
-            and self.monoid.key() == other.monoid.key()
-            and self.payload == other.payload
-        )
-
-    def __hash__(self):
-        return hash((self.monoid.key(), self.payload))
-
-    def is_identity(self) -> bool:
-        return self.payload == self.monoid.identity_payload()
-
-    def label(self) -> str:
-        return self.monoid.label(self.payload)
-
-    def __repr__(self):
-        return f"<monoid elt {self.label()}>"
-
-
-def payload_of(x):
-    """The payload of a MonoidElement; anything else is taken as a payload."""
-    return x.payload if isinstance(x, MonoidElement) else x
-
-
 class Monoid:
-    """Base class: payload-level multiplication plus enumeration."""
-
-    def el(self, payload) -> MonoidElement:
-        return MonoidElement(self, self.check_payload(payload))
-
-    def identity(self) -> MonoidElement:
-        return MonoidElement(self, self.identity_payload())
+    """Base class: payload-level multiplication plus enumeration.  Elements
+    are plain payloads."""
 
     def check_payload(self, payload):
         raise NotImplementedError
@@ -77,9 +35,6 @@ class Monoid:
         raise NotImplementedError
 
     def mul(self, a, b):
-        raise NotImplementedError
-
-    def is_finite(self) -> bool:
         raise NotImplementedError
 
     def payloads(self) -> list:
@@ -101,7 +56,22 @@ class Monoid:
         return hash(self.key())
 
 
-class FreeCommutativeMonoid(Monoid):
+class _ExponentMonoid(Monoid):
+    """Payloads are exponent tuples over self.generators."""
+
+    def identity_payload(self):
+        return (0,) * len(self.generators)
+
+    def label(self, payload) -> str:
+        parts = [
+            g if e == 1 else f"{g}^{e}"
+            for g, e in zip(self.generators, payload)
+            if e
+        ]
+        return "*".join(parts) if parts else "1"
+
+
+class FreeCommutativeMonoid(_ExponentMonoid):
     """Free commutative monoid on named generators; payload = exponent tuple."""
 
     def __init__(self, generators):
@@ -118,32 +88,25 @@ class FreeCommutativeMonoid(Monoid):
             raise MonoidError("payload must be a tuple of non-negative exponents")
         return payload
 
-    def identity_payload(self):
-        return (0,) * len(self.generators)
-
-    def generator(self, name: str) -> MonoidElement:
+    def generator(self, name: str) -> tuple:
         if name not in self.generators:
             raise MonoidError(f"unknown generator {name!r}")
-        return self.el(tuple(1 if g == name else 0 for g in self.generators))
+        return tuple(1 if g == name else 0 for g in self.generators)
+
+    def word(self, payload) -> list:
+        """The generator payloads of a word in the order they are applied:
+        earlier generators first (innermost), each repeated by its exponent.
+        Every composite endomorphism, series and image follows this order."""
+        return [self.generator(g) for g, e in zip(self.generators, payload)
+                for _ in range(e)]
 
     def mul(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
-
-    def is_finite(self) -> bool:
-        return len(self.generators) == 0
 
     def payloads(self):
         if self.generators:
             raise MonoidError("free monoid on generators is infinite")
         return [()]
-
-    def label(self, payload) -> str:
-        parts = [
-            g if e == 1 else f"{g}^{e}"
-            for g, e in zip(self.generators, payload)
-            if e
-        ]
-        return "*".join(parts) if parts else "1"
 
     def key(self):
         return ("free", self.generators)
@@ -152,7 +115,7 @@ class FreeCommutativeMonoid(Monoid):
         return {"kind": "free", "generators": list(self.generators)}
 
 
-class FinitelyPresentedMonoid(Monoid):
+class FinitelyPresentedMonoid(_ExponentMonoid):
     """Finite commutative monoid with an explicit multiplication table.
 
     Payloads are canonical exponent tuples over the generators.  Either give
@@ -166,8 +129,7 @@ class FinitelyPresentedMonoid(Monoid):
         self._payloads = list(element_payloads)
         self._index = {p: i for i, p in enumerate(self._payloads)}
         self.table = dict(table)
-        ident = (0,) * len(self.generators)
-        if ident not in self._index:
+        if self.identity_payload() not in self._index:
             raise MonoidError("identity exponent vector missing")
         self._verify_table()
 
@@ -220,7 +182,7 @@ class FinitelyPresentedMonoid(Monoid):
         return cls(generators, payloads, table)
 
     def _verify_table(self):
-        ident = (0,) * len(self.generators)
+        ident = self.identity_payload()
         ps = self._payloads
         for a in ps:
             if self.table[(ident, a)] != a or self.table[(a, ident)] != a:
@@ -245,25 +207,11 @@ class FinitelyPresentedMonoid(Monoid):
             raise MonoidError(f"{payload} is not a canonical element")
         return payload
 
-    def identity_payload(self):
-        return (0,) * len(self.generators)
-
     def mul(self, a, b):
         return self.table[(a, b)]
 
-    def is_finite(self) -> bool:
-        return True
-
     def payloads(self):
         return list(self._payloads)
-
-    def label(self, payload) -> str:
-        parts = [
-            g if e == 1 else f"{g}^{e}"
-            for g, e in zip(self.generators, payload)
-            if e
-        ]
-        return "*".join(parts) if parts else "1"
 
     def key(self):
         return (
@@ -344,9 +292,6 @@ class PadicTruncationMonoid(Monoid):
             return BOTTOM
         return (v, self.unit_ctx.mul(a[1], b[1]))
 
-    def is_finite(self) -> bool:
-        return True
-
     def payloads(self):
         out = []
         for v in range(self.V):
@@ -355,17 +300,16 @@ class PadicTruncationMonoid(Monoid):
         out.append(BOTTOM)
         return out
 
-    def class_of(self, elt: RingElement) -> MonoidElement:
-        """Collapse a nonzero ring element to its truncation class."""
+    def class_of(self, elt: RingElement):
+        """Collapse a nonzero ring element to its truncation class payload."""
         if elt.ctx.key() != self.ctx.key():
             raise MonoidError("element of a different ring")
         v = elt.valuation()
         if v is math.inf:
             raise MonoidError("zero has no truncation class")
         if v >= self.V:
-            return MonoidElement(self, BOTTOM)
-        raw = self.ctx.unit_part(elt.payload, v)
-        return MonoidElement(self, (v, self.unit_ctx.normalize(raw)))
+            return BOTTOM
+        return (v, self.unit_ctx.normalize(self.ctx.unit_part(elt.payload, v)))
 
     def canonical_lift(self, payload) -> RingElement:
         """The fixed lift of a class into the full-precision ring."""
@@ -459,9 +403,6 @@ class RingSubsetMonoid(Monoid):
 
     def mul(self, a, b):
         return self.ctx.mul(a, b)
-
-    def is_finite(self) -> bool:
-        return True
 
     def payloads(self):
         return list(self.listed)
@@ -631,7 +572,8 @@ def _factorize(n: int) -> dict:
 
 
 class MonoidMorphism:
-    """A multiplicative map; finite sources carry a full payload table."""
+    """A multiplicative map on payloads.  Finite sources carry a full payload
+    table; free sources may give generator images (name -> target payload)."""
 
     def __init__(self, source: Monoid, target: Monoid, table=None, gen_images=None):
         self.source = source
@@ -640,27 +582,27 @@ class MonoidMorphism:
         self.gen_images = dict(gen_images) if gen_images is not None else None
         if self.table is None and self.gen_images is None:
             raise MonoidError("morphism needs a table or generator images")
+        if self.table is None and not isinstance(source, FreeCommutativeMonoid):
+            raise MonoidError("generator images need a free source")
 
-    def apply(self, elt: MonoidElement) -> MonoidElement:
-        if elt.monoid.key() != self.source.key():
-            raise MonoidError("element not from the source monoid")
-        if self.table is not None:
-            return MonoidElement(self.target, self.table[elt.payload])
-        acc = self.target.identity()
-        for g, e in zip(self.source.generators, elt.payload):
-            img = self.gen_images[g]
-            for _ in range(e):
-                acc = acc * img
-        return acc
-
-    def __call__(self, elt):
-        return self.apply(elt)
+    def apply(self, payload):
+        """The image of a source payload; MonoidError outside the source."""
+        payload = self.source.check_payload(payload)
+        if self.table is None:
+            acc = self.target.identity_payload()
+            for gen in self.source.word(payload):
+                # a generator's label is its name
+                acc = self.target.mul(acc, self.gen_images[self.source.label(gen)])
+            return acc
+        if payload not in self.table:
+            raise MonoidError(f"{self.source.label(payload)} is not in the source")
+        return self.table[payload]
 
     def verify(self) -> None:
         """Identity and multiplicativity; exhaustive when the source is finite."""
         if self.table is not None:
-            ident = self.source.identity()
-            if self.apply(ident).payload != self.target.identity_payload():
+            ident = self.apply(self.source.identity_payload())
+            if ident != self.target.identity_payload():
                 raise MonoidError("identity is not preserved")
             ps = self.source.payloads()
             images = {p: self.table[p] for p in ps}
@@ -678,6 +620,7 @@ class MonoidMorphism:
             for g in self.source.generators:
                 if g not in self.gen_images:
                     raise MonoidError(f"no image for generator {g!r}")
+                self.target.check_payload(self.gen_images[g])
 
     def inverse(self) -> "MonoidMorphism":
         if self.table is None:

@@ -25,7 +25,6 @@ from .monoids import (
     PadicTruncationMonoid,
     RingSubsetMonoid,
     padic_truncation_of,
-    payload_of,
     unit_isomorphism_variants,
 )
 from .rings import EisensteinExtension, RingError
@@ -53,8 +52,8 @@ def entry_label(monoid, entry) -> str:
     return monoid.label(entry)
 
 
-def recover_sum(action: MonoidAction, m1, m2):
-    """The carrier element whose endomorphism matches F([m1], [m2]).
+def recover_sum(action: MonoidAction, p1, p2):
+    """The carrier element whose endomorphism matches F([p1], [p2]).
 
     Returns a monoid payload, the adjoined zero, or CAPPED for a sum (or an
     absorbing operand) whose valuation reaches a truncation monoid's cap.
@@ -63,7 +62,6 @@ def recover_sum(action: MonoidAction, m1, m2):
     full-series check then either confirms it or fails hard.  Over a
     truncation monoid the check runs at the candidate's class precision.
     """
-    p1, p2 = payload_of(m1), payload_of(m2)
     if p1 == ADJOINED_ZERO:
         return p2
     if p2 == ADJOINED_ZERO:
@@ -80,7 +78,7 @@ def recover_sum(action: MonoidAction, m1, m2):
         # no linear term: alpha vanishes mod pi^k, past any cap
         if alpha is None:
             return CAPPED
-        cls = monoid.class_of(model.ctx.el(alpha)).payload
+        cls = monoid.class_of(model.ctx.el(alpha))
         if cls == BOTTOM:
             return CAPPED
         precisions = monoid.class_precisions(cls[0], model.trunc_degree)
@@ -140,12 +138,11 @@ class RecoveredRing:
             self.flags[(a, b)] = self.flags[(b, a)] = flag
 
     def add(self, a, b):
-        pa, pb = payload_of(a), payload_of(b)
-        if pa == ADJOINED_ZERO:
-            return pb
-        if pb == ADJOINED_ZERO:
-            return pa
-        return self.table[(pa, pb)]
+        if a == ADJOINED_ZERO:
+            return b
+        if b == ADJOINED_ZERO:
+            return a
+        return self.table[(a, b)]
 
     def entry_if_unflagged(self, a, b):
         if (a, b) in self.flags:
@@ -153,10 +150,9 @@ class RecoveredRing:
         return self.table[(a, b)]
 
     def mul(self, a, b):
-        pa, pb = payload_of(a), payload_of(b)
-        if pa == ADJOINED_ZERO or pb == ADJOINED_ZERO:
+        if a == ADJOINED_ZERO or b == ADJOINED_ZERO:
             return ADJOINED_ZERO
-        return self.monoid.mul(pa, pb)
+        return self.monoid.mul(a, b)
 
     def flag_counts(self) -> dict:
         out = {"cap": 0, "precision": 0}
@@ -255,7 +251,7 @@ def _native_sum(monoid: PadicTruncationMonoid, a, b, sa, sb):
     s = ctx.add(sa, sb)
     if ctx.is_zero(s):
         return ADJOINED_ZERO, "cap"
-    entry = monoid.class_of(ctx.el(s)).payload
+    entry = monoid.class_of(ctx.el(s))
     if entry == BOTTOM:
         return CAPPED, "cap"
     if entry[0] > min(a[0], b[0]):

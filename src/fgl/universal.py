@@ -19,8 +19,8 @@ c_i_j x^i y^j and g_m = m x + sum d_m_i x^i:
 
 Identically-zero relations keep their labels; the nonzero ones carry the
 content.  For free monoids only generators get d-variables and the composite
-g_w is the canonical-order composition (later generators outermost), which
-turns the generator-pair Z relations into the commutation constraints.
+g_w composes along FreeCommutativeMonoid.word, which turns the
+generator-pair Z relations into the commutation constraints.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class IdealNotKilled(UniversalError):
         self.value = value
 
 
-class ReductionInconclusive(UniversalError):
-    pass
-
-
 _CAPS = {"free_generators": 8, "finite_elements": 12, "degree": 6}
 
 
@@ -87,7 +83,7 @@ def _safe_name(label: str, used: set) -> str:
 
 def _listed_payloads(monoid: Monoid) -> list:
     if isinstance(monoid, FreeCommutativeMonoid):
-        return [monoid.generator(g).payload for g in monoid.generators]
+        return [monoid.generator(g) for g in monoid.generators]
     ident = monoid.identity_payload()
     return [p for p in monoid.payloads() if p != ident]
 
@@ -183,8 +179,8 @@ class UniversalPresentation:
 
     def g_for(self, payload) -> TruncatedSeries:
         """Tautological endomorphism series for any monoid element: listed
-        elements directly, identity as x, free words by canonical-order
-        composition with later generators outermost."""
+        elements directly, identity as x, free words composed along
+        FreeCommutativeMonoid.word."""
         if payload == self.monoid.identity_payload():
             return TruncatedSeries.variable(self.ctx, ("x",), self.trunc_degree, "x")
         if payload in self.g:
@@ -192,10 +188,8 @@ class UniversalPresentation:
         if not isinstance(self.monoid, FreeCommutativeMonoid):
             raise UniversalError(f"element {payload!r} carries no series")
         series = TruncatedSeries.variable(self.ctx, ("x",), self.trunc_degree, "x")
-        for gname, e in zip(self.monoid.generators, payload):
-            gen = self.g[self.monoid.generator(gname).payload]
-            for _ in range(e):
-                series = gen.substitute_single(series)
+        for gen in self.monoid.word(payload):
+            series = self.g[gen].substitute_single(series)
         return series
 
     def element_value(self, payload) -> RingElement:
@@ -208,10 +202,8 @@ class UniversalPresentation:
         if not isinstance(self.monoid, FreeCommutativeMonoid):
             raise UniversalError(f"element {payload!r} has no ring image")
         acc = self.ctx.el(self.ctx.int_payload(1))
-        for gname, e in zip(self.monoid.generators, payload):
-            gen = self.ctx.var(self.monoid_vars[self.monoid.generator(gname).payload])
-            for _ in range(e):
-                acc = acc * gen
+        for gen in self.monoid.word(payload):
+            acc = acc * self.ctx.var(self.monoid_vars[gen])
         return acc
 
     def nonzero_ideal(self) -> list:
@@ -534,7 +526,7 @@ def classify_fgl(pres: UniversalPresentation, action: MonoidAction) -> Specializ
     for (i, j), name in pres.c_vars.items():
         images[name] = action.law.coefficient(i, j).payload
     for p in pres.listed():
-        endo = action.endo_for(action.monoid.el(p))
+        endo = action.endo_for(p)
         images[pres.monoid_vars[p]] = endo.linear_coefficient().payload
         for i in range(2, pres.trunc_degree + 1):
             images[pres.d_vars[(p, i)]] = endo.series.coefficient((i,)).payload
@@ -590,7 +582,7 @@ def functoriality_map(phi: MonoidMorphism, src: UniversalPresentation,
     for (i, j), name in src.c_vars.items():
         images[name] = tgt.ctx.var(tgt.c_vars[(i, j)]).payload
     for p in src.listed():
-        q = phi.apply(src.monoid.el(p)).payload
+        q = phi.apply(p)
         images[src.monoid_vars[p]] = tgt.element_value(q).payload
         gq = tgt.g_for(q)
         for i in range(2, src.trunc_degree + 1):

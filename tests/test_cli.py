@@ -336,3 +336,34 @@ def test_degree_below_one_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--degree", "0")
     assert (code, out) == (2, "")
     assert err == "error: --degree must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("recover-add", "--p", "5", "--precision", "6", "--preset", "standard",
+      "--degree", "4", "--n", "1", "--V", "2", "--a", "2", "--b", "3",
+      "--elements", "2"),
+     "pass --elements or --n/--V, not both"),
+    (("recover-add", "--p", "5", "--precision", "6", "--preset", "standard",
+      "--degree", "4", "--V", "2", "--elements", "2,3", "--a", "2", "--b", "3"),
+     "pass --n and --V together"),
+    (("lubin-tate", "--p", "5", "--precision", "8", "--preset",
+      "multiplicative", "--degree", "4", "--as-free", "m=2", "--elements", "3"),
+     "pass --elements or --as-free, not both"),
+])
+def test_conflicting_carrier_flags_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--elements", "empty element list"),
+    ("--as-free", "empty generator list"),
+])
+def test_empty_carrier_list_exits_2(capsys, flag, message):
+    code, out, err = run(
+        capsys, "lubin-tate", "--p", "5", "--precision", "8", "--preset",
+        "multiplicative", "--degree", "2", flag, "",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"

@@ -191,7 +191,7 @@ def _oracle_class(action, sum_series: dict):
     alpha = sum_series.get((1,))
     if alpha is None or alpha.is_zero() or alpha.valuation() >= action.monoid.V:
         return CAPPED
-    return action.monoid.class_of(alpha).payload
+    return action.monoid.class_of(alpha)
 
 
 @pytest.mark.parametrize("make_action", [_multiplicative_action, _eisenstein_action])

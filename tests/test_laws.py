@@ -176,7 +176,7 @@ def test_free_action_checks_commutation():
     })
     assert action.verify().ok
     # words act through composition
-    e6 = action.endo_for(M.el((1, 1)))
+    e6 = action.endo_for(M.check_payload((1, 1)))
     assert e6 == endomorphism_from_logarithm(law, f, g, Q.el(6))
 
 
@@ -191,4 +191,5 @@ def test_action_bundle_round_trip():
     again = action_from_bundle(bundle)
     assert again.verify().ok
     assert again.to_bundle() == bundle
-    assert again.endo_for(M.el((2,))).series == action.endo_for(M.el((2,))).series
+    m2 = M.check_payload((2,))
+    assert again.endo_for(m2).series == action.endo_for(m2).series

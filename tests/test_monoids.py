@@ -23,21 +23,21 @@ def test_free_monoid_words():
     M = FreeCommutativeMonoid(("m", "n"))
     m = M.generator("m")
     n = M.generator("n")
-    assert (m * n * m).payload == (2, 1)
-    assert m * n == n * m
-    assert M.identity().is_identity()
+    assert M.mul(M.mul(m, n), m) == (2, 1)
+    assert M.mul(m, n) == M.mul(n, m)
+    assert M.identity_payload() == (0, 0)
     assert M.label((2, 1)) == "m^2*n"
     with pytest.raises(MonoidError):
-        M.el((1,))
+        M.check_payload((1,))
 
 
 def test_presented_monoid_from_relations():
     # g^2 = 1, so the monoid is the order-2 group
     C2 = FinitelyPresentedMonoid.from_relations(("g",), [((2,), (0,))])
     assert sorted(C2.payloads()) == [(0,), (1,)]
-    g = C2.el((1,))
-    assert g * g == C2.identity()
-    assert (g * g * g) == g
+    g = C2.check_payload((1,))
+    assert C2.mul(g, g) == C2.identity_payload()
+    assert C2.mul(C2.mul(g, g), g) == g
 
 
 def test_presented_monoid_with_absorber():
@@ -47,10 +47,10 @@ def test_presented_monoid_with_absorber():
         [((2, 0), (0, 0)), ((0, 2), (0, 1)), ((1, 1), (0, 1))],
     )
     assert len(M.payloads()) == 3
-    z = M.el((0, 1))
-    g = M.el((1, 0))
-    assert z * z == z
-    assert g * z == z
+    z = M.check_payload((0, 1))
+    g = M.check_payload((1, 0))
+    assert M.mul(z, z) == z
+    assert M.mul(g, z) == z
 
 
 def test_presented_monoid_rejects_bad_table():
@@ -73,9 +73,9 @@ def test_truncation_monoid_count_and_classes():
     # (q-1) q^(n-1) V + 1 elements
     assert len(M.payloads()) == 4 * 5 * 3 + 1
     cls = M.class_of(Z5.el(Z5.normalize(50)))
-    assert cls.payload == (2, 2)  # 50 = 5^2 * 2
-    assert M.class_of(Z5.el(Z5.normalize(125))).payload == ("bot",)
-    assert M.el((0, 1)).is_identity()
+    assert cls == (2, 2)  # 50 = 5^2 * 2
+    assert M.class_of(Z5.el(Z5.normalize(125))) == ("bot",)
+    assert M.check_payload((0, 1)) == M.identity_payload()
 
 
 def test_truncation_monoid_multiplication_matches_ring():
@@ -86,7 +86,7 @@ def test_truncation_monoid_multiplication_matches_ring():
             pa = M.class_of(Z5.el(Z5.normalize(a)))
             pb = M.class_of(Z5.el(Z5.normalize(b)))
             prod = M.class_of(Z5.el(Z5.normalize(a * b)))
-            assert pa * pb == prod
+            assert M.mul(pa, pb) == prod
 
 
 def test_canonical_lift_round_trips():
@@ -96,7 +96,7 @@ def test_canonical_lift_round_trips():
         if payload == ("bot",):
             continue
         lift = M.canonical_lift(payload)
-        assert M.class_of(lift).payload == payload
+        assert M.class_of(lift) == payload
 
 
 def test_class_precisions_profile():
@@ -122,19 +122,19 @@ def test_truncation_monoid_needs_digits_for_its_deepest_class():
         PadicTruncationMonoid(E, 2, 4)
     M = padic_truncation_of(E, 2, 3)
     deepest = (2, E.residue_ring(2).normalize((1, 1)))
-    assert M.class_of(M.canonical_lift(deepest)).payload == deepest
+    assert M.class_of(M.canonical_lift(deepest)) == deepest
 
 
 def test_ring_subset_monoid_window():
     Z5 = PadicIntegers(5, 4)
     W = RingSubsetMonoid(Z5, [Z5.normalize(2), Z5.normalize(4)])
     assert Z5.normalize(1) in W.payloads()
-    a = W.el(Z5.normalize(2))
-    assert (a * a).payload == Z5.normalize(4)
+    a = W.check_payload(Z5.normalize(2))
+    assert W.mul(a, a) == Z5.normalize(4)
     # products may leave the window; they are ring elements, not members
-    out = W.el(Z5.normalize(4)) * a
-    assert out.payload == Z5.normalize(8)
-    assert out.payload not in W.payloads()
+    out = W.mul(W.check_payload(Z5.normalize(4)), a)
+    assert out == Z5.normalize(8)
+    assert out not in W.payloads()
 
 
 def test_unit_group_invariant_factors():
@@ -185,10 +185,31 @@ def test_unit_group_non_cyclic_factors_match_order_census(ctx, n, V, factors):
 def test_morphism_gen_images_and_verify():
     M = FreeCommutativeMonoid(("m",))
     C2 = FinitelyPresentedMonoid.from_relations(("g",), [((2,), (0,))])
-    phi = MonoidMorphism(M, C2, gen_images={"m": C2.el((1,))})
+    phi = MonoidMorphism(M, C2, gen_images={"m": C2.check_payload((1,))})
     phi.verify()
-    assert phi(M.el((2,))) == C2.identity()
-    assert phi(M.el((3,))) == C2.el((1,))
+    assert phi.apply((2,)) == C2.identity_payload()
+    assert phi.apply((3,)) == C2.check_payload((1,))
+
+
+def test_morphism_rejects_payloads_outside_source_and_target():
+    C2 = FinitelyPresentedMonoid.from_relations(("g",), [((2,), (0,))])
+    keep = MonoidMorphism(C2, C2, table={(0,): (0,), (1,): (1,)})
+    with pytest.raises(MonoidError):
+        keep.apply((2,))
+    Z5 = PadicIntegers(5, 4)
+    W = RingSubsetMonoid(Z5, [Z5.normalize(2)])
+    keep_window = MonoidMorphism(W, W, table={p: p for p in W.payloads()})
+    with pytest.raises(MonoidError, match="not in the source"):
+        keep_window.apply(Z5.normalize(3))
+    M = FreeCommutativeMonoid(("m",))
+    phi = MonoidMorphism(M, C2, gen_images={"m": (1,)})
+    with pytest.raises(MonoidError):
+        phi.apply((1, 1))
+    with pytest.raises(MonoidError, match="need a free source"):
+        MonoidMorphism(C2, C2, gen_images={"g": (1,)})
+    # a generator image outside the target fails verify, not a later apply
+    with pytest.raises(MonoidError, match="not a canonical element"):
+        MonoidMorphism(M, C2, gen_images={"m": (5,)}).verify()
 
 
 def test_morphism_table_verify_catches_non_multiplicative():
@@ -216,7 +237,7 @@ def test_unit_isomorphism_variants_are_isomorphisms():
         seen.append(powers)
         back = iso.inverse()
         for payload in M1.payloads():
-            assert back(iso(M1.el(payload))).payload == payload
+            assert back.apply(iso.apply(payload)) == payload
     assert len(seen) == len(set(seen)) == 3
 
 

@@ -214,7 +214,7 @@ def test_specialize_accepts_multiplicative_point():
     assert report == {"relations_checked": 14, "all_zero": True}
     assert action.verify().ok
     assert action.law.coefficient(1, 1).payload == 1
-    endo = action.endo_for(action.monoid.el((1,)))
+    endo = action.endo_for(action.monoid.check_payload((1,)))
     assert dict(endo.series.terms) == {(1,): 3, (2,): 3}
 
 
@@ -245,7 +245,7 @@ def test_classify_reads_images_off_an_action():
     assert json.dumps(induced.law.F.to_json(), sort_keys=True) == \
         json.dumps(law.F.to_json(), sort_keys=True)
     assert json.dumps(
-        induced.endo_for(free_m.el((1,))).series.to_json(), sort_keys=True
+        induced.endo_for(free_m.check_payload((1,))).series.to_json(), sort_keys=True
     ) == json.dumps(endo.series.to_json(), sort_keys=True)
     again = classify_fgl(pres, induced)
     assert json.dumps(again.to_json(), sort_keys=True) == \
@@ -329,6 +329,28 @@ def test_two_variable_composition_certificate():
     assert out_back["ok"]
 
 
+def test_free_words_compose_in_generator_order():
+    # [u] = T + T^2 and [v] = 2T do not commute, so the order in which a
+    # word applies its generators shows; every lawful action hides it
+    M = FreeCommutativeMonoid(("u", "v"))
+    assert M.word((2, 1)) == [(1, 0), (1, 0), (0, 1)]
+    Q = RationalField()
+    law = FormalGroupLaw.additive(Q, 4)
+    u = TruncatedSeries(Q, ("T",), 4, {(1,): 1, (2,): 1})
+    v = TruncatedSeries(Q, ("T",), 4, {(1,): 2})
+    action = MonoidAction(M, law, {
+        (1, 0): FglEndomorphism(law, u), (0, 1): FglEndomorphism(law, v),
+    })
+    assert action.endo_for((1, 1)).series == v.substitute_single(u)
+    assert action.endo_for((1, 1)).series != u.substitute_single(v)
+    pres = generate_presentation(M, 3)
+    g_u, g_v = pres.g[(1, 0)], pres.g[(0, 1)]
+    assert pres.g_for((1, 1)) == g_v.substitute_single(g_u)
+    assert pres.g_for((1, 1)) != g_u.substitute_single(g_v)
+    var_u, var_v = pres.ctx.var("u"), pres.ctx.var("v")
+    assert pres.element_value((2, 1)) == var_u * var_u * var_v
+
+
 def test_functoriality_rename():
     src = generate_presentation(FreeCommutativeMonoid(("m",)), 2)
     tgt = generate_presentation(FreeCommutativeMonoid(("n",)), 2)
@@ -348,7 +370,7 @@ def test_functoriality_collapse_to_trivial():
     src = generate_presentation(FreeCommutativeMonoid(("m",)), 2)
     triv = FreeCommutativeMonoid(())
     tgt = generate_presentation(triv, 2)
-    phi = MonoidMorphism(src.monoid, triv, gen_images={"m": triv.identity()})
+    phi = MonoidMorphism(src.monoid, triv, gen_images={"m": triv.identity_payload()})
     hom = functoriality_map(phi, src, tgt)
     assert hom.reduction_report["inconclusive"] == []
     assert hom.reduction_report["member"] == []
