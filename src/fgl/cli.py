@@ -30,7 +30,8 @@ from .lubin_tate import (
     multiplicative_datum,
     standard_datum,
 )
-from .monoids import MonoidError, monoid_from_descriptor, padic_truncation_of
+from .monoids import (MonoidError, monoid_from_descriptor, padic_truncation_of,
+                      truncation_size)
 from .parsing import ParseError, parse_integer_polynomial, parse_series
 from .recovery import (
     NoMatch,
@@ -50,6 +51,7 @@ from .rings import (
 from .universal import (
     IdealNotKilled,
     UniversalError,
+    budget_caps,
     classify_fgl,
     generate_presentation,
     specialize,
@@ -315,8 +317,12 @@ def _cmd_recover_add(args) -> int:
         raise _Invalid("missing-flag", "pass --n and --V together")
     if truncation and args.elements is not None:
         raise _Invalid("conflicting-flags", "pass --elements or --n/--V, not both")
+    if args.table and (not truncation or args.a is not None or args.b is not None):
+        raise _Invalid("conflicting-flags", "--table needs --n/--V and no --a/--b")
     ctx = _build_ring(args)
     datum = _build_datum(args, ctx)
+    if args.table:
+        _check_carrier(ctx.p, args.n, args.V)
     law = _build_law(datum, args.degree)
     if truncation:
         monoid = padic_truncation_of(ctx, args.n, args.V)
@@ -352,6 +358,14 @@ def _cmd_recover_add(args) -> int:
     return 0
 
 
+def _check_carrier(p: int, n: int, V: int):
+    """Refuse a truncation carrier above the budget before any law work."""
+    size, cap = truncation_size(p, n, V), budget_caps()["carrier_elements"]
+    if n >= 1 and size > cap:  # the monoid itself refuses n < 1
+        raise _Invalid("budget", f"carrier of {size} elements above cap {cap}; "
+                       "set FGL_BUDGET to raise it", size=size)
+
+
 def _table_text(table: dict) -> str:
     width = max(len(c) for row in table["table"] for c in row["sums"])
     width = max(width, *(len(e) for e in table["elements"]))
@@ -371,6 +385,7 @@ def _cmd_demo_variation(args) -> int:
     poly2 = parse_integer_polynomial(args.e2)
     if args.variants < 1:
         raise _Invalid("variants", f"--variants must be at least 1, got {args.variants}")
+    _check_carrier(args.p, args.n, args.V)
     try:
         report = variation_demo(args.p, poly1, poly2, args.n, args.V,
                                 trunc_degree=args.degree,

@@ -252,8 +252,12 @@ class PadicTruncationMonoid(Monoid):
         self.n = n
         self.V = V
         self.unit_ctx = ctx.residue_ring(n)
+        # a class is fixed by its element mod m^(v + n), and v < V
+        self._class_ctx = ctx.residue_ring(n + V - 1)
         self._units = None
         self._unit_group = None
+        self._products = None
+        self._classes: dict = {}
         self._precisions: dict = {}
 
     def unit_payloads(self) -> list:
@@ -290,7 +294,16 @@ class PadicTruncationMonoid(Monoid):
         v = a[0] + b[0]
         if v >= self.V:
             return BOTTOM
-        return (v, self.unit_ctx.mul(a[1], b[1]))
+        if self._products is None:
+            self._products = self._unit_products()
+        return (v, self._products[a[1]][b[1]])
+
+    def _unit_products(self) -> dict:
+        """products[u][w] = u*w, read off the discrete-log table: exponent
+        vectors add mod the invariant factors."""
+        g = self.unit_group
+        return {u: {w: g.unit_of[tuple((x + y) % d for x, y, d in zip(eu, ew, g.factors))]
+                    for w, ew in g.dlog.items()} for u, eu in g.dlog.items()}
 
     def payloads(self):
         out = []
@@ -301,15 +314,21 @@ class PadicTruncationMonoid(Monoid):
         return out
 
     def class_of(self, elt: RingElement):
-        """Collapse a nonzero ring element to its truncation class payload."""
+        """Collapse a nonzero ring element to its truncation class payload,
+        memoized on its residue mod m^(n + V - 1); a zero residue is BOTTOM."""
         if elt.ctx.key() != self.ctx.key():
             raise MonoidError("element of a different ring")
-        v = elt.valuation()
-        if v is math.inf:
-            raise MonoidError("zero has no truncation class")
-        if v >= self.V:
+        residue = self._class_ctx.normalize(elt.payload)
+        if self._class_ctx.is_zero(residue):
+            if elt.is_zero():
+                raise MonoidError("zero has no truncation class")
             return BOTTOM
-        return (v, self.unit_ctx.normalize(self.ctx.unit_part(elt.payload, v)))
+        cls = self._classes.get(residue)
+        if cls is None:
+            v = elt.valuation()
+            cls = self._classes[residue] = BOTTOM if v >= self.V else (
+                v, self.unit_ctx.normalize(self.ctx.unit_part(elt.payload, v)))
+        return cls
 
     def canonical_lift(self, payload) -> RingElement:
         """The fixed lift of a class into the full-precision ring."""
@@ -363,11 +382,15 @@ def padic_factorial_valuation(n: int, p: int) -> int:
     return v
 
 
+def truncation_size(q: int, n: int, V: int) -> int:
+    """Classes: units mod m^n per valuation below V, plus BOTTOM."""
+    return (q - 1) * q ** (n - 1) * V + 1
+
+
 def padic_truncation_of(ctx: RingContext, n: int, V: int) -> PadicTruncationMonoid:
     """Truncation monoid of a local ring, with the element-count sanity check."""
     m = PadicTruncationMonoid(ctx, n, V)
-    q = ctx.p  # residue field size; extensions here are totally ramified
-    expected = (q - 1) * q ** (n - 1) * V + 1
+    expected = truncation_size(ctx.p, n, V)  # q = p: extensions are totally ramified
     actual = len(m.unit_payloads()) * V + 1
     if actual != expected:
         raise MonoidError(f"element count {actual} != expected {expected}")
@@ -468,6 +491,7 @@ class UnitGroup:
         self.factors = self._census_factors([self.order_of(u) for u in units])
         self.generators = self._canonical_generators(units, self.factors)
         self.dlog = self._discrete_log_table()
+        self.unit_of = {exps: u for u, exps in self.dlog.items()}
 
     # -- group primitives on unit payloads
 
@@ -591,8 +615,9 @@ class MonoidMorphism:
         if self.table is None:
             acc = self.target.identity_payload()
             for gen in self.source.word(payload):
-                # a generator's label is its name
-                acc = self.target.mul(acc, self.gen_images[self.source.label(gen)])
+                # a generator's label is its name; targets multiply canonical payloads
+                image = self.target.check_payload(self.gen_images[self.source.label(gen)])
+                acc = self.target.mul(acc, image)
             return acc
         if payload not in self.table:
             raise MonoidError(f"{self.source.label(payload)} is not in the source")
@@ -663,9 +688,8 @@ def build_monoid_isomorphism(
         if math.gcd(t, d) != 1:
             raise StructureMismatch(f"twist {t} is not invertible mod {d}")
     # g^e goes to (h^t)^e = h^(e*t mod d), read off u2's inverted log table
-    unit_of = {exps: u for u, exps in u2.dlog.items()}
     unit_map = {
-        payload: unit_of[tuple(e * t % d for e, t, d in
+        payload: u2.unit_of[tuple(e * t % d for e, t, d in
                                zip(exps, generator_powers, u2.factors))]
         for payload, exps in u1.dlog.items()
     }

@@ -58,7 +58,8 @@ class IdealNotKilled(UniversalError):
         self.value = value
 
 
-_CAPS = {"free_generators": 8, "finite_elements": 12, "degree": 6}
+_CAPS = {"free_generators": 8, "finite_elements": 12, "degree": 6,
+         "carrier_elements": 2000}  # truncation classes; pair work is quadratic
 
 
 def budget_caps() -> dict:

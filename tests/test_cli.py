@@ -338,6 +338,10 @@ def test_degree_below_one_exits_2(capsys, argv):
     assert err == "error: --degree must be at least 1, got 0\n"
 
 
+_RECOVER = ("recover-add", "--p", "5", "--precision", "6", "--preset",
+            "standard", "--degree", "4")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("recover-add", "--p", "5", "--precision", "6", "--preset", "standard",
       "--degree", "4", "--n", "1", "--V", "2", "--a", "2", "--b", "3",
@@ -349,6 +353,13 @@ def test_degree_below_one_exits_2(capsys, argv):
     (("lubin-tate", "--p", "5", "--precision", "8", "--preset",
       "multiplicative", "--degree", "4", "--as-free", "m=2", "--elements", "3"),
      "pass --elements or --as-free, not both"),
+    (_RECOVER + ("--n", "1", "--V", "2", "--table", "--a", "2", "--b", "3"),
+     "--table needs --n/--V and no --a/--b"),
+    (_RECOVER + ("--n", "1", "--V", "2", "--table", "--b", "3"),
+     "--table needs --n/--V and no --a/--b"),
+    # window mode has no table
+    (_RECOVER + ("--elements", "2,3,5", "--a", "2", "--b", "3", "--table"),
+     "--table needs --n/--V and no --a/--b"),
 ])
 def test_conflicting_carrier_flags_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -367,3 +378,41 @@ def test_empty_carrier_list_exits_2(capsys, flag, message):
     )
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
+     "--precision", "6"),
+    _RECOVER + ("--table",),
+])
+def test_oversized_carrier_is_refused_before_law_work(capsys, monkeypatch, argv):
+    monkeypatch.delenv("FGL_BUDGET", raising=False)
+    # (5 - 1) * 5^5 * 3 + 1 = 37,501 classes
+    code, out, err = run(capsys, *argv, "--n", "6", "--V", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: carrier of 37501 elements above cap 2000; "
+                   "set FGL_BUDGET to raise it\n")
+    # FGL_BUDGET scales the cap like the others: 19 * 2000 admits 37,501,
+    # and the run goes on to fail on the ring precision instead
+    monkeypatch.setenv("FGL_BUDGET", "19")
+    code, out, err = run(capsys, *argv, "--n", "6", "--V", "3", "--json")
+    assert (code, out) == (2, "")
+    assert "need at least 8" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("n, V, message", [
+    # 1,501 classes pass the budget; the monoid's precision check stops the
+    # run before any law is built
+    ("4", "3", "ring precision 5 cannot represent classes of valuation 2 "
+     "with units mod m^4; need at least 6"),
+    # (5 - 1) * 5^-1 * 3000 + 1 is no class count; the monoid refuses n = 0
+    ("0", "3000", "need n >= 1 and V >= 1"),
+])
+def test_carrier_budget_leaves_admitted_carriers_to_the_monoid(capsys, monkeypatch,
+                                                                n, V, message):
+    monkeypatch.delenv("FGL_BUDGET", raising=False)
+    code, out, err = run(
+        capsys, "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2",
+        "t^2-10", "--n", n, "--V", V, "--precision", "5",
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")

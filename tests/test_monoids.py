@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 
 from fgl.monoids import (
+    BOTTOM,
     FinitelyPresentedMonoid,
     FreeCommutativeMonoid,
     MonoidError,
@@ -266,3 +268,77 @@ def test_monoid_descriptor_round_trips():
 def test_truncation_monoid_rejects_rationals():
     with pytest.raises(MonoidError):
         padic_truncation_of(RationalField(), 2, 2)
+
+
+# Every unit ring (O/m^n)^* behind a carrier that the tests build, by its
+# ring and n; the product table depends on nothing else.
+_UNIT_RINGS = [
+    (PadicIntegers(5, 3), 1),
+    (PadicIntegers(5, 3), 2),
+    (PadicIntegers(2, 4), 3),  # factors [2, 2]: not cyclic
+    (PadicIntegers(2, 5), 4),
+    (EisensteinExtension(3, 5, (3, 0, 0, 1)), 4),
+] + [
+    (EisensteinExtension(5, n + 1, poly), n)
+    for poly in ((-5, 0, 1), (-10, 0, 1)) for n in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("ctx, n", _UNIT_RINGS)
+def test_unit_product_table_matches_ring_product(ctx, n):
+    M = padic_truncation_of(ctx, n, 2)
+    units = M.unit_payloads()
+    for u in units:
+        for w in units:
+            assert M.mul((0, u), (1, w)) == (1, M.unit_ctx.mul(u, w))
+    assert M.mul((1, units[0]), (1, units[0])) == BOTTOM
+    assert M.mul(BOTTOM, (0, units[0])) == BOTTOM
+
+
+def _nonzero_residues(ctx, depth) -> list:
+    """Every nonzero residue mod m^depth, as a payload of ctx."""
+    R = ctx.residue_ring(depth)
+    if isinstance(R, PadicIntegers):
+        return list(range(1, R.modulus))
+    return [t for t in itertools.product(*map(range, R.coef_mod)) if any(t)]
+
+
+def _random_payload(ctx, rng):
+    if isinstance(ctx, PadicIntegers):
+        return rng.randrange(ctx.modulus)
+    return tuple(rng.randrange(m) for m in ctx.coef_mod)
+
+
+@pytest.mark.parametrize("ctx, n, V", [
+    (EisensteinExtension(5, 9, (-5, 0, 1)), 3, 3),  # criterion 5
+    (EisensteinExtension(5, 9, (-10, 0, 1)), 3, 3),
+    (PadicIntegers(5, 8), 2, 3),
+])
+def test_memoized_class_of_matches_a_fresh_monoid(ctx, n, V):
+    rng = random.Random(7)
+    M = padic_truncation_of(ctx, n, V)
+    depth = n + V - 1
+    shift = (ctx.uniformizer() ** depth).payload
+    for r in _nonzero_residues(ctx, depth):
+        lift = ctx.add(r, ctx.mul(shift, _random_payload(ctx, rng)))
+        for payload in (r, lift, r):
+            elt = ctx.el(payload)
+            assert M.class_of(elt) == PadicTruncationMonoid(ctx, n, V).class_of(elt)
+
+
+def test_memo_never_answers_for_zero():
+    E = EisensteinExtension(5, 9, (-5, 0, 1))
+    M = padic_truncation_of(E, 3, 3)
+    # pi^5 is nonzero with residue 0 mod m^5: BOTTOM, but not the zero
+    assert M.class_of(E.uniformizer() ** 5) == BOTTOM
+    with pytest.raises(MonoidError, match="zero has no truncation class"):
+        M.class_of(E.zero())
+
+
+def test_generator_images_are_canonicalized_before_multiplying():
+    # 27 is the unit 2 mod 25; the product table holds canonical units only
+    M = padic_truncation_of(PadicIntegers(5, 6), 2, 3)
+    phi = MonoidMorphism(FreeCommutativeMonoid(("m",)), M, gen_images={"m": (0, 27)})
+    phi.verify()
+    assert phi.apply((2,)) == (0, 4)
+    assert phi.apply((3,)) == M.mul((0, 4), (0, 2))

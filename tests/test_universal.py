@@ -442,6 +442,7 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("FGL_BUDGET", "2")
     assert budget_caps() == {
         "free_generators": 16, "finite_elements": 24, "degree": 12,
+        "carrier_elements": 4000,
     }
     nine = FreeCommutativeMonoid(tuple(f"g{i}" for i in range(9)))
     pres = generate_presentation(nine, 2)
