@@ -337,8 +337,8 @@ def _cmd_recover_add(args) -> int:
             return 0
         if args.a is None or args.b is None:
             raise _Invalid("missing-flag", "pass --a and --b, or --table")
-        pa = monoid.class_of(ctx.el(ctx.normalize(args.a)))
-        pb = monoid.class_of(ctx.el(ctx.normalize(args.b)))
+        pa = monoid.class_of(ctx.normalize(args.a))
+        pb = monoid.class_of(ctx.normalize(args.b))
     else:
         if args.elements is None or args.a is None or args.b is None:
             raise _Invalid("missing-flag",

@@ -348,13 +348,18 @@ def series_congruent(
     else None.  With precisions, total degree k only needs to agree mod
     pi^precisions[k] (PadicTruncationMonoid.class_precisions)."""
     ctx = s1.ctx
-    zero = ctx.normalize(0)
     for exp in sorted(set(s1.terms) | set(s2.terms), key=grlex_key):
-        a = s1.terms.get(exp, zero)
-        b = s2.terms.get(exp, zero)
+        a = s1.terms.get(exp)
+        b = s2.terms.get(exp)
         if a == b:
             continue
-        delta = ctx.add(a, ctx.neg(b))
+        # terms hold no zero coefficients, so a missing one is the zero
+        if b is None:
+            delta = a
+        elif a is None:
+            delta = ctx.neg(b)
+        else:
+            delta = ctx.add(a, ctx.neg(b))
         if precisions is None or ctx.valuation(delta) < precisions[sum(exp)]:
             return exp, ctx.fmt(delta)
     return None

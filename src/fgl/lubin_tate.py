@@ -289,8 +289,7 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
     for payload in monoid.payloads():
         if payload == BOTTOM:
             continue
-        lift = monoid.canonical_lift(payload)
-        assignment[payload] = build_endomorphism(d, law, lift)
+        assignment[payload] = build_endomorphism(d, law, monoid.canonical_lift(payload))
     return MonoidAction(monoid, law, assignment, tolerance="truncation")
 
 

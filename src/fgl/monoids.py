@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .rings import PadicRing, RingContext, RingElement, RingError, _vp
+from .rings import PadicRing, RingContext, RingError, _vp
 
 
 class MonoidError(RingError):
@@ -313,29 +313,28 @@ class PadicTruncationMonoid(Monoid):
         out.append(BOTTOM)
         return out
 
-    def class_of(self, elt: RingElement):
-        """Collapse a nonzero ring element to its truncation class payload,
-        memoized on its residue mod m^(n + V - 1); a zero residue is BOTTOM."""
-        if elt.ctx.key() != self.ctx.key():
-            raise MonoidError("element of a different ring")
-        residue = self._class_ctx.normalize(elt.payload)
+    def class_of(self, a):
+        """Collapse a nonzero normalized payload of ctx to its truncation
+        class payload, memoized on its residue mod m^(n + V - 1); a zero
+        residue is BOTTOM."""
+        residue = self._class_ctx.normalize(a)
         if self._class_ctx.is_zero(residue):
-            if elt.is_zero():
+            if self.ctx.is_zero(a):
                 raise MonoidError("zero has no truncation class")
             return BOTTOM
         cls = self._classes.get(residue)
         if cls is None:
-            v = elt.valuation()
+            v = self.ctx.valuation(a)
             cls = self._classes[residue] = BOTTOM if v >= self.V else (
-                v, self.unit_ctx.normalize(self.ctx.unit_part(elt.payload, v)))
+                v, self.unit_ctx.normalize(self.ctx.unit_part(a, v)))
         return cls
 
-    def canonical_lift(self, payload) -> RingElement:
-        """The fixed lift of a class into the full-precision ring."""
+    def canonical_lift(self, payload):
+        """The fixed lift of a class: a normalized payload of ctx."""
         if payload == BOTTOM:
             raise MonoidError("BOTTOM has no canonical lift")
         v, unit = payload
-        return self.ctx.el(unit) * self.ctx.uniformizer() ** v
+        return (self.ctx.el(unit) * self.ctx.uniformizer() ** v).payload
 
     def class_precisions(self, v: int, N: int) -> tuple:
         """Entry k is the pi-adic precision of degree-k coefficients of [a]

@@ -15,7 +15,7 @@ additions on the same carrier.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .laws import MonoidAction, series_congruent
 from .lubin_tate import build_action, build_fgl, standard_datum
@@ -78,7 +78,7 @@ def recover_sum(action: MonoidAction, p1, p2):
         # no linear term: alpha vanishes mod pi^k, past any cap
         if alpha is None:
             return CAPPED
-        cls = monoid.class_of(model.ctx.el(alpha))
+        cls = monoid.class_of(alpha)
         if cls == BOTTOM:
             return CAPPED
         precisions = monoid.class_precisions(cls[0], model.trunc_degree)
@@ -110,7 +110,10 @@ class RecoveredRing:
     Rows and columns are the non-absorbing classes, listed once in sorted
     order as elements; the adjoined zero is implicit (0 + m = m).  Entries
     are class payloads, ADJOINED_ZERO, or CAPPED for sums escaping the
-    valuation window.  A table starts empty and is filled through put.
+    valuation window.  table and flags are parallel lists over ordered pairs
+    of class positions: slot i*|C| + j holds elements[i] + elements[j] and
+    its flag, or None when unflagged.  A table starts empty and is filled
+    through put.
 
     Two flag kinds keep the finite-level semantics honest.  "cap": the sum's
     valuation reaches the window, there is no class to return.  "precision":
@@ -120,34 +123,38 @@ class RecoveredRing:
     over unflagged entries, where class addition is independent of lifts.
     """
 
-    def __init__(self, monoid: PadicTruncationMonoid, provenance: str,
-                 action: MonoidAction | None = None):
+    def __init__(self, monoid: PadicTruncationMonoid, provenance: str):
         self.monoid = monoid
-        self.elements = sorted(
-            p for p in monoid.payloads() if p != BOTTOM
-        )
-        self.table: dict = {}
-        self.flags: dict = {}
+        self.elements = sorted(p for p in monoid.payloads() if p != BOTTOM)
+        self.position = {p: i for i, p in enumerate(self.elements)}
+        slots = len(self.elements) ** 2
+        self.table: list = [None] * slots
+        self.flags: list = [None] * slots
         self.provenance = provenance
-        self.action = action
+
+    def _slot(self, a, b) -> int:
+        return self.position[a] * len(self.elements) + self.position[b]
 
     def put(self, a, b, entry, flag=None):
         """Record a + b = b + a = entry, with its flag if it has one."""
-        self.table[(a, b)] = self.table[(b, a)] = entry
-        if flag is not None:
-            self.flags[(a, b)] = self.flags[(b, a)] = flag
+        for slot in (self._slot(a, b), self._slot(b, a)):
+            self.table[slot] = entry
+            self.flags[slot] = flag
 
     def add(self, a, b):
         if a == ADJOINED_ZERO:
             return b
         if b == ADJOINED_ZERO:
             return a
-        return self.table[(a, b)]
+        return self.table[self._slot(a, b)]
+
+    def flag(self, a, b):
+        """The pair's flag: "cap", "precision", or None."""
+        return self.flags[self._slot(a, b)]
 
     def entry_if_unflagged(self, a, b):
-        if (a, b) in self.flags:
-            return None
-        return self.table[(a, b)]
+        slot = self._slot(a, b)
+        return None if self.flags[slot] is not None else self.table[slot]
 
     def mul(self, a, b):
         if a == ADJOINED_ZERO or b == ADJOINED_ZERO:
@@ -155,20 +162,19 @@ class RecoveredRing:
         return self.monoid.mul(a, b)
 
     def flag_counts(self) -> dict:
-        out = {"cap": 0, "precision": 0}
-        for kind in self.flags.values():
-            out[kind] += 1
-        return out
+        """Flagged ordered pairs by kind."""
+        return {kind: self.flags.count(kind) for kind in ("cap", "precision")}
 
     def verify_ring_axioms(self) -> dict:
         """Commutativity, associativity, distributivity, zero neutrality on
         everything unflagged; cubic in the carrier size."""
         els = self.elements
+        size = len(els)
         checked = {"commutativity": 0, "associativity": 0, "distributivity": 0}
         skipped = {"associativity": 0, "distributivity": 0}
-        for a in els:
-            for b in els:
-                if self.table[(a, b)] != self.table[(b, a)]:
+        for i, a in enumerate(els):
+            for j, b in enumerate(els):
+                if self.table[i * size + j] != self.table[j * size + i]:
                     raise RecoveryError(f"table not symmetric at ({a}, {b})")
                 checked["commutativity"] += 1
         for a in els:
@@ -224,15 +230,11 @@ class RecoveredRing:
 
     def to_json(self) -> dict:
         label = self.monoid.label
-        rows = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                cell = entry_label(self.monoid, self.table[(a, b)])
-                if self.flags.get((a, b)) == "precision":
-                    cell = cell + "?"
-                row.append(cell)
-            rows.append({"element": label(a), "sums": row})
+        cells = [entry_label(self.monoid, e) + ("?" if f == "precision" else "")
+                 for e, f in zip(self.table, self.flags)]
+        size = len(self.elements)
+        rows = [{"element": label(a), "sums": cells[i * size:(i + 1) * size]}
+                for i, a in enumerate(self.elements)]
         return {
             "monoid": self.monoid.descriptor(),
             "elements": [label(a) for a in self.elements],
@@ -251,7 +253,7 @@ def _native_sum(monoid: PadicTruncationMonoid, a, b, sa, sb):
     s = ctx.add(sa, sb)
     if ctx.is_zero(s):
         return ADJOINED_ZERO, "cap"
-    entry = monoid.class_of(ctx.el(s))
+    entry = monoid.class_of(s)
     if entry == BOTTOM:
         return CAPPED, "cap"
     if entry[0] > min(a[0], b[0]):
@@ -269,9 +271,9 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
-    ring = RecoveredRing(monoid, "recovered", action)
+    ring = RecoveredRing(monoid, "recovered")
     els = ring.elements
-    lifts = {p: monoid.canonical_lift(p).payload for p in els}
+    lifts = {p: monoid.canonical_lift(p) for p in els}
     for ia, a in enumerate(els):
         for b in els[ia:]:
             entry = recover_sum(action, a, b)
@@ -287,7 +289,8 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
 
 def transport_structure(iso: MonoidMorphism, ring2: RecoveredRing) -> RecoveredRing:
     """Addition pulled back along a multiplicative isomorphism:
-    a +' b = iso_inv(iso(a) + iso(b)).  Multiplication is untouched."""
+    a +' b = iso_inv(iso(a) + iso(b)), read off ring2 through the
+    permutation of class positions.  Multiplication is untouched."""
     if iso.target.key() != ring2.monoid.key():
         raise RecoveryError("isomorphism target does not carry the given table")
     fwd = iso.table
@@ -296,12 +299,10 @@ def transport_structure(iso: MonoidMorphism, ring2: RecoveredRing) -> RecoveredR
     inv = {b: a for a, b in fwd.items()}
     inv[CAPPED], inv[ADJOINED_ZERO] = CAPPED, ADJOINED_ZERO  # not classes
     ring = RecoveredRing(iso.source, "transported")
-    els = ring.elements
-    for ia, a in enumerate(els):
-        fa = fwd[a]
-        for b in els[ia:]:
-            fpair = (fa, fwd[b])
-            ring.put(a, b, inv[ring2.table[fpair]], ring2.flags.get(fpair))
+    perm = [ring2.position[fwd[a]] for a in ring.elements]
+    size = len(perm)
+    ring.table = [inv[ring2.table[i * size + j]] for i in perm for j in perm]
+    ring.flags = [ring2.flags[i * size + j] for i in perm for j in perm]
     return ring
 
 
@@ -319,14 +320,7 @@ class VariantOutcome:
     sample: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "twist": list(self.twist),
-            "agreements": self.agreements,
-            "disagreements": self.disagreements,
-            "flag_mismatches": self.flag_mismatches,
-            "both_flagged": self.both_flagged,
-            "sample": self.sample,
-        }
+        return {**asdict(self), "twist": list(self.twist)}
 
 
 @dataclass
@@ -365,24 +359,26 @@ class VariationReport:
         }
 
 
-def _compare_tables(native: RecoveredRing, transported: RecoveredRing,
-                    sample_size: int = 10) -> VariantOutcome:
+def _compare_tables(native: RecoveredRing,
+                    transported: RecoveredRing) -> VariantOutcome:
     """Pairs flagged on one side only count as flag mismatches; pairs flagged
     on both sides are set aside (their entries are lift artifacts on both
     carriers).  Unflagged pairs compare entry by entry."""
     m1 = native.monoid
     els = native.elements
+    size = len(els)
     agreements = disagreements = flag_mismatches = both_flagged = 0
     sample = []
-    for ia, a in enumerate(els):
-        for b in els[ia:]:
-            f1 = native.flags.get((a, b))
-            f2 = transported.flags.get((a, b))
+    for i, a in enumerate(els):
+        for j in range(i, size):
+            slot = i * size + j
+            f1 = native.flags[slot]
+            f2 = transported.flags[slot]
             if f1 is not None and f2 is not None:
                 both_flagged += 1
                 continue
-            e1 = native.table[(a, b)]
-            e2 = transported.table[(a, b)]
+            e1 = native.table[slot]
+            e2 = transported.table[slot]
             if f1 is None and f2 is None:
                 if e1 == e2:
                     agreements += 1
@@ -392,11 +388,11 @@ def _compare_tables(native: RecoveredRing, transported: RecoveredRing,
             else:
                 flag_mismatches += 1
                 kind = "flag"
-            if len(sample) < sample_size:
+            if len(sample) < 10:
                 lbl = m1.label
                 sample.append(
                     {
-                        "pair": [lbl(a), lbl(b)],
+                        "pair": [lbl(a), lbl(els[j])],
                         "native": entry_label(m1, e1),
                         "transported": entry_label(m1, e2),
                         "kind": kind,
@@ -409,7 +405,7 @@ def _compare_tables(native: RecoveredRing, transported: RecoveredRing,
 
 def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
                    trunc_degree: int = 2, precision: int | None = None,
-                   variants: int = 3, verify_actions: bool = True) -> VariationReport:
+                   variants: int = 3) -> VariationReport:
     """Two ramified extensions, one multiplicative monoid, two additions.
 
     Pipeline: truncation monoids for both rings; generator-matched
@@ -431,13 +427,12 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     law2 = build_fgl(d2, trunc_degree)
     a1 = build_action(d1, law1, monoid=m1)
     a2 = build_action(d2, law2, monoid=m2)
-    if verify_actions:
-        for act in (a1, a2):
-            rep = act.verify()
-            if not rep.ok:
-                raise RecoveryError(
-                    f"action verification failed: {rep.violations[0].to_json()}"
-                )
+    for act in (a1, a2):
+        rep = act.verify()
+        if not rep.ok:
+            raise RecoveryError(
+                f"action verification failed: {rep.violations[0].to_json()}"
+            )
     r1 = build_addition_table(a1)
     r2 = build_addition_table(a2)
     report = VariationReport(

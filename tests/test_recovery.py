@@ -80,12 +80,12 @@ def _trunc_ring(n=2, V=3, degree=4, precision=8):
 def test_trunc_table_against_native_classes():
     ring, action, monoid, Z5 = _trunc_ring()
     # every entry doubles as an assertion inside the builder; freeze a few
-    assert ring.table[((0, 2), (0, 3))] == (1, 1)
-    assert ring.flags[((0, 2), (0, 3))] == "precision"
-    assert ring.table[((0, 2), (0, 2))] == (0, 4)
-    assert ((0, 2), (0, 2)) not in ring.flags
-    assert ring.table[((2, 1), (2, 4))] == CAPPED  # 25 + 100 = 125
-    assert ring.flags[((2, 1), (2, 4))] == "cap"
+    assert ring.add((0, 2), (0, 3)) == (1, 1)
+    assert ring.flag((0, 2), (0, 3)) == "precision"
+    assert ring.add((0, 2), (0, 2)) == (0, 4)
+    assert ring.flag((0, 2), (0, 2)) is None
+    assert ring.add((2, 1), (2, 4)) == CAPPED  # 25 + 100 = 125
+    assert ring.flag((2, 1), (2, 4)) == "cap"
     assert ring.flag_counts() == {"cap": 120, "precision": 180}
 
 
@@ -96,25 +96,26 @@ def test_trunc_single_sums_match_table():
     pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(25)]
     # the random pairs seldom leave the window, so add every cap-flagged one;
     # a capped sum comes back as CAPPED, as the table stores it
-    pairs += [pair for pair, kind in ring.flags.items() if kind == "cap"]
+    pairs += [(a, b) for a in elements for b in elements if ring.flag(a, b) == "cap"]
     for a, b in pairs:
         entry = recover_sum(action, monoid.check_payload(a), monoid.check_payload(b))
-        assert entry == ring.table[(a, b)]
+        assert entry == ring.add(a, b)
     assert recover_sum(action, BOTTOM, elements[0]) == CAPPED
 
 
 def test_unflagged_entries_are_lift_independent():
     ring, action, monoid, Z5 = _trunc_ring()
     rng = random.Random(61)
-    unflagged = [pair for pair in ring.table if pair not in ring.flags]
+    els = ring.elements
+    unflagged = [(a, b) for a in els for b in els if ring.flag(a, b) is None]
     for pair in rng.sample(unflagged, 60):
         (va, ua), (vb, ub) = pair
-        want = ring.table[pair]
+        want = ring.add(*pair)
         for _ in range(4):
             # any lifts of the classes, not only the canonical ones
             la = 5**va * (ua + 25 * rng.randrange(0, 5**4))
             lb = 5**vb * (ub + 25 * rng.randrange(0, 5**4))
-            s = Z5.el(Z5.normalize(la + lb))
+            s = Z5.normalize(la + lb)
             assert monoid.class_of(s) == want
 
 
@@ -122,8 +123,8 @@ def test_precision_flagged_entries_depend_on_lifts():
     # 2 + 3 = 5 for the canonical lifts, but 2 + (3 + 25) = 30 lands in a
     # different class; the table keeps the canonical entry and flags it
     ring, action, monoid, Z5 = _trunc_ring()
-    assert monoid.class_of(Z5.el(Z5.normalize(5))) == (1, 1)
-    assert monoid.class_of(Z5.el(Z5.normalize(30))) == (1, 6)
+    assert monoid.class_of(Z5.normalize(5)) == (1, 1)
+    assert monoid.class_of(Z5.normalize(30)) == (1, 6)
 
 
 def test_ring_axioms_hold_on_unflagged_entries():
@@ -160,12 +161,35 @@ def test_transport_preserves_structure_along_isomorphism():
     iso.verify()
     moved = transport_structure(iso, r2)
     assert moved.monoid.key() == m1.key()
-    assert set(moved.table) == {
-        (a, b) for a in m1.payloads() for b in m1.payloads()
-        if a != BOTTOM and b != BOTTOM
-    }
+    classes = [p for p in m1.payloads() if p != BOTTOM]
+    assert moved.elements == sorted(classes)
+    assert len(moved.table) == len(moved.flags) == len(classes) ** 2
+    assert None not in moved.table  # every slot filled
     # multiplicativity of the matching means flags transport along entries
     assert sorted(moved.flag_counts().items()) == sorted(r2.flag_counts().items())
+
+
+def test_transport_matches_per_pair_oracle_on_a_twist():
+    from fgl.rings import EisensteinExtension
+
+    E1 = EisensteinExtension(5, 7, (-5, 0, 1))
+    E2 = EisensteinExtension(5, 7, (-10, 0, 1))
+    m1 = padic_truncation_of(E1, 2, 2)
+    m2 = padic_truncation_of(E2, 2, 2)
+    d2 = standard_datum(E2)
+    r2 = build_addition_table(build_action(d2, build_fgl(d2, 2), monoid=m2))
+    variants = unit_isomorphism_variants(m1, m2, count=3)
+    twisted = [iso for powers, iso in variants if powers != (1,)]
+    assert twisted
+    for iso in twisted:
+        fwd = iso.table
+        inv = {b: a for a, b in fwd.items()}
+        inv[CAPPED], inv[ADJOINED_ZERO] = CAPPED, ADJOINED_ZERO
+        moved = transport_structure(iso, r2)
+        for a in moved.elements:
+            for b in moved.elements:
+                assert moved.add(a, b) == inv[r2.add(fwd[a], fwd[b])]
+                assert moved.flag(a, b) == r2.flag(fwd[a], fwd[b])
 
 
 def test_variation_demo_shallow_depth():
