@@ -30,8 +30,8 @@ from .lubin_tate import (
     multiplicative_datum,
     standard_datum,
 )
-from .monoids import (MonoidError, monoid_from_descriptor, padic_truncation_of,
-                      truncation_size)
+from .monoids import (MonoidError, PadicTruncationMonoid, monoid_from_descriptor,
+                      padic_truncation_of, truncation_size)
 from .parsing import ParseError, parse_integer_polynomial, parse_series
 from .recovery import (
     NoMatch,
@@ -273,6 +273,9 @@ def _cmd_check(args) -> int:
             action = action_from_bundle(obj, require=False)
         except (KeyError, TypeError, ValueError, RingError, MonoidError) as exc:
             raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
+        monoid = action.monoid
+        if isinstance(monoid, PadicTruncationMonoid):
+            _check_carrier(monoid.ctx.p, monoid.n, monoid.V)
         axioms = action.law.report
         if not axioms.all_pass:
             raise _Failed("axioms", "law axioms fail", report=axioms.to_json())

@@ -347,22 +347,23 @@ def series_congruent(
     """First (exponent, delta) in graded-lex order where the series differ,
     else None.  With precisions, total degree k only needs to agree mod
     pi^precisions[k] (PadicTruncationMonoid.class_precisions)."""
+    t1, t2 = s1.terms, s2.terms
+    if t1 == t2:
+        return None
     ctx = s1.ctx
-    for exp in sorted(set(s1.terms) | set(s2.terms), key=grlex_key):
-        a = s1.terms.get(exp)
-        b = s2.terms.get(exp)
-        if a == b:
-            continue
-        # terms hold no zero coefficients, so a missing one is the zero
-        if b is None:
-            delta = a
-        elif a is None:
-            delta = ctx.neg(b)
-        else:
-            delta = ctx.add(a, ctx.neg(b))
-        if precisions is None or ctx.valuation(delta) < precisions[sum(exp)]:
-            return exp, ctx.fmt(delta)
-    return None
+    # terms hold no zero coefficients, so a missing one is the zero
+    differing = []
+    for exp, a in t1.items():
+        b = t2.get(exp)
+        if a != b:
+            differing.append((exp, a if b is None else ctx.add(a, ctx.neg(b))))
+    differing += [(exp, ctx.neg(b)) for exp, b in t2.items() if exp not in t1]
+    failing = [(grlex_key(exp), delta) for exp, delta in differing
+               if precisions is None or ctx.valuation(delta) < precisions[sum(exp)]]
+    if not failing:
+        return None
+    (_, exp), delta = min(failing, key=lambda t: t[0])
+    return exp, ctx.fmt(delta)
 
 
 @dataclass

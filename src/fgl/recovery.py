@@ -166,8 +166,9 @@ class RecoveredRing:
         return {kind: self.flags.count(kind) for kind in ("cap", "precision")}
 
     def verify_ring_axioms(self) -> dict:
-        """Commutativity, associativity, distributivity, zero neutrality on
-        everything unflagged; cubic in the carrier size."""
+        """Commutativity, associativity and distributivity on everything
+        unflagged; cubic in the carrier size.  Zero neutrality holds by
+        construction: add returns the other operand of the adjoined zero."""
         els = self.elements
         size = len(els)
         checked = {"commutativity": 0, "associativity": 0, "distributivity": 0}
@@ -177,9 +178,6 @@ class RecoveredRing:
                 if self.table[i * size + j] != self.table[j * size + i]:
                     raise RecoveryError(f"table not symmetric at ({a}, {b})")
                 checked["commutativity"] += 1
-        for a in els:
-            if self.add(ADJOINED_ZERO, a) != a:
-                raise RecoveryError(f"zero is not neutral at {a}")
         for a in els:
             for b in els:
                 ab = self.entry_if_unflagged(a, b)

@@ -457,6 +457,52 @@ class EisensteinExtension(PadicRing):
         self.coef_prec = tuple(max(0, -(-(k - i) // self.e)) for i in range(self.e))
         self.coef_mod = tuple(p**c for c in self.coef_prec)
         self._field = None
+        if self.e == 2:
+            (self.mul, self.add, self.neg, self.is_zero, self.valuation,
+             self.normalize) = self._quadratic_forms()
+
+    def _quadratic_forms(self) -> tuple:
+        """Closed forms of mul, add, neg, is_zero, valuation and normalize
+        for e = 2, where pi^2 = -(c1 pi + c0).  They agree with the generic
+        methods below, which every other e uses."""
+        p, k = self.p, self.k
+        c0, c1 = self.poly[0], self.poly[1]
+        m0, m1 = self.coef_mod
+
+        def mul(a, b):
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            return (a0 * b0 - t * c0) % m0, (a0 * b1 + a1 * b0 - t * c1) % m1
+
+        def add(a, b):
+            return (a[0] + b[0]) % m0, (a[1] + b[1]) % m1
+
+        def neg(a):
+            return -a[0] % m0, -a[1] % m1
+
+        def is_zero(a):
+            return a[0] == 0 and a[1] == 0
+
+        def valuation(a):
+            a0, a1 = a
+            if a0 % p:
+                return 0
+            if not (a0 or a1):
+                return math.inf
+            v = k
+            if a0:
+                v = min(v, 2 * _vp(a0, p))
+            if a1:
+                v = min(v, 2 * _vp(a1, p) + 1)
+            return v
+
+        def normalize(payload):
+            if type(payload) is tuple and len(payload) == 2:
+                return payload[0] % m0, payload[1] % m1
+            return EisensteinExtension.normalize(self, payload)
+
+        return mul, add, neg, is_zero, valuation, normalize
 
     def normalize(self, payload):
         if isinstance(payload, int):

@@ -108,9 +108,12 @@ class TruncatedSeries:
         return s
 
     def _fresh(self, terms=None) -> "TruncatedSeries":
-        s = TruncatedSeries(self.ctx, self.variables, self.trunc_degree)
-        if terms:
-            s.terms = terms
+        """A series over this one's ring, variables and degree holding terms,
+        which the caller vouches for: normalized, nonzero and within the
+        degree.  Kernel results are built here without __init__'s checks."""
+        s = object.__new__(TruncatedSeries)
+        s.ctx, s.variables, s.trunc_degree = self.ctx, self.variables, self.trunc_degree
+        s.terms = terms or {}
         return s
 
     def _check_compatible(self, other: "TruncatedSeries"):
@@ -339,9 +342,8 @@ class TruncatedSeries:
             for e, v in piece.items():
                 v = mul(c, v)
                 acc[e] = add(acc[e], v) if e in acc else v
-        out = TruncatedSeries(ctx, model.variables, N)
-        out.terms = {e: v for e, v in acc.items() if not ctx.is_zero(v)}
-        return out
+        is_zero = ctx.is_zero
+        return model._fresh({e: v for e, v in acc.items() if not is_zero(v)})
 
     def substitute_single(self, target: "TruncatedSeries") -> "TruncatedSeries":
         """Composition for one-variable series: self(target)."""

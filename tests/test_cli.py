@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -416,3 +417,25 @@ def test_carrier_budget_leaves_admitted_carriers_to_the_monoid(capsys, monkeypat
         "t^2-10", "--n", n, "--V", V, "--precision", "5",
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# A truncation bundle over Z_5 whose monoid descriptor says n = 6, V = 3.
+# Its endomorphisms are those of the n = 1, V = 2 carrier, and the linear
+# coefficient of x in F is 2, so a run the budget admits stops at the law
+# axioms, before any work on the carrier.
+OVER_BUDGET = Path(__file__).resolve().parent / "golden" / "check-over-budget.json"
+
+
+def test_check_refuses_an_oversized_truncation_bundle(capsys, monkeypatch):
+    monkeypatch.delenv("FGL_BUDGET", raising=False)
+    code, out, err = run(capsys, "check", "--bundle", str(OVER_BUDGET))
+    assert (code, out) == (2, "")
+    assert err == ("error: carrier of 37501 elements above cap 2000; "
+                   "set FGL_BUDGET to raise it\n")
+
+
+def test_fgl_budget_admits_an_oversized_truncation_bundle(capsys, monkeypatch):
+    monkeypatch.setenv("FGL_BUDGET", "19")
+    code, out, err = run(capsys, "check", "--bundle", str(OVER_BUDGET), "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["kind"] == "axioms"

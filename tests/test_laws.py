@@ -1,9 +1,12 @@
+import itertools
 import math
 import random
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgl.laws import (
     FglEndomorphism,
@@ -18,9 +21,10 @@ from fgl.laws import (
     formal_inverse,
     from_logarithm,
     logarithm,
+    series_congruent,
 )
 from fgl.monoids import FreeCommutativeMonoid, RingSubsetMonoid
-from fgl.rings import PadicIntegers, RationalField
+from fgl.rings import EisensteinExtension, PadicIntegers, RationalField, grlex_key
 from fgl.series import TruncatedSeries
 
 Q = RationalField()
@@ -193,3 +197,51 @@ def test_action_bundle_round_trip():
     assert again.to_bundle() == bundle
     m2 = M.check_payload((2,))
     assert again.endo_for(m2).series == action.endo_for(m2).series
+
+
+# ---------------------------------------------------------------------------
+# series_congruent against a sort-based reference
+
+
+def _congruent_by_sorting(s1, s2, precisions=None):
+    """Walk the union of both exponent sets in graded-lex order and return
+    the first monomial that fails, with its delta as text."""
+    ctx = s1.ctx
+    for exp in sorted(set(s1.terms) | set(s2.terms), key=grlex_key):
+        zero = ctx.normalize(0)
+        delta = ctx.add(s1.terms.get(exp, zero), ctx.neg(s2.terms.get(exp, zero)))
+        if ctx.is_zero(delta):
+            continue
+        if precisions is None or ctx.valuation(delta) < precisions[sum(exp)]:
+            return exp, ctx.fmt(delta)
+    return None
+
+
+E = EisensteinExtension(5, 6, (-5, 0, 1))
+# coefficients a + b*pi scaled by p^j, so that deltas of every valuation occur
+_COEFF = st.builds(lambda a, b, j: (a * 5**j, b * 5**j),
+                   st.integers(-30, 30), st.integers(-30, 30), st.integers(0, 3))
+
+
+@st.composite
+def congruence_cases(draw):
+    width, N = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    exps = [e for e in itertools.product(range(N + 1), repeat=width) if sum(e) <= N]
+    variables = ("x", "y", "z")[:width]
+
+    def series():
+        terms = draw(st.dictionaries(st.sampled_from(exps), _COEFF, max_size=8))
+        return TruncatedSeries(E, variables, N, terms)
+
+    s1 = series()
+    s2 = s1 + series()  # equal where the perturbation has no term
+    precisions = draw(st.none() | st.tuples(*[st.integers(0, E.k)] * (N + 1)))
+    return s1, s2, precisions
+
+
+@settings(max_examples=200, deadline=None)
+@given(congruence_cases())
+def test_series_congruent_matches_the_sorted_walk(case):
+    s1, s2, precisions = case
+    for a, b in ((s1, s2), (s2, s1), (s1, s1)):
+        assert series_congruent(a, b, precisions) == _congruent_by_sorting(a, b, precisions)

@@ -16,6 +16,8 @@ from fgl.recovery import (
     ADJOINED_ZERO,
     CAPPED,
     NoMatch,
+    RecoveredRing,
+    RecoveryError,
     build_addition_table,
     recover_sum,
     transport_structure,
@@ -136,6 +138,31 @@ def test_ring_axioms_hold_on_unflagged_entries():
     # checks skipped exactly where a flagged entry enters the identity
     assert report["skipped"]["associativity"] == 45000
     assert report["skipped"]["distributivity"] == 116000
+
+
+def _copy(ring):
+    planted = RecoveredRing(ring.monoid, ring.provenance)
+    planted.table[:], planted.flags[:] = ring.table, ring.flags
+    return planted
+
+
+def test_ring_axiom_check_catches_planted_faults():
+    ring, *_ = _trunc_ring(n=2, V=2)
+    ring.verify_ring_axioms()
+    # one slot of an ordered pair changed, its mirror left alone
+    asymmetric = _copy(ring)
+    slot = ring.position[(0, 1)] * len(ring.elements) + ring.position[(0, 2)]
+    asymmetric.table[slot] = (0, 4)
+    with pytest.raises(RecoveryError, match="not symmetric"):
+        asymmetric.verify_ring_axioms()
+    # 1 + 2 = 4 in both orders, still unflagged: then (1 + 2) + 4 = 8 but
+    # 1 + (2 + 4) = 7, through unflagged entries only
+    assert ring.flag((0, 1), (0, 2)) is None
+    broken = _copy(ring)
+    broken.put((0, 1), (0, 2), (0, 4))
+    with pytest.raises(RecoveryError,
+                       match=r"associativity fails at \(\(0, 1\), \(0, 2\), \(0, 4\)\)"):
+        broken.verify_ring_axioms()
 
 
 def test_table_json_marks_flags():

@@ -238,3 +238,61 @@ def test_residue_ring_units(n):
         for u in units:
             assert R.valuation(u) == 0
             assert R.mul(u, R.invert(u)) == R.int_payload(1)
+
+
+# ---------------------------------------------------------------------------
+# e = 2 closed forms against the generic code
+
+
+QUADRATIC_OPS = ("mul", "add", "neg", "is_zero", "valuation", "normalize")
+
+
+def _generic(ctx, op):
+    """The generic method, which every e other than 2 runs."""
+    return getattr(EisensteinExtension, op).__get__(ctx)
+
+
+# coefficients of every valuation, zero included, past the moduli and negative
+_coefficient = st.builds(lambda u, j: u * 5**j, st.integers(-5**4, 5**4),
+                         st.integers(0, 9))
+
+
+@st.composite
+def quadratic_cases(draw):
+    poly = draw(st.sampled_from([(-5, 0, 1), (-10, 0, 1)]))
+    ctx = EisensteinExtension(5, draw(st.integers(1, 9)), poly)
+    raw = st.tuples(_coefficient, _coefficient)
+    return ctx, draw(raw), draw(raw)
+
+
+@ORACLE
+@given(quadratic_cases())
+def test_quadratic_closed_forms_match_the_generic_code(case):
+    ctx, a_raw, b_raw = case
+    assert set(QUADRATIC_OPS) <= vars(ctx).keys()  # bound at construction
+    for raw in (a_raw, list(a_raw), a_raw[0], a_raw + (7,)):
+        assert ctx.normalize(raw) == _generic(ctx, "normalize")(raw)
+    a, b = ctx.normalize(a_raw), ctx.normalize(b_raw)
+    for op in ("mul", "add"):
+        assert getattr(ctx, op)(a, b) == _generic(ctx, op)(a, b)
+    for x in (a, b, ctx.mul(a, b)):
+        for op in ("neg", "is_zero", "valuation"):
+            assert getattr(ctx, op)(x) == _generic(ctx, op)(x)
+
+
+@st.composite
+def eisenstein_cases(draw):
+    poly = draw(st.sampled_from([(-5, 0, 1), (-10, 0, 1), (-5, 0, 0, 1)]))
+    ctx = EisensteinExtension(5, draw(st.integers(1, 9)), poly)
+    raw = st.tuples(*[_coefficient] * ctx.e)
+    return ctx, ctx.normalize(draw(raw)), ctx.normalize(draw(raw))
+
+
+@ORACLE
+@given(eisenstein_cases())
+def test_eisenstein_product_matches_the_fraction_field(case):
+    ctx, a, b = case
+    if ctx.e != 2:
+        assert not set(QUADRATIC_OPS) & vars(ctx).keys()  # generic path
+    field = ctx.fraction_field()
+    assert ctx.mul(a, b) == ctx.from_field(field.mul(ctx.lift(a), ctx.lift(b)))
