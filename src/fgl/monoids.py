@@ -256,7 +256,7 @@ class PadicTruncationMonoid(Monoid):
         self._class_ctx = ctx.residue_ring(n + V - 1)
         self._units = None
         self._unit_group = None
-        self._products = None
+        self._products: dict = {}  # unit -> its row of products
         self._classes: dict = {}
         self._precisions: dict = {}
 
@@ -294,16 +294,20 @@ class PadicTruncationMonoid(Monoid):
         v = a[0] + b[0]
         if v >= self.V:
             return BOTTOM
-        if self._products is None:
-            self._products = self._unit_products()
-        return (v, self._products[a[1]][b[1]])
+        try:
+            row = self._products[a[1]]
+        except KeyError:
+            row = self._products[a[1]] = self._unit_row(a[1])
+        return (v, row[b[1]])
 
-    def _unit_products(self) -> dict:
-        """products[u][w] = u*w, read off the discrete-log table: exponent
-        vectors add mod the invariant factors."""
+    def _unit_row(self, u) -> dict:
+        """u*w for every unit w, read off the discrete-log table: exponent
+        vectors add mod the invariant factors.  mul builds each row on its
+        first use, so a caller pays for the rows it reads, not all |U|^2."""
         g = self.unit_group
-        return {u: {w: g.unit_of[tuple((x + y) % d for x, y, d in zip(eu, ew, g.factors))]
-                    for w, ew in g.dlog.items()} for u, eu in g.dlog.items()}
+        eu = g.dlog[u]
+        return {w: g.unit_of[tuple((x + y) % d for x, y, d in zip(eu, ew, g.factors))]
+                for w, ew in g.dlog.items()}
 
     def payloads(self):
         out = []

@@ -14,21 +14,38 @@ builds a power table [1, s, s^2, ...]: substitution, reversion, inversion
 and integer powers all read their powers from it, and a caller that
 composes into the same series many times keeps its table and passes it to
 substitute_powers.
+
+Over Q the kernel runs on integers wherever products add up, as FLINT's
+fmpq_poly does: each operand is cleared once into integer numerators over
+the lcm of its denominators, the pair loop multiplies and adds ints, and
+each output coefficient becomes one Fraction.  A product with a one-term
+factor, or a composition that substitutes only monomials, adds nothing up
+and stays on Fractions, as every other ring stays on its payloads; outside
+the kernel, payloads over Q are Fractions as everywhere else.
 """
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
+from math import lcm, prod
+from typing import NamedTuple
 
-from .rings import RingContext, RingElement, RingError, grlex_key
+from .rings import RationalField, RingContext, RingElement, RingError, grlex_key
 
 
 class SeriesError(RingError):
     pass
 
 
-def _pair_products(ctx: RingContext, N: int, a: dict, b: dict) -> dict:
-    """The truncated product of two term dicts: the sum of a[ea] * b[eb] at
-    ea + eb over every pair of terms whose total degree stays <= N, zeros
+# ea + eb by width (one to three variables), far cheaper than tuple(map(...))
+_ADD_EXPONENTS = (None, lambda a, b: (a[0] + b[0],),
+                  lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                  lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]))
+
+
+def _pair_products(N: int, a: dict, b: dict, mul, add) -> dict:
+    """The truncated product of two term dicts: the sum of mul(a[ea], b[eb])
+    at ea + eb over every pair of terms whose total degree stays <= N, zeros
     not yet dropped.  This is the only loop over pairs of terms; b is
     bucketed by degree so pairs past N are never formed."""
     by_degree: list = [[] for _ in range(N + 1)]
@@ -36,15 +53,29 @@ def _pair_products(ctx: RingContext, N: int, a: dict, b: dict) -> dict:
         d = sum(eb)
         if d <= N:
             by_degree[d].append((eb, cb))
-    mul, add, plus = ctx.mul, ctx.add, operator.add
+    plus = _ADD_EXPONENTS[len(next(iter(b), ()))]
     acc: dict = {}
     for ea, ca in a.items():
         for bucket in by_degree[:max(0, N + 1 - sum(ea))]:
             for eb, cb in bucket:
-                e = tuple(map(plus, ea, eb))
+                e = plus(ea, eb)
                 c = mul(ca, cb)
                 acc[e] = add(acc[e], c) if e in acc else c
     return acc
+
+
+class _Cleared(NamedTuple):
+    """Rational terms as integer numerators over one denominator d; like a
+    series it keeps them in .terms, so the composition loop reads either."""
+    terms: dict
+    d: int
+
+
+def _cleared(terms: dict) -> _Cleared:
+    """terms over d, the lcm of their denominators."""
+    ratios = [c.as_integer_ratio() for c in terms.values()]
+    d = lcm(*[q for _, q in ratios])
+    return _Cleared({e: p * (d // q) for e, (p, q) in zip(terms, ratios)}, d)
 
 
 class TruncatedSeries:
@@ -162,15 +193,8 @@ class TruncatedSeries:
         ctx = self.ctx
         acc = dict(self.terms)
         for exp, c in other.terms.items():
-            if exp in acc:
-                s = ctx.add(acc[exp], c)
-                if ctx.is_zero(s):
-                    del acc[exp]
-                else:
-                    acc[exp] = s
-            else:
-                acc[exp] = c
-        return self._fresh(acc)
+            acc[exp] = ctx.add(acc[exp], c) if exp in acc else c
+        return self._fresh({e: c for e, c in acc.items() if not ctx.is_zero(c)})
 
     def __neg__(self):
         ctx = self.ctx
@@ -183,8 +207,14 @@ class TruncatedSeries:
         if isinstance(other, (int, RingElement)):
             return self.scale(other)
         self._check_compatible(other)
-        ctx = self.ctx
-        acc = _pair_products(ctx, self.trunc_degree, self.terms, other.terms)
+        ctx, N = self.ctx, self.trunc_degree
+        # integers pay where products add up; a one-term factor only rescales
+        if type(ctx) is RationalField and min(len(self.terms), len(other.terms)) > 1:
+            a, b = _cleared(self.terms), _cleared(other.terms)
+            acc = _pair_products(N, a.terms, b.terms, operator.mul, operator.add)
+            d = a.d * b.d
+            return self._fresh({e: Fraction(v, d) for e, v in acc.items() if v})
+        acc = _pair_products(N, self.terms, other.terms, ctx.mul, ctx.add)
         return self._fresh({e: c for e, c in acc.items() if not ctx.is_zero(c)})
 
     __rmul__ = __mul__
@@ -192,14 +222,9 @@ class TruncatedSeries:
     def scale(self, value) -> "TruncatedSeries":
         ctx = self.ctx
         payload = value.payload if isinstance(value, RingElement) else ctx.normalize(value)
-        if ctx.is_zero(payload):
-            return self._fresh()
-        acc = {}
-        for exp, c in self.terms.items():
-            p = ctx.mul(payload, c)
-            if not ctx.is_zero(p):
-                acc[exp] = p
-        return self._fresh(acc)
+        mul, is_zero = ctx.mul, ctx.is_zero
+        return self._fresh({e: p for e, c in self.terms.items()
+                            if not is_zero(p := mul(payload, c))})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -267,16 +292,10 @@ class TruncatedSeries:
         idx = self.variables.index(name)
         ctx = self.ctx
         out = TruncatedSeries(ctx, self.variables, self.trunc_degree)
-        for exp, c in self.terms.items():
+        for exp, c in self.terms.items():  # lowering one slot is injective
             e = exp[idx]
-            if e == 0:
-                continue
-            nexp = exp[:idx] + (e - 1,) + exp[idx + 1:]
-            p = ctx.mul(ctx.normalize(e), c)
-            if not ctx.is_zero(p):
-                if nexp in out.terms:
-                    p = ctx.add(out.terms[nexp], p)
-                out.terms[nexp] = p
+            if e and not ctx.is_zero(p := ctx.mul(ctx.normalize(e), c)):
+                out.terms[exp[:idx] + (e - 1,) + exp[idx + 1:]] = p
         return out
 
     # ---- composition ----------------------------------------------------
@@ -322,26 +341,42 @@ class TruncatedSeries:
         and each table must reach the largest exponent its variable carries
         in a term of degree <= N (None for a variable no such term uses).
         Each term c * x^i * y^j ... adds c times the product of the table
-        entries, the product formed by _pair_products."""
-        ctx = model.ctx
-        N = model.trunc_degree
-        mul, add = ctx.mul, ctx.add
+        entries, the product formed by _pair_products.
+
+        Over Q, unless every substituted series is a monomial, each table
+        entry read is cleared once and each term's coefficient is scaled to
+        L, the lcm of its piece's denominators, so the loop sums integers
+        and each output is one Fraction."""
+        ctx, N = model.ctx, model.trunc_degree
+        terms, mul, add = self.terms, ctx.mul, ctx.add
+        over_q = type(ctx) is RationalField and any(
+            t and len(t) > 1 and len(t[1].terms) > 1 for t in tables)
+        if over_q:
+            terms, dc = _cleared({x: c for x, c in terms.items() if sum(x) <= N})
+            tables = [{e: _cleared(t[e].terms) for e in {x[k] for x in terms} if e}
+                      for k, t in enumerate(tables)]
+            dens = {x: prod(t[e].d for t, e in zip(tables, x) if e) for x in terms}
+            L = lcm(*dens.values())
+            terms = {x: c * (L // dens[x]) for x, c in terms.items()}
+            mul, add = operator.mul, operator.add
         zero_exp = (0,) * len(model.variables)
         acc: dict = {}
-        for exp, c in self.terms.items():
+        for exp, c in terms.items():
             if sum(exp) > N:
                 continue  # lands beyond N
             piece = None
             for table, e in zip(tables, exp):
                 if e:
                     f = table[e].terms
-                    piece = f if piece is None else _pair_products(ctx, N, piece, f)
+                    piece = f if piece is None else _pair_products(N, piece, f, mul, add)
             if piece is None:
                 acc[zero_exp] = add(acc[zero_exp], c) if zero_exp in acc else c
                 continue
             for e, v in piece.items():
                 v = mul(c, v)
                 acc[e] = add(acc[e], v) if e in acc else v
+        if over_q:
+            return model._fresh({e: Fraction(v, dc * L) for e, v in acc.items() if v})
         is_zero = ctx.is_zero
         return model._fresh({e: v for e, v in acc.items() if not is_zero(v)})
 

@@ -4,14 +4,17 @@ The oracle below shares no code with fgl.series: it keeps a series as a dict
 from exponent tuples to RingElements and multiplies monomial by monomial with
 RingElement's own `*`, truncating at total degree N.  Substitution, powers,
 both inverses and the recovered addition table are checked against it over Q
-and over a ramified quadratic extension of Z_5.
+and over a ramified quadratic extension of Z_5.  Reversion over Q is also
+checked against sympy's, when sympy is installed.
 """
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fgl.laws import from_logarithm
 from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standard_datum
 from fgl.monoids import BOTTOM, padic_truncation_of
 from fgl.recovery import ADJOINED_ZERO, CAPPED, build_addition_table
@@ -210,3 +213,120 @@ def test_addition_table_matches_oracle_sums(make_action):
             expect = _oracle_substitute(F, [ea, eb])
             assert _oracle(action.law.plus(ea, eb)) == expect
             assert ring.add(a, b) == _oracle_class(action, expect)
+
+
+# ---------------------------------------------------------------------------
+# Q on integer numerators: large coprime denominators, exact cancellation
+
+BIG_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+@st.composite
+def _big_series(draw, width, N, constant=True):
+    exps = [e for e in _exponents(width, N) if constant or sum(e)]
+    chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=6, unique=True))
+    coefficient = st.builds(Fraction, st.integers(-10**40, 10**40).filter(bool),
+                            st.sampled_from((1,) + BIG_PRIMES))
+    return TruncatedSeries(Q, NAMES[:width], N, {e: draw(coefficient) for e in chosen})
+
+
+def _assert_exact(series, expect):
+    """Equal to the oracle, no zero or non-Fraction coefficient stored, and
+    unchanged by a JSON round trip."""
+    assert _oracle(series) == expect
+    assert all(type(c) is Fraction and c for c in series.terms.values())
+    again = TruncatedSeries.from_json(series.to_json())
+    assert again == series and again.to_json() == series.to_json()
+
+
+def _divides(e, m):
+    return all(x <= y for x, y in zip(e, m))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_q_products_with_large_denominators_and_cancellation(data):
+    width = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(1, 4))
+    a, b = data.draw(_big_series(width, N)), data.draw(_big_series(width, N))
+    full = _oracle_mul(_oracle(a), _oracle(b), N)
+    _assert_exact(a * b, full)
+    # b - (full[m] / a[ea]) * x^(m - ea) cancels the product's m coefficient
+    pairs = [(ea, m) for m in full for ea in a.terms if _divides(ea, m)]
+    if pairs:
+        ea, m = data.draw(st.sampled_from(pairs))
+        eb = tuple(y - x for x, y in zip(ea, m))
+        b = b - TruncatedSeries(Q, a.variables, N, {eb: full[m].payload / a.terms[ea]})
+        product = a * b
+        assert m not in product.terms
+        _assert_exact(product, _oracle_mul(_oracle(a), _oracle(b), N))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_q_compositions_with_large_denominators_and_cancellation(data):
+    width_f = data.draw(st.integers(1, 3))
+    width_args = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(1, 4 if width_args < 3 else 3))
+    f = data.draw(_big_series(width_f, N))
+    args = [data.draw(_big_series(width_args, N, constant=False)) for _ in range(width_f)]
+    assign = dict(zip(f.variables, args))
+    full = _oracle_substitute(f, args)
+    _assert_exact(f.substitute(assign), full)
+    # f - (full[m] / piece[m]) * x^t, piece the substituted monomial x^t,
+    # cancels the composite's m coefficient
+    pieces = {t: _oracle_substitute(TruncatedSeries(Q, f.variables, N, {t: 1}), args)
+              for t in f.terms}
+    choices = [(t, m) for m in full for t, piece in pieces.items() if m in piece]
+    if choices:
+        t, m = data.draw(st.sampled_from(choices))
+        shift = full[m].payload / pieces[t][m].payload
+        f = f - TruncatedSeries(Q, f.variables, N, {t: shift})
+        out = f.substitute(assign)
+        assert m not in out.terms
+        _assert_exact(out, _oracle_substitute(f, args))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_q_composition_that_cancels_entirely_stores_nothing(data):
+    width = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(1, 4 if width < 3 else 3))
+    g = data.draw(_big_series(1, N, constant=False))
+    h = data.draw(_big_series(width, N, constant=False))
+    # g(x) - g(y) at x = y = h
+    f = g.rename(("x",)).embed(("x", "y")) - g.rename(("y",)).embed(("x", "y"))
+    out = f.substitute({"x": h, "y": h})
+    assert out.terms == {}
+    assert out.to_json()["terms"] == []
+    _assert_exact(out, {})
+
+
+# ---------------------------------------------------------------------------
+# reversion over Q against sympy
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reversion_over_q_matches_sympy(seed):
+    ring_series = pytest.importorskip("sympy.polys.ring_series")
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    _, x, y = ring("x, y", QQ)
+
+    def sympy_reversion(f):
+        p = sum(QQ(c.numerator, c.denominator) * x**k for (k,), c in f.terms.items())
+        rev = ring_series.rs_series_reversion(p, x, f.trunc_degree + 1, y)
+        return {(k,): Fraction(c.numerator, c.denominator) for (_, k), c in rev.items()}
+
+    # seeded degree-8 logarithms as in criterion 1, and the same tails
+    # behind a linear coefficient other than 1
+    rng = random.Random(seed)
+    tail = {(k,): Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in range(2, 9)}
+    log = TruncatedSeries(Q, ("T",), 8, {(1,): 1, **tail})
+    slope = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+    f = TruncatedSeries(Q, ("T",), 8, {(1,): slope, **tail})
+
+    assert f.compositional_inverse().terms == sympy_reversion(f)
+    assert log.compositional_inverse().terms == sympy_reversion(log)
+    assert from_logarithm(log)[1].terms == sympy_reversion(log)

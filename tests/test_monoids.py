@@ -295,6 +295,20 @@ def test_unit_product_table_matches_ring_product(ctx, n):
     assert M.mul(BOTTOM, (0, units[0])) == BOTTOM
 
 
+def test_unit_product_rows_are_built_on_first_use():
+    # 500 units at n = 4: one product reads one row of the table, not all
+    # 250,000 entries
+    M = padic_truncation_of(PadicIntegers(5, 5), 4, 2)
+    units = M.unit_payloads()
+    assert len(units) == 500
+    assert M.mul((0, units[3]), (0, units[7])) == (0, M.unit_ctx.mul(units[3], units[7]))
+    assert list(M._products) == [units[3]]
+    assert len(M._products[units[3]]) == 500
+    assert M.mul((1, units[3]), (0, units[9])) == (1, M.unit_ctx.mul(units[3], units[9]))
+    assert M.mul((0, units[9]), (1, units[3])) == (1, M.unit_ctx.mul(units[9], units[3]))
+    assert list(M._products) == [units[3], units[9]]
+
+
 def _nonzero_residues(ctx, depth) -> list:
     """Every nonzero residue mod m^depth, as a payload of ctx."""
     R = ctx.residue_ring(depth)
