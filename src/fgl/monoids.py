@@ -258,6 +258,7 @@ class PadicTruncationMonoid(Monoid):
         self._unit_group = None
         self._products: dict = {}  # unit -> its row of products
         self._classes: dict = {}
+        self._lifts: dict = {}
         self._precisions: dict = {}
 
     def unit_payloads(self) -> list:
@@ -334,11 +335,16 @@ class PadicTruncationMonoid(Monoid):
         return cls
 
     def canonical_lift(self, payload):
-        """The fixed lift of a class: a normalized payload of ctx."""
-        if payload == BOTTOM:
-            raise MonoidError("BOTTOM has no canonical lift")
-        v, unit = payload
-        return (self.ctx.el(unit) * self.ctx.uniformizer() ** v).payload
+        """The fixed lift of a class: a normalized payload of ctx, memoized
+        per class."""
+        lift = self._lifts.get(payload)
+        if lift is None:
+            if payload == BOTTOM:
+                raise MonoidError("BOTTOM has no canonical lift")
+            v, unit = payload
+            lift = self._lifts[payload] = (
+                self.ctx.el(unit) * self.ctx.uniformizer() ** v).payload
+        return lift
 
     def class_precisions(self, v: int, N: int) -> tuple:
         """Entry k is the pi-adic precision of degree-k coefficients of [a]

@@ -1,12 +1,13 @@
 """Recovering addition on M-with-0 from a monoid action.
 
 For a strict action, [m1+m2](x) = F([m1](x), [m2](x)) determines the sum of
-two monoid elements from purely multiplicative data plus the law.  Over a
-truncation monoid this runs at class precision: the candidate class is read
-off the linear coefficient, then the full series is checked at a per-degree
-tolerance.  Sums whose valuation escapes the window come back as CAPPED
-rather than folded into the absorbing class; the adjoined zero is the exact
-series 0.
+two monoid elements from purely multiplicative data plus the law.  F is
+x + y plus terms of degree at least 2, so the linear coefficient of
+F([a], [b]) is the native sum of the lifts of a and b: that sum is the
+candidate, and the law confirms it by one series comparison, at class
+precision over a truncation monoid and exactly over a listed window.  Sums
+whose valuation escapes the window come back as CAPPED rather than folded
+into the absorbing class; the adjoined zero is the exact series 0.
 
 transport_structure moves a recovered addition table along a multiplicative
 isomorphism, which is how two rings sharing one monoid exhibit different
@@ -15,7 +16,9 @@ additions on the same carrier.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import product
 
 from .laws import MonoidAction, series_congruent
 from .lubin_tate import build_action, build_fgl, standard_datum
@@ -28,6 +31,7 @@ from .monoids import (
     unit_isomorphism_variants,
 )
 from .rings import EisensteinExtension, RingError
+from .series import TruncatedSeries
 
 
 class RecoveryError(RingError):
@@ -52,52 +56,77 @@ def entry_label(monoid, entry) -> str:
     return monoid.label(entry)
 
 
+def pair_flag(a, b, entry):
+    """The flag of a + b = entry on a truncation carrier: "cap", "precision"
+    or None.
+
+    "cap": the sum leaves the valuation window (or is the adjoined zero),
+    so there is no class to return.  "precision": the sum's valuation
+    exceeds both operands', so its class depends on the choice of lifts
+    inside the operand classes; the entry is the canonical-lift value,
+    recorded but not trusted.  Unflagged sums are independent of lifts."""
+    if entry == CAPPED or entry == ADJOINED_ZERO:
+        return "cap"
+    if entry[0] > min(a[0], b[0]):
+        return "precision"
+    return None
+
+
 def recover_sum(action: MonoidAction, p1, p2):
     """The carrier element whose endomorphism matches F([p1], [p2]).
 
     Returns a monoid payload, the adjoined zero, or CAPPED for a sum (or an
     absorbing operand) whose valuation reaches a truncation monoid's cap.
-    The candidate comes from the linear coefficient alone (injective per
-    class at working precision), so a second match cannot exist; the
-    full-series check then either confirms it or fails hard.  Over a
-    truncation monoid the check runs at the candidate's class precision.
+    The candidate is the native sum of the lifts (the canonical lifts of two
+    classes, or two listed elements), which is the linear coefficient of
+    F([p1], [p2]).  The law then confirms it: the full series must match
+    [candidate] at the candidate's class precision over a truncation
+    monoid, exactly over a window, and vanish exactly when the candidate is
+    the adjoined zero.  A mismatch is a hard error; a window sum that is
+    not listed raises NoMatch before any law work.
     """
     if p1 == ADJOINED_ZERO:
         return p2
     if p2 == ADJOINED_ZERO:
         return p1
-    monoid = action.monoid
     if p1 == BOTTOM or p2 == BOTTOM:
         return CAPPED
+    monoid = action.monoid
+    ctx = monoid.ctx
+    truncation = isinstance(monoid, PadicTruncationMonoid)
+    if truncation:
+        s = ctx.add(monoid.canonical_lift(p1), monoid.canonical_lift(p2))
+    elif isinstance(monoid, RingSubsetMonoid):
+        s = ctx.add(p1, p2)
+    else:
+        raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
     model = action.endo_for(p1).series
-    s = action.law.F.substitute_powers([action.powers(p1), action.powers(p2)], model)
-    if s.is_zero():
-        return ADJOINED_ZERO
-    alpha = s.terms.get((1,))
-    if isinstance(monoid, PadicTruncationMonoid):
-        # no linear term: alpha vanishes mod pi^k, past any cap
-        if alpha is None:
-            return CAPPED
-        cls = monoid.class_of(alpha)
-        if cls == BOTTOM:
-            return CAPPED
-        precisions = monoid.class_precisions(cls[0], model.trunc_degree)
-        bad = series_congruent(s, action.endo_for(cls).series, precisions)
-        if bad:
-            raise RecoveryError(
-                f"series mismatch at degree {sum(bad[0])} for candidate "
-                f"{monoid.label(cls)}; action not strict here?"
-            )
-        return cls
-    if isinstance(monoid, RingSubsetMonoid):
-        if alpha not in monoid.listed:
+    precisions = None
+    if ctx.is_zero(s):
+        candidate = ADJOINED_ZERO
+        target = TruncatedSeries.zero(ctx, model.variables, model.trunc_degree)
+    else:
+        if truncation:
+            candidate = monoid.class_of(s)
+            if candidate == BOTTOM:
+                return CAPPED
+            precisions = monoid.class_precisions(candidate[0], model.trunc_degree)
+        elif s in monoid.listed:
+            candidate = s
+        else:
             raise NoMatch("sum lies outside the listed window")
-        if action.endo_for(alpha).series != s:
-            raise RecoveryError(
-                f"full series of {monoid.label(alpha)} does not match the sum"
-            )
-        return alpha
-    raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
+        target = action.endo_for(candidate).series
+    law_sum = action.law.F.substitute_powers(
+        [action.powers(p1), action.powers(p2)], model
+    )
+    bad = series_congruent(law_sum, target, precisions)
+    if bad:
+        raise RecoveryError(
+            f"F([{monoid.label(p1)}], [{monoid.label(p2)}]) differs from "
+            f"[{entry_label(monoid, candidate)}] at degree {sum(bad[0])}; "
+            f"action not strict here?"
+        )
+    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -110,36 +139,32 @@ class RecoveredRing:
     Rows and columns are the non-absorbing classes, listed once in sorted
     order as elements; the adjoined zero is implicit (0 + m = m).  Entries
     are class payloads, ADJOINED_ZERO, or CAPPED for sums escaping the
-    valuation window.  table and flags are parallel lists over ordered pairs
-    of class positions: slot i*|C| + j holds elements[i] + elements[j] and
-    its flag, or None when unflagged.  A table starts empty and is filled
-    through put.
+    valuation window.  table is a list over ordered pairs of class
+    positions: slot i*|C| + j holds elements[i] + elements[j].  A table
+    starts empty and is filled through put.
 
-    Two flag kinds keep the finite-level semantics honest.  "cap": the sum's
-    valuation reaches the window, there is no class to return.  "precision":
-    the sum's valuation exceeds both operands', so its class depends on the
-    choice of lifts inside the operand classes; the stored entry is the
-    canonical-lift value, recorded but not trusted.  Axiom checks run only
-    over unflagged entries, where class addition is independent of lifts.
+    Each pair's flag is read off its entry by pair_flag.  Axiom checks run
+    only over unflagged entries, where class addition is independent of
+    lifts.
     """
 
     def __init__(self, monoid: PadicTruncationMonoid, provenance: str):
         self.monoid = monoid
         self.elements = sorted(p for p in monoid.payloads() if p != BOTTOM)
         self.position = {p: i for i, p in enumerate(self.elements)}
-        slots = len(self.elements) ** 2
-        self.table: list = [None] * slots
-        self.flags: list = [None] * slots
+        self.table: list = [None] * len(self.elements) ** 2
         self.provenance = provenance
 
     def _slot(self, a, b) -> int:
         return self.position[a] * len(self.elements) + self.position[b]
 
-    def put(self, a, b, entry, flag=None):
-        """Record a + b = b + a = entry, with its flag if it has one."""
-        for slot in (self._slot(a, b), self._slot(b, a)):
-            self.table[slot] = entry
-            self.flags[slot] = flag
+    def _entries(self):
+        """((a, b), entry) for every ordered pair, in slot order."""
+        return zip(product(self.elements, repeat=2), self.table)
+
+    def put(self, a, b, entry):
+        """Record a + b = b + a = entry."""
+        self.table[self._slot(a, b)] = self.table[self._slot(b, a)] = entry
 
     def add(self, a, b):
         if a == ADJOINED_ZERO:
@@ -150,47 +175,37 @@ class RecoveredRing:
 
     def flag(self, a, b):
         """The pair's flag: "cap", "precision", or None."""
-        return self.flags[self._slot(a, b)]
-
-    def entry_if_unflagged(self, a, b):
-        slot = self._slot(a, b)
-        return None if self.flags[slot] is not None else self.table[slot]
-
-    def mul(self, a, b):
-        if a == ADJOINED_ZERO or b == ADJOINED_ZERO:
-            return ADJOINED_ZERO
-        return self.monoid.mul(a, b)
+        return pair_flag(a, b, self.add(a, b))
 
     def flag_counts(self) -> dict:
         """Flagged ordered pairs by kind."""
-        return {kind: self.flags.count(kind) for kind in ("cap", "precision")}
+        counts = Counter(pair_flag(a, b, e) for (a, b), e in self._entries())
+        return {kind: counts[kind] for kind in ("cap", "precision")}
 
     def verify_ring_axioms(self) -> dict:
         """Commutativity, associativity and distributivity on everything
         unflagged; cubic in the carrier size.  Zero neutrality holds by
         construction: add returns the other operand of the adjoined zero."""
         els = self.elements
-        size = len(els)
         checked = {"commutativity": 0, "associativity": 0, "distributivity": 0}
         skipped = {"associativity": 0, "distributivity": 0}
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                if self.table[i * size + j] != self.table[j * size + i]:
-                    raise RecoveryError(f"table not symmetric at ({a}, {b})")
-                checked["commutativity"] += 1
+        unflagged = {}
+        for (a, b), e in self._entries():
+            if e != self.add(b, a):
+                raise RecoveryError(f"table not symmetric at ({a}, {b})")
+            checked["commutativity"] += 1
+            if pair_flag(a, b, e) is None:
+                unflagged[(a, b)] = e
         for a in els:
             for b in els:
-                ab = self.entry_if_unflagged(a, b)
-                if ab is None or ab == ADJOINED_ZERO:
+                ab = unflagged.get((a, b))
+                if ab is None:
                     skipped["associativity"] += len(els)
                     continue
                 for c in els:
-                    bc = self.entry_if_unflagged(b, c)
-                    if bc is None or bc == ADJOINED_ZERO:
-                        skipped["associativity"] += 1
-                        continue
-                    left = self.entry_if_unflagged(ab, c)
-                    right = self.entry_if_unflagged(a, bc)
+                    bc = unflagged.get((b, c))
+                    left = unflagged.get((ab, c))
+                    right = unflagged.get((a, bc))  # (a, None) is absent
                     if left is None or right is None:
                         skipped["associativity"] += 1
                         continue
@@ -206,17 +221,11 @@ class RecoveredRing:
                     skipped["distributivity"] += len(els)
                     continue
                 for b in els:
-                    s = self.entry_if_unflagged(a, b)
-                    mb = self.monoid.mul(m, b)
-                    if s is None or s == ADJOINED_ZERO or mb == BOTTOM:
-                        skipped["distributivity"] += 1
-                        continue
-                    ms = self.mul(m, s)
-                    if ms == BOTTOM:
-                        skipped["distributivity"] += 1
-                        continue
-                    other = self.entry_if_unflagged(ma, mb)
-                    if other is None:
+                    s = unflagged.get((a, b))
+                    ms = BOTTOM if s is None else self.monoid.mul(m, s)
+                    # (ma, BOTTOM) is absent: BOTTOM is not an element
+                    other = unflagged.get((ma, self.monoid.mul(m, b)))
+                    if ms == BOTTOM or other is None:
                         skipped["distributivity"] += 1
                         continue
                     if ms != other:
@@ -228,8 +237,9 @@ class RecoveredRing:
 
     def to_json(self) -> dict:
         label = self.monoid.label
-        cells = [entry_label(self.monoid, e) + ("?" if f == "precision" else "")
-                 for e, f in zip(self.table, self.flags)]
+        cells = [entry_label(self.monoid, e)
+                 + ("?" if pair_flag(a, b, e) == "precision" else "")
+                 for (a, b), e in self._entries()]
         size = len(self.elements)
         rows = [{"element": label(a), "sums": cells[i * size:(i + 1) * size]}
                 for i, a in enumerate(self.elements)]
@@ -242,53 +252,26 @@ class RecoveredRing:
         }
 
 
-def _native_sum(monoid: PadicTruncationMonoid, a, b, sa, sb):
-    """Native entry plus its flag, from the canonical lifts sa, sb of the
-    classes a, b.  The flag is a property of the classes: "cap" when the sum
-    leaves the window, "precision" when its valuation exceeds both operands'
-    (then the class of the sum depends on the lifts chosen)."""
-    ctx = monoid.ctx
-    s = ctx.add(sa, sb)
-    if ctx.is_zero(s):
-        return ADJOINED_ZERO, "cap"
-    entry = monoid.class_of(s)
-    if entry == BOTTOM:
-        return CAPPED, "cap"
-    if entry[0] > min(a[0], b[0]):
-        return entry, "precision"
-    return entry, None
-
-
 def build_addition_table(action: MonoidAction) -> RecoveredRing:
-    """Every pairwise sum through the law, with the native cross-check.
-
-    Each entry is recovered from the formal group, then asserted to agree
-    with native ring addition of the canonical lifts, classified the same
-    way.  Disagreement is a hard error: for a Lubin-Tate action the two
-    computations must coincide."""
+    """Every pairwise sum through recover_sum: the native sum of canonical
+    lifts, confirmed by the law at class precision.  A failed confirmation
+    is a hard error: for a Lubin-Tate action the two must coincide."""
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
     ring = RecoveredRing(monoid, "recovered")
     els = ring.elements
-    lifts = {p: monoid.canonical_lift(p) for p in els}
     for ia, a in enumerate(els):
         for b in els[ia:]:
-            entry = recover_sum(action, a, b)
-            native, flag = _native_sum(monoid, a, b, lifts[a], lifts[b])
-            if entry != native:
-                raise RecoveryError(
-                    f"recovered sum at ({monoid.label(a)}, {monoid.label(b)}) "
-                    f"disagrees with native addition"
-                )
-            ring.put(a, b, entry, flag)
+            ring.put(a, b, recover_sum(action, a, b))
     return ring
 
 
 def transport_structure(iso: MonoidMorphism, ring2: RecoveredRing) -> RecoveredRing:
     """Addition pulled back along a multiplicative isomorphism:
     a +' b = iso_inv(iso(a) + iso(b)), read off ring2 through the
-    permutation of class positions.  Multiplication is untouched."""
+    permutation of class positions.  Multiplication is untouched, and so are
+    flags: iso keeps valuations, so a pair's flag is ring2's at its image."""
     if iso.target.key() != ring2.monoid.key():
         raise RecoveryError("isomorphism target does not carry the given table")
     fwd = iso.table
@@ -300,7 +283,6 @@ def transport_structure(iso: MonoidMorphism, ring2: RecoveredRing) -> RecoveredR
     perm = [ring2.position[fwd[a]] for a in ring.elements]
     size = len(perm)
     ring.table = [inv[ring2.table[i * size + j]] for i in perm for j in perm]
-    ring.flags = [ring2.flags[i * size + j] for i in perm for j in perm]
     return ring
 
 
@@ -369,14 +351,14 @@ def _compare_tables(native: RecoveredRing,
     sample = []
     for i, a in enumerate(els):
         for j in range(i, size):
-            slot = i * size + j
-            f1 = native.flags[slot]
-            f2 = transported.flags[slot]
+            b, slot = els[j], i * size + j
+            e1 = native.table[slot]
+            e2 = transported.table[slot]
+            f1 = pair_flag(a, b, e1)
+            f2 = pair_flag(a, b, e2)
             if f1 is not None and f2 is not None:
                 both_flagged += 1
                 continue
-            e1 = native.table[slot]
-            e2 = transported.table[slot]
             if f1 is None and f2 is None:
                 if e1 == e2:
                     agreements += 1
@@ -390,7 +372,7 @@ def _compare_tables(native: RecoveredRing,
                 lbl = m1.label
                 sample.append(
                     {
-                        "pair": [lbl(a), lbl(els[j])],
+                        "pair": [lbl(a), lbl(b)],
                         "native": entry_label(m1, e1),
                         "transported": entry_label(m1, e2),
                         "kind": kind,

@@ -131,8 +131,9 @@ def test_criterion_4_recovered_addition_matches_native_ring():
     law = build_fgl(datum, 4)
     monoid = padic_truncation_of(Z5, 2, 3)
     action = build_action(datum, law, monoid=monoid)
-    # build_addition_table cross-checks every recovered entry against the
-    # native class of the sum and hard-errors on any disagreement
+    # build_addition_table takes each entry from the native sum of the
+    # canonical lifts and hard-errors unless the law confirms it at class
+    # precision
     ring = build_addition_table(action)
     report = ring.verify_ring_axioms()
     elapsed = time.time() - t0

@@ -101,6 +101,22 @@ def test_canonical_lift_round_trips():
         assert M.class_of(lift) == payload
 
 
+def test_canonical_lift_is_memoized_per_class():
+    # the cached lift is u * pi^v for every class, built once
+    for ctx in (PadicIntegers(5, 8), EisensteinExtension(5, 7, (-5, 0, 1))):
+        M = padic_truncation_of(ctx, 2, 3)
+        pi = ctx.uniformizer()
+        for payload in M.payloads():
+            if payload == BOTTOM:
+                continue
+            v, u = payload
+            lift = M.canonical_lift(payload)
+            assert lift == (ctx.el(u) * pi**v).payload
+            assert M.canonical_lift(payload) is lift
+        with pytest.raises(MonoidError, match="BOTTOM has no canonical lift"):
+            M.canonical_lift(BOTTOM)
+
+
 def test_class_precisions_profile():
     Z5 = PadicIntegers(5, 6)
     monoid = padic_truncation_of(Z5, 2, 3)

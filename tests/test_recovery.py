@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from fgl.laws import MonoidAction, endomorphism_from_logarithm, from_logarithm
+from fgl.laws import (
+    FglEndomorphism,
+    MonoidAction,
+    endomorphism_from_logarithm,
+    from_logarithm,
+)
 from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standard_datum
 from fgl.monoids import (
     BOTTOM,
@@ -70,6 +75,37 @@ def test_window_formal_negatives_hit_adjoined_zero():
     )
 
 
+def _perturbed(action, payload, degree):
+    """The same action with 1 added to the degree-th coefficient of
+    [payload]."""
+    series = action.endo_for(payload).series
+    bump = TruncatedSeries(series.ctx, series.variables, series.trunc_degree,
+                           {(degree,): 1})
+    assignment = dict(action.assignment)
+    assignment[payload] = FglEndomorphism(action.law, series + bump)
+    return MonoidAction(action.monoid, action.law, assignment,
+                        tolerance=action.tolerance)
+
+
+def test_window_zero_sum_must_vanish_exactly():
+    # 1 + (-1) = 0 natively, so F([1], [-1]) must be the zero series; with
+    # [-1] perturbed at degree 3 it is not, and the law refutes the sum
+    action = _window_action([-1, 2, 3])
+    one, minus_one = Fraction(1), Fraction(-1)
+    assert recover_sum(action, one, minus_one) == ADJOINED_ZERO
+    with pytest.raises(RecoveryError, match=r"differs from \[0\] at degree 3") as exc:
+        recover_sum(_perturbed(action, minus_one, 3), one, minus_one)
+    assert not isinstance(exc.value, NoMatch)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_window_sum_catches_a_perturbed_endomorphism(degree):
+    action = _window_action([2, 3, 5])
+    two, three = Fraction(2), Fraction(3)
+    with pytest.raises(RecoveryError):
+        recover_sum(_perturbed(action, two, degree), two, three)
+
+
 def _trunc_ring(n=2, V=3, degree=4, precision=8):
     Z5 = PadicIntegers(5, precision)
     d = multiplicative_datum(Z5, degree=degree)
@@ -89,6 +125,54 @@ def test_trunc_table_against_native_classes():
     assert ring.add((2, 1), (2, 4)) == CAPPED  # 25 + 100 = 125
     assert ring.flag((2, 1), (2, 4)) == "cap"
     assert ring.flag_counts() == {"cap": 120, "precision": 180}
+
+
+def test_swapped_endomorphisms_fail_confirmation():
+    # [2] and [3] trade places, so F([2], [2]) is the series of [6]; the
+    # native sum 2 + 2 = 4 is the candidate, and the law refutes it
+    action = _trunc_ring()[1]
+    assignment = dict(action.assignment)
+    assignment[(0, 2)], assignment[(0, 3)] = assignment[(0, 3)], assignment[(0, 2)]
+    swapped = MonoidAction(action.monoid, action.law, assignment,
+                           tolerance="truncation")
+    with pytest.raises(RecoveryError, match=r"differs from \[0:4\] at degree 1"):
+        recover_sum(swapped, (0, 2), (0, 2))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_table_build_catches_a_perturbed_endomorphism(degree):
+    action = _perturbed(_trunc_ring()[1], (0, 2), degree)
+    with pytest.raises(RecoveryError):
+        build_addition_table(action)
+
+
+def _native_flag(monoid, a, b):
+    """A pair's flag from first principles: the native sum of the canonical
+    lifts, its class, then the valuation comparison."""
+    ctx = monoid.ctx
+    s = ctx.add(monoid.canonical_lift(a), monoid.canonical_lift(b))
+    cls = BOTTOM if ctx.is_zero(s) else monoid.class_of(s)
+    if cls == BOTTOM:
+        return "cap"
+    return "precision" if cls[0] > min(a[0], b[0]) else None
+
+
+def _eisenstein_ring():
+    from fgl.rings import EisensteinExtension
+
+    E = EisensteinExtension(5, 7, (-5, 0, 1))
+    d = standard_datum(E)
+    monoid = padic_truncation_of(E, 2, 2)
+    return build_addition_table(build_action(d, build_fgl(d, 2), monoid=monoid))
+
+
+@pytest.mark.parametrize("build", [lambda: _trunc_ring()[0], _eisenstein_ring],
+                         ids=["criterion-4", "t2-5"])
+def test_flags_match_native_classification(build):
+    ring = build()
+    for a in ring.elements:
+        for b in ring.elements:
+            assert ring.flag(a, b) == _native_flag(ring.monoid, a, b), (a, b)
 
 
 def test_trunc_single_sums_match_table():
@@ -142,7 +226,7 @@ def test_ring_axioms_hold_on_unflagged_entries():
 
 def _copy(ring):
     planted = RecoveredRing(ring.monoid, ring.provenance)
-    planted.table[:], planted.flags[:] = ring.table, ring.flags
+    planted.table[:] = ring.table
     return planted
 
 
@@ -190,7 +274,7 @@ def test_transport_preserves_structure_along_isomorphism():
     assert moved.monoid.key() == m1.key()
     classes = [p for p in m1.payloads() if p != BOTTOM]
     assert moved.elements == sorted(classes)
-    assert len(moved.table) == len(moved.flags) == len(classes) ** 2
+    assert len(moved.table) == len(classes) ** 2
     assert None not in moved.table  # every slot filled
     # multiplicativity of the matching means flags transport along entries
     assert sorted(moved.flag_counts().items()) == sorted(r2.flag_counts().items())
