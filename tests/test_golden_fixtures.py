@@ -1,11 +1,17 @@
-"""The recovered-table outputs must match the fixtures in tests/golden byte
-for byte: the variation demo with its mismatch samples, and the full JSON
-addition table of the README recover-add carrier."""
+"""CLI outputs must match the fixtures in tests/golden byte for byte: the
+variation demo with its mismatch samples, the full JSON addition table of the
+README recover-add carrier, and the exhaustive action report of `check` on a
+Z_5 truncation bundle (n=1, V=2, N=4), with its 48 checked and 16 skipped
+pairs."""
+import json
 from pathlib import Path
 
 import pytest
 
 from fgl.cli import main
+from fgl.lubin_tate import build_action, build_fgl, standard_datum
+from fgl.monoids import padic_truncation_of
+from fgl.rings import PadicIntegers
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
@@ -17,6 +23,9 @@ COMMANDS = {
         "recover-add", "--p", "5", "--precision", "6", "--preset", "standard",
         "--degree", "4", "--n", "1", "--V", "2", "--table", "--json",
     ],
+    "check-truncation.stdout": [
+        "check", "--bundle", str(GOLDEN / "check-truncation.json"), "--json",
+    ],
 }
 
 
@@ -26,3 +35,11 @@ def test_output_matches_fixture(capsysbinary, fixture):
     captured = capsysbinary.readouterr()
     assert captured.err == b""
     assert captured.out == (GOLDEN / fixture).read_bytes()
+
+
+def test_truncation_bundle_matches_fixture():
+    Z5 = PadicIntegers(5, 8)
+    d = standard_datum(Z5, degree=4)
+    action = build_action(d, build_fgl(d, 4), monoid=padic_truncation_of(Z5, 1, 2))
+    text = json.dumps(action.to_bundle(), sort_keys=True, indent=1) + "\n"
+    assert text == (GOLDEN / "check-truncation.json").read_text()

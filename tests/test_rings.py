@@ -296,3 +296,65 @@ def test_eisenstein_product_matches_the_fraction_field(case):
         assert not set(QUADRATIC_OPS) & vars(ctx).keys()  # generic path
     field = ctx.fraction_field()
     assert ctx.mul(a, b) == ctx.from_field(field.mul(ctx.lift(a), ctx.lift(b)))
+
+
+@ORACLE
+@given(eisenstein_cases())
+def test_eisenstein_invert_is_a_two_sided_involutive_inverse(case):
+    ctx, a, b = case
+    one = ctx.int_payload(1)
+    if ctx.valuation(a) != 0:
+        with pytest.raises(NotAUnit):
+            ctx.invert(a)
+        return
+    inv = ctx.invert(a)
+    assert ctx.mul(a, inv) == ctx.mul(inv, a) == one
+    assert ctx.invert(inv) == a
+    if ctx.valuation(b) == 0:
+        assert ctx.invert(ctx.mul(a, b)) == ctx.mul(inv, ctx.invert(b))
+
+
+def _over_pi(ctx, q):
+    """q / pi in the fraction field: pi * (c_1 + c_2 pi + ... + pi^(e-1)) =
+    -c_0 by the Eisenstein relation."""
+    field = ctx.fraction_field()
+    cofactor = field.normalize({(i - 1,): c for i, c in enumerate(ctx.poly) if i and c})
+    product = field.mul(q, cofactor)
+    return field.neg(field.mul(product, field.invert(field.int_payload(ctx.poly[0]))))
+
+
+@ORACLE
+@given(eisenstein_cases())
+def test_eisenstein_shift_down_matches_the_fraction_field(case):
+    ctx, a, _ = case
+    v = ctx.valuation(a)
+    if v == 0:
+        with pytest.raises(RingError):
+            ctx.shift_down(a)
+        return
+    down = ctx.normalize(ctx.shift_down(a))
+    # the quotient is known mod pi^(k - 1): its top digit is not
+    assert ctx.mul(ctx.uniformizer().payload, down) == a
+    if ctx.k > 1:
+        low = ctx.residue_ring(ctx.k - 1)
+        quotient = ctx.from_field(_over_pi(ctx, ctx.lift(a)))
+        assert low.normalize(down) == low.normalize(quotient)
+    if not ctx.is_zero(a):
+        assert ctx.valuation(down) == v - 1
+
+
+@ORACLE
+@given(eisenstein_cases())
+def test_eisenstein_unit_part_matches_the_fraction_field(case):
+    ctx, a, _ = case
+    if ctx.is_zero(a):
+        return
+    v = ctx.valuation(a)
+    u = ctx.normalize(ctx.unit_part(a, v))
+    assert ctx.valuation(u) == 0
+    assert ctx.mul(u, (ctx.uniformizer() ** v).payload) == a
+    q = ctx.lift(a)
+    for _ in range(v):
+        q = _over_pi(ctx, q)
+    low = ctx.residue_ring(ctx.k - v)
+    assert low.normalize(u) == low.normalize(ctx.from_field(q))

@@ -4,8 +4,16 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fgl.rings import IntegerRing, NotAUnit, PadicIntegers, RationalField
+from fgl.rings import (
+    EisensteinExtension,
+    IntegerRing,
+    NotAUnit,
+    PadicIntegers,
+    RationalField,
+)
 from fgl.series import SeriesError, TruncatedSeries
 
 Q = RationalField()
@@ -146,6 +154,45 @@ def test_substitution_is_associative():
         left = f.substitute_single(g).substitute_single(h)
         right = f.substitute_single(g.substitute_single(h))
         assert left == right
+
+
+# rings over which the N < q tolerance lemma composes endomorphisms
+COMPOSITION_RINGS = {
+    "Z5": PadicIntegers(5, 6),
+    "t2-5": EisensteinExtension(5, 6, (-5, 0, 1)),
+    "t2-10": EisensteinExtension(5, 6, (-10, 0, 1)),
+}
+
+
+@st.composite
+def _composable(draw, ctx, N):
+    """A one-variable series with zero constant term, at most five terms."""
+    width = ctx.e
+    degrees = draw(st.lists(st.integers(1, N), max_size=5, unique=True))
+    raw = st.tuples(*[st.integers(-5**5, 5**5)] * width)
+    terms = {}
+    for k in degrees:
+        c = ctx.normalize(draw(raw) if width > 1 else draw(raw)[0])
+        if not ctx.is_zero(c):
+            terms[(k,)] = c
+    return TruncatedSeries(ctx, ("T",), N, terms)
+
+
+@pytest.mark.parametrize("ring", sorted(COMPOSITION_RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_composition_is_associative(ring, data):
+    ctx = COMPOSITION_RINGS[ring]
+    N = data.draw(st.integers(1, 4))
+    A, B, C = (data.draw(_composable(ctx, N)) for _ in range(3))
+    left = A.substitute_single(B).substitute_single(C)
+    right = A.substitute_single(B.substitute_single(C))
+    assert left == right
+    # the power-table path that verify_action composes through
+    BC = B.substitute_powers([C.powers(N)], C)
+    assert BC == B.substitute_single(C)
+    assert A.substitute_powers([BC.powers(N)], BC) == right
+    assert A.substitute_powers([B.powers(N)], B).substitute_powers([C.powers(N)], C) == left
 
 
 def test_substitution_requires_no_constant_term():

@@ -1,0 +1,346 @@
+"""The N < q tolerance lemma behind verify_action's generator rows, and the
+generator-row checks of actions and monoid morphisms.
+
+Premise (b) is checked on every truncation action the suite builds, the
+lemma's outer step under hypothesis, and the regime boundary N >= q where
+the lemma does not apply.  Both reductions are tested differentially against
+the exhaustive checks, on the actions as built and on mutants.
+"""
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fgl.laws import (
+    FglEndomorphism,
+    FormalGroupLaw,
+    LawError,
+    MonoidAction,
+    uniform_tolerance,
+    verify_action,
+)
+from fgl.lubin_tate import (
+    build_action,
+    build_fgl,
+    multiplicative_datum,
+    standard_datum,
+)
+from fgl.monoids import (
+    BOTTOM,
+    MonoidError,
+    MonoidMorphism,
+    build_monoid_isomorphism,
+    padic_truncation_of,
+)
+from fgl.rings import EisensteinExtension, PadicIntegers
+from fgl.series import TruncatedSeries
+
+T2_5, T2_10 = (-5, 0, 1), (-10, 0, 1)
+
+
+def _ring(spec):
+    kind, k, *poly = spec
+    return PadicIntegers(5, k) if kind == "Z5" else EisensteinExtension(5, k, tuple(poly))
+
+
+@functools.lru_cache(maxsize=None)
+def _action(ring, preset, N, n, V):
+    ctx = _ring(ring)
+    d = (multiplicative_datum if preset == "multiplicative" else standard_datum)(ctx, N)
+    return build_action(d, build_fgl(d, N), monoid=padic_truncation_of(ctx, n, V))
+
+
+# (ring, preset, N, n, V) of every truncation action the tier-1 suite builds
+IN_REGIME = {
+    "lubin-tate-small": (("Z5", 8), "standard", 4, 1, 2),
+    "criterion-4": (("Z5", 8), "multiplicative", 4, 2, 3),
+    "recover-add": (("Z5", 6), "standard", 4, 1, 2),
+    "recover-add-V4": (("Z5", 6), "standard", 4, 1, 4),
+    "recovery-n2-V2": (("Z5", 8), "multiplicative", 4, 2, 2),
+    "recovery-n1-V2": (("Z5", 6), "multiplicative", 4, 1, 2),
+    "t2-5": (("E", 7, *T2_5), "standard", 2, 2, 2),
+    "demo-n2-t2-10": (("E", 7, *T2_10), "standard", 2, 2, 2),
+    "demo-n1-t2-5": (("E", 6, *T2_5), "standard", 2, 1, 2),
+    "criterion-5-t2-10": (("E", 9, *T2_10), "standard", 2, 3, 3),
+}
+# N >= q: the kernel oracle's degree-5 Eisenstein action, and Z_3 at N = 4
+OUT_OF_REGIME = {
+    "kernel-oracle-N5": (("E", 9, *T2_5), "standard", 5, 1, 2),
+}
+
+
+def _premise_b_failures(action):
+    """(class, exponent) of every coefficient of [a] not divisible by pi^v(a)."""
+    ctx = action.law.ctx
+    return [(a, exp) for a, endo in action.assignment.items()
+            for exp, c in endo.series.terms.items() if ctx.valuation(c) < a[0]]
+
+
+def _z3_multiplicative():
+    Z3 = PadicIntegers(3, 6)
+    d = multiplicative_datum(Z3, 4)
+    return build_action(d, build_fgl(d, 4), monoid=padic_truncation_of(Z3, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# the lemma's premises and its regime
+
+
+@pytest.mark.parametrize("name", sorted(IN_REGIME))
+def test_premise_b_holds_on_every_tier_1_truncation_action(name):
+    action = _action(*IN_REGIME[name])
+    assert action.law.trunc_degree < action.law.ctx.p
+    assert _premise_b_failures(action) == []
+    assert uniform_tolerance(action)
+
+
+def test_premise_b_fails_once_n_reaches_q():
+    action = _action(*OUT_OF_REGIME["kernel-oracle-N5"])
+    # [a] = a*T + ... + c*T^5 with c a unit for v(a) >= 1
+    assert {exp for _, exp in _premise_b_failures(action)} == {(5,)}
+    assert not uniform_tolerance(action)
+
+
+def test_z3_at_degree_4_is_outside_the_lemma():
+    action = _z3_multiplicative()
+    assert _premise_b_failures(action)
+    assert not uniform_tolerance(action)
+    with pytest.raises(LawError, match="generator rows need"):
+        verify_action(action, mode="generators")
+    assert verify_action(action).ok  # the exhaustive check still runs
+
+
+def test_degree_bound_is_checked_where_premise_b_holds():
+    # the additive law's [a] = aT meets premise (b) at every degree, but at
+    # N = q class precision drops by one at degree q: premise (a) fails
+    Z5 = PadicIntegers(5, 8)
+    law = FormalGroupLaw.additive(Z5, 5)
+    monoid = padic_truncation_of(Z5, 1, 2)
+    lift = monoid.canonical_lift
+    assignment = {c: FglEndomorphism(law, TruncatedSeries(Z5, ("T",), 5, {(1,): lift(c)}))
+                  for c in monoid.payloads() if c != BOTTOM}
+    action = MonoidAction(monoid, law, assignment, tolerance="truncation")
+    assert _premise_b_failures(action) == []
+    assert monoid.class_precisions(1, 5)[5] == 1
+    assert verify_action(action).ok
+    assert not uniform_tolerance(action)
+
+
+def _small():
+    return _action(*IN_REGIME["lubin-tate-small"])
+
+
+def test_premise_b_is_checked_below_q_too():
+    # [1:1] gains a unit coefficient at degree 2; N = 4 < 5 is not enough
+    action = _small()
+    bump = TruncatedSeries(action.law.ctx, ("T",), 4, {(2,): 1})
+    moved = FglEndomorphism(action.law, action.assignment[(1, 1)].series + bump)
+    mutant = MonoidAction(action.monoid, action.law,
+                          {**action.assignment, (1, 1): moved}, tolerance="truncation")
+    assert not uniform_tolerance(mutant)
+    with pytest.raises(LawError, match="generator rows need"):
+        verify_action(mutant, mode="generators")
+
+
+def test_generator_rows_need_every_class_assigned():
+    action = _small()
+    assignment = {a: e for a, e in action.assignment.items() if a != (1, 2)}
+    partial = MonoidAction(action.monoid, action.law, assignment, tolerance="truncation")
+    assert not uniform_tolerance(partial)
+    with pytest.raises(LawError):
+        verify_action(partial, mode="generators")
+
+
+def test_exact_tolerance_has_no_generator_mode():
+    action = _small()
+    exact = MonoidAction(action.monoid, action.law, action.assignment)
+    assert not uniform_tolerance(exact)
+    with pytest.raises(LawError, match="generator rows need"):
+        verify_action(exact, mode="generators")
+    with pytest.raises(LawError, match="unknown verification mode"):
+        verify_action(action, mode="pairs")
+
+
+# ---------------------------------------------------------------------------
+# the outer step: [g]oX = [g]oY mod pi^(v(g) + w + n) when X = Y mod pi^(w + n)
+
+
+OUTER_RINGS = [("Z5", 8), ("E", 8, *T2_5), ("E", 8, *T2_10)]
+
+
+@st.composite
+def outer_step_cases(draw):
+    ring = draw(st.sampled_from(OUTER_RINGS))
+    N = draw(st.integers(1, 4))
+    action = _action(ring, "standard", N, 2, 3)
+    ctx = action.law.ctx
+    g = draw(st.sampled_from(sorted(action.assignment, key=str)))
+    w = draw(st.integers(0, 2))
+    width = ctx.e
+
+    def series(shift):
+        coeffs = st.tuples(*[st.integers(-5**6, 5**6)] * width)
+        terms = {}
+        for k in range(1, N + 1):
+            c = ctx.normalize(draw(coeffs) if width > 1 else draw(coeffs)[0])
+            terms[(k,)] = ctx.mul(c, (ctx.uniformizer() ** shift).payload)
+        return TruncatedSeries(ctx, ("T",), N, {e: c for e, c in terms.items()
+                                               if not ctx.is_zero(c)})
+
+    X = series(0)
+    Y = X + series(w + action.monoid.n)
+    return action, g, w, X, Y
+
+
+@settings(max_examples=60, deadline=None)
+@given(outer_step_cases())
+def test_composing_on_the_outside_keeps_the_class_tolerance(case):
+    action, g, w, X, Y = case
+    ctx, n = action.law.ctx, action.monoid.n
+    endo = action.assignment[g].series
+    delta = endo.substitute_single(X) - endo.substitute_single(Y)
+    bound = g[0] + w + n
+    assert bound <= ctx.k
+    assert all(ctx.valuation(c) >= bound for c in delta.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# generators of the truncation carrier
+
+
+CARRIERS = [
+    (("Z5", 8), 1, 1), (("Z5", 8), 1, 2), (("Z5", 8), 1, 3), (("Z5", 8), 2, 1),
+    (("Z5", 8), 2, 2), (("Z5", 8), 2, 3), (("Z5", 5), 4, 2),
+    (("E", 7, *T2_5), 1, 1), (("E", 7, *T2_5), 2, 1), (("E", 7, *T2_5), 2, 2),
+    (("E", 7, *T2_5), 2, 3), (("E", 7, *T2_10), 2, 2), (("E", 9, *T2_5), 3, 3),
+]
+
+
+@pytest.mark.parametrize("ring,n,V", CARRIERS)
+def test_generators_close_to_every_payload(ring, n, V):
+    M = padic_truncation_of(_ring(ring), n, V)
+    gens = M.generators()
+    assert gens[0] == (BOTTOM if V == 1 else (1, M.unit_ctx.int_payload(1)))
+    assert gens[1:] == [(0, g) for g in M.unit_group.generators]
+    seen = {M.identity_payload()}
+    frontier = list(seen)
+    while frontier:
+        frontier = {M.mul(g, a) for a in frontier for g in gens} - seen
+        seen |= frontier
+    assert seen == set(M.payloads())
+
+
+# ---------------------------------------------------------------------------
+# differential tests: generator rows against every pair
+
+
+@pytest.mark.parametrize("name", sorted(IN_REGIME))
+def test_both_modes_agree_on_every_tier_1_truncation_action(name):
+    action = _action(*IN_REGIME[name])
+    full = verify_action(action)
+    rows = verify_action(action, mode="generators")
+    assert full.ok and rows.ok
+    assigned = len(action.assignment)
+    generators = len(action.monoid.generators())
+    assert rows.checked_pairs + rows.skipped_pairs == generators * assigned
+    assert full.checked_pairs + full.skipped_pairs == assigned**2
+
+
+def test_criterion_5_carrier_composes_eight_hundred_pairs():
+    rows = verify_action(_action(*IN_REGIME["criterion-5-t2-10"]), mode="generators")
+    assert (rows.checked_pairs, rows.skipped_pairs) == (800, 100)
+
+
+def _compositions(report):
+    return [v.where for v in report.violations if v.kind == "composition"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_both_modes_are_tight_at_class_precision(k):
+    """The bump of test_composition_check_is_tight_at_class_precision on the
+    non-generator class 1:2.  The endomorphism law is exact, so the mutant
+    fails it at every shift; the composition checks are what both modes must
+    get right, failing at precision - 1 and passing at precision."""
+    action = _small()
+    monoid, law = action.monoid, action.law
+    target = (1, 2)
+    assert target not in monoid.generators()
+    precision = monoid.class_precisions(target[0], law.trunc_degree)[k]
+    for shift, caught in ((precision - 1, True), (precision, False)):
+        bump = TruncatedSeries(law.ctx, ("T",), law.trunc_degree, {(k,): 5**shift})
+        moved = FglEndomorphism(law, action.assignment[target].series + bump)
+        mutant = MonoidAction(monoid, law, {**action.assignment, target: moved},
+                              tolerance="truncation")
+        for mode in ("exhaustive", "generators"):
+            compositions = _compositions(verify_action(mutant, mode=mode))
+            assert bool(compositions) is caught
+            assert ("0:2*1:1=1:2" in compositions) is caught
+
+
+def test_both_modes_catch_a_layer_relabelled_by_a_unit():
+    """[2:u] becomes [2:2u] on criterion 4's carrier.  Unit rows still
+    close, since [0:g]o[2:2u] = [2:2gu]; of the generator rows only pi's,
+    [pi]o[1:u] against [2:u], sees it."""
+    action = _action(*IN_REGIME["criterion-4"])
+    monoid = action.monoid
+    moved = {(2, u): action.assignment[monoid.mul((0, 2), (2, u))]
+             for v, u in action.assignment if v == 2}
+    mutant = MonoidAction(monoid, action.law, {**action.assignment, **moved},
+                          tolerance="truncation")
+    assert uniform_tolerance(mutant)
+    for mode in ("exhaustive", "generators"):
+        assert "1:1*1:1=2:1" in _compositions(verify_action(mutant, mode=mode))
+
+
+def test_morphism_relabelling_one_layer_fails_on_the_pi_row():
+    # f(2:u) = 2:2u and f = id elsewhere commutes with every unit row
+    M = padic_truncation_of(PadicIntegers(5, 8), 1, 3)
+    table = {p: p for p in M.payloads()}
+    table.update({(2, u): M.mul((0, 2), (2, u)) for u in M.unit_payloads()})
+    with pytest.raises(MonoidError, match=r"multiplicativity fails at \(1:1, "):
+        MonoidMorphism(M, M, table=table).verify()
+
+
+def _iso():
+    m1 = padic_truncation_of(EisensteinExtension(5, 7, T2_5), 2, 2)
+    m2 = padic_truncation_of(EisensteinExtension(5, 7, T2_10), 2, 2)
+    return build_monoid_isomorphism(m1, m2)
+
+
+def test_truncation_morphism_reads_generator_rows_only(monkeypatch):
+    iso = _iso()
+    source = iso.source
+    products = []
+    mul = source.mul
+
+    def counting(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(source, "mul", counting)
+    iso.verify()
+    gens = source.generators()
+    assert len(products) == len(gens) * len(source.payloads())
+    assert {a for a, _ in products} == set(gens)
+
+
+def _swaps():
+    M = _iso().source
+    gens = set(M.generators()) | {M.identity_payload()}
+    others = [p for p in M.payloads() if p not in gens]
+    rng = random.Random(12)
+    picks = [(others[0], others[1]), (others[0], BOTTOM)]
+    picks += [tuple(rng.sample(others, 2)) for _ in range(6)]
+    return picks
+
+
+@pytest.mark.parametrize("a,b", _swaps(), ids=str)
+def test_swapped_non_generator_images_fail_verify(a, b):
+    iso = _iso()
+    table = dict(iso.table)
+    table[a], table[b] = table[b], table[a]
+    with pytest.raises(MonoidError, match="multiplicativity fails"):
+        MonoidMorphism(iso.source, iso.target, table=table).verify()
+
