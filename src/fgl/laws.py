@@ -236,14 +236,18 @@ def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
     1/n does not exist the integration fails eagerly, naming the blocking
     denominator, unless that coefficient happens to be zero.
     """
-    ctx = law.ctx
-    N = law.trunc_degree
+    return _checked_log(law.F)
+
+
+def _checked_log(F: TruncatedSeries) -> TruncatedSeries:
+    """logarithm on a bare law series F, which the caller vouches for."""
+    ctx, N = F.ctx, F.trunc_degree
     if N < 1:
         raise LawError("need truncation degree at least 1")
-    ell = _integrated_log(law.F)
+    ell = _integrated_log(F)
     # the defining property doubles as a self-check
     x_plus_y = TruncatedSeries(ctx, ("x", "y"), N, {(1, 0): 1, (0, 1): 1})
-    if not intertwining_defect(ell, law.F, x_plus_y).is_zero():
+    if not intertwining_defect(ell, F, x_plus_y).is_zero():
         raise LawError("logarithm does not linearize the law; F is not a group law?")
     return ell
 
@@ -495,6 +499,9 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
     pairs.  Pairs whose product is absorbing (no assignment) are skipped and
     counted.  Under truncation tolerance a composition is compared at the
     class precision of the product; the endomorphism law itself stays exact.
+    There every class but BOTTOM must be assigned, and the linear
+    coefficient of [a] must lie in class a, so an assignment moved along a
+    monoid automorphism is refused.
 
     mode="generators" composes only the rows (g, m) of the truncation
     monoid's generators g, for every assigned m; identity and the
@@ -537,6 +544,14 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
             ActionViolation("identity", "1", bad[0], bad[1])
         )
 
+    truncation = action.tolerance == "truncation"
+    if truncation:
+        for p in monoid.payloads():
+            if p != BOTTOM and p not in action.assignment:
+                report.violations.append(
+                    ActionViolation("unassigned", label(p), (), "no endomorphism")
+                )
+
     free = isinstance(monoid, FreeCommutativeMonoid)
     if free:
         singles = [monoid.generator(g) for g in monoid.generators]
@@ -554,6 +569,13 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
             report.violations.append(
                 ActionViolation("endomorphism_law", label(a), exp, c)
             )
+        if truncation:
+            c = endo.series.terms.get((1,))
+            cls = None if c is None else monoid.class_of(c)
+            if cls != a:
+                report.violations.append(ActionViolation(
+                    "linear_class", label(a), (1,), "0" if c is None else label(cls)
+                ))
 
     for a, b in pairs:
         ab = monoid.mul(a, b)
@@ -572,7 +594,7 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
             report.checked_pairs += 1
             continue
         precisions = None
-        if action.tolerance == "truncation":
+        if truncation:
             precisions = monoid.class_precisions(ab[0], N)
         bad = series_congruent(comp, action.endo_for(ab).series, precisions)
         if bad:

@@ -2,14 +2,16 @@
 
 Given f with f = pi*T mod degree 2 and f = T^q mod pi, there is a unique
 formal group law F_f with f(F(x,y)) = F(f(x), f(y)), and for each a in the
-base ring a unique endomorphism [a] = a*T + ... commuting with f.  Both are
-solved degree by degree; each correction divides by pi^d - pi, which is a
-unit obstruction only in the residue ring, so the whole solve runs in the
-fraction field and the result is reduced back with an integrality check.
-That keeps every identity exact at the ring's stored precision instead of
-losing digits to in-ring division.  The base ring owns that field, the lifts
-into it and the reduction back (fgl.rings.PadicRing); this module never looks
-at how a ring stores its elements.
+base ring a unique endomorphism [a] = a*T + ... commuting with f.  F is
+solved degree by degree, once per datum and truncation degree; each
+correction divides by pi^d - pi, which is a unit obstruction only in the
+residue ring, so the solve runs in the fraction field.  There every [a] is
+exp_F(a * log_F(T)), from the one logarithm of that exact law, and each
+result is reduced back with an integrality check.  That keeps every identity
+exact at the ring's stored precision instead of losing digits to in-ring
+division.  The base ring owns that field, the lifts into it and the
+reduction back (fgl.rings.PadicRing); this module never looks at how a ring
+stores its elements.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .laws import (
     FglEndomorphism,
     FormalGroupLaw,
     MonoidAction,
+    _checked_log,
     _integrated_log,
     intertwining_defect,
     isomorphism_via_logs,
@@ -81,6 +84,28 @@ class LubinTateDatum:
         if aq is None or ctx.valuation(aq) != 0:
             raise LubinTateError(f"degree-{self.q} coefficient must be a unit")
         self.f = f
+        self._field_laws: dict = {}  # N -> exact law over the fraction field
+        self._field_logs: dict = {}  # N -> (log_F, exp_F) of that law
+
+    def f_at(self, N: int) -> TruncatedSeries:
+        """f truncated, or padded with zero terms, to degree N."""
+        return TruncatedSeries(self.ctx, self.f.variables, N, self.f.terms)
+
+    def field_law(self, N: int) -> TruncatedSeries:
+        """The exact law over the fraction field at degree N, solved once."""
+        F = self._field_laws.get(N)
+        if F is None:
+            F = self._field_laws[N] = _solve_field_law(self, N)
+        return F
+
+    def field_log(self, N: int) -> tuple:
+        """(log_F, exp_F) of field_law(N), built on first request; the log
+        is checked to linearize the law."""
+        pair = self._field_logs.get(N)
+        if pair is None:
+            log = _checked_log(self.field_law(N))
+            pair = self._field_logs[N] = (log, log.compositional_inverse())
+        return pair
 
     def to_json(self) -> dict:
         return {"ring": self.ctx.descriptor(), "f": self.f.to_json()}
@@ -110,154 +135,64 @@ def multiplicative_datum(ctx, degree: int | None = None) -> LubinTateDatum:
 
 
 # ---------------------------------------------------------------------------
-# the inductive solves
+# the law solve and the endomorphisms from its logarithm
 
 
-def _field_setup(d: LubinTateDatum, N: int):
+def _solve_field_law(d: LubinTateDatum, N: int) -> TruncatedSeries:
+    """The unique F = x + y mod degree 2 with f(F(x,y)) = F(f(x), f(y)) over
+    the fraction field, degree by degree: a degree-deg correction delta
+    moves the degree-deg defect f(F) - F(f, f) by (pi - pi^deg) * delta, so
+    delta is the defect over pi^deg - pi."""
+    if N < 1:
+        raise LubinTateError("need truncation degree at least 1")
     field = d.ctx.fraction_field()
-    f_field = lift_series(d.f.truncate(min(N, d.f.trunc_degree)))
-    if f_field.trunc_degree < N:
-        f_field = TruncatedSeries(field, f_field.variables, N, dict(f_field.terms))
-    pi = d.ctx.lift(d.pi)
-    return field, f_field, pi
-
-
-def _divisor_inverse(field, pi, deg: int):
-    # pi^deg - pi, the diagonal factor of the degree-deg correction
-    pd = field.int_payload(1)
-    for _ in range(deg):
-        pd = field.mul(pd, pi)
-    return field.invert(field.add(pd, field.neg(pi)))
-
-
-def _solve_defect(current, f_field, two_sided, deg):
-    """Defect at truncation deg: f(S) - S(f, f) for the 2-variable case,
-    e(f) - f(e) for the 1-variable case."""
-    fd = f_field.truncate(deg)
-    S = current.truncate(deg)
-    if two_sided:
-        return intertwining_defect(fd, S, S)
-    return S.substitute_single(fd) - fd.substitute_single(S)
-
-
-def _inductive_solve(start, f_field, field, pi, N, two_sided, sign,
-                     correction_order=None):
-    """Shared driver.  sign is +1 when the degree-d defect changes by
-    (pi - pi^d) * delta, -1 for (pi^d - pi) * delta."""
-    current = start
+    f = lift_series(d.f_at(N))
+    pi = field.el(d.ctx.lift(d.pi))
+    one = field.int_payload(1)
+    F = TruncatedSeries(field, ("x", "y"), N, {(1, 0): one, (0, 1): one})
     for deg in range(2, N + 1):
-        inv = _divisor_inverse(field, pi, deg)
-        if correction_order is None:
-            defect = _solve_defect(current, f_field, two_sided, deg)
-            delta_terms = {}
-            for exp, c in defect.terms.items():
-                if sum(exp) == deg:
-                    delta_terms[exp] = field.mul(c, inv) if sign > 0 else field.neg(
-                        field.mul(c, inv)
-                    )
-            if delta_terms:
-                current = current + TruncatedSeries(
-                    field, current.variables, N, delta_terms
-                )
-        else:
-            # one monomial at a time, recomputing the defect in between;
-            # exercises independence of the corrections within a degree
-            width = len(current.variables)
-            exps = [
-                e
-                for e in _degree_exponents(deg, width)
-            ]
-            exps.sort(reverse=(correction_order == "desc"))
-            for exp in exps:
-                defect = _solve_defect(current, f_field, two_sided, deg)
-                c = defect.terms.get(exp)
-                if c is None:
-                    continue
-                delta = field.mul(c, inv) if sign > 0 else field.neg(
-                    field.mul(c, inv)
-                )
-                current = current + TruncatedSeries(
-                    field, current.variables, N, {exp: delta}
-                )
-    final = _solve_defect(current, f_field, two_sided, N)
-    if not final.is_zero():
+        inv = (pi**deg - pi).inverse().payload
+        S = F.truncate(deg)
+        defect = intertwining_defect(f.truncate(deg), S, S)
+        delta = {exp: field.mul(c, inv)
+                 for exp, c in defect.terms.items() if sum(exp) == deg}
+        if delta:
+            F = F + TruncatedSeries(field, F.variables, N, delta)
+    if not intertwining_defect(f, F, F).is_zero():
         raise LubinTateError(
             "defining identity did not close over the fraction field; "
             "invalid datum?"
         )
-    return current
+    return F
 
 
-def _degree_exponents(deg: int, width: int):
-    if width == 1:
-        yield (deg,)
-    else:
-        for i in range(deg + 1):
-            yield (i, deg - i)
-
-
-def _build_field_law(d: LubinTateDatum, N: int, correction_order=None):
-    """The exact solve, before reduction; the field-level F satisfies the
-    axioms on the nose."""
-    if N < 1:
-        raise LubinTateError("need truncation degree at least 1")
-    field, f_field, pi = _field_setup(d, N)
-    start = TruncatedSeries(
-        field,
-        ("x", "y"),
-        N,
-        {(1, 0): field.int_payload(1), (0, 1): field.int_payload(1)},
-    )
-    return _inductive_solve(
-        start, f_field, field, pi, N, two_sided=True, sign=+1,
-        correction_order=correction_order,
-    )
-
-
-def build_fgl(d: LubinTateDatum, N: int, correction_order=None) -> FormalGroupLaw:
-    """The unique F = x + y mod degree 2 with f(F(x,y)) = F(f(x), f(y)),
-    solved exactly and reduced to the datum's ring."""
-    return _reduce_law(d, _build_field_law(d, N, correction_order))
-
-
-def _reduce_law(d: LubinTateDatum, F_field: TruncatedSeries) -> FormalGroupLaw:
-    """The field-level law reduced to d's ring, with the axioms and the
+def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
+    """The unique F = x + y mod degree 2 with f(F(x,y)) = F(f(x), f(y)): the
+    datum's exact field law reduced to its ring, with the axioms and the
     intertwining with f re-checked there."""
-    law = FormalGroupLaw.from_series(reduce_series(F_field, d.ctx))
-    _check_intertwines(d, law.F, d.f)
-    return law
-
-
-def _check_intertwines(d: LubinTateDatum, F: TruncatedSeries, f: TruncatedSeries):
-    """f(F(x,y)) = F(f(x), f(y)) at the ring's own precision."""
-    N = F.trunc_degree
-    fN = f.truncate(min(N, f.trunc_degree))
-    if fN.trunc_degree < N:
-        fN = TruncatedSeries(f.ctx, fN.variables, N, dict(fN.terms))
-    if not intertwining_defect(fN, F, F).is_zero():
+    law = FormalGroupLaw.from_series(reduce_series(d.field_law(N), d.ctx))
+    if not intertwining_defect(d.f_at(N), law.F, law.F).is_zero():
         raise LubinTateError("reduced law no longer intertwines f")
+    return law
 
 
 def build_endomorphism(
     d: LubinTateDatum, law: FormalGroupLaw, a
 ) -> FglEndomorphism:
-    """The unique [a] = a*T mod degree 2 with [a](f) = f([a]); verified to be
-    an endomorphism of F."""
-    N = law.trunc_degree
+    """The unique [a] = a*T mod degree 2 commuting with f, as exp_F(a *
+    log_F(T)) over the fraction field: every endomorphism of F there is
+    exp(c * log) with c its linear term, and f = [pi] is one (Lubin & Tate,
+    Ann. Math. 1965).  Reduced to d's ring and verified there to be an
+    endomorphism of law."""
     if isinstance(a, RingElement):
         if a.ctx.key() != d.ctx.key():
             raise LubinTateError("scalar from the wrong ring")
         a_payload = a.payload
     else:
         a_payload = d.ctx.normalize(a)
-    field, f_field, pi = _field_setup(d, N)
-    a_field = d.ctx.lift(a_payload)
-    start = TruncatedSeries(field, ("T",), N, {(1,): a_field})
-    e_field = _inductive_solve(
-        start, f_field, field, pi, N, two_sided=False, sign=-1
-    )
-    e_ring = reduce_series(e_field, d.ctx)
-    endo = FglEndomorphism(law, e_ring)
+    log, exp = d.field_log(law.trunc_degree)
+    e = exp.substitute_single(log.scale(d.ctx.lift(a_payload)))
+    endo = FglEndomorphism(law, reduce_series(e, d.ctx))
     endo.verify()
     return endo
 
@@ -370,14 +305,13 @@ def compare_lubin_tate(d1: LubinTateDatum, d2: LubinTateDatum,
     holds, the intertwining is re-verified in the ring."""
     if d1.ctx.key() != d2.ctx.key():
         raise LubinTateError("data live over different rings")
+    F1 = build_fgl(d1, N)
+    F2 = build_fgl(d2, N)
     # the exact field-level laws, not lifts of residues: only those satisfy
     # the axioms on the nose, which the log transport needs
-    F1_field = _build_field_law(d1, N)
-    F2_field = _build_field_law(d2, N)
-    F1 = _reduce_law(d1, F1_field)
-    F2 = _reduce_law(d2, F2_field)
     h_field = isomorphism_via_logs(
-        FormalGroupLaw.from_series(F1_field), FormalGroupLaw.from_series(F2_field)
+        FormalGroupLaw.from_series(d1.field_law(N)),
+        FormalGroupLaw.from_series(d2.field_law(N)),
     )
     report = series_integrality(d1.ctx, h_field)
     h_ring = None

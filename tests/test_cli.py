@@ -90,6 +90,20 @@ def test_check_corrupted_linear_coefficient(capsys, tmp_path):
     assert "linear_shape" in failing
 
 
+def test_check_refuses_a_truncation_bundle_with_an_unassigned_class(capsys, tmp_path):
+    golden = Path(__file__).resolve().parent / "golden" / "check-truncation.json"
+    bundle = json.loads(golden.read_text())
+    bundle["endomorphisms"] = [e for e in bundle["endomorphisms"]
+                               if e["element"] != "1:2"]
+    code, out, err = run(capsys, "check", "--bundle",
+                         write_json(tmp_path / "partial.json", bundle), "--json")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "action"
+    assert [(v["kind"], v["where"]) for v in error["report"]["violations"]] == [
+        ("unassigned", "1:2")]
+
+
 def test_log_blocked_at_degree_p(capsys, tmp_path):
     run(
         capsys, "lubin-tate", "--p", "5", "--precision", "8", "--preset",

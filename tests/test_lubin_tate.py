@@ -82,12 +82,45 @@ def test_multiplicative_endomorphisms_match_binomials():
         assert endo.series.terms == binomial_endo_terms(a, 12, mod)
 
 
-def test_solver_order_independence():
-    Z5 = PadicIntegers(5, 8)
-    d = multiplicative_datum(Z5, degree=6)
-    asc = build_fgl(d, 6, correction_order="asc")
-    desc = build_fgl(d, 6, correction_order="desc")
-    assert asc.F == desc.F == build_fgl(d, 6).F
+# every class of both criterion-5 carriers (n=3, V=3, N=2) and of
+# criterion 4's Z_5 carrier (n=2, V=3, N=4): (ring, preset, N, n, V)
+COMMUTING_CARRIERS = {
+    "criterion-5 t^2-5": (EisensteinExtension(5, 9, (-5, 0, 1)), "standard", 2, 3, 3),
+    "criterion-5 t^2-10": (EisensteinExtension(5, 9, (-10, 0, 1)), "standard", 2, 3, 3),
+    "criterion-4": (PadicIntegers(5, 8), "multiplicative", 4, 2, 3),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(COMMUTING_CARRIERS))
+def test_every_class_commutes_with_f_in_the_ring(carrier):
+    # the defining identity [a](f) = f([a]) that [a] = exp(a*log) must meet
+    ctx, preset, N, n, V = COMMUTING_CARRIERS[carrier]
+    d = standard_datum(ctx) if preset == "standard" else multiplicative_datum(ctx, N)
+    monoid = padic_truncation_of(ctx, n, V)
+    action = build_action(d, build_fgl(d, N), monoid=monoid)
+    f = d.f.truncate(N)
+    assert len(action.assignment) == len(monoid.payloads()) - 1
+    for endo in action.assignment.values():
+        assert endo.series.substitute_single(f) == f.substitute_single(endo.series)
+
+
+def test_field_law_is_solved_once_per_datum_and_degree(monkeypatch):
+    import fgl.lubin_tate as lt
+
+    solves, logs = [], []
+    solve, checked_log = lt._solve_field_law, lt._checked_log
+    monkeypatch.setattr(lt, "_solve_field_law",
+                        lambda d, N: solves.append(N) or solve(d, N))
+    monkeypatch.setattr(lt, "_checked_log", lambda F: logs.append(F) or checked_log(F))
+    d = standard_datum(PadicIntegers(5, 8), degree=6)
+    law = build_fgl(d, 6)
+    assert (solves, logs) == ([6], [])
+    for a in range(1, 8):
+        build_endomorphism(d, law, a)
+    assert solves == [6]
+    assert len(logs) == 1
+    build_fgl(d, 4)
+    assert solves == [6, 4]
 
 
 def test_datum_validation():

@@ -294,6 +294,47 @@ def test_both_modes_catch_a_layer_relabelled_by_a_unit():
         assert "1:1*1:1=2:1" in _compositions(verify_action(mutant, mode=mode))
 
 
+def test_both_modes_tie_each_class_to_its_linear_coefficient():
+    """[1:u] := [1:2u] for every u, the assignment moved along pi -> 2pi.
+    That is a monoid automorphism, so every composition still closes; only
+    the linear coefficient of [1:u], in class 1:2u, shows the move."""
+    action = _small()
+    moved = {(1, u): action.assignment[(1, 2 * u % 5)] for u in range(1, 5)}
+    mutant = MonoidAction(action.monoid, action.law, {**action.assignment, **moved},
+                          tolerance="truncation")
+    assert uniform_tolerance(mutant)
+    for mode, counts in (("exhaustive", (48, 16)), ("generators", (12, 4))):
+        report = verify_action(mutant, mode=mode)
+        assert (report.checked_pairs, report.skipped_pairs) == counts
+        assert [(v.kind, v.where, v.delta) for v in report.violations] == [
+            ("linear_class", f"1:{u}", f"1:{2 * u % 5}") for u in range(1, 5)
+        ]
+
+
+@pytest.mark.parametrize("terms, found", [({}, "0"), ({(1,): 25}, "bot")])
+def test_linear_coefficient_without_the_class_is_a_violation(terms, found):
+    # a zero linear coefficient has no class and 25 lies in BOTTOM; both
+    # are reported against 1:1, not raised
+    action = _small()
+    law = action.law
+    moved = FglEndomorphism(law, TruncatedSeries(law.ctx, ("T",), 4, terms))
+    mutant = MonoidAction(action.monoid, law, {**action.assignment, (1, 1): moved},
+                          tolerance="truncation")
+    for mode in ("exhaustive", "generators"):
+        violations = verify_action(mutant, mode=mode).violations
+        assert ("linear_class", "1:1", found) in [
+            (v.kind, v.where, v.delta) for v in violations]
+
+
+def test_exhaustive_check_reports_each_unassigned_class():
+    action = _small()
+    assignment = {a: e for a, e in action.assignment.items() if a not in ((1, 2), (0, 3))}
+    partial = MonoidAction(action.monoid, action.law, assignment, tolerance="truncation")
+    report = verify_action(partial)
+    assert [(v.kind, v.where) for v in report.violations] == [
+        ("unassigned", "0:3"), ("unassigned", "1:2")]
+
+
 def test_morphism_relabelling_one_layer_fails_on_the_pi_row():
     # f(2:u) = 2:2u and f = id elsewhere commutes with every unit row
     M = padic_truncation_of(PadicIntegers(5, 8), 1, 3)
