@@ -288,13 +288,17 @@ class FglEndomorphism:
             raise LawError("endomorphism over a different ring than its law")
         self.law = law
         self.series = series
+        self._defect = None
 
     def linear_coefficient(self) -> RingElement:
         return self.series.coefficient((1,))
 
     def defect(self) -> TruncatedSeries:
-        """e(F(x,y)) - F(e(x), e(y)); zero iff this is an endomorphism."""
-        return intertwining_defect(self.series, self.law.F, self.law.F)
+        """e(F(x,y)) - F(e(x), e(y)); zero iff this is an endomorphism.
+        Computed once per instance: verify and verify_action both read it."""
+        if self._defect is None:
+            self._defect = intertwining_defect(self.series, self.law.F, self.law.F)
+        return self._defect
 
     def verify(self) -> None:
         d = self.defect()

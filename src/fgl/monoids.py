@@ -8,6 +8,7 @@ the zero that ring recovery later adjoins.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 
 from .rings import PadicRing, RingContext, RingError, _vp
@@ -309,6 +310,16 @@ class PadicTruncationMonoid(Monoid):
         eu = g.dlog[u]
         return {w: g.unit_of[tuple((x + y) % d for x, y, d in zip(eu, ew, g.factors))]
                 for w, ew in g.dlog.items()}
+
+    def quotient(self, b, a):
+        """The class c with a*c = b, for classes a and b with v(b) >= v(a):
+        valuation v(b) - v(a), and the unit whose exponent vector is
+        dlog(b) - dlog(a) mod the invariant factors.  It stores nothing."""
+        if a == BOTTOM or b == BOTTOM or b[0] < a[0]:
+            raise MonoidError(f"{self.label(b)} is not a multiple of {self.label(a)}")
+        g = self.unit_group
+        exps = map(operator.sub, g.dlog[b[1]], g.dlog[a[1]])
+        return (b[0] - a[0], g.unit_of[tuple(map(operator.mod, exps, g.factors))])
 
     def payloads(self):
         out = []

@@ -72,6 +72,30 @@ def pair_flag(a, b, entry):
     return None
 
 
+def _native_sum(monoid, p1, p2):
+    """The native sum of the lifts of p1 and p2 (canonical lifts of two
+    classes, or two listed elements), as the carrier sees it: a payload, the
+    adjoined zero, or CAPPED when an operand is absorbing or the sum's class
+    is.  A window sum that is not listed raises NoMatch."""
+    if p1 == BOTTOM or p2 == BOTTOM:
+        return CAPPED
+    ctx = monoid.ctx
+    if isinstance(monoid, PadicTruncationMonoid):
+        s = ctx.add(monoid.canonical_lift(p1), monoid.canonical_lift(p2))
+        if ctx.is_zero(s):
+            return ADJOINED_ZERO
+        cls = monoid.class_of(s)
+        return CAPPED if cls == BOTTOM else cls
+    if isinstance(monoid, RingSubsetMonoid):
+        s = ctx.add(p1, p2)
+        if ctx.is_zero(s):
+            return ADJOINED_ZERO
+        if s not in monoid.listed:
+            raise NoMatch("sum lies outside the listed window")
+        return s
+    raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
+
+
 def recover_sum(action: MonoidAction, p1, p2):
     """The carrier element whose endomorphism matches F([p1], [p2]).
 
@@ -89,32 +113,17 @@ def recover_sum(action: MonoidAction, p1, p2):
         return p2
     if p2 == ADJOINED_ZERO:
         return p1
-    if p1 == BOTTOM or p2 == BOTTOM:
-        return CAPPED
     monoid = action.monoid
-    ctx = monoid.ctx
-    truncation = isinstance(monoid, PadicTruncationMonoid)
-    if truncation:
-        s = ctx.add(monoid.canonical_lift(p1), monoid.canonical_lift(p2))
-    elif isinstance(monoid, RingSubsetMonoid):
-        s = ctx.add(p1, p2)
-    else:
-        raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
+    candidate = _native_sum(monoid, p1, p2)
+    if candidate == CAPPED:
+        return CAPPED
     model = action.endo_for(p1).series
     precisions = None
-    if ctx.is_zero(s):
-        candidate = ADJOINED_ZERO
-        target = TruncatedSeries.zero(ctx, model.variables, model.trunc_degree)
+    if candidate == ADJOINED_ZERO:
+        target = TruncatedSeries.zero(monoid.ctx, model.variables, model.trunc_degree)
     else:
-        if truncation:
-            candidate = monoid.class_of(s)
-            if candidate == BOTTOM:
-                return CAPPED
+        if isinstance(monoid, PadicTruncationMonoid):
             precisions = monoid.class_precisions(candidate[0], model.trunc_degree)
-        elif s in monoid.listed:
-            candidate = s
-        else:
-            raise NoMatch("sum lies outside the listed window")
         target = action.endo_for(candidate).series
     law_sum = action.law.F.substitute_powers(
         [action.powers(p1), action.powers(p2)], model
@@ -253,17 +262,56 @@ class RecoveredRing:
 
 
 def build_addition_table(action: MonoidAction) -> RecoveredRing:
-    """Every pairwise sum through recover_sum: the native sum of canonical
-    lifts, confirmed by the law at class precision.  A failed confirmation
-    is a hard error: for a Lubin-Tate action the two must coincide."""
+    """Every pairwise sum: the native sum of canonical lifts, confirmed by
+    the law at class precision.  A failed confirmation is a hard error: for
+    a Lubin-Tate action the two must coincide.
+
+    The action is verified first, on its generator rows where
+    uniform_tolerance holds and exhaustively otherwise.  Where it holds,
+    the law is confirmed on one row, Z[c] = recover_sum(action, 1, c) for
+    every class c, and an unflagged pair (a, b) with a before b is confirmed
+    by the carrier identity a + b = a*Z[b/a], read as quotient(a + b, a) =
+    Z[quotient(b, a)].  Flagged pairs, and any pair that fails the
+    identity, go through recover_sum.  Where the predicate fails, every
+    pair goes through recover_sum.
+
+    Proof of the row step.  Elements are sorted by valuation, so v(a) <=
+    v(b); put c = b/a and suppose Z[c] = 1 + c is unflagged, v(1 + c) = 0.
+    The entry a + b then has valuation v(a) and class precision v(a) + n
+    (premise (a) of verify_action's lemma).  Mod pi^(v(a) + n):
+      F([a], [b]) = F([a], [a]o[c]), by the lemma's composition [a]o[c] =
+        [b] mod pi^(v(b) + n) and F integral;
+      F([a], [a]o[c]) = [a]oF(T, [c]), exactly, by the endomorphism law;
+      [a]oF(T, [c]) = [a]o[1 + c], by the row F(T, [c]) = [1 + c] mod pi^n
+        and premise (b) on [a];
+      [a]o[1 + c] = [a(1 + c)], by the lemma.
+    So F([a], [b]) = [a(1 + c)] at the entry's class precision, and a(1 +
+    c) is the entry exactly when the identity holds.  A pair is flagged
+    exactly when Z[c] is, so flagged pairs keep their own confirmation.
+    """
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
+    uniform = uniform_tolerance(action)
+    rep = verify_action(action, "generators" if uniform else "exhaustive")
+    if not rep.ok:
+        raise RecoveryError(
+            f"action verification failed: {rep.violations[0].to_json()}"
+        )
     ring = RecoveredRing(monoid, "recovered")
     els = ring.elements
+    row = {}
+    if uniform:
+        one = monoid.identity_payload()
+        row = {c: recover_sum(action, one, c) for c in els}
+    quotient = monoid.quotient
     for ia, a in enumerate(els):
         for b in els[ia:]:
-            ring.put(a, b, recover_sum(action, a, b))
+            entry = _native_sum(monoid, a, b)
+            if not (row and pair_flag(a, b, entry) is None
+                    and quotient(entry, a) == row[quotient(b, a)]):
+                entry = recover_sum(action, a, b)
+            ring.put(a, b, entry)
     return ring
 
 
@@ -393,8 +441,7 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     transport of the second table to the first carrier; entry-by-entry
     comparison.  Multiplication is common to native and transported tables
     whenever the matching is multiplicative, which iso.verify checks on the
-    generator rows.  Each action is checked on its generator rows where
-    uniform_tolerance holds (verify_action's lemma), exhaustively otherwise.
+    generator rows.  build_addition_table verifies each action.
     """
     t0 = time.perf_counter()
     k = precision if precision is not None else n + V + 3
@@ -407,16 +454,8 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     d2 = standard_datum(ctx2)
     law1 = build_fgl(d1, trunc_degree)
     law2 = build_fgl(d2, trunc_degree)
-    a1 = build_action(d1, law1, monoid=m1)
-    a2 = build_action(d2, law2, monoid=m2)
-    for act in (a1, a2):
-        rep = verify_action(act, "generators" if uniform_tolerance(act) else "exhaustive")
-        if not rep.ok:
-            raise RecoveryError(
-                f"action verification failed: {rep.violations[0].to_json()}"
-            )
-    r1 = build_addition_table(a1)
-    r2 = build_addition_table(a2)
+    r1 = build_addition_table(build_action(d1, law1, monoid=m1))
+    r2 = build_addition_table(build_action(d2, law2, monoid=m2))
     report = VariationReport(
         p=p,
         poly1=tuple(poly1),

@@ -183,6 +183,32 @@ def test_recover_add_table(capsys):
     ]
 
 
+def test_recover_add_table_refuses_an_action_that_fails_verification(capsys, monkeypatch):
+    # [1:u] := [1:2u], moved along pi -> 2pi: the table's own action check
+    # reports the linear coefficient of [1:1], and the command exits 1
+    from fgl import cli
+    from fgl.laws import MonoidAction
+
+    build = cli.build_action
+
+    def relabelled(*args, **kwargs):
+        action = build(*args, **kwargs)
+        moved = {(1, u): action.assignment[(1, 2 * u % 5)] for u in range(1, 5)}
+        return MonoidAction(action.monoid, action.law,
+                            {**action.assignment, **moved}, tolerance="truncation")
+
+    monkeypatch.setattr(cli, "build_action", relabelled)
+    code, out, err = run(
+        capsys, "recover-add", "--p", "5", "--precision", "6", "--preset",
+        "standard", "--degree", "4", "--n", "1", "--V", "2", "--table", "--json",
+    )
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "recovery"
+    assert error["message"].startswith("action verification failed: ")
+    assert "'kind': 'linear_class', 'where': '1:1'" in error["message"]
+
+
 def test_recover_add_window_mode(capsys):
     base = [
         "recover-add", "--p", "5", "--precision", "6", "--preset",

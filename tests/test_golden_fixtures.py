@@ -1,8 +1,9 @@
 """CLI outputs must match the fixtures in tests/golden byte for byte: the
 variation demo with its mismatch samples, the full JSON addition table of the
-README recover-add carrier, and the exhaustive action report of `check` on a
-Z_5 truncation bundle (n=1, V=2, N=4), with its 48 checked and 16 skipped
-pairs."""
+README recover-add carrier, the table of a Z_3 carrier at N = 4 >= q, which
+confirms every pair on its own, and the exhaustive action report of `check`
+on a Z_5 truncation bundle (n=1, V=2, N=4), with its 48 checked and 16
+skipped pairs."""
 import json
 from pathlib import Path
 
@@ -22,6 +23,10 @@ COMMANDS = {
     "recover-add-table.stdout": [
         "recover-add", "--p", "5", "--precision", "6", "--preset", "standard",
         "--degree", "4", "--n", "1", "--V", "2", "--table", "--json",
+    ],
+    "recover-add-table-p3.stdout": [
+        "recover-add", "--p", "3", "--precision", "6", "--preset", "standard",
+        "--degree", "4", "--n", "2", "--V", "2", "--table", "--json",
     ],
     "check-truncation.stdout": [
         "check", "--bundle", str(GOLDEN / "check-truncation.json"), "--json",

@@ -1,18 +1,23 @@
+import functools
 import random
 
 from fractions import Fraction
 
 import pytest
 
+from fgl import laws, recovery
 from fgl.laws import (
     FglEndomorphism,
+    LawError,
     MonoidAction,
     endomorphism_from_logarithm,
     from_logarithm,
+    uniform_tolerance,
 )
 from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standard_datum
 from fgl.monoids import (
     BOTTOM,
+    MonoidError,
     RingSubsetMonoid,
     padic_truncation_of,
     unit_isomorphism_variants,
@@ -28,7 +33,7 @@ from fgl.recovery import (
     transport_structure,
     variation_demo,
 )
-from fgl.rings import PadicIntegers, RationalField
+from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
 from fgl.series import TruncatedSeries
 
 Q = RationalField()
@@ -75,12 +80,12 @@ def test_window_formal_negatives_hit_adjoined_zero():
     )
 
 
-def _perturbed(action, payload, degree):
-    """The same action with 1 added to the degree-th coefficient of
+def _perturbed(action, payload, degree, by=1):
+    """The same action with by added to the degree-th coefficient of
     [payload]."""
     series = action.endo_for(payload).series
     bump = TruncatedSeries(series.ctx, series.variables, series.trunc_degree,
-                           {(degree,): 1})
+                           {(degree,): by})
     assignment = dict(action.assignment)
     assignment[payload] = FglEndomorphism(action.law, series + bump)
     return MonoidAction(action.monoid, action.law, assignment,
@@ -315,3 +320,163 @@ def test_variation_demo_shallow_depth():
     assert by_twist[(7,)].disagreements == 720
     assert all(v.flag_mismatches == 0 for v in report.variants)
     assert not report.all_variants_disagree
+
+
+# ---------------------------------------------------------------------------
+# tables from one row
+
+
+def _ring_of(spec):
+    kind, p, k, *poly = spec
+    return PadicIntegers(p, k) if kind == "Z" else EisensteinExtension(p, k, tuple(poly))
+
+
+# (ring, preset, N, n, V) of the tables the suite builds; p3 has N = 4 >= q
+CARRIERS = {
+    "criterion-4": (("Z", 5, 8), "multiplicative", 4, 2, 3),
+    "criterion-5-t2-5": (("E", 5, 9, -5, 0, 1), "standard", 2, 3, 3),
+    "criterion-5-t2-10": (("E", 5, 9, -10, 0, 1), "standard", 2, 3, 3),
+    "t2-5-n2-V2": (("E", 5, 7, -5, 0, 1), "standard", 2, 2, 2),
+    "cli-n1-V2": (("Z", 5, 6), "standard", 4, 1, 2),
+    "p3-n2-V2": (("Z", 3, 6), "standard", 4, 2, 2),
+}
+ROW_CARRIERS = sorted(set(CARRIERS) - {"p3-n2-V2"})
+
+
+@functools.lru_cache(maxsize=None)
+def _carrier_action(name):
+    spec, preset, N, n, V = CARRIERS[name]
+    ctx = _ring_of(spec)
+    d = (multiplicative_datum if preset == "multiplicative" else standard_datum)(ctx, N)
+    return build_action(d, build_fgl(d, N), monoid=padic_truncation_of(ctx, n, V))
+
+
+@pytest.mark.parametrize("name", ROW_CARRIERS)
+def test_row_table_matches_the_per_pair_oracle(name):
+    action = _carrier_action(name)
+    assert uniform_tolerance(action)
+    ring = build_addition_table(action)
+    els = ring.elements
+    for i, a in enumerate(els):
+        for b in els[i:]:
+            assert ring.add(a, b) == ring.add(b, a) == recover_sum(action, a, b), (a, b)
+
+
+@pytest.mark.parametrize("name, compositions", [
+    ("criterion-4", 150),          # 60 row entries, 90 flagged pairs; 1,770 per pair
+    ("criterion-5-t2-5", 2499),    # 299 row entries, 2,200 flagged; 43,600 per pair
+    ("p3-n2-V2", 66),              # N >= q: every pair but the 12 capped ones
+])
+def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
+    action = _carrier_action(name)
+    calls = []
+    substitute = TruncatedSeries.substitute_powers
+
+    def counted(self, tables, model):
+        if len(self.variables) == 2:
+            calls.append(1)
+        return substitute(self, tables, model)
+
+    monkeypatch.setattr(TruncatedSeries, "substitute_powers", counted)
+    build_addition_table(action)
+    assert len(calls) == compositions
+
+
+def _swapped(name, u, w):
+    action = _carrier_action(name)
+    assignment = dict(action.assignment)
+    assignment[u], assignment[w] = assignment[w], assignment[u]
+    return MonoidAction(action.monoid, action.law, assignment, tolerance="truncation")
+
+
+def _relabelled():
+    # [1:u] := [1:2u] for every u: the assignment moved along pi -> 2pi
+    action = _carrier_action("cli-n1-V2")
+    moved = {(1, u): action.assignment[(1, 2 * u % 5)] for u in range(1, 5)}
+    return MonoidAction(action.monoid, action.law, {**action.assignment, **moved},
+                        tolerance="truncation")
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda: _swapped("criterion-4", (0, 2), (0, 3)),
+    _relabelled,
+    lambda: _swapped("p3-n2-V2", (0, 2), (0, 4)),
+], ids=["criterion-4-swapped", "pi-to-2pi", "p3-swapped"])
+def test_table_refuses_an_action_that_fails_verification(mutant):
+    with pytest.raises(RecoveryError, match="action verification failed"):
+        build_addition_table(mutant())
+
+
+def test_a_row_entry_off_the_identity_sends_its_pairs_to_the_law(monkeypatch):
+    # the row entry of c0 = 0:2 is planted wrong, so every unflagged pair
+    # (a, b) with b/a = c0 fails the identity and is confirmed on its own
+    action = _carrier_action("criterion-4")
+    monoid = action.monoid
+    want = build_addition_table(action)
+    c0, one = (0, 2), monoid.identity_payload()
+    real = recovery.recover_sum
+    pairs = []
+
+    def planted(action, p1, p2):
+        pairs.append((p1, p2))
+        if (p1, p2) == (one, c0) and len(pairs) <= len(want.elements):
+            return (0, 4)
+        return real(action, p1, p2)
+
+    monkeypatch.setattr(recovery, "recover_sum", planted)
+    ring = build_addition_table(action)
+    assert ring.table == want.table
+    els = want.elements
+    expected = [(a, b) for i, a in enumerate(els) for b in els[i:]
+                if want.flag(a, b) is not None or monoid.quotient(b, a) == c0]
+    assert pairs[len(els):] == expected
+    assert 0 < sum(want.flag(a, b) is None for a, b in expected) < len(expected)
+
+
+@pytest.mark.parametrize("shift, caught", [(1, True), (2, False)])
+def test_row_entries_are_confirmed_at_their_class_precision(shift, caught):
+    # 1 + 2 = 3 has valuation 0, so F(T, [2]) is compared with [3] mod 5^n,
+    # n = 2: a bump of 5^shift T^2 in [2] shows exactly when shift < 2
+    action = _perturbed(_carrier_action("criterion-4"), (0, 2), 2, by=5**shift)
+    one = action.monoid.identity_payload()
+    if caught:
+        with pytest.raises(RecoveryError, match=r"differs from \[0:3\] at degree 2"):
+            recover_sum(action, one, (0, 2))
+    else:
+        assert recover_sum(action, one, (0, 2)) == (0, 3)
+
+
+def test_quotient_inverts_class_multiplication():
+    monoid = _carrier_action("criterion-4").monoid
+    classes = [p for p in monoid.payloads() if p != BOTTOM]
+    for a in classes:
+        for c in classes:
+            b = monoid.mul(a, c)
+            if b != BOTTOM:
+                assert monoid.quotient(b, a) == c
+    with pytest.raises(MonoidError):
+        monoid.quotient((0, 1), (1, 1))
+
+
+def test_endomorphism_defect_is_computed_once_per_class(monkeypatch):
+    E = EisensteinExtension(5, 7, (-5, 0, 1))
+    d = standard_datum(E)
+    law = build_fgl(d, 2)
+    d.field_log(2)  # its self-check is a defect of its own
+    calls = []
+    defect = laws.intertwining_defect
+
+    def counted(*args):
+        calls.append(1)
+        return defect(*args)
+
+    monkeypatch.setattr(laws, "intertwining_defect", counted)
+    action = build_action(d, law, monoid=padic_truncation_of(E, 2, 2))
+    build_addition_table(action)
+    assert len(calls) == len(action.assignment) == 40
+    # a perturbed copy is a new instance, with a defect of its own
+    series = action.assignment[action.monoid.class_of(E.normalize(2))].series
+    bump = TruncatedSeries(E, ("T",), 2, {(2,): 1})
+    with pytest.raises(LawError, match="endomorphism law fails"):
+        FglEndomorphism(law, series + bump).verify()
+    assert len(calls) == 41
