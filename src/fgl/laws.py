@@ -435,6 +435,7 @@ class MonoidAction:
         self.tolerance = tolerance
         self._endo_cache: dict = {}
         self._power_tables: dict = {}
+        self._uniform = None  # uniform_tolerance, scanned once per action
 
     def endo_for(self, payload) -> FglEndomorphism:
         if payload in self._endo_cache:
@@ -484,6 +485,12 @@ def uniform_tolerance(action: MonoidAction) -> bool:
     """Whether verify_action's lemma holds here: truncation tolerance, N < p
     (= q), every class but BOTTOM assigned, and premise (b), every
     coefficient of every [a] of valuation at least v(a)."""
+    if action._uniform is None:
+        action._uniform = _lemma_applies(action)
+    return action._uniform
+
+
+def _lemma_applies(action: MonoidAction) -> bool:
     if action.tolerance != "truncation":
         return False
     ctx = action.law.ctx

@@ -9,15 +9,17 @@ precision over a truncation monoid and exactly over a listed window.  Sums
 whose valuation escapes the window come back as CAPPED rather than folded
 into the absorbing class; the adjoined zero is the exact series 0.
 
-transport_structure moves a recovered addition table along a multiplicative
-isomorphism, which is how two rings sharing one monoid exhibit different
-additions on the same carrier.
+On a finite truncation carrier a recovered ring is one row, 1 + c for every
+class c, and the rule a + b = a(1 + b/a); transport_structure moves it along
+a multiplicative isomorphism by permuting the row, which is how two rings
+sharing one monoid exhibit different additions on the same carrier.
 """
 from __future__ import annotations
 
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import product
 
 from .laws import MonoidAction, series_congruent, uniform_tolerance, verify_action
@@ -143,52 +145,57 @@ def recover_sum(action: MonoidAction, p1, p2):
 
 
 class RecoveredRing:
-    """Addition table on the carrier of a finite truncation monoid.
+    """Addition on the carrier of a finite truncation monoid: a row and a rule.
 
-    Rows and columns are the non-absorbing classes, listed once in sorted
-    order as elements; the adjoined zero is implicit (0 + m = m).  Entries
-    are class payloads, ADJOINED_ZERO, or CAPPED for sums escaping the
-    valuation window.  table is a list over ordered pairs of class
-    positions: slot i*|C| + j holds elements[i] + elements[j].  A table
-    starts empty and is filled through put.
-
-    Each pair's flag is read off its entry by pair_flag.  Axiom checks run
-    only over unflagged entries, where class addition is independent of
-    lifts.
+    elements lists the non-absorbing classes, sorted, so valuation first; the
+    adjoined zero is implicit (0 + m = m).  row[c] is 1 + c.  For v(a) <=
+    v(b), add(a, b) is a*row[b/a] when that entry is unflagged, else
+    other(a, b).  The canonical lifts satisfy a + b = a(1 + c) mod
+    pi^(v(b) + n), c = b/a, so a pair is flagged exactly when its row entry
+    is.  Entries are class payloads, ADJOINED_ZERO, or CAPPED for sums
+    escaping the valuation window; pair_flag reads a pair's flag off its
+    entry.  Axiom checks run only over unflagged entries, where class
+    addition is independent of lifts.
     """
 
-    def __init__(self, monoid: PadicTruncationMonoid, provenance: str):
+    def __init__(self, monoid: PadicTruncationMonoid, provenance: str,
+                 row: dict, other):
         self.monoid = monoid
         self.elements = sorted(p for p in monoid.payloads() if p != BOTTOM)
-        self.position = {p: i for i, p in enumerate(self.elements)}
-        self.table: list = [None] * len(self.elements) ** 2
         self.provenance = provenance
-
-    def _slot(self, a, b) -> int:
-        return self.position[a] * len(self.elements) + self.position[b]
+        self.row = row
+        self.other = other
+        one = monoid.identity_payload()
+        self._units = {c: z for c, z in row.items() if pair_flag(one, c, z) is None}
 
     def _entries(self):
-        """((a, b), entry) for every ordered pair, in slot order."""
-        return zip(product(self.elements, repeat=2), self.table)
-
-    def put(self, a, b, entry):
-        """Record a + b = b + a = entry."""
-        self.table[self._slot(a, b)] = self.table[self._slot(b, a)] = entry
+        """((a, b), entry) for every ordered pair, row by row."""
+        return (((a, b), self.add(a, b))
+                for a, b in product(self.elements, repeat=2))
 
     def add(self, a, b):
         if a == ADJOINED_ZERO:
             return b
         if b == ADJOINED_ZERO:
             return a
-        return self.table[self._slot(a, b)]
+        if b[0] < a[0]:
+            a, b = b, a
+        z = self._units.get(self.monoid.quotient(b, a))
+        return self.other(a, b) if z is None else self.monoid.mul(a, z)
 
     def flag(self, a, b):
         """The pair's flag: "cap", "precision", or None."""
         return pair_flag(a, b, self.add(a, b))
 
+    def flagged_pairs(self):
+        """Ordered pairs (a, a*c) with 1 + c flagged; all other pairs are
+        unflagged.  Such c are units, as 1 + c is one when v(c) > 0."""
+        return ((a, self.monoid.mul(c, a)) for c in self.elements
+                if c not in self._units for a in self.elements)
+
     def flag_counts(self) -> dict:
         """Flagged ordered pairs by kind."""
-        counts = Counter(pair_flag(a, b, e) for (a, b), e in self._entries())
+        counts = Counter(self.flag(a, b) for a, b in self.flagged_pairs())
         return {kind: counts[kind] for kind in ("cap", "precision")}
 
     def verify_ring_axioms(self) -> dict:
@@ -262,22 +269,19 @@ class RecoveredRing:
 
 
 def build_addition_table(action: MonoidAction) -> RecoveredRing:
-    """Every pairwise sum: the native sum of canonical lifts, confirmed by
-    the law at class precision.  A failed confirmation is a hard error: for
-    a Lubin-Tate action the two must coincide.
+    """Every pairwise sum, confirmed by the law at class precision; a failed
+    confirmation is a hard error.
 
     The action is verified first, on its generator rows where
-    uniform_tolerance holds and exhaustively otherwise.  Where it holds,
-    the law is confirmed on one row, Z[c] = recover_sum(action, 1, c) for
-    every class c, and an unflagged pair (a, b) with a before b is confirmed
-    by the carrier identity a + b = a*Z[b/a], read as quotient(a + b, a) =
-    Z[quotient(b, a)].  Flagged pairs, and any pair that fails the
-    identity, go through recover_sum.  Where the predicate fails, every
-    pair goes through recover_sum.
+    uniform_tolerance holds and exhaustively otherwise; then the row Z[c] =
+    recover_sum(action, 1, c) for every class c.  Where the predicate holds,
+    only the flagged pairs b = a*c (Z[c] flagged) go through recover_sum.
+    Where it fails, every pair without 1 does, and must equal the ring's
+    entry.
 
     Proof of the row step.  Elements are sorted by valuation, so v(a) <=
     v(b); put c = b/a and suppose Z[c] = 1 + c is unflagged, v(1 + c) = 0.
-    The entry a + b then has valuation v(a) and class precision v(a) + n
+    The entry a*(1 + c) then has valuation v(a) and class precision v(a) + n
     (premise (a) of verify_action's lemma).  Mod pi^(v(a) + n):
       F([a], [b]) = F([a], [a]o[c]), by the lemma's composition [a]o[c] =
         [b] mod pi^(v(b) + n) and F integral;
@@ -285,9 +289,9 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
       [a]oF(T, [c]) = [a]o[1 + c], by the row F(T, [c]) = [1 + c] mod pi^n
         and premise (b) on [a];
       [a]o[1 + c] = [a(1 + c)], by the lemma.
-    So F([a], [b]) = [a(1 + c)] at the entry's class precision, and a(1 +
-    c) is the entry exactly when the identity holds.  A pair is flagged
-    exactly when Z[c] is, so flagged pairs keep their own confirmation.
+    So F([a], [b]) = [a(1 + c)] at the entry's class precision: an unflagged
+    entry is the value the law confirms, and nothing is computed a second
+    time to compare with it.
     """
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
@@ -298,40 +302,41 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
         raise RecoveryError(
             f"action verification failed: {rep.violations[0].to_json()}"
         )
-    ring = RecoveredRing(monoid, "recovered")
-    els = ring.elements
-    row = {}
+    one = monoid.identity_payload()
+    row = {c: recover_sum(action, one, c) for c in monoid.payloads() if c != BOTTOM}
+    ring = RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
     if uniform:
-        one = monoid.identity_payload()
-        row = {c: recover_sum(action, one, c) for c in els}
-    quotient = monoid.quotient
-    for ia, a in enumerate(els):
-        for b in els[ia:]:
-            entry = _native_sum(monoid, a, b)
-            if not (row and pair_flag(a, b, entry) is None
-                    and quotient(entry, a) == row[quotient(b, a)]):
-                entry = recover_sum(action, a, b)
-            ring.put(a, b, entry)
+        for a, b in ring.flagged_pairs():
+            if a <= b:  # (b, a) is the pair at a/b
+                recover_sum(action, a, b)
+        return ring
+    for i, a in enumerate(ring.elements):
+        for b in ring.elements[i:]:
+            if one in (a, b):
+                continue  # the row's own pairs
+            entry = recover_sum(action, a, b)
+            if entry != ring.add(a, b):
+                raise RecoveryError(f"{monoid.label(a)} + {monoid.label(b)} = "
+                                    f"{entry_label(monoid, entry)} breaks a + b = a*Z[b/a]")
     return ring
 
 
 def transport_structure(iso: MonoidMorphism, ring2: RecoveredRing) -> RecoveredRing:
-    """Addition pulled back along a multiplicative isomorphism:
-    a +' b = iso_inv(iso(a) + iso(b)), read off ring2 through the
-    permutation of class positions.  Multiplication is untouched, and so are
-    flags: iso keeps valuations, so a pair's flag is ring2's at its image."""
+    """Addition pulled back along a multiplicative isomorphism, a +' b =
+    iso_inv(iso(a) + iso(b)).  iso is verified first: only then is a +' b =
+    a*iso_inv(1 + iso(b/a)), so the row is permuted and the other pairs are
+    pulled back on demand.  Flags are untouched: iso keeps valuations."""
     if iso.target.key() != ring2.monoid.key():
         raise RecoveryError("isomorphism target does not carry the given table")
     fwd = iso.table
     if fwd is None:
         raise RecoveryError("transport needs a full table morphism")
+    iso.verify()
     inv = {b: a for a, b in fwd.items()}
     inv[CAPPED], inv[ADJOINED_ZERO] = CAPPED, ADJOINED_ZERO  # not classes
-    ring = RecoveredRing(iso.source, "transported")
-    perm = [ring2.position[fwd[a]] for a in ring.elements]
-    size = len(perm)
-    ring.table = [inv[ring2.table[i * size + j]] for i in perm for j in perm]
-    return ring
+    row = {c: inv[ring2.row[fwd[c]]] for c in fwd if c != BOTTOM}
+    return RecoveredRing(iso.source, "transported", row,
+                         lambda a, b: inv[ring2.add(fwd[a], fwd[b])])
 
 
 # ---------------------------------------------------------------------------
@@ -391,44 +396,31 @@ def _compare_tables(native: RecoveredRing,
                     transported: RecoveredRing) -> VariantOutcome:
     """Pairs flagged on one side only count as flag mismatches; pairs flagged
     on both sides are set aside (their entries are lift artifacts on both
-    carriers).  Unflagged pairs compare entry by entry."""
+    carriers).  Unflagged pairs compare entry by entry.  On both rings a
+    pair's flag and entry a*(1 + c) follow from the row at c = b/a, and
+    a*z = a*z' only when z = z', so its kind is that of (1, c): it is
+    decided once per class, and entries are formed only for the samples."""
     m1 = native.monoid
-    els = native.elements
-    size = len(els)
-    agreements = disagreements = flag_mismatches = both_flagged = 0
+    one = m1.identity_payload()
+    kinds = {}
+    for c in native.elements:
+        f1, f2 = native.flag(one, c), transported.flag(one, c)
+        kinds[c] = ("both" if f1 and f2 else "flag" if f1 or f2 else
+                    "agree" if native.row[c] == transported.row[c] else "entry")
+    counts = Counter()
     sample = []
+    els = native.elements
     for i, a in enumerate(els):
-        for j in range(i, size):
-            b, slot = els[j], i * size + j
-            e1 = native.table[slot]
-            e2 = transported.table[slot]
-            f1 = pair_flag(a, b, e1)
-            f2 = pair_flag(a, b, e2)
-            if f1 is not None and f2 is not None:
-                both_flagged += 1
-                continue
-            if f1 is None and f2 is None:
-                if e1 == e2:
-                    agreements += 1
-                    continue
-                disagreements += 1
-                kind = "entry"
-            else:
-                flag_mismatches += 1
-                kind = "flag"
-            if len(sample) < 10:
-                lbl = m1.label
-                sample.append(
-                    {
-                        "pair": [lbl(a), lbl(b)],
-                        "native": entry_label(m1, e1),
-                        "transported": entry_label(m1, e2),
-                        "kind": kind,
-                    }
-                )
-    return VariantOutcome(
-        (), agreements, disagreements, flag_mismatches, both_flagged, sample
-    )
+        for b in els[i:]:
+            kind = kinds[m1.quotient(b, a)]
+            counts[kind] += 1
+            if kind in ("entry", "flag") and len(sample) < 10:
+                sample.append({"pair": [m1.label(a), m1.label(b)],
+                               "native": entry_label(m1, native.add(a, b)),
+                               "transported": entry_label(m1, transported.add(a, b)),
+                               "kind": kind})
+    return VariantOutcome((), counts["agree"], counts["entry"], counts["flag"],
+                          counts["both"], sample)
 
 
 def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
@@ -439,9 +431,9 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     Pipeline: truncation monoids for both rings; generator-matched
     isomorphisms (several twists); a Lubin-Tate addition table on each side;
     transport of the second table to the first carrier; entry-by-entry
-    comparison.  Multiplication is common to native and transported tables
-    whenever the matching is multiplicative, which iso.verify checks on the
-    generator rows.  build_addition_table verifies each action.
+    comparison.  Multiplication is common to both rings whenever the
+    matching is multiplicative, which transport_structure checks on the
+    generator rows; build_addition_table verifies each action.
     """
     t0 = time.perf_counter()
     k = precision if precision is not None else n + V + 3
@@ -468,7 +460,6 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
         multiplication_identical=True,
     )
     for powers, iso in isos:
-        iso.verify()  # multiplicativity; backs the shared tables
         transported = transport_structure(iso, r2)
         outcome = _compare_tables(r1, transported)
         outcome.twist = powers

@@ -131,9 +131,10 @@ def test_criterion_4_recovered_addition_matches_native_ring():
     law = build_fgl(datum, 4)
     monoid = padic_truncation_of(Z5, 2, 3)
     action = build_action(datum, law, monoid=monoid)
-    # build_addition_table takes each entry from the native sum of the
-    # canonical lifts and hard-errors unless the law confirms it at class
-    # precision
+    # build_addition_table confirms the row 1 + c by the law at class
+    # precision for every class c, and each flagged pair on its own; an
+    # unflagged a + b is a*(1 + b/a), which the row step's proof confirms.
+    # A failed confirmation is a hard error
     ring = build_addition_table(action)
     report = ring.verify_ring_axioms()
     elapsed = time.time() - t0

@@ -1,7 +1,8 @@
 """CLI outputs must match the fixtures in tests/golden byte for byte: the
-variation demo with its mismatch samples, the full JSON addition table of the
-README recover-add carrier, the table of a Z_3 carrier at N = 4 >= q, which
-confirms every pair on its own, and the exhaustive action report of `check`
+variation demo with its mismatch samples, at N = 2 on Z_5[sqrt 5] and at
+N = 4 >= q on Z_3[sqrt 3], where every table pair is confirmed on its own;
+the full JSON addition table of the README recover-add carrier; the table
+of a Z_3 carrier at N = 4 >= q; and the exhaustive action report of `check`
 on a Z_5 truncation bundle (n=1, V=2, N=4), with its 48 checked and 16
 skipped pairs."""
 import json
@@ -19,6 +20,10 @@ COMMANDS = {
     "demo-variation.stdout": [
         "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
         "--n", "2", "--V", "2", "--json",
+    ],
+    "demo-variation-p3.stdout": [
+        "demo-variation", "--p", "3", "--e1", "t^2-3", "--e2", "t^2-6",
+        "--n", "2", "--V", "2", "--degree", "4", "--json",
     ],
     "recover-add-table.stdout": [
         "recover-add", "--p", "5", "--precision", "6", "--preset", "standard",

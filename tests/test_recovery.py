@@ -1,6 +1,8 @@
 import functools
 import random
 
+from collections import Counter
+
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standa
 from fgl.monoids import (
     BOTTOM,
     MonoidError,
+    MonoidMorphism,
     RingSubsetMonoid,
     padic_truncation_of,
     unit_isomorphism_variants,
@@ -29,6 +32,8 @@ from fgl.recovery import (
     RecoveredRing,
     RecoveryError,
     build_addition_table,
+    entry_label,
+    pair_flag,
     recover_sum,
     transport_structure,
     variation_demo,
@@ -229,29 +234,27 @@ def test_ring_axioms_hold_on_unflagged_entries():
     assert report["skipped"]["distributivity"] == 116000
 
 
-def _copy(ring):
-    planted = RecoveredRing(ring.monoid, ring.provenance)
-    planted.table[:] = ring.table
-    return planted
+def _planted(ring, c, entry):
+    """ring with its row entry 1 + c replaced by entry."""
+    return RecoveredRing(ring.monoid, ring.provenance, {**ring.row, c: entry},
+                         ring.other)
 
 
 def test_ring_axiom_check_catches_planted_faults():
     ring, *_ = _trunc_ring(n=2, V=2)
     ring.verify_ring_axioms()
-    # one slot of an ordered pair changed, its mirror left alone
-    asymmetric = _copy(ring)
-    slot = ring.position[(0, 1)] * len(ring.elements) + ring.position[(0, 2)]
-    asymmetric.table[slot] = (0, 4)
+    # 1 + 2 = 3 planted as 4: a + 2a reads a*Z[2] one way round and
+    # (2a)*Z[1/2] the other, and only the second is a + 2a
+    assert ring.row[(0, 2)] == (0, 3)
     with pytest.raises(RecoveryError, match="not symmetric"):
-        asymmetric.verify_ring_axioms()
-    # 1 + 2 = 4 in both orders, still unflagged: then (1 + 2) + 4 = 8 but
-    # 1 + (2 + 4) = 7, through unflagged entries only
-    assert ring.flag((0, 1), (0, 2)) is None
-    broken = _copy(ring)
-    broken.put((0, 1), (0, 2), (0, 4))
+        _planted(ring, (0, 2), (0, 4)).verify_ring_axioms()
+    # 1 + 5 = 6 planted as 11, still unflagged: a pair (a, b) with v(b) =
+    # v(a) + 1 is read one way round only, so the table stays symmetric, and
+    # associativity catches it
+    assert ring.row[(1, 1)] == (0, 6)
     with pytest.raises(RecoveryError,
-                       match=r"associativity fails at \(\(0, 1\), \(0, 2\), \(0, 4\)\)"):
-        broken.verify_ring_axioms()
+                       match=r"associativity fails at \(\(0, 1\), \(0, 1\), \(1, 1\)\)"):
+        _planted(ring, (1, 1), (0, 11)).verify_ring_axioms()
 
 
 def test_table_json_marks_flags():
@@ -274,13 +277,10 @@ def test_transport_preserves_structure_along_isomorphism():
     law2 = build_fgl(d2, 2)
     r2 = build_addition_table(build_action(d2, law2, monoid=m2))
     (powers, iso), = list(unit_isomorphism_variants(m1, m2, count=1))
-    iso.verify()
     moved = transport_structure(iso, r2)
     assert moved.monoid.key() == m1.key()
     classes = [p for p in m1.payloads() if p != BOTTOM]
     assert moved.elements == sorted(classes)
-    assert len(moved.table) == len(classes) ** 2
-    assert None not in moved.table  # every slot filled
     # multiplicativity of the matching means flags transport along entries
     assert sorted(moved.flag_counts().items()) == sorted(r2.flag_counts().items())
 
@@ -306,6 +306,74 @@ def test_transport_matches_per_pair_oracle_on_a_twist():
             for b in moved.elements:
                 assert moved.add(a, b) == inv[r2.add(fwd[a], fwd[b])]
                 assert moved.flag(a, b) == r2.flag(fwd[a], fwd[b])
+
+
+# (p, poly1, poly2, N) of the demo pairs at n=2, V=2; p3 has N = 4 >= q
+DEMO_PAIRS = {
+    "t2-5-t2-10": (5, (-5, 0, 1), (-10, 0, 1), 2),
+    "p3": (3, (-3, 0, 1), (-6, 0, 1), 4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _demo_rings(name):
+    p, poly1, poly2, N = DEMO_PAIRS[name]
+    rings = []
+    for poly in (poly1, poly2):
+        E = EisensteinExtension(p, 7, poly)
+        d = standard_datum(E)
+        monoid = padic_truncation_of(E, 2, 2)
+        rings.append(build_addition_table(build_action(d, build_fgl(d, N), monoid=monoid)))
+    return tuple(rings)
+
+
+def _walk_compare(native, transported):
+    """The four counts and the samples of _compare_tables, from add and
+    pair_flag on both rings at every upper-triangle pair."""
+    m = native.monoid
+    counts = Counter()
+    sample = []
+    els = native.elements
+    for i, a in enumerate(els):
+        for b in els[i:]:
+            e1, e2 = native.add(a, b), transported.add(a, b)
+            f1 = pair_flag(a, b, e1) is not None
+            f2 = pair_flag(a, b, e2) is not None
+            kind = ("both" if f1 and f2 else "flag" if f1 or f2
+                    else "agree" if e1 == e2 else "entry")
+            counts[kind] += 1
+            if kind in ("flag", "entry") and len(sample) < 10:
+                sample.append({"pair": [m.label(a), m.label(b)],
+                               "native": entry_label(m, e1),
+                               "transported": entry_label(m, e2),
+                               "kind": kind})
+    return counts, sample
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_PAIRS))
+def test_per_class_compare_matches_a_walk_of_every_pair(name):
+    native, r2 = _demo_rings(name)
+    variants = unit_isomorphism_variants(native.monoid, r2.monoid, count=100)
+    disagreeing = 0
+    for powers, iso in variants:
+        got = recovery._compare_tables(native, transport_structure(iso, r2))
+        counts, sample = _walk_compare(native, transport_structure(iso, r2))
+        assert (got.agreements, got.disagreements, got.flag_mismatches,
+                got.both_flagged) == (counts["agree"], counts["entry"],
+                                      counts["flag"], counts["both"]), powers
+        assert got.sample == sample, powers
+        disagreeing += got.disagreements > 0
+    assert len(variants) > disagreeing > 0
+
+
+def test_transport_refuses_a_non_multiplicative_table():
+    native, r2 = _demo_rings("t2-5-t2-10")
+    (powers, iso), = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
+    table = dict(iso.table)
+    u, w = native.elements[1:3]  # two units, neither of them 1
+    table[u], table[w] = table[w], table[u]
+    with pytest.raises(MonoidError, match="multiplicativity fails"):
+        transport_structure(MonoidMorphism(native.monoid, r2.monoid, table=table), r2)
 
 
 def test_variation_demo_shallow_depth():
@@ -407,30 +475,38 @@ def test_table_refuses_an_action_that_fails_verification(mutant):
         build_addition_table(mutant())
 
 
-def test_a_row_entry_off_the_identity_sends_its_pairs_to_the_law(monkeypatch):
-    # the row entry of c0 = 0:2 is planted wrong, so every unflagged pair
-    # (a, b) with b/a = c0 fails the identity and is confirmed on its own
-    action = _carrier_action("criterion-4")
-    monoid = action.monoid
-    want = build_addition_table(action)
-    c0, one = (0, 2), monoid.identity_payload()
+def _plant_row_entry(monkeypatch, action, c0, entry):
+    """recover_sum answers entry for 1 + c0, and the law for every other
+    sum."""
+    one = action.monoid.identity_payload()
     real = recovery.recover_sum
-    pairs = []
 
     def planted(action, p1, p2):
-        pairs.append((p1, p2))
-        if (p1, p2) == (one, c0) and len(pairs) <= len(want.elements):
-            return (0, 4)
-        return real(action, p1, p2)
+        return entry if (p1, p2) == (one, c0) else real(action, p1, p2)
 
     monkeypatch.setattr(recovery, "recover_sum", planted)
+
+
+def test_a_planted_row_entry_fails_the_per_pair_table(monkeypatch):
+    # N >= q: every pair is confirmed by the law and compared with the
+    # ring's entry; 1 + 4 = 5 planted as 2 makes 2 + 8 read 2*2 = 4, where
+    # the law confirms 2 + 8 = 10 = 1 mod 9
+    action = _carrier_action("p3-n2-V2")
+    _plant_row_entry(monkeypatch, action, (0, 4), (0, 2))
+    with pytest.raises(RecoveryError,
+                       match=r"0:2 \+ 0:8 = 0:1 breaks a \+ b = a\*Z\[b/a\]"):
+        build_addition_table(action)
+
+
+def test_a_planted_row_entry_fails_the_ring_axioms(monkeypatch):
+    # N < q: an unflagged entry is a*Z[b/a], which the proof confirms from
+    # the row alone, so the build trusts the planted row; the axioms do not
+    action = _carrier_action("criterion-4")
+    _plant_row_entry(monkeypatch, action, (0, 2), (0, 4))
     ring = build_addition_table(action)
-    assert ring.table == want.table
-    els = want.elements
-    expected = [(a, b) for i, a in enumerate(els) for b in els[i:]
-                if want.flag(a, b) is not None or monoid.quotient(b, a) == c0]
-    assert pairs[len(els):] == expected
-    assert 0 < sum(want.flag(a, b) is None for a, b in expected) < len(expected)
+    assert ring.row[(0, 2)] == (0, 4)
+    with pytest.raises(RecoveryError, match="not symmetric"):
+        ring.verify_ring_axioms()
 
 
 @pytest.mark.parametrize("shift, caught", [(1, True), (2, False)])
@@ -480,3 +556,20 @@ def test_endomorphism_defect_is_computed_once_per_class(monkeypatch):
     with pytest.raises(LawError, match="endomorphism law fails"):
         FglEndomorphism(law, series + bump).verify()
     assert len(calls) == 41
+
+
+def test_uniform_tolerance_scans_once_per_table(monkeypatch):
+    calls = []
+    scan = laws._lemma_applies
+
+    def counted(action):
+        calls.append(1)
+        return scan(action)
+
+    monkeypatch.setattr(laws, "_lemma_applies", counted)
+    cached = _carrier_action("criterion-4")
+    # a new instance, so that no earlier test's scan is remembered
+    action = MonoidAction(cached.monoid, cached.law, cached.assignment,
+                          tolerance=cached.tolerance)
+    build_addition_table(action)
+    assert len(calls) == 1
