@@ -19,8 +19,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import partial
-from itertools import product
+from functools import cache, partial
+from itertools import chain, islice, product
 
 from .laws import MonoidAction, series_congruent, uniform_tolerance, verify_action
 from .lubin_tate import build_action, build_fgl, standard_datum
@@ -156,6 +156,11 @@ class RecoveredRing:
     escaping the valuation window; pair_flag reads a pair's flag off its
     entry.  Axiom checks run only over unflagged entries, where class
     addition is independent of lifts.
+
+    Away from flags the rule is homogeneous: when s*a and s*b are classes,
+    (s*a, s*b) has the quotient c of (a, b), so s*a + s*b = s*(a + b).  So a
+    pair or a triple behaves as its normalized form does, and stands for
+    weight(v) of them, v its largest valuation.
     """
 
     def __init__(self, monoid: PadicTruncationMonoid, provenance: str,
@@ -165,13 +170,9 @@ class RecoveredRing:
         self.provenance = provenance
         self.row = row
         self.other = other
+        self.units = self.elements[:len(monoid.unit_payloads())]
         one = monoid.identity_payload()
-        self._units = {c: z for c, z in row.items() if pair_flag(one, c, z) is None}
-
-    def _entries(self):
-        """((a, b), entry) for every ordered pair, row by row."""
-        return (((a, b), self.add(a, b))
-                for a, b in product(self.elements, repeat=2))
+        self._unflagged = {c: z for c, z in row.items() if pair_flag(one, c, z) is None}
 
     def add(self, a, b):
         if a == ADJOINED_ZERO:
@@ -180,7 +181,7 @@ class RecoveredRing:
             return a
         if b[0] < a[0]:
             a, b = b, a
-        z = self._units.get(self.monoid.quotient(b, a))
+        z = self._unflagged.get(self.monoid.quotient(b, a))
         return self.other(a, b) if z is None else self.monoid.mul(a, z)
 
     def flag(self, a, b):
@@ -188,74 +189,114 @@ class RecoveredRing:
         return pair_flag(a, b, self.add(a, b))
 
     def flagged_pairs(self):
-        """Ordered pairs (a, a*c) with 1 + c flagged; all other pairs are
-        unflagged.  Such c are units, as 1 + c is one when v(c) > 0."""
+        """Ordered pairs (a, a*c) with 1 + c flagged and a*c a class; all
+        other pairs are unflagged.  In a built ring such c are units, as
+        1 + c is one when v(c) > 0; the a are the first weight(v(c))
+        elements."""
         return ((a, self.monoid.mul(c, a)) for c in self.elements
-                if c not in self._units for a in self.elements)
+                if c not in self._unflagged
+                for a in self.elements[:self.weight(c[0])])
 
     def flag_counts(self) -> dict:
         """Flagged ordered pairs by kind."""
         counts = Counter(self.flag(a, b) for a, b in self.flagged_pairs())
         return {kind: counts[kind] for kind in ("cap", "precision")}
 
+    def weight(self, v: int) -> int:
+        """The number of classes s for which s*p is a class for every p of
+        valuation at most v: |U|*(V - v), U the units."""
+        return len(self.units) * (self.monoid.V - v)
+
+    def check_symmetry(self):
+        """Raise unless the row is symmetric: a unit c is flagged exactly
+        when 1/c is, and Z[c] = c*Z[1/c] when it is not; |U| reads.
+
+        For v(a) = v(b) and c = b/a, a + b is a*Z[c] and b + a is
+        (a*c)*Z[1/c], or other() on both sides where Z[c] is flagged; pairs
+        of unequal valuation are read one way round.  So this is a + b =
+        b + a on every unflagged pair, and what makes a pair's kind in
+        _compare_tables the same under c and under 1/c."""
+        one, quotient = self.monoid.identity_payload(), self.monoid.quotient
+        for c in self.units:
+            z, w = self._unflagged.get(c), self._unflagged.get(quotient(one, c))
+            # z = c*w read as z/c = w: c*w would build c's product row
+            if (z is None) != (w is None) or z is not None and quotient(z, c) != w:
+                raise RecoveryError(f"table not symmetric at ({one}, {c})")
+
     def verify_ring_axioms(self) -> dict:
         """Commutativity, associativity and distributivity on everything
-        unflagged; cubic in the carrier size.  Zero neutrality holds by
-        construction: add returns the other operand of the adjoined zero."""
-        els = self.elements
-        checked = {"commutativity": 0, "associativity": 0, "distributivity": 0}
-        skipped = {"associativity": 0, "distributivity": 0}
-        unflagged = {}
-        for (a, b), e in self._entries():
+        unflagged.  A count is the number of pairs or triples the check
+        covers; zero neutrality holds by construction, as add returns the
+        other operand of the adjoined zero.
+
+        Commutativity is check_symmetry plus a + b = b + a on the flagged
+        pairs, |C|^2 pairs in all.
+
+        Distributivity.  Let (a, b) be unflagged, v(a) <= v(b), c = b/a,
+        and m*a, m*b classes.  Then (m*a, m*b) has quotient c, so it is
+        unflagged too, and m*a + m*b = (m*a)*Z[c] = m*(a + b).  A flagged
+        (a, b) has a flagged entry, which the identity skips, unless other()
+        gives it an unflagged one; that is the one way distributivity can
+        fail, and it is what is checked, on the flagged pairs.  The count is
+        weight(max(v(a), v(b))) summed over the unflagged pairs.
+
+        Associativity.  Every triple is s*t for one normalized triple t,
+        whose first element of least valuation is 1: (1, y, z), (x, 1, z)
+        or (x, y, 1), with v(x), v(y) > 0 in the last two.  Once flagged
+        pairs are known to have flagged sums, a pair is unflagged exactly
+        when its quotient's row entry is, so s*t is checked and holds
+        exactly when t is checked and holds.  Each normalized t is checked
+        once and counts weight(max v(t)) times; a failure names the
+        row-major first of the s*t, which has s a unit.
+        """
+        els, mul, one = self.elements, self.monoid.mul, self.monoid.identity_payload()
+        self.check_symmetry()
+        for a, b in sorted(self.flagged_pairs()):
+            e = self.other(a, b)
             if e != self.add(b, a):
                 raise RecoveryError(f"table not symmetric at ({a}, {b})")
-            checked["commutativity"] += 1
             if pair_flag(a, b, e) is None:
-                unflagged[(a, b)] = e
-        for a in els:
-            for b in els:
-                ab = unflagged.get((a, b))
-                if ab is None:
-                    skipped["associativity"] += len(els)
-                    continue
-                for c in els:
-                    bc = unflagged.get((b, c))
-                    left = unflagged.get((ab, c))
-                    right = unflagged.get((a, bc))  # (a, None) is absent
-                    if left is None or right is None:
-                        skipped["associativity"] += 1
-                        continue
-                    if left != right:
-                        raise RecoveryError(
-                            f"associativity fails at ({a}, {b}, {c})"
-                        )
-                    checked["associativity"] += 1
-        for m in els:
-            for a in els:
-                ma = self.monoid.mul(m, a)
-                if ma == BOTTOM:
-                    skipped["distributivity"] += len(els)
-                    continue
-                for b in els:
-                    s = unflagged.get((a, b))
-                    ms = BOTTOM if s is None else self.monoid.mul(m, s)
-                    # (ma, BOTTOM) is absent: BOTTOM is not an element
-                    other = unflagged.get((ma, self.monoid.mul(m, b)))
-                    if ms == BOTTOM or other is None:
-                        skipped["distributivity"] += 1
-                        continue
-                    if ms != other:
-                        raise RecoveryError(
-                            f"distributivity fails at m={m}, ({a}, {b})"
-                        )
-                    checked["distributivity"] += 1
-        return {"checked": checked, "skipped": skipped}
+                raise RecoveryError(f"distributivity fails at ({a}, {b}): "
+                                    "its row entry is flagged and its sum is not")
+
+        @cache
+        def unflagged_sum(x, y):
+            e = self.add(x, y)
+            return e if pair_flag(x, y, e) is None else None
+
+        rest = els[len(self.units):]
+        normalized = chain(((one, y, z) for y in els for z in els),
+                           ((x, one, z) for x in rest for z in els),
+                           ((x, y, one) for x in rest for y in rest))
+        counts, failures = Counter(), []
+        for a, b, c in normalized:
+            ab, bc = unflagged_sum(a, b), unflagged_sum(b, c)
+            left = None if ab is None else unflagged_sum(ab, c)
+            right = None if bc is None else unflagged_sum(a, bc)
+            checked = left is not None and right is not None
+            counts[checked] += self.weight(max(a[0], b[0], c[0]))
+            if checked and left != right:
+                failures.append((a, b, c))
+        if failures:
+            first = min(tuple(mul(s, x) for x in t)
+                        for t in failures for s in self.units)
+            raise RecoveryError(f"associativity fails at {first}")
+        # the unflagged pairs at c are a*(1, c), and a*(c, 1) too when
+        # v(c) > 0, for the |U| classes a of each valuation j < V - v(c)
+        distributive = sum((2 if c[0] else 1) * len(self.units) * self.weight(j + c[0])
+                           for c in self._unflagged
+                           for j in range(self.monoid.V - c[0]))
+        return {"checked": {"commutativity": len(els) ** 2,
+                            "associativity": counts[True],
+                            "distributivity": distributive},
+                "skipped": {"associativity": counts[False],
+                            "distributivity": len(els) ** 3 - distributive}}
 
     def to_json(self) -> dict:
         label = self.monoid.label
-        cells = [entry_label(self.monoid, e)
-                 + ("?" if pair_flag(a, b, e) == "precision" else "")
-                 for (a, b), e in self._entries()]
+        cells = [entry_label(self.monoid, self.add(a, b))
+                 + ("?" if self.flag(a, b) == "precision" else "")
+                 for a, b in product(self.elements, repeat=2)]
         size = len(self.elements)
         rows = [{"element": label(a), "sums": cells[i * size:(i + 1) * size]}
                 for i, a in enumerate(self.elements)]
@@ -275,9 +316,9 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     The action is verified first, on its generator rows where
     uniform_tolerance holds and exhaustively otherwise; then the row Z[c] =
     recover_sum(action, 1, c) for every class c.  Where the predicate holds,
-    only the flagged pairs b = a*c (Z[c] flagged) go through recover_sum.
-    Where it fails, every pair without 1 does, and must equal the ring's
-    entry.
+    only the flagged pairs b = a*c (Z[c] flagged, a != 1) go through
+    recover_sum.  Where it fails, every pair without 1 does, and must equal
+    the ring's entry.
 
     Proof of the row step.  Elements are sorted by valuation, so v(a) <=
     v(b); put c = b/a and suppose Z[c] = 1 + c is unflagged, v(1 + c) = 0.
@@ -307,7 +348,8 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     ring = RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
     if uniform:
         for a, b in ring.flagged_pairs():
-            if a <= b:  # (b, a) is the pair at a/b
+            # (b, a) is the pair at a/b, and (1, c) is the row's own
+            if a != one and a <= b:
                 recover_sum(action, a, b)
         return ring
     for i, a in enumerate(ring.elements):
@@ -396,29 +438,35 @@ def _compare_tables(native: RecoveredRing,
                     transported: RecoveredRing) -> VariantOutcome:
     """Pairs flagged on one side only count as flag mismatches; pairs flagged
     on both sides are set aside (their entries are lift artifacts on both
-    carriers).  Unflagged pairs compare entry by entry.  On both rings a
-    pair's flag and entry a*(1 + c) follow from the row at c = b/a, and
-    a*z = a*z' only when z = z', so its kind is that of (1, c): it is
-    decided once per class, and entries are formed only for the samples."""
-    m1 = native.monoid
+    carriers).  Unflagged pairs compare entry by entry.
+
+    On both rings a pair's flag and entry a*(1 + c) follow from the row at
+    c = b/a, and a*z = a*z' only when z = z', so its kind is that of (1, c),
+    and it is decided once per class.  Class c stands for its upper-triangle
+    pairs: the weight(v(c)) pairs (a, a*c) when v(c) > 0 or c = 1, and half
+    of weight(0) for any other unit, as {a, a*c} is met once, under c or
+    under 1/c.  Both rings pass check_symmetry first, which gives c and 1/c
+    one kind.  Pairs are walked, in row order, only for the samples."""
+    native.check_symmetry()
+    transported.check_symmetry()
+    m1, els = native.monoid, native.elements
     one = m1.identity_payload()
-    kinds = {}
-    for c in native.elements:
+    kinds, counts = {}, Counter()
+    for c in els:
         f1, f2 = native.flag(one, c), transported.flag(one, c)
         kinds[c] = ("both" if f1 and f2 else "flag" if f1 or f2 else
                     "agree" if native.row[c] == transported.row[c] else "entry")
-    counts = Counter()
-    sample = []
-    els = native.elements
-    for i, a in enumerate(els):
-        for b in els[i:]:
-            kind = kinds[m1.quotient(b, a)]
-            counts[kind] += 1
-            if kind in ("entry", "flag") and len(sample) < 10:
-                sample.append({"pair": [m1.label(a), m1.label(b)],
-                               "native": entry_label(m1, native.add(a, b)),
-                               "transported": entry_label(m1, transported.add(a, b)),
-                               "kind": kind})
+        w = native.weight(c[0])
+        counts[kinds[c]] += w if c[0] or c == one else w // 2
+    walk = ((a, b, kinds[m1.quotient(b, a)])
+            for i, a in enumerate(els) for b in els[i:])
+    mismatches = ((a, b, kind) for a, b, kind in walk if kind in ("entry", "flag"))
+    want = min(10, counts["entry"] + counts["flag"])
+    sample = [{"pair": [m1.label(a), m1.label(b)],
+               "native": entry_label(m1, native.add(a, b)),
+               "transported": entry_label(m1, transported.add(a, b)),
+               "kind": kind}
+              for a, b, kind in islice(mismatches, want)]
     return VariantOutcome((), counts["agree"], counts["entry"], counts["flag"],
                           counts["both"], sample)
 

@@ -1,6 +1,7 @@
 """CLI outputs must match the fixtures in tests/golden byte for byte: the
-variation demo with its mismatch samples, at N = 2 on Z_5[sqrt 5] and at
-N = 4 >= q on Z_3[sqrt 3], where every table pair is confirmed on its own;
+variation demo with its mismatch samples, at N = 2 on Z_5[sqrt 5] (n = 2
+and criterion 5's n = 3, V = 3) and at N = 4 >= q on Z_3[sqrt 3], where
+every table pair is confirmed on its own;
 the full JSON addition table of the README recover-add carrier; the table
 of a Z_3 carrier at N = 4 >= q; and the exhaustive action report of `check`
 on a Z_5 truncation bundle (n=1, V=2, N=4), with its 48 checked and 16
@@ -20,6 +21,10 @@ COMMANDS = {
     "demo-variation.stdout": [
         "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
         "--n", "2", "--V", "2", "--json",
+    ],
+    "demo-variation-n3.stdout": [
+        "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
+        "--n", "3", "--V", "3", "--json",
     ],
     "demo-variation-p3.stdout": [
         "demo-variation", "--p", "3", "--e1", "t^2-3", "--e2", "t^2-6",

@@ -2,6 +2,7 @@ import functools
 import random
 
 from collections import Counter
+from itertools import product
 
 from fractions import Fraction
 
@@ -257,6 +258,172 @@ def test_ring_axiom_check_catches_planted_faults():
         _planted(ring, (1, 1), (0, 11)).verify_ring_axioms()
 
 
+def _cubic_axioms(ring):
+    """The ring axioms by a walk of every pair and every triple: the
+    reference for verify_ring_axioms' counts and first failure."""
+    els = ring.elements
+    checked = {"commutativity": 0, "associativity": 0, "distributivity": 0}
+    skipped = {"associativity": 0, "distributivity": 0}
+    unflagged = {}
+    for a, b in product(els, repeat=2):
+        e = ring.add(a, b)
+        if e != ring.add(b, a):
+            raise RecoveryError(f"table not symmetric at ({a}, {b})")
+        checked["commutativity"] += 1
+        if pair_flag(a, b, e) is None:
+            unflagged[(a, b)] = e
+    for a in els:
+        for b in els:
+            ab = unflagged.get((a, b))
+            if ab is None:
+                skipped["associativity"] += len(els)
+                continue
+            for c in els:
+                bc = unflagged.get((b, c))
+                left = unflagged.get((ab, c))
+                right = unflagged.get((a, bc))  # (a, None) is absent
+                if left is None or right is None:
+                    skipped["associativity"] += 1
+                    continue
+                if left != right:
+                    raise RecoveryError(
+                        f"associativity fails at ({a}, {b}, {c})"
+                    )
+                checked["associativity"] += 1
+    for m in els:
+        for a in els:
+            ma = ring.monoid.mul(m, a)
+            if ma == BOTTOM:
+                skipped["distributivity"] += len(els)
+                continue
+            for b in els:
+                s = unflagged.get((a, b))
+                ms = BOTTOM if s is None else ring.monoid.mul(m, s)
+                # (ma, BOTTOM) is absent: BOTTOM is not an element
+                other = unflagged.get((ma, ring.monoid.mul(m, b)))
+                if ms == BOTTOM or other is None:
+                    skipped["distributivity"] += 1
+                    continue
+                if ms != other:
+                    raise RecoveryError(
+                        f"distributivity fails at m={m}, ({a}, {b})"
+                    )
+                checked["distributivity"] += 1
+    return {"checked": checked, "skipped": skipped}
+
+
+def _axioms_outcome(check, ring):
+    """check(ring)'s report, or the message of the RecoveryError it raises."""
+    try:
+        return check(ring)
+    except RecoveryError as exc:
+        return str(exc)
+
+
+def _twisted_ring():
+    native, r2 = _demo_rings("t2-5-t2-10")
+    variants = unit_isomorphism_variants(native.monoid, r2.monoid, count=3)
+    iso = next(iso for powers, iso in variants if powers != (1,))
+    return transport_structure(iso, r2)
+
+
+@pytest.mark.parametrize("build", [
+    *(functools.partial(lambda name: build_addition_table(_carrier_action(name)), name)
+      for name in ("criterion-4", "t2-5-n2-V2", "cli-n1-V2", "p3-n2-V2")),
+    _twisted_ring,
+], ids=["criterion-4", "t2-5-n2-V2", "cli-n1-V2", "p3-n2-V2", "transported"])
+def test_ring_axioms_match_the_cubic_walk(build):
+    ring = build()
+    report = ring.verify_ring_axioms()
+    assert report == _cubic_axioms(ring)
+    assert report["checked"]["commutativity"] == len(ring.elements) ** 2
+
+
+def _other_planted(ring, pair, entry):
+    """ring with other() answering entry at pair, and as before elsewhere."""
+    def other(a, b):
+        return entry if (a, b) == pair else ring.other(a, b)
+
+    return RecoveredRing(ring.monoid, ring.provenance, ring.row, other)
+
+
+def test_ring_axioms_match_the_cubic_walk_on_planted_faults():
+    # 40 rings with 1-3 row entries replaced by other units, and 40 with
+    # one flagged pair's sum replaced: the same report or the same message
+    ring = build_addition_table(_carrier_action("criterion-4"))
+    rng = random.Random(16)
+    flagged = sorted(ring.flagged_pairs())
+    planted = []
+    for _ in range(40):
+        row = dict(ring.row)
+        for c in rng.sample(ring.elements, rng.randint(1, 3)):
+            row[c] = rng.choice([u for u in ring.units if u != ring.row[c]])
+        planted.append(RecoveredRing(ring.monoid, ring.provenance, row, ring.other))
+    for _ in range(40):
+        a, b = pair = rng.choice(flagged)
+        wrong = [e for e in ring.elements + [CAPPED] if e != ring.other(a, b)]
+        planted.append(_other_planted(ring, pair, rng.choice(wrong)))
+    outcomes = Counter()
+    for mutant in planted:
+        got = _axioms_outcome(RecoveredRing.verify_ring_axioms, mutant)
+        assert got == _axioms_outcome(_cubic_axioms, mutant)
+        outcomes[got.split(" at ")[0] if isinstance(got, str) else "report"] += 1
+    assert outcomes["table not symmetric"] > 40
+    assert outcomes["associativity fails"] > 0
+
+
+def test_ring_axioms_on_the_criterion_5_carrier():
+    # the counts of the cubic walk, which takes about a minute here
+    ring = build_addition_table(_carrier_action("criterion-5-t2-5"))
+    assert ring.verify_ring_axioms() == {
+        "checked": {"commutativity": 90000, "associativity": 21375000,
+                    "distributivity": 12500000},
+        "skipped": {"associativity": 5625000, "distributivity": 14500000},
+    }
+
+
+def test_an_unflagged_sum_on_a_flagged_pair_fails_the_ring_axioms():
+    # 1 + (-1) reads a flagged row entry; an other() that answers a class
+    # for it, both ways round, keeps the table symmetric, and is the one
+    # way distributivity can fail
+    ring = build_addition_table(_carrier_action("criterion-4"))
+    minus_one = ring.monoid.class_of(ring.monoid.ctx.normalize(-1))
+    one = ring.monoid.identity_payload()
+    assert ring.flag(one, minus_one) == "precision"  # 1 + 24 = 25
+
+    def other(a, b):
+        return one if {a, b} == {one, minus_one} else ring.other(a, b)
+
+    mutant = RecoveredRing(ring.monoid, ring.provenance, ring.row, other)
+    with pytest.raises(RecoveryError,
+                       match=r"distributivity fails at \(\(0, 1\), \(0, 24\)\)"):
+        mutant.verify_ring_axioms()
+
+
+def test_a_flagged_row_entry_above_valuation_0_fails_the_ring_axioms():
+    # 1 + 5 is a unit; a row that flags it has pairs (a, 5a) whose sums
+    # are unflagged, and (a, 5a) is a pair only while 5a is a class
+    ring = build_addition_table(_carrier_action("criterion-4"))
+    mutant = _planted(ring, (1, 1), CAPPED)
+    assert len(list(mutant.flagged_pairs())) == len(list(ring.flagged_pairs())) + 40
+    with pytest.raises(RecoveryError, match=r"distributivity fails at \(\(0, 1\), \(1, 1\)\)"):
+        mutant.verify_ring_axioms()
+
+
+def test_compare_refuses_an_asymmetric_row():
+    # 1 + c for a unit c on one side only: the class weights need c and
+    # 1/c to be of one kind, so the compare raises rather than count
+    native, r2 = _demo_rings("t2-5-t2-10")
+    (powers, iso), = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
+    transported = transport_structure(iso, r2)
+    c = next(c for c in native.units[1:] if transported.flag(native.units[0], c) is None)
+    wrong = next(u for u in native.units if u != transported.row[c])
+    with pytest.raises(RecoveryError, match="not symmetric"):
+        recovery._compare_tables(native, _planted(transported, c, wrong))
+    with pytest.raises(RecoveryError, match="not symmetric"):
+        recovery._compare_tables(_planted(native, c, wrong), transported)
+
+
 def test_table_json_marks_flags():
     ring, *_ = _trunc_ring(n=1, V=2, degree=4, precision=6)
     out = ring.to_json()
@@ -431,8 +598,10 @@ def test_row_table_matches_the_per_pair_oracle(name):
 
 
 @pytest.mark.parametrize("name, compositions", [
-    ("criterion-4", 150),          # 60 row entries, 90 flagged pairs; 1,770 per pair
-    ("criterion-5-t2-5", 2499),    # 299 row entries, 2,200 flagged; 43,600 per pair
+    # row entries, then the flagged pairs (a, b), a <= b, but for the row's
+    # own (1, c); a composition per pair would make 1,770 and 43,600
+    ("criterion-4", 145),          # 60 row entries, 85 flagged pairs
+    ("criterion-5-t2-5", 2475),    # 299 row entries (one capped), 2,176 flagged
     ("p3-n2-V2", 66),              # N >= q: every pair but the 12 capped ones
 ])
 def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
