@@ -139,10 +139,12 @@ def intertwining_defect(h: TruncatedSeries, F: TruncatedSeries,
                         G: TruncatedSeries) -> TruncatedSeries:
     """h(F(x, y)) - G(h(x), h(y)) in F's variables; zero iff the
     one-variable series h carries the two-variable series F to G."""
-    ctx, N = F.ctx, F.trunc_degree
-    hx, hy = (h.substitute_single(TruncatedSeries.variable(ctx, F.variables, N, v))
-              for v in F.variables)
-    return h.substitute_single(F) - G.substitute(dict(zip(G.variables, (hx, hy))))
+    hF, N = h.substitute_single(F), F.trunc_degree
+    # h(x) and h(y) are h's terms moved onto one of F's variables
+    low = [(k, c) for (k,), c in h.terms.items() if k <= N]
+    hx = F._fresh({(k, 0): c for k, c in low})
+    hy = F._fresh({(0, k): c for k, c in low})
+    return hF - G.substitute(dict(zip(G.variables, (hx, hy))))
 
 
 def check_axioms_series(F: TruncatedSeries) -> AxiomReport:

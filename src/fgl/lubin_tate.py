@@ -6,10 +6,11 @@ base ring a unique endomorphism [a] = a*T + ... commuting with f.  F is
 solved degree by degree, once per datum and truncation degree; each
 correction divides by pi^d - pi, which is a unit obstruction only in the
 residue ring, so the solve runs in the fraction field.  There every [a] is
-exp_F(a * log_F(T)), from the one logarithm of that exact law, and each
-result is reduced back with an integrality check.  That keeps every identity
-exact at the ring's stored precision instead of losing digits to in-ring
-division.  The base ring owns that field, the lifts into it and the
+exp_F(a * log_F(T)), from the one logarithm of that exact law: each of its
+coefficients is a polynomial in a, read off one scalar table per datum and
+degree, and reduced back with an integrality check.  That keeps every
+identity exact at the ring's stored precision instead of losing digits to
+in-ring division.  The base ring owns that field, the lifts into it and the
 reduction back (fgl.rings.PadicRing); this module never looks at how a ring
 stores its elements.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .laws import (
     FglEndomorphism,
@@ -86,6 +88,7 @@ class LubinTateDatum:
         self.f = f
         self._field_laws: dict = {}  # N -> exact law over the fraction field
         self._field_logs: dict = {}  # N -> (log_F, exp_F) of that law
+        self._scalar_tables: dict = {}  # N -> rows of [a]'s coefficients
 
     def f_at(self, N: int) -> TruncatedSeries:
         """f truncated, or padded with zero terms, to degree N."""
@@ -106,6 +109,13 @@ class LubinTateDatum:
             log = _checked_log(self.field_law(N))
             pair = self._field_logs[N] = (log, log.compositional_inverse())
         return pair
+
+    def scalar_table(self, N: int) -> dict:
+        """_scalar_table of field_log(N), built on first request."""
+        table = self._scalar_tables.get(N)
+        if table is None:
+            table = self._scalar_tables[N] = _scalar_table(*self.field_log(N))
+        return table
 
     def to_json(self) -> dict:
         return {"ring": self.ctx.descriptor(), "f": self.f.to_json()}
@@ -166,6 +176,21 @@ def _solve_field_law(d: LubinTateDatum, N: int) -> TruncatedSeries:
     return F
 
 
+def _scalar_table(log: TruncatedSeries, exp: TruncatedSeries) -> dict:
+    """The rows M[k] = [(j, e_j * [T^k] log^j)] for 2 <= k <= N, e_j the
+    coefficients of exp, kept where log^j reaches T^k and as nonempty rows:
+    the T^k coefficient of exp(a * log) is sum_j M[k][j] * a^j."""
+    field, N = log.ctx, log.trunc_degree
+    powers = log.powers(N)
+    table = {}
+    for k in range(2, N + 1):
+        row = [(j, field.mul(e, c)) for (j,), e in sorted(exp.terms.items())
+               if (c := powers[j].terms.get((k,))) is not None]
+        if row:
+            table[k] = row
+    return table
+
+
 def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
     """The unique F = x + y mod degree 2 with f(F(x,y)) = F(f(x), f(y)): the
     datum's exact field law reduced to its ring, with the axioms and the
@@ -183,16 +208,36 @@ def build_endomorphism(
     log_F(T)) over the fraction field: every endomorphism of F there is
     exp(c * log) with c its linear term, and f = [pi] is one (Lubin & Tate,
     Ann. Math. 1965).  Reduced to d's ring and verified there to be an
-    endomorphism of law."""
+    endomorphism of law.
+
+    exp(a * log) = sum_j e_j * a^j * log^j, so its T^k coefficient is a
+    polynomial in a whose coefficients are the datum's scalar_table row
+    M[k]; only those rows are evaluated, at the lift of a, and each value is
+    reduced through from_field, which refuses a non-integral one.  The T
+    coefficient is a itself, as log and exp are both T mod degree 2."""
+    ctx = d.ctx
     if isinstance(a, RingElement):
-        if a.ctx.key() != d.ctx.key():
+        if a.ctx.key() != ctx.key():
             raise LubinTateError("scalar from the wrong ring")
         a_payload = a.payload
     else:
-        a_payload = d.ctx.normalize(a)
-    log, exp = d.field_log(law.trunc_degree)
-    e = exp.substitute_single(log.scale(d.ctx.lift(a_payload)))
-    endo = FglEndomorphism(law, reduce_series(e, d.ctx))
+        a_payload = ctx.normalize(a)
+    N = law.trunc_degree
+    log, _ = d.field_log(N)
+    rows = d.scalar_table(N)
+    terms = {}
+    if not ctx.is_zero(a_payload):
+        terms[(1,)] = a_payload
+        if rows:
+            field = log.ctx
+            mul, add = field.mul, field.add
+            lifted = [None, ctx.lift(a_payload)]  # lifted[j] = a^j
+            for _ in range(max(rows) - 1):
+                lifted.append(mul(lifted[-1], lifted[1]))
+            for k, row in rows.items():
+                terms[(k,)] = ctx.from_field(
+                    reduce(add, (mul(m, lifted[j]) for j, m in row)))
+    endo = FglEndomorphism(law, TruncatedSeries(ctx, log.variables, N, terms))
     endo.verify()
     return endo
 

@@ -347,10 +347,20 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     row = {c: recover_sum(action, one, c) for c in monoid.payloads() if c != BOTTOM}
     ring = RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
     if uniform:
-        for a, b in ring.flagged_pairs():
-            # (b, a) is the pair at a/b, and (1, c) is the row's own
-            if a != one and a <= b:
-                recover_sum(action, a, b)
+        # the flagged c are units with 1 + c flagged, and so is 1/c: each
+        # unordered pair {a, a*c} is taken once, from the smaller of c and
+        # 1/c, and when c = 1/c from its element a <= a*c; (1, c) is the
+        # row's own
+        quotient = monoid.quotient
+        for c in ring.units:
+            inverse = quotient(one, c)
+            if c > inverse or pair_flag(one, c, row[c]) is None:
+                continue
+            for a in ring.elements:
+                b = monoid.mul(c, a)
+                x, y = (a, b) if a <= b else (b, a)
+                if x != one and (c != inverse or x == a):
+                    recover_sum(action, x, y)
         return ring
     for i, a in enumerate(ring.elements):
         for b in ring.elements[i:]:

@@ -235,7 +235,7 @@ class TruncatedSeries:
         """The power table [1, s, s^2, ..., s^top], each power the previous
         one times s.  Entries are shared with callers that keep the table,
         so treat them as read-only."""
-        table = [TruncatedSeries.constant(self.ctx, self.variables, self.trunc_degree, 1)]
+        table = [self._fresh({(0,) * len(self.variables): self.ctx.normalize(1)})]
         if top >= 1:
             table.append(self._fresh(dict(self.terms)))
         for _ in range(top - 1):
@@ -320,8 +320,9 @@ class TruncatedSeries:
             model._check_compatible(t)
         if model.ctx.key() != self.ctx.key():
             raise SeriesError("substitution targets live over a different ring")
+        zero_exp = (0,) * len(model.variables)
         for v in used:
-            if not assignments[v].constant_term().is_zero():
+            if zero_exp in assignments[v].terms:  # terms hold no zeros
                 raise SeriesError(f"assignment for {v!r} has a nonzero constant term")
 
         N = model.trunc_degree

@@ -3,7 +3,9 @@ variation demo with its mismatch samples, at N = 2 on Z_5[sqrt 5] (n = 2
 and criterion 5's n = 3, V = 3) and at N = 4 >= q on Z_3[sqrt 3], where
 every table pair is confirmed on its own;
 the full JSON addition table of the README recover-add carrier; the table
-of a Z_3 carrier at N = 4 >= q; and the exhaustive action report of `check`
+of a Z_3 carrier at N = 4 >= q; the table of Z_5[sqrt 5] at N = 4 under
+f = pi*T + pi*T^2 + T^5, whose law and endomorphisms have terms above
+degree 1; and the exhaustive action report of `check`
 on a Z_5 truncation bundle (n=1, V=2, N=4), with its 48 checked and 16
 skipped pairs."""
 import json
@@ -37,6 +39,11 @@ COMMANDS = {
     "recover-add-table-p3.stdout": [
         "recover-add", "--p", "3", "--precision", "6", "--preset", "standard",
         "--degree", "4", "--n", "2", "--V", "2", "--table", "--json",
+    ],
+    "recover-add-table-nonadditive.stdout": [
+        "recover-add", "--p", "5", "--precision", "9", "--eisenstein", "t^2-5",
+        "--series", "pi*T + pi*T^2 + T^5", "--degree", "4", "--n", "2", "--V", "2",
+        "--table", "--json",
     ],
     "check-truncation.stdout": [
         "check", "--bundle", str(GOLDEN / "check-truncation.json"), "--json",

@@ -21,9 +21,10 @@ from fgl.lubin_tate import (
     compare_lubin_tate,
     integrality_scan,
     multiplicative_datum,
+    reduce_series,
     standard_datum,
 )
-from fgl.monoids import padic_factorial_valuation, padic_truncation_of
+from fgl.monoids import BOTTOM, padic_factorial_valuation, padic_truncation_of
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
 from fgl.series import TruncatedSeries
 
@@ -107,20 +108,77 @@ def test_every_class_commutes_with_f_in_the_ring(carrier):
 def test_field_law_is_solved_once_per_datum_and_degree(monkeypatch):
     import fgl.lubin_tate as lt
 
-    solves, logs = [], []
-    solve, checked_log = lt._solve_field_law, lt._checked_log
+    solves, logs, tables = [], [], []
+    solve, checked_log, scalar_table = (lt._solve_field_law, lt._checked_log,
+                                        lt._scalar_table)
     monkeypatch.setattr(lt, "_solve_field_law",
                         lambda d, N: solves.append(N) or solve(d, N))
     monkeypatch.setattr(lt, "_checked_log", lambda F: logs.append(F) or checked_log(F))
+    monkeypatch.setattr(lt, "_scalar_table", lambda log, exp: tables.append(
+        log.trunc_degree) or scalar_table(log, exp))
     d = standard_datum(PadicIntegers(5, 8), degree=6)
     law = build_fgl(d, 6)
-    assert (solves, logs) == ([6], [])
+    assert (solves, logs, tables) == ([6], [], [])
     for a in range(1, 8):
         build_endomorphism(d, law, a)
     assert solves == [6]
     assert len(logs) == 1
-    build_fgl(d, 4)
+    assert tables == [6]
+    law4 = build_fgl(d, 4)
     assert solves == [6, 4]
+    build_endomorphism(d, law4, 2)
+    build_endomorphism(d, law, 8)
+    assert tables == [6, 4]
+
+
+def _nonadditive_datum(ctx):
+    # f = pi*T + pi*T^2 + T^5: a non-additive law below degree q = 5
+    pi = ctx.uniformizer().payload
+    return LubinTateDatum(ctx, TruncatedSeries(ctx, ("T",), 5,
+                                               {(1,): pi, (2,): pi, (5,): 1}))
+
+
+def _composed_endomorphism(d, law, a):
+    """The oracle: [a] = exp(a * log) composed over the fraction field, then
+    reduced to the ring."""
+    log, exp = d.field_log(law.trunc_degree)
+    return reduce_series(exp.substitute_single(log.scale(d.ctx.lift(a))), d.ctx)
+
+
+# (ring, preset, N, n, V): every class of both criterion-5 carriers, of
+# criterion 4's carrier and of the non-additive datum over Z_5[sqrt 5]
+ORACLE_CARRIERS = {
+    **COMMUTING_CARRIERS,
+    "nonadditive t^2-5": (EisensteinExtension(5, 9, (-5, 0, 1)), "nonadditive", 4, 2, 3),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(ORACLE_CARRIERS))
+def test_endomorphisms_match_the_composed_oracle(carrier):
+    ctx, preset, N, n, V = ORACLE_CARRIERS[carrier]
+    d = {"standard": lambda: standard_datum(ctx),
+         "multiplicative": lambda: multiplicative_datum(ctx, N),
+         "nonadditive": lambda: _nonadditive_datum(ctx)}[preset]()
+    law = build_fgl(d, N)
+    monoid = padic_truncation_of(ctx, n, V)
+    degrees = set()
+    for payload in monoid.payloads():
+        if payload != BOTTOM:
+            a = monoid.canonical_lift(payload)
+            series = build_endomorphism(d, law, a).series
+            assert series == _composed_endomorphism(d, law, a), payload
+            degrees.update(k for (k,) in series.terms)
+    # the standard datum is additive below degree q, so only its linear
+    # terms survive; the other two reach the table's rows
+    assert max(degrees) == (1 if preset == "standard" else N)
+
+
+def test_multiplicative_endomorphisms_match_the_composed_oracle():
+    Z5 = PadicIntegers(5, 8)
+    d = multiplicative_datum(Z5, degree=12)
+    law = build_fgl(d, 12)
+    for a in range(1, 12):
+        assert build_endomorphism(d, law, a).series == _composed_endomorphism(d, law, a)
 
 
 def test_datum_validation():

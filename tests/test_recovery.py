@@ -17,7 +17,13 @@ from fgl.laws import (
     from_logarithm,
     uniform_tolerance,
 )
-from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standard_datum
+from fgl.lubin_tate import (
+    LubinTateDatum,
+    build_action,
+    build_fgl,
+    multiplicative_datum,
+    standard_datum,
+)
 from fgl.monoids import (
     BOTTOM,
     MonoidError,
@@ -617,6 +623,73 @@ def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
     monkeypatch.setattr(TruncatedSeries, "substitute_powers", counted)
     build_addition_table(action)
     assert len(calls) == compositions
+
+
+@pytest.mark.parametrize("name", ["criterion-4", "criterion-5-t2-5"])
+def test_each_flagged_pair_is_confirmed_once(monkeypatch, name):
+    # the flagged pairs (a, b), a <= b, but for the row's own (1, c), each
+    # taken from the smaller of c and 1/c
+    action = _carrier_action(name)
+    one = action.monoid.identity_payload()
+    calls = []
+    real = recovery.recover_sum
+    monkeypatch.setattr(recovery, "recover_sum",
+                        lambda act, a, b: calls.append((a, b)) or real(act, a, b))
+    ring = build_addition_table(action)
+    pairs = [(a, b) for a, b in calls if a != one]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {(a, b) for a, b in ring.flagged_pairs() if a != one and a <= b}
+
+
+def _nonadditive_datum(ctx):
+    # f = pi*T + pi*T^2 + T^5: a law with terms of degree 2 and more below
+    # q = 5, where the standard datum's law is x + y
+    pi = ctx.uniformizer().payload
+    return LubinTateDatum(ctx, TruncatedSeries(ctx, ("T",), 5,
+                                               {(1,): pi, (2,): pi, (5,): 1}))
+
+
+SQRT5 = EisensteinExtension(5, 9, (-5, 0, 1))
+
+
+@pytest.mark.parametrize("n, V, N, flags", [
+    (2, 3, 2, {"cap": 120, "precision": 180}),
+    (2, 3, 4, {"cap": 120, "precision": 180}),
+    (3, 3, 2, {"cap": 3100, "precision": 4400}),
+])
+def test_the_recovered_table_does_not_depend_on_the_series(n, V, N, flags):
+    # two series with the same pi give isomorphic formal groups, with [a]
+    # carried to [a] (Lubin & Tate), so the recovered class addition is one
+    monoid = padic_truncation_of(SQRT5, n, V)
+    rings = []
+    for d in (standard_datum(SQRT5), _nonadditive_datum(SQRT5)):
+        law = build_fgl(d, N)
+        action = build_action(d, law, monoid=monoid)
+        assert uniform_tolerance(action)
+        rings.append((len(law.F.terms), build_addition_table(action)))
+    (standard_terms, standard), (other_terms, other) = rings
+    assert (standard_terms, other_terms > 2) == (2, True)
+    assert standard.row == other.row
+    assert standard.flag_counts() == other.flag_counts() == flags
+
+
+@functools.lru_cache(maxsize=None)
+def _nonadditive_action():
+    d = _nonadditive_datum(SQRT5)
+    return build_action(d, build_fgl(d, 4), monoid=padic_truncation_of(SQRT5, 2, 3))
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("by", ["unit", "pi"])
+@pytest.mark.parametrize("label", ["0:2 + 2*pi", "2:4 + 4*pi"])
+def test_a_perturbed_nonadditive_endomorphism_fails_the_table(label, by, degree):
+    # 5^5 = pi^10 would vanish at precision 9; a unit or pi does not
+    action = _nonadditive_action()
+    target, = (p for p in action.assignment if action.monoid.label(p) == label)
+    assert max(k for (k,) in action.endo_for(target).series.terms) == 4
+    bump = SQRT5.int_payload(1) if by == "unit" else SQRT5.uniformizer().payload
+    with pytest.raises(RecoveryError, match="action verification failed"):
+        build_addition_table(_perturbed(action, target, degree, by=bump))
 
 
 def _swapped(name, u, w):
