@@ -12,7 +12,6 @@ from .laws import (
     FormalGroupLaw,
     MonoidAction,
     action_from_bundle,
-    check_axioms,
     check_axioms_series,
     exponential,
     formal_inverse,

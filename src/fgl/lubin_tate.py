@@ -71,7 +71,7 @@ class LubinTateDatum:
             raise LubinTateError(
                 f"f must carry terms at least to degree q = {self.q}"
             )
-        if not f.constant_term().is_zero():
+        if (0,) in f.terms:  # terms hold no zeros
             raise LubinTateError("f(0) must be 0")
         if f.terms.get((1,)) != self.pi:
             raise LubinTateError("linear coefficient of f must be the uniformizer")

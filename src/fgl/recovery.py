@@ -127,9 +127,9 @@ def recover_sum(action: MonoidAction, p1, p2):
         if isinstance(monoid, PadicTruncationMonoid):
             precisions = monoid.class_precisions(candidate[0], model.trunc_degree)
         target = action.endo_for(candidate).series
+    second = action.endo_for(p2).series
     law_sum = action.law.F.substitute_powers(
-        [action.powers(p1), action.powers(p2)], model
-    )
+        [model.powers(model.trunc_degree), second.powers(second.trunc_degree)], model)
     bad = series_congruent(law_sum, target, precisions)
     if bad:
         raise RecoveryError(

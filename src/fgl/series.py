@@ -10,10 +10,11 @@ composition commutes with truncation.
 There is one kernel.  _pair_products is the only loop over pairs of terms;
 multiplication calls it directly and composition calls it through
 substitute_powers, the one composition path.  powers() is the only code that
-builds a power table [1, s, s^2, ...]: substitution, reversion, inversion
-and integer powers all read their powers from it, and a caller that
-composes into the same series many times keeps its table and passes it to
-substitute_powers.
+builds a power table [1, s, s^2, ...], and it memoizes the table on the
+series itself: substitution, reversion, inversion and integer powers all
+read it there, so every composition into one series shares one table and no
+caller keeps a copy.  moved() carries a series' table onto other variables,
+so F(x, y) and F(y, z), or h(x) and h(y), read the table of F or of h.
 
 Over Q the kernel runs on integers wherever products add up, as FLINT's
 fmpq_poly does: each operand is cleared once into integer numerators over
@@ -79,7 +80,7 @@ def _cleared(terms: dict) -> _Cleared:
 
 
 class TruncatedSeries:
-    __slots__ = ("ctx", "variables", "trunc_degree", "terms")
+    __slots__ = ("ctx", "variables", "trunc_degree", "terms", "_powers")
 
     def __init__(self, ctx: RingContext, variables, trunc_degree: int, terms=None):
         variables = tuple(variables)
@@ -93,6 +94,7 @@ class TruncatedSeries:
         self.variables = variables
         self.trunc_degree = trunc_degree
         self.terms = {}
+        self._powers = None
         if terms:
             for exp, c in (terms.items() if isinstance(terms, dict) else terms):
                 exp = tuple(exp)
@@ -145,6 +147,7 @@ class TruncatedSeries:
         s = object.__new__(TruncatedSeries)
         s.ctx, s.variables, s.trunc_degree = self.ctx, self.variables, self.trunc_degree
         s.terms = terms or {}
+        s._powers = None
         return s
 
     def _check_compatible(self, other: "TruncatedSeries"):
@@ -233,14 +236,40 @@ class TruncatedSeries:
 
     def powers(self, top: int) -> list:
         """The power table [1, s, s^2, ..., s^top], each power the previous
-        one times s.  Entries are shared with callers that keep the table,
-        so treat them as read-only."""
-        table = [self._fresh({(0,) * len(self.variables): self.ctx.normalize(1)})]
-        if top >= 1:
-            table.append(self._fresh(dict(self.terms)))
-        for _ in range(top - 1):
+        one times s, memoized on the series and extended on demand.  The
+        invariant: a series' terms are never changed after its first
+        powers() call (fgl writes terms only while building a series).
+        Entries are shared with every caller, so treat them as read-only."""
+        table = self._powers
+        if table is None:
+            one = {(0,) * len(self.variables): self.ctx.normalize(1)}
+            table = self._powers = [self._fresh(one), self._fresh(dict(self.terms))]
+        while len(table) <= top:
             table.append(table[-1] * self)
-        return table
+        return table[:top + 1]
+
+    def moved(self, model: "TruncatedSeries", positions, top: int = 0) -> "TruncatedSeries":
+        """This series where model lives, to model's degree N, with its k-th
+        variable moved to model's positions[k]-th.  With top >= 2 its power
+        table up to top comes along, so compositions into the moved series
+        read this series' memoized table; above this series' own degree its
+        powers are unknown, and the moved series builds its own."""
+        N, width = model.trunc_degree, len(model.variables)
+
+        def move(terms):
+            out = {}
+            for exp, c in terms.items():
+                if sum(exp) <= N:
+                    e = [0] * width
+                    for pos, k in zip(positions, exp):
+                        e[pos] = k
+                    out[tuple(e)] = c
+            return out
+
+        s = model._fresh(move(self.terms))
+        if top > 1 and N <= self.trunc_degree:  # [1, s] holds no product
+            s._powers = [model._fresh(move(t.terms)) for t in self.powers(top)]
+        return s
 
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         if new_degree > self.trunc_degree:
@@ -268,19 +297,11 @@ class TruncatedSeries:
     def embed(self, new_variables) -> "TruncatedSeries":
         """View this series inside a superset variable list, matching by name."""
         new_variables = tuple(new_variables)
-        positions = []
         for v in self.variables:
             if v not in new_variables:
                 raise SeriesError(f"variable {v!r} missing from target list")
-            positions.append(new_variables.index(v))
-        out = TruncatedSeries(self.ctx, new_variables, self.trunc_degree)
-        width = len(new_variables)
-        for exp, c in self.terms.items():
-            nexp = [0] * width
-            for pos, e in zip(positions, exp):
-                nexp[pos] = e
-            out.terms[tuple(nexp)] = c
-        return out
+        model = TruncatedSeries(self.ctx, new_variables, self.trunc_degree)
+        return self.moved(model, [new_variables.index(v) for v in self.variables])
 
     # ---- calculus ------------------------------------------------------
 
@@ -307,7 +328,9 @@ class TruncatedSeries:
         list/truncation degree and have zero constant term; that makes the
         degree-N result depend only on degree-N data on both sides.
         """
-        used = {v for exp in self.terms for v, e in zip(self.variables, exp) if e}
+        # in variable order, so a refusal names the same variable every run
+        reach = map(max, zip(*self.terms)) if self.terms else ()
+        used = [v for v, top in zip(self.variables, reach) if top]
         targets = [assignments[v] for v in self.variables if v in assignments]
         missing = [v for v in used if v not in assignments]
         if missing:
@@ -325,14 +348,16 @@ class TruncatedSeries:
             if zero_exp in assignments[v].terms:  # terms hold no zeros
                 raise SeriesError(f"assignment for {v!r} has a nonzero constant term")
 
-        N = model.trunc_degree
-        tops = [0] * len(self.variables)
-        for exp in self.terms:
-            if sum(exp) <= N:  # assignments have zero constant term
-                tops = list(map(max, tops, exp))
+        tops = self.top_exponents(model.trunc_degree)
         tables = [assignments[v].powers(top) if top else None
                   for v, top in zip(self.variables, tops)]
         return self.substitute_powers(tables, model)
+
+    def top_exponents(self, N: int) -> list:
+        """The largest exponent of each variable over the terms of degree
+        <= N: how far a composition at degree N reads each power table."""
+        low = [exp for exp in self.terms if sum(exp) <= N]
+        return list(map(max, zip(*low))) if low else [0] * len(self.variables)
 
     def substitute_powers(self, tables, model: "TruncatedSeries") -> "TruncatedSeries":
         """self with its k-th variable replaced by the series whose power
@@ -396,7 +421,7 @@ class TruncatedSeries:
         """
         if len(self.variables) != 1:
             raise SeriesError("compositional inverse needs a one-variable series")
-        if not self.constant_term().is_zero():
+        if (0,) in self.terms:  # terms hold no zeros
             raise SeriesError("compositional inverse needs zero constant term")
         ctx = self.ctx
         N = self.trunc_degree

@@ -28,7 +28,8 @@ from __future__ import annotations
 import os
 import re
 
-from .laws import FglEndomorphism, FormalGroupLaw, MonoidAction, intertwining_defect
+from .laws import (FglEndomorphism, FormalGroupLaw, MonoidAction, associativity_defect,
+                   intertwining_defect)
 from .lubin_tate import integrality_scan
 from .monoids import FreeCommutativeMonoid, Monoid, MonoidMorphism
 from .rings import (
@@ -271,7 +272,6 @@ def _monomials(width: int, lo: int, hi: int):
 
 def _extract_ideal(pres: UniversalPresentation) -> list:
     """All relation classes in canonical emission order."""
-    ctx = pres.ctx
     N = pres.trunc_degree
     monoid = pres.monoid
     free = isinstance(monoid, FreeCommutativeMonoid)
@@ -284,14 +284,7 @@ def _extract_ideal(pres: UniversalPresentation) -> list:
             poly = pres.F.coefficient((i, j)) - pres.F.coefficient((j, i))
             ideal.append((f"sym_{i}_{j}", poly))
 
-    xyz = ("x", "y", "z")
-    x3 = TruncatedSeries.variable(ctx, xyz, N, "x")
-    z3 = TruncatedSeries.variable(ctx, xyz, N, "z")
-    f_yz = pres.F.rename(("y", "z")).embed(xyz)
-    f_xy = pres.F.embed(xyz)
-    left = pres.F.substitute({"x": x3, "y": f_yz})
-    right = pres.F.substitute({"x": f_xy, "y": z3})
-    defect = left - right
+    defect = associativity_defect(pres.F)
     for exp in _monomials(3, 2, N):
         ideal.append((f"P_{exp[0]}_{exp[1]}_{exp[2]}", defect.coefficient(exp)))
 

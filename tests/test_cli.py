@@ -479,3 +479,16 @@ def test_fgl_budget_admits_an_oversized_truncation_bundle(capsys, monkeypatch):
     code, out, err = run(capsys, "check", "--bundle", str(OVER_BUDGET), "--json")
     assert (code, out) == (1, "")
     assert json.loads(err)["error"]["kind"] == "axioms"
+
+
+# A law bundle over Q with F = 1 + x + y.  The unit axioms only plug in
+# series without a constant term, but associativity substitutes F(y, z),
+# whose constant term 1 no composition accepts.
+CONSTANT_TERM = Path(__file__).resolve().parent / "golden" / "check-constant-term.json"
+
+
+def test_check_refuses_a_law_with_a_constant_term(capsys):
+    code, out, err = run(capsys, "check", "--bundle", str(CONSTANT_TERM))
+    assert (code, out) == (2, "")
+    assert err == ("error: malformed bundle: assignment for 'y' has a "
+                   "nonzero constant term\n")

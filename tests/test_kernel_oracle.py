@@ -4,8 +4,10 @@ The oracle below shares no code with fgl.series: it keeps a series as a dict
 from exponent tuples to RingElements and multiplies monomial by monomial with
 RingElement's own `*`, truncating at total degree N.  Substitution, powers,
 both inverses and the recovered addition table are checked against it over Q
-and over a ramified quadratic extension of Z_5.  Reversion over Q is also
-checked against sympy's, when sympy is installed.
+and over a ramified quadratic extension of Z_5.  The two composition
+defects of fgl.laws, which read memoized power tables moved onto other
+variables, are checked against their plain forms by substitution.
+Reversion over Q is also checked against sympy's, when sympy is installed.
 """
 import random
 from fractions import Fraction
@@ -14,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl.laws import from_logarithm
+from fgl.laws import associativity_defect, from_logarithm, intertwining_defect
 from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standard_datum
 from fgl.monoids import BOTTOM, padic_truncation_of
 from fgl.recovery import ADJOINED_ZERO, CAPPED, build_addition_table
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
-from fgl.series import TruncatedSeries
+from fgl.series import SeriesError, TruncatedSeries
 
 Q = RationalField()
 E = EisensteinExtension(5, 9, (-5, 0, 1))
@@ -170,6 +172,94 @@ def test_compositional_inverse_round_trips(ring, data):
     assert _oracle_substitute(g, [f]) == x
     assert _oracle_substitute(f, [g]) == x
     assert g.compositional_inverse() == f
+
+
+# ---------------------------------------------------------------------------
+# the composition defects against their plain forms by substitution
+
+
+def _associativity_by_substitution(F):
+    """F(X, F(Y, Z)) - F(F(X, Y), Z), each inner law composed afresh."""
+    x, y = F.variables
+    X, Y, Z = (TruncatedSeries.variable(F.ctx, NAMES, F.trunc_degree, v) for v in NAMES)
+    left = F.substitute({x: X, y: F.substitute({x: Y, y: Z})})
+    right = F.substitute({x: F.substitute({x: X, y: Y}), y: Z})
+    return left - right
+
+
+def _intertwining_by_substitution(h, F, G):
+    """h(F) - G(h(x), h(y)), with h(x) and h(y) composed afresh."""
+    hF = h.substitute_single(F)
+    hx, hy = (h.substitute_single(TruncatedSeries.variable(F.ctx, F.variables,
+                                                           F.trunc_degree, v))
+              for v in F.variables)
+    return hF - G.substitute(dict(zip(G.variables, (hx, hy))))
+
+
+def _same_outcome(defect, reference):
+    """Equal series, or the same SeriesError message from both."""
+    try:
+        expect = reference()
+    except SeriesError as exc:
+        with pytest.raises(SeriesError) as raised:
+            defect()
+        assert str(raised.value) == str(exc)
+        return
+    assert defect() == expect
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_associativity_defect_matches_three_variable_composition(ring, data):
+    ctx = RINGS[ring]
+    N = data.draw(st.integers(0, 4))
+    # a constant term is refused by both forms, with one message
+    F = data.draw(_series(ctx, 2, N, constant=data.draw(st.booleans())))
+    _same_outcome(lambda: associativity_defect(F),
+                  lambda: _associativity_by_substitution(F))
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=120, deadline=None)  # h below F's degree is a third of draws
+@given(data=st.data())
+def test_intertwining_defect_matches_substitution(ring, data):
+    ctx = RINGS[ring]
+    N = data.draw(st.integers(1, 4))
+    F = data.draw(_series(ctx, 2, N, constant=data.draw(st.booleans())))
+    G = data.draw(_series(ctx, 2, N, constant=False))
+    # h may be carried to another degree than F, where its table is not used
+    h_degree = data.draw(st.integers(N - 1, N + 1).filter(bool))
+    h = data.draw(_series(ctx, 1, h_degree, constant=data.draw(st.booleans())))
+    h = h.rename(("T",))
+    _same_outcome(lambda: intertwining_defect(h, F, G),
+                  lambda: _intertwining_by_substitution(h, F, G))
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_compositions_into_one_series_build_its_table_once(ring, monkeypatch):
+    ctx = RINGS[ring]
+    N = 5
+    F = TruncatedSeries(ctx, ("x", "y"), N, {(1, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 3})
+    hs = [TruncatedSeries(ctx, ("T",), N, {(1,): k, (2,): 1, (N,): k + 1})
+          for k in range(1, 4)]
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    for _ in range(2):
+        assert not associativity_defect(F).is_zero()
+        for h in hs:
+            h.substitute_single(F)
+            intertwining_defect(h, F, F)
+    top = max(F.top_exponents(N))
+    # F's table to its own degree (h reaches T^N), each h's as far as F reads it
+    assert sum(b is F for b in products) == N - 1
+    assert all(sum(b is h for b in products) == top - 1 for h in hs)
 
 
 # ---------------------------------------------------------------------------

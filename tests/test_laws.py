@@ -20,12 +20,13 @@ from fgl.laws import (
     exponential,
     formal_inverse,
     from_logarithm,
+    intertwining_defect,
     logarithm,
     series_congruent,
 )
 from fgl.monoids import FreeCommutativeMonoid, RingSubsetMonoid
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField, grlex_key
-from fgl.series import TruncatedSeries
+from fgl.series import SeriesError, TruncatedSeries
 
 Q = RationalField()
 
@@ -245,3 +246,17 @@ def test_series_congruent_matches_the_sorted_walk(case):
     s1, s2, precisions = case
     for a, b in ((s1, s2), (s2, s1), (s1, s1)):
         assert series_congruent(a, b, precisions) == _congruent_by_sorting(a, b, precisions)
+
+
+def test_intertwining_defect_refuses_a_law_with_a_constant_term():
+    F = TruncatedSeries(Q, ("x", "y"), 4, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    h = _one_var({1: 2, 2: 1}, N=4)
+    with pytest.raises(SeriesError, match="assignment for 'T' has a nonzero constant term"):
+        intertwining_defect(h, F, F)
+
+
+def test_intertwining_defect_refuses_a_map_with_a_constant_term():
+    F = FormalGroupLaw.multiplicative(Q, 4).F
+    h = _one_var({0: 1, 1: 2, 2: 1}, N=4)
+    with pytest.raises(SeriesError, match="assignment for 'x' has a nonzero constant term"):
+        intertwining_defect(h, F, F)
