@@ -9,6 +9,7 @@ canonically ordered, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -509,7 +510,10 @@ def _add_output_flags(p):
     p.add_argument("--out", default=None, help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fgl argument parser, built once per process: parse_args keeps no
+    state in it, as each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="fgl",
         description="formal group laws with monoid actions, exactly",

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .monoids import (BOTTOM, FreeCommutativeMonoid, PadicTruncationMonoid,
                       monoid_from_descriptor)
-from .rings import RingContext, RingElement, RingError, grlex_key
-from .series import TruncatedSeries
+from .rings import RingContext, RingElement, RingError
+from .series import TruncatedSeries, first_difference
 
 
 class LawError(RingError):
@@ -146,6 +146,20 @@ def intertwining_defect(h: TruncatedSeries, F: TruncatedSeries,
     return hF - G.substitute(dict(zip(G.variables, (hx, hy))))
 
 
+def intertwining_violation(h: TruncatedSeries, F: TruncatedSeries,
+                           G: TruncatedSeries) -> tuple | None:
+    """The first (exponent, delta) of intertwining_defect(h, F, G) in
+    graded-lex order, or None where h carries F to G.  Both compositions
+    go through the checking pass, so no series is built; they are checked
+    and refused as substitute would, in the same order."""
+    tables, model = h.substitution({h.variables[0]: F})
+    hx, hy = (h.moved(F, (k,), top)
+              for k, top in enumerate(G.top_exponents(F.trunc_degree)))
+    g_tables, g_model = G.substitution(dict(zip(G.variables, (hx, hy))))
+    return h.composition_difference(tables, model,
+                                    G.composed_terms(g_tables, g_model))
+
+
 def associativity_defect(F: TruncatedSeries) -> TruncatedSeries:
     """F(x, F(y, z)) - F(F(x, y), z) in the variables (x, y, z); zero iff
     the two-variable series F is associative mod degree N+1.  F(y, z) and
@@ -243,7 +257,7 @@ def _checked_log(F: TruncatedSeries) -> TruncatedSeries:
     ell = _integrated_log(F)
     # the defining property doubles as a self-check
     x_plus_y = TruncatedSeries(ctx, ("x", "y"), N, {(1, 0): 1, (0, 1): 1})
-    if not intertwining_defect(ell, F, x_plus_y).is_zero():
+    if intertwining_violation(ell, F, x_plus_y) is not None:
         raise LawError("logarithm does not linearize the law; F is not a group law?")
     return ell
 
@@ -270,6 +284,9 @@ def from_logarithm(f: TruncatedSeries) -> tuple:
     return FormalGroupLaw.from_series(F), g
 
 
+_UNCHECKED = object()  # a law_violation not yet computed
+
+
 class FglEndomorphism:
     """A one-variable series commuting with the group law."""
 
@@ -282,22 +299,24 @@ class FglEndomorphism:
             raise LawError("endomorphism over a different ring than its law")
         self.law = law
         self.series = series
-        self._defect = None
+        self._violation = _UNCHECKED
 
     def linear_coefficient(self) -> RingElement:
         return self.series.coefficient((1,))
 
-    def defect(self) -> TruncatedSeries:
-        """e(F(x,y)) - F(e(x), e(y)); zero iff this is an endomorphism.
-        Computed once per instance: verify and verify_action both read it."""
-        if self._defect is None:
-            self._defect = intertwining_defect(self.series, self.law.F, self.law.F)
-        return self._defect
+    def law_violation(self) -> tuple | None:
+        """The first (exponent, delta) of e(F(x,y)) - F(e(x), e(y)), or None
+        where this is an endomorphism.  Checked once per instance: verify
+        and verify_action both read it."""
+        if self._violation is _UNCHECKED:
+            F = self.law.F
+            self._violation = intertwining_violation(self.series, F, F)
+        return self._violation
 
     def verify(self) -> None:
-        d = self.defect()
-        if not d.is_zero():
-            exp, c = _first_bad_term(d)
+        bad = self.law_violation()
+        if bad is not None:
+            exp, c = bad
             raise LawError(f"endomorphism law fails at {exp} (delta {c})")
 
     def compose(self, other: "FglEndomorphism") -> "FglEndomorphism":
@@ -335,7 +354,7 @@ def isomorphism_via_logs(f1: FormalGroupLaw, f2: FormalGroupLaw) -> TruncatedSer
     l1 = logarithm(f1)
     l2 = logarithm(f2)
     h = exponential(l2).substitute_single(l1)
-    if not intertwining_defect(h, f1.F, f2.F).is_zero():
+    if intertwining_violation(h, f1.F, f2.F) is not None:
         raise LawError("log-transport did not produce an isomorphism")
     return h
 
@@ -350,23 +369,7 @@ def series_congruent(
     """First (exponent, delta) in graded-lex order where the series differ,
     else None.  With precisions, total degree k only needs to agree mod
     pi^precisions[k] (PadicTruncationMonoid.class_precisions)."""
-    t1, t2 = s1.terms, s2.terms
-    if t1 == t2:
-        return None
-    ctx = s1.ctx
-    # terms hold no zero coefficients, so a missing one is the zero
-    differing = []
-    for exp, a in t1.items():
-        b = t2.get(exp)
-        if a != b:
-            differing.append((exp, a if b is None else ctx.add(a, ctx.neg(b))))
-    differing += [(exp, ctx.neg(b)) for exp, b in t2.items() if exp not in t1]
-    failing = [(grlex_key(exp), delta) for exp, delta in differing
-               if precisions is None or ctx.valuation(delta) < precisions[sum(exp)]]
-    if not failing:
-        return None
-    (_, exp), delta = min(failing, key=lambda t: t[0])
-    return exp, ctx.fmt(delta)
+    return first_difference(s1.ctx, s1.terms, s2.terms, precisions)
 
 
 @dataclass
@@ -558,12 +561,9 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
 
     for a in singles:
         endo = action.endo_for(a)
-        defect = endo.defect()
-        if not defect.is_zero():
-            exp, c = _first_bad_term(defect)
-            report.violations.append(
-                ActionViolation("endomorphism_law", label(a), exp, c)
-            )
+        bad = endo.law_violation()
+        if bad is not None:
+            report.violations.append(ActionViolation("endomorphism_law", label(a), *bad))
         if truncation:
             c = endo.series.terms.get((1,))
             cls = None if c is None else monoid.class_of(c)
@@ -578,10 +578,10 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
             report.skipped_pairs += 1
             continue
         ea, eb = action.endo_for(a).series, action.endo_for(b).series
-        comp = ea.substitute_powers([eb.powers(eb.trunc_degree)], eb)
+        tables = [eb.powers(eb.trunc_degree)]
         if free:
-            other = eb.substitute_powers([ea.powers(ea.trunc_degree)], ea)
-            bad = series_congruent(comp, other)
+            other = eb.composed_terms([ea.powers(ea.trunc_degree)], ea)
+            bad = ea.composition_difference(tables, eb, other)
             if bad:
                 report.violations.append(
                     ActionViolation("commutation", f"{label(a)},{label(b)}", *bad)
@@ -591,7 +591,8 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
         precisions = None
         if truncation:
             precisions = monoid.class_precisions(ab[0], N)
-        bad = series_congruent(comp, action.endo_for(ab).series, precisions)
+        bad = ea.composition_difference(tables, eb, action.endo_for(ab).series.terms,
+                                        precisions)
         if bad:
             report.violations.append(
                 ActionViolation(

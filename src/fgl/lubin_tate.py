@@ -27,6 +27,7 @@ from .laws import (
     _checked_log,
     _integrated_log,
     intertwining_defect,
+    intertwining_violation,
     isomorphism_via_logs,
 )
 from .monoids import BOTTOM, PadicTruncationMonoid, RingSubsetMonoid
@@ -168,7 +169,7 @@ def _solve_field_law(d: LubinTateDatum, N: int) -> TruncatedSeries:
                  for exp, c in defect.terms.items() if sum(exp) == deg}
         if delta:
             F = F + TruncatedSeries(field, F.variables, N, delta)
-    if not intertwining_defect(f, F, F).is_zero():
+    if intertwining_violation(f, F, F) is not None:
         raise LubinTateError(
             "defining identity did not close over the fraction field; "
             "invalid datum?"
@@ -196,7 +197,7 @@ def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
     datum's exact field law reduced to its ring, with the axioms and the
     intertwining with f re-checked there."""
     law = FormalGroupLaw.from_series(reduce_series(d.field_law(N), d.ctx))
-    if not intertwining_defect(d.f_at(N), law.F, law.F).is_zero():
+    if intertwining_violation(d.f_at(N), law.F, law.F) is not None:
         raise LubinTateError("reduced law no longer intertwines f")
     return law
 
@@ -363,7 +364,7 @@ def compare_lubin_tate(d1: LubinTateDatum, d2: LubinTateDatum,
     verified = False
     if report.all_integral:
         h_ring = reduce_series(h_field, d1.ctx)
-        verified = intertwining_defect(h_ring, F1.F, F2.F).is_zero()
+        verified = intertwining_violation(h_ring, F1.F, F2.F) is None
         if not verified:
             raise LubinTateError("integral h failed the ring-level check")
     return LubinTateComparison(h_field, report, h_ring, verified)

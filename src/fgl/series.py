@@ -9,7 +9,10 @@ composition commutes with truncation.
 
 There is one kernel.  _pair_products is the only loop over pairs of terms;
 multiplication calls it directly and composition calls it through
-substitute_powers, the one composition path.  powers() is the only code that
+composed_terms, the one composition loop.  substitute_powers builds a series
+from its terms, and the checking pass composition_difference compares them
+with a target's terms, as first_difference does, without building the
+composition or a difference series.  powers() is the only code that
 builds a power table [1, s, s^2, ...], and it memoizes the table on the
 series itself: substitution, reversion, inversion and integer powers all
 read it there, so every composition into one series shares one table and no
@@ -77,6 +80,35 @@ def _cleared(terms: dict) -> _Cleared:
     ratios = [c.as_integer_ratio() for c in terms.values()]
     d = lcm(*[q for _, q in ratios])
     return _Cleared({e: p * (d // q) for e, (p, q) in zip(terms, ratios)}, d)
+
+
+def first_difference(ctx: RingContext, terms: dict, target: dict,
+                     precisions: tuple | None = None) -> tuple | None:
+    """The first (exponent, formatted delta) in graded-lex order where two
+    term dicts over ctx differ, delta = terms - target; None where they
+    agree.  A missing term is zero, and either dict may hold zero payloads.
+    With precisions, total degree k only needs to agree mod
+    pi^precisions[k] (PadicTruncationMonoid.class_precisions)."""
+    if terms == target:
+        return None
+    add, neg, is_zero = ctx.add, ctx.neg, ctx.is_zero
+    failing = []
+    for exp, a in terms.items():
+        b = target.get(exp)
+        if a != b:
+            delta = a if b is None else add(a, neg(b))
+            if not is_zero(delta):
+                failing.append((exp, delta))
+    failing += [(exp, neg(b)) for exp, b in target.items()
+                if exp not in terms and not is_zero(b)]
+    if precisions is not None:
+        valuation = ctx.valuation
+        failing = [(exp, delta) for exp, delta in failing
+                   if valuation(delta) < precisions[sum(exp)]]
+    if not failing:
+        return None
+    exp, delta = min(failing, key=lambda t: grlex_key(t[0]))
+    return exp, ctx.fmt(delta)
 
 
 class TruncatedSeries:
@@ -239,14 +271,15 @@ class TruncatedSeries:
         one times s, memoized on the series and extended on demand.  The
         invariant: a series' terms are never changed after its first
         powers() call (fgl writes terms only while building a series).
-        Entries are shared with every caller, so treat them as read-only."""
+        The table is shared with every caller, and is the memo itself when
+        that holds exactly top + 1 entries, so treat it as read-only."""
         table = self._powers
         if table is None:
             one = {(0,) * len(self.variables): self.ctx.normalize(1)}
             table = self._powers = [self._fresh(one), self._fresh(dict(self.terms))]
         while len(table) <= top:
             table.append(table[-1] * self)
-        return table[:top + 1]
+        return table if len(table) == top + 1 else table[:top + 1]
 
     def moved(self, model: "TruncatedSeries", positions, top: int = 0) -> "TruncatedSeries":
         """This series where model lives, to model's degree N, with its k-th
@@ -328,6 +361,16 @@ class TruncatedSeries:
         list/truncation degree and have zero constant term; that makes the
         degree-N result depend only on degree-N data on both sides.
         """
+        tables, model = self.substitution(assignments)
+        if model is None:
+            # constant-only series: keep it in place
+            return self._fresh(dict(self.terms))
+        return self.substitute_powers(tables, model)
+
+    def substitution(self, assignments: dict) -> tuple:
+        """substitute's checks and power tables: (tables, model), for
+        substitute_powers or composition_difference, or (None, None) for a
+        series that uses no variable and is assigned none."""
         # in variable order, so a refusal names the same variable every run
         reach = map(max, zip(*self.terms)) if self.terms else ()
         used = [v for v, top in zip(self.variables, reach) if top]
@@ -336,8 +379,7 @@ class TruncatedSeries:
         if missing:
             raise SeriesError(f"missing assignment for used variable {missing[0]!r}")
         if not targets:
-            # constant-only series: keep it in place
-            return self._fresh(dict(self.terms))
+            return None, None
         model = targets[0]
         for t in targets[1:]:
             model._check_compatible(t)
@@ -351,7 +393,7 @@ class TruncatedSeries:
         tops = self.top_exponents(model.trunc_degree)
         tables = [assignments[v].powers(top) if top else None
                   for v, top in zip(self.variables, tops)]
-        return self.substitute_powers(tables, model)
+        return tables, model
 
     def top_exponents(self, N: int) -> list:
         """The largest exponent of each variable over the terms of degree
@@ -361,7 +403,25 @@ class TruncatedSeries:
 
     def substitute_powers(self, tables, model: "TruncatedSeries") -> "TruncatedSeries":
         """self with its k-th variable replaced by the series whose power
-        table is tables[k]; the result lives where model does.
+        table is tables[k], as a series where model lives: composed_terms
+        without its zeros."""
+        is_zero = model.ctx.is_zero
+        return model._fresh({e: v for e, v in self.composed_terms(tables, model).items()
+                             if not is_zero(v)})
+
+    def composition_difference(self, tables, model: "TruncatedSeries", target: dict,
+                               precisions: tuple | None = None) -> tuple | None:
+        """The checking pass: first_difference of the composition
+        substitute_powers(tables, model) against the term dict target, read
+        off composed_terms, so neither the composed series nor a difference
+        series is built.  The same contract as substitute_powers."""
+        return first_difference(model.ctx, self.composed_terms(tables, model), target,
+                                precisions)
+
+    def composed_terms(self, tables, model: "TruncatedSeries") -> dict:
+        """The terms of self with its k-th variable replaced by the series
+        whose power table is tables[k], at model's degree N: the one
+        composition loop.  Zero payloads may remain.
 
         No validation: the substituted series must have zero constant term,
         and each table must reach the largest exponent its variable carries
@@ -402,9 +462,8 @@ class TruncatedSeries:
                 v = mul(c, v)
                 acc[e] = add(acc[e], v) if e in acc else v
         if over_q:
-            return model._fresh({e: Fraction(v, dc * L) for e, v in acc.items() if v})
-        is_zero = ctx.is_zero
-        return model._fresh({e: v for e, v in acc.items() if not is_zero(v)})
+            return {e: Fraction(v, dc * L) for e, v in acc.items() if v}
+        return acc
 
     def substitute_single(self, target: "TruncatedSeries") -> "TruncatedSeries":
         """Composition for one-variable series: self(target)."""

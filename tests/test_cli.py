@@ -209,6 +209,20 @@ def test_recover_add_table_refuses_an_action_that_fails_verification(capsys, mon
     assert "'kind': 'linear_class', 'where': '1:1'" in error["message"]
 
 
+# check-truncation.json with [0:2] = 2T moved to 2T + T^2: the endomorphism
+# law fails at xy, and eleven composition rows through 0:2 fail at T^2.  The
+# stderr was recorded before the law checks stopped building composed
+# series.
+VIOLATIONS = Path(__file__).resolve().parent / "golden" / "check-violations.json"
+
+
+def test_check_reports_every_violation_of_a_perturbed_bundle(capsysbinary):
+    assert main(["check", "--bundle", str(VIOLATIONS), "--json"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == VIOLATIONS.with_suffix(".stderr").read_bytes()
+
+
 def test_recover_add_window_mode(capsys):
     base = [
         "recover-add", "--p", "5", "--precision", "6", "--preset",
@@ -492,3 +506,17 @@ def test_check_refuses_a_law_with_a_constant_term(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: malformed bundle: assignment for 'y' has a "
                    "nonzero constant term\n")
+
+
+def test_the_parser_is_built_once_and_carries_no_state(capsys, tmp_path):
+    from fgl.cli import build_parser
+
+    assert build_parser() is build_parser()
+    out_file = tmp_path / "law.json"
+    code, out, err = run(capsys, "from-log", "--series", "T", "--degree", "4",
+                         "--json", "--out", str(out_file))
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(out_file.read_text())["law"]["axioms"]["all_pass"]
+    # neither --json nor --out carries over into the next call
+    code, out, err = run(capsys, "from-log", "--series", "T", "--degree", "4")
+    assert (code, out, err) == (0, "F = x + y\nexp = T\n", "")

@@ -6,7 +6,11 @@ RingElement's own `*`, truncating at total degree N.  Substitution, powers,
 both inverses and the recovered addition table are checked against it over Q
 and over a ramified quadratic extension of Z_5.  The two composition
 defects of fgl.laws, which read memoized power tables moved onto other
-variables, are checked against their plain forms by substitution.
+variables, are checked against their plain forms by substitution.  The
+checking pass, which compares a composition with a target without building
+either as a series, is checked against series_congruent on the built
+composition, and the endomorphism-law check against the first term of the
+intertwining defect.
 Reversion over Q is also checked against sympy's, when sympy is installed.
 """
 import random
@@ -16,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl.laws import associativity_defect, from_logarithm, intertwining_defect
+from fgl.laws import (_first_bad_term, associativity_defect, from_logarithm,
+                      intertwining_defect, intertwining_violation, series_congruent)
 from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standard_datum
 from fgl.monoids import BOTTOM, padic_truncation_of
 from fgl.recovery import ADJOINED_ZERO, CAPPED, build_addition_table
-from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
+from fgl.rings import EisensteinExtension, PadicIntegers, RationalField, RingError
 from fgl.series import SeriesError, TruncatedSeries
 
 Q = RationalField()
@@ -196,16 +201,17 @@ def _intertwining_by_substitution(h, F, G):
     return hF - G.substitute(dict(zip(G.variables, (hx, hy))))
 
 
-def _same_outcome(defect, reference):
-    """Equal series, or the same SeriesError message from both."""
+def _same_outcome(checked, reference):
+    """Equal results, or the same RingError with one message from both: a
+    SeriesError on a constant term, or Q's refusal of a valuation."""
     try:
         expect = reference()
-    except SeriesError as exc:
-        with pytest.raises(SeriesError) as raised:
-            defect()
+    except RingError as exc:
+        with pytest.raises(type(exc)) as raised:
+            checked()
         assert str(raised.value) == str(exc)
         return
-    assert defect() == expect
+    assert checked() == expect
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))
@@ -260,6 +266,69 @@ def test_compositions_into_one_series_build_its_table_once(ring, monkeypatch):
     # F's table to its own degree (h reaches T^N), each h's as far as F reads it
     assert sum(b is F for b in products) == N - 1
     assert all(sum(b is h for b in products) == top - 1 for h in hs)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_composition_difference_matches_series_congruent(ring, data):
+    ctx = RINGS[ring]
+    f, args = data.draw(_substitution(ctx))
+    if data.draw(st.booleans()):  # a constant term is refused by both forms
+        args[0] = args[0] + TruncatedSeries.constant(ctx, args[0].variables,
+                                                     args[0].trunc_degree, 1)
+    assignments = dict(zip(f.variables, args))
+    model = args[0]
+    N = model.trunc_degree
+    # the composition itself, or a series near it, or one far from it
+    target = data.draw(_series(ctx, len(model.variables), N))
+    try:
+        composition = f.substitute(assignments)
+    except SeriesError:
+        composition = None
+    if composition is not None and data.draw(st.booleans()):
+        scale = ctx.uniformizer().payload if ctx is E else 1
+        target = composition + target.scale(data.draw(st.sampled_from([0, scale, 1])))
+    precisions = None
+    if data.draw(st.booleans()):
+        precisions = tuple(data.draw(st.lists(st.integers(0, 9), min_size=N + 1,
+                                              max_size=N + 1)))
+
+    def checked():
+        tables, at = f.substitution(assignments)
+        return f.composition_difference(tables, at, target.terms, precisions)
+
+    _same_outcome(checked, lambda: series_congruent(f.substitute(assignments), target,
+                                                   precisions))
+    if composition is not None:
+        tables, at = f.substitution(assignments)
+        _same_outcome(checked, lambda: series_congruent(
+            f.substitute_powers(tables, at), target, precisions))
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_intertwining_violation_is_the_first_term_of_the_defect(ring, data):
+    ctx = RINGS[ring]
+    N = data.draw(st.integers(1, 4))
+    additive = TruncatedSeries(ctx, ("x", "y"), N, {(1, 0): 1, (0, 1): 1})
+    # x + y with a linear h intertwines; a random draw seldom does
+    if data.draw(st.booleans()):
+        F = G = additive
+        h = TruncatedSeries(ctx, ("T",), N, {(1,): data.draw(_coefficient(ctx))})
+    else:
+        F = data.draw(_series(ctx, 2, N, constant=data.draw(st.booleans())))
+        G = data.draw(st.sampled_from([F, additive]))
+        h_degree = data.draw(st.integers(N - 1, N + 1).filter(bool))
+        h = data.draw(_series(ctx, 1, h_degree, constant=data.draw(st.booleans())))
+        h = h.rename(("T",))
+
+    def reference():
+        defect = intertwining_defect(h, F, G)
+        return None if defect.is_zero() else _first_bad_term(defect)
+
+    _same_outcome(lambda: intertwining_violation(h, F, G), reference)
 
 
 # ---------------------------------------------------------------------------

@@ -286,15 +286,15 @@ def test_absorbing_pairs_are_not_composed(monkeypatch):
     # the pair checks are the only one-variable compositions; the
     # endomorphism-law checks compose into two-variable series
     action = _small_truncation_action()
-    substitute_powers = TruncatedSeries.substitute_powers
+    composed_terms = TruncatedSeries.composed_terms
     compositions = []
 
     def counting(self, tables, model):
         if len(model.variables) == 1:
             compositions.append(model)
-        return substitute_powers(self, tables, model)
+        return composed_terms(self, tables, model)
 
-    monkeypatch.setattr(TruncatedSeries, "substitute_powers", counting)
+    monkeypatch.setattr(TruncatedSeries, "composed_terms", counting)
     report = action.verify()
     assert (report.checked_pairs, report.skipped_pairs) == (48, 16)
     assert len(compositions) == 48

@@ -613,14 +613,14 @@ def test_row_table_matches_the_per_pair_oracle(name):
 def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
     action = _carrier_action(name)
     calls = []
-    substitute = TruncatedSeries.substitute_powers
+    composed_terms = TruncatedSeries.composed_terms
 
     def counted(self, tables, model):
         if len(self.variables) == 2:
             calls.append(1)
-        return substitute(self, tables, model)
+        return composed_terms(self, tables, model)
 
-    monkeypatch.setattr(TruncatedSeries, "substitute_powers", counted)
+    monkeypatch.setattr(TruncatedSeries, "composed_terms", counted)
     build_addition_table(action)
     assert len(calls) == compositions
 
@@ -780,15 +780,18 @@ def test_endomorphism_defect_is_computed_once_per_class(monkeypatch):
     E = EisensteinExtension(5, 7, (-5, 0, 1))
     d = standard_datum(E)
     law = build_fgl(d, 2)
-    d.field_log(2)  # its self-check is a defect of its own
+    d.field_log(2)  # its self-check is a law check of its own
     calls = []
-    defect = laws.intertwining_defect
+    composed_terms = TruncatedSeries.composed_terms
 
-    def counted(*args):
-        calls.append(1)
-        return defect(*args)
+    def counted(self, tables, model):
+        # h(F), one per endomorphism-law check: a one-variable series
+        # composed into the two-variable law
+        if len(self.variables) == 1 and len(model.variables) == 2:
+            calls.append(1)
+        return composed_terms(self, tables, model)
 
-    monkeypatch.setattr(laws, "intertwining_defect", counted)
+    monkeypatch.setattr(TruncatedSeries, "composed_terms", counted)
     action = build_action(d, law, monoid=padic_truncation_of(E, 2, 2))
     build_addition_table(action)
     assert len(calls) == len(action.assignment) == 40
