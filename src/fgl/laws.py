@@ -11,11 +11,12 @@ hand-edited series is off by one coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .monoids import (BOTTOM, FreeCommutativeMonoid, PadicTruncationMonoid,
                       monoid_from_descriptor)
 from .rings import RingContext, RingElement, RingError
-from .series import TruncatedSeries, first_difference
+from .series import TruncatedSeries, differences, first_difference
 
 
 class LawError(RingError):
@@ -65,19 +66,6 @@ class AxiomReport:
 
     def to_json(self):
         return {"all_pass": self.all_pass, "checks": [c.to_json() for c in self.checks]}
-
-
-def _first_bad_term(delta: TruncatedSeries):
-    terms = delta.sorted_terms()
-    exp, c = terms[0]
-    return exp, delta.ctx.fmt(c)
-
-
-def _axiom(name: str, delta: TruncatedSeries) -> AxiomCheck:
-    if delta.is_zero():
-        return AxiomCheck(name, True)
-    exp, c = _first_bad_term(delta)
-    return AxiomCheck(name, False, exp, c)
 
 
 class FormalGroupLaw:
@@ -135,44 +123,56 @@ class FormalGroupLaw:
         return cls.from_series(F, require=require)
 
 
+def _composed(s: TruncatedSeries, assignments: dict) -> dict:
+    """One side of a law identity: the terms of s.substitute(assignments),
+    checked and refused as there, zero payloads possibly kept."""
+    return s.composed_terms(*s.substitution(assignments))
+
+
+def _intertwining_sides(h: TruncatedSeries, F: TruncatedSeries,
+                        G: TruncatedSeries) -> tuple:
+    """The term dicts of h(F(x, y)) and G(h(x), h(y)) in F's variables,
+    which agree iff the one-variable series h carries the two-variable
+    series F to G.  h(F) reads F's memoized power table; h(x) and h(y) are
+    h moved onto one of F's variables, carrying h's table as far as G
+    reads it."""
+    hF = _composed(h, {h.variables[0]: F})
+    hx, hy = (h.moved(F, (k,), top)
+              for k, top in enumerate(G.top_exponents(F.trunc_degree)))
+    return hF, _composed(G, dict(zip(G.variables, (hx, hy))))
+
+
 def intertwining_defect(h: TruncatedSeries, F: TruncatedSeries,
                         G: TruncatedSeries) -> TruncatedSeries:
-    """h(F(x, y)) - G(h(x), h(y)) in F's variables; zero iff the
-    one-variable series h carries the two-variable series F to G.  h(F)
-    reads F's memoized power table; h(x) and h(y) are h moved onto one of
-    F's variables, carrying h's table as far as G reads it."""
-    hF, N = h.substitute_single(F), F.trunc_degree
-    hx, hy = (h.moved(F, (k,), top) for k, top in enumerate(G.top_exponents(N)))
-    return hF - G.substitute(dict(zip(G.variables, (hx, hy))))
+    """h(F(x, y)) - G(h(x), h(y)) as a series in F's variables."""
+    return F._fresh(dict(differences(F.ctx, *_intertwining_sides(h, F, G))))
 
 
 def intertwining_violation(h: TruncatedSeries, F: TruncatedSeries,
                            G: TruncatedSeries) -> tuple | None:
-    """The first (exponent, delta) of intertwining_defect(h, F, G) in
-    graded-lex order, or None where h carries F to G.  Both compositions
-    go through the checking pass, so no series is built; they are checked
-    and refused as substitute would, in the same order."""
-    tables, model = h.substitution({h.variables[0]: F})
-    hx, hy = (h.moved(F, (k,), top)
-              for k, top in enumerate(G.top_exponents(F.trunc_degree)))
-    g_tables, g_model = G.substitution(dict(zip(G.variables, (hx, hy))))
-    return h.composition_difference(tables, model,
-                                    G.composed_terms(g_tables, g_model))
+    """The first (exponent, delta) of h(F(x, y)) - G(h(x), h(y)) in
+    graded-lex order, or None where h carries F to G; no series is
+    built."""
+    return first_difference(F.ctx, *_intertwining_sides(h, F, G))
 
 
-def associativity_defect(F: TruncatedSeries) -> TruncatedSeries:
-    """F(x, F(y, z)) - F(F(x, y), z) in the variables (x, y, z); zero iff
-    the two-variable series F is associative mod degree N+1.  F(y, z) and
-    F(x, y) are F moved onto two of the three variables, so both
-    compositions read F's own memoized power table."""
+def _associativity_sides(F: TruncatedSeries) -> tuple:
+    """The term dicts of F(x, F(y, z)) and F(F(x, y), z) in the variables
+    (x, y, z), which agree iff the two-variable series F is associative mod
+    degree N+1.  F(y, z) and F(x, y) are F moved onto two of the three
+    variables, so both compositions read F's own memoized power table."""
     ctx, N = F.ctx, F.trunc_degree
     xname, yname = F.variables
     top_x, top_y = F.top_exponents(N)
-    xyz = ("x", "y", "z")
-    X, Z = (TruncatedSeries.variable(ctx, xyz, N, v) for v in ("x", "z"))
-    left = F.substitute({xname: X, yname: F.moved(X, (1, 2), top_y)})
-    right = F.substitute({xname: F.moved(X, (0, 1), top_x), yname: Z})
-    return left - right
+    X, Z = (TruncatedSeries.variable(ctx, ("x", "y", "z"), N, v) for v in ("x", "z"))
+    left = _composed(F, {xname: X, yname: F.moved(X, (1, 2), top_y)})
+    return left, _composed(F, {xname: F.moved(X, (0, 1), top_x), yname: Z})
+
+
+def associativity_defect(F: TruncatedSeries) -> TruncatedSeries:
+    """F(x, F(y, z)) - F(F(x, y), z) as a series in (x, y, z)."""
+    xyz = TruncatedSeries(F.ctx, ("x", "y", "z"), F.trunc_degree)
+    return xyz._fresh(dict(differences(F.ctx, *_associativity_sides(F))))
 
 
 def check_axioms_series(F: TruncatedSeries) -> AxiomReport:
@@ -185,13 +185,17 @@ def check_axioms_series(F: TruncatedSeries) -> AxiomReport:
     x_plus_y = TruncatedSeries(ctx, F.variables, low, {(1, 0): 1, (0, 1): 1})
     T = TruncatedSeries.variable(ctx, ("T",), N, "T")
     zero1 = TruncatedSeries.zero(ctx, ("T",), N)
-    return AxiomReport([
-        _axiom("linear_shape", F.truncate(low) - x_plus_y),
-        _axiom("unit_right", F.substitute({xname: T, yname: zero1}) - T),
-        _axiom("unit_left", F.substitute({xname: zero1, yname: T}) - T),
-        _axiom("commutativity", F - F.moved(F, (1, 0))),
-        _axiom("associativity", associativity_defect(F)),
-    ])
+    failures = {
+        "linear_shape": first_difference(ctx, F.truncate(low).terms, x_plus_y.terms),
+        "unit_right": first_difference(ctx, _composed(F, {xname: T, yname: zero1}),
+                                       T.terms),
+        "unit_left": first_difference(ctx, _composed(F, {xname: zero1, yname: T}),
+                                      T.terms),
+        "commutativity": first_difference(ctx, F.terms, F.moved(F, (1, 0)).terms),
+        "associativity": first_difference(ctx, *_associativity_sides(F)),
+    }
+    return AxiomReport([AxiomCheck(name, bad is None, *(bad or ()))
+                        for name, bad in failures.items()])
 
 
 def formal_inverse(law: FormalGroupLaw) -> TruncatedSeries:
@@ -284,9 +288,6 @@ def from_logarithm(f: TruncatedSeries) -> tuple:
     return FormalGroupLaw.from_series(F), g
 
 
-_UNCHECKED = object()  # a law_violation not yet computed
-
-
 class FglEndomorphism:
     """A one-variable series commuting with the group law."""
 
@@ -299,22 +300,19 @@ class FglEndomorphism:
             raise LawError("endomorphism over a different ring than its law")
         self.law = law
         self.series = series
-        self._violation = _UNCHECKED
 
     def linear_coefficient(self) -> RingElement:
         return self.series.coefficient((1,))
 
+    @cached_property
     def law_violation(self) -> tuple | None:
         """The first (exponent, delta) of e(F(x,y)) - F(e(x), e(y)), or None
         where this is an endomorphism.  Checked once per instance: verify
         and verify_action both read it."""
-        if self._violation is _UNCHECKED:
-            F = self.law.F
-            self._violation = intertwining_violation(self.series, F, F)
-        return self._violation
+        return intertwining_violation(self.series, self.law.F, self.law.F)
 
     def verify(self) -> None:
-        bad = self.law_violation()
+        bad = self.law_violation
         if bad is not None:
             exp, c = bad
             raise LawError(f"endomorphism law fails at {exp} (delta {c})")
@@ -361,15 +359,6 @@ def isomorphism_via_logs(f1: FormalGroupLaw, f2: FormalGroupLaw) -> TruncatedSer
 
 # ---------------------------------------------------------------------------
 # monoid actions
-
-
-def series_congruent(
-    s1: TruncatedSeries, s2: TruncatedSeries, precisions: tuple | None = None
-) -> tuple | None:
-    """First (exponent, delta) in graded-lex order where the series differ,
-    else None.  With precisions, total degree k only needs to agree mod
-    pi^precisions[k] (PadicTruncationMonoid.class_precisions)."""
-    return first_difference(s1.ctx, s1.terms, s2.terms, precisions)
 
 
 @dataclass
@@ -531,16 +520,13 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
     law = action.law
     ctx = law.ctx
     N = law.trunc_degree
-    ident_series = TruncatedSeries.variable(ctx, ("T",), N, "T")
-
     monoid = action.monoid
     label = monoid.label
-    id_endo = action.endo_for(monoid.identity_payload())
-    if id_endo.series != ident_series:
-        bad = series_congruent(id_endo.series, ident_series)
-        report.violations.append(
-            ActionViolation("identity", "1", bad[0], bad[1])
-        )
+    ident = TruncatedSeries.variable(ctx, ("T",), N, "T")
+    bad = first_difference(ctx, action.endo_for(monoid.identity_payload()).series.terms,
+                           ident.terms)
+    if bad:
+        report.violations.append(ActionViolation("identity", "1", *bad))
 
     truncation = action.tolerance == "truncation"
     if truncation:
@@ -561,7 +547,7 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
 
     for a in singles:
         endo = action.endo_for(a)
-        bad = endo.law_violation()
+        bad = endo.law_violation
         if bad is not None:
             report.violations.append(ActionViolation("endomorphism_law", label(a), *bad))
         if truncation:
@@ -578,10 +564,10 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
             report.skipped_pairs += 1
             continue
         ea, eb = action.endo_for(a).series, action.endo_for(b).series
-        tables = [eb.powers(eb.trunc_degree)]
+        composed = ea.composed_terms([eb.powers(eb.trunc_degree)], eb)
         if free:
             other = eb.composed_terms([ea.powers(ea.trunc_degree)], ea)
-            bad = ea.composition_difference(tables, eb, other)
+            bad = first_difference(ctx, composed, other)
             if bad:
                 report.violations.append(
                     ActionViolation("commutation", f"{label(a)},{label(b)}", *bad)
@@ -591,8 +577,8 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
         precisions = None
         if truncation:
             precisions = monoid.class_precisions(ab[0], N)
-        bad = ea.composition_difference(tables, eb, action.endo_for(ab).series.terms,
-                                        precisions)
+        bad = first_difference(ctx, composed, action.endo_for(ab).series.terms,
+                               precisions)
         if bad:
             report.violations.append(
                 ActionViolation(

@@ -33,6 +33,7 @@ from .monoids import (
     unit_isomorphism_variants,
 )
 from .rings import EisensteinExtension, RingError
+from .series import first_difference
 
 
 class RecoveryError(RingError):
@@ -127,9 +128,9 @@ def recover_sum(action: MonoidAction, p1, p2):
             precisions = monoid.class_precisions(candidate[0], first.trunc_degree)
         target = action.endo_for(candidate).series.terms
     second = action.endo_for(p2).series
-    bad = action.law.F.composition_difference(
-        [first.powers(first.trunc_degree), second.powers(second.trunc_degree)], first,
-        target, precisions)
+    composed = action.law.F.composed_terms(
+        [first.powers(first.trunc_degree), second.powers(second.trunc_degree)], first)
+    bad = first_difference(first.ctx, composed, target, precisions)
     if bad:
         raise RecoveryError(
             f"F([{monoid.label(p1)}], [{monoid.label(p2)}]) differs from "

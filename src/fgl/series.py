@@ -9,15 +9,16 @@ composition commutes with truncation.
 
 There is one kernel.  _pair_products is the only loop over pairs of terms;
 multiplication calls it directly and composition calls it through
-composed_terms, the one composition loop.  substitute_powers builds a series
-from its terms, and the checking pass composition_difference compares them
-with a target's terms, as first_difference does, without building the
-composition or a difference series.  powers() is the only code that
-builds a power table [1, s, s^2, ...], and it memoizes the table on the
-series itself: substitution, reversion, inversion and integer powers all
-read it there, so every composition into one series shares one table and no
-caller keeps a copy.  moved() carries a series' table onto other variables,
-so F(x, y) and F(y, z), or h(x) and h(y), read the table of F or of h.
+composed_terms, the one composition loop.  substitute builds a series from
+its terms; a law check instead holds the term dicts of an identity's two
+sides and compares them, first_difference for the first failing term or
+differences for all of them, so no composed or difference series is built.
+powers() is the only code that builds a power table [1, s, s^2, ...], and
+it memoizes the table on the series itself: substitution, reversion,
+inversion and integer powers all read it there, so every composition into
+one series shares one table and no caller keeps a copy.  moved() carries a
+series' table onto other variables, so F(x, y) and F(y, z), or h(x) and
+h(y), read the table of F or of h.
 
 Over Q the kernel runs on integers wherever products add up, as FLINT's
 fmpq_poly does: each operand is cleared once into integer numerators over
@@ -82,25 +83,32 @@ def _cleared(terms: dict) -> _Cleared:
     return _Cleared({e: p * (d // q) for e, (p, q) in zip(terms, ratios)}, d)
 
 
-def first_difference(ctx: RingContext, terms: dict, target: dict,
-                     precisions: tuple | None = None) -> tuple | None:
-    """The first (exponent, formatted delta) in graded-lex order where two
-    term dicts over ctx differ, delta = terms - target; None where they
-    agree.  A missing term is zero, and either dict may hold zero payloads.
-    With precisions, total degree k only needs to agree mod
-    pi^precisions[k] (PadicTruncationMonoid.class_precisions)."""
-    if terms == target:
-        return None
+def differences(ctx: RingContext, terms: dict, target: dict) -> list:
+    """The nonzero terms (exponent, delta) of terms - target, two term dicts
+    over ctx, in no particular order.  A missing term is zero, and either
+    dict may hold zero payloads."""
     add, neg, is_zero = ctx.add, ctx.neg, ctx.is_zero
-    failing = []
+    out = []
     for exp, a in terms.items():
         b = target.get(exp)
         if a != b:
             delta = a if b is None else add(a, neg(b))
             if not is_zero(delta):
-                failing.append((exp, delta))
-    failing += [(exp, neg(b)) for exp, b in target.items()
-                if exp not in terms and not is_zero(b)]
+                out.append((exp, delta))
+    out += [(exp, neg(b)) for exp, b in target.items()
+            if exp not in terms and not is_zero(b)]
+    return out
+
+
+def first_difference(ctx: RingContext, terms: dict, target: dict,
+                     precisions: tuple | None = None) -> tuple | None:
+    """The first (exponent, formatted delta) in graded-lex order of
+    differences(ctx, terms, target); None where the dicts agree.  With
+    precisions, total degree k only needs to agree mod pi^precisions[k]
+    (PadicTruncationMonoid.class_precisions)."""
+    if terms == target:
+        return None
+    failing = differences(ctx, terms, target)
     if precisions is not None:
         valuation = ctx.valuation
         failing = [(exp, delta) for exp, delta in failing
@@ -365,12 +373,14 @@ class TruncatedSeries:
         if model is None:
             # constant-only series: keep it in place
             return self._fresh(dict(self.terms))
-        return self.substitute_powers(tables, model)
+        is_zero = model.ctx.is_zero
+        return model._fresh({e: v for e, v in self.composed_terms(tables, model).items()
+                             if not is_zero(v)})
 
     def substitution(self, assignments: dict) -> tuple:
         """substitute's checks and power tables: (tables, model), for
-        substitute_powers or composition_difference, or (None, None) for a
-        series that uses no variable and is assigned none."""
+        composed_terms, or (None, None) for a series that uses no variable
+        and is assigned none."""
         # in variable order, so a refusal names the same variable every run
         reach = map(max, zip(*self.terms)) if self.terms else ()
         used = [v for v, top in zip(self.variables, reach) if top]
@@ -400,23 +410,6 @@ class TruncatedSeries:
         <= N: how far a composition at degree N reads each power table."""
         low = [exp for exp in self.terms if sum(exp) <= N]
         return list(map(max, zip(*low))) if low else [0] * len(self.variables)
-
-    def substitute_powers(self, tables, model: "TruncatedSeries") -> "TruncatedSeries":
-        """self with its k-th variable replaced by the series whose power
-        table is tables[k], as a series where model lives: composed_terms
-        without its zeros."""
-        is_zero = model.ctx.is_zero
-        return model._fresh({e: v for e, v in self.composed_terms(tables, model).items()
-                             if not is_zero(v)})
-
-    def composition_difference(self, tables, model: "TruncatedSeries", target: dict,
-                               precisions: tuple | None = None) -> tuple | None:
-        """The checking pass: first_difference of the composition
-        substitute_powers(tables, model) against the term dict target, read
-        off composed_terms, so neither the composed series nor a difference
-        series is built.  The same contract as substitute_powers."""
-        return first_difference(model.ctx, self.composed_terms(tables, model), target,
-                                precisions)
 
     def composed_terms(self, tables, model: "TruncatedSeries") -> dict:
         """The terms of self with its k-th variable replaced by the series
@@ -504,7 +497,7 @@ class TruncatedSeries:
             if not ctx.is_zero(acc):
                 g.terms[(n,)] = ctx.mul(ctx.neg(acc), a1_inv_pow.payload)
         ident = TruncatedSeries.variable(ctx, self.variables, N, self.variables[0])
-        if g.substitute_powers([table], self) != ident:
+        if g.substitute_single(self) != ident:
             raise SeriesError("reversion failed to verify; coefficient ring too lossy?")
         return g
 
@@ -565,10 +558,5 @@ class TruncatedSeries:
 
         if ctx is None:
             ctx = context_from_descriptor(obj["ring"])
-        out = cls(ctx, tuple(obj["vars"]), obj["N"])
-        for t in obj["terms"]:
-            exp = tuple(t["exp"])
-            c = ctx.value_from_json(t["coeff"])
-            if sum(exp) <= out.trunc_degree and not ctx.is_zero(c):
-                out.terms[exp] = c
-        return out
+        return cls(ctx, obj["vars"], obj["N"],
+                   [(t["exp"], ctx.value_from_json(t["coeff"])) for t in obj["terms"]])

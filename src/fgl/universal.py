@@ -39,7 +39,7 @@ from .rings import (
     RingError,
     grlex_key,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, first_difference
 
 
 class UniversalError(RingError):
@@ -605,10 +605,9 @@ def z_two_variable_check(pres: UniversalPresentation, a_payload, b_payload) -> d
     rhs = TruncatedSeries.zero(pres.ctx, ("x", "y"), N)
     for i, F_i in enumerate(pres.F.powers(N)[1:], 1):
         rhs = rhs + F_i.scale(pres.generator(f"Z_{aname}_{bname}_{i}"))
-    if lhs != rhs:
-        delta = lhs - rhs
-        exp = min(delta.terms, key=grlex_key)
-        raise UniversalError(f"certificate fails at monomial {exp}")
+    bad = first_difference(pres.ctx, lhs.terms, rhs.terms)
+    if bad:
+        raise UniversalError(f"certificate fails at monomial {bad[0]}")
     return {"ok": True, "degree": N, "relations_used": N}
 
 

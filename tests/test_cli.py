@@ -17,6 +17,9 @@ def write_json(path, obj):
     return str(path)
 
 
+TRUNCATION = Path(__file__).resolve().parent / "golden" / "check-truncation.json"
+
+
 def test_from_log_additive(capsys):
     code, out, err = run(capsys, "from-log", "--series", "T", "--degree", "4")
     assert (code, err) == (0, "")
@@ -91,8 +94,7 @@ def test_check_corrupted_linear_coefficient(capsys, tmp_path):
 
 
 def test_check_refuses_a_truncation_bundle_with_an_unassigned_class(capsys, tmp_path):
-    golden = Path(__file__).resolve().parent / "golden" / "check-truncation.json"
-    bundle = json.loads(golden.read_text())
+    bundle = json.loads(TRUNCATION.read_text())
     bundle["endomorphisms"] = [e for e in bundle["endomorphisms"]
                                if e["element"] != "1:2"]
     code, out, err = run(capsys, "check", "--bundle",
@@ -221,6 +223,50 @@ def test_check_reports_every_violation_of_a_perturbed_bundle(capsysbinary):
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert captured.err == VIOLATIONS.with_suffix(".stderr").read_bytes()
+
+
+# A law over Q at degree 3 that fails all five axioms, with negative and
+# fractional deltas.  The stderr was recorded before the axiom checks
+# stopped building difference series.
+AXIOMS = Path(__file__).resolve().parent / "golden" / "check-axioms.json"
+
+
+def test_check_reports_every_failing_axiom_of_a_law(capsysbinary):
+    assert main(["check", "--bundle", str(AXIOMS), "--json"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == AXIOMS.with_suffix(".stderr").read_bytes()
+
+
+def _series_of(bundle, element):
+    return next(e["series"] for e in bundle["endomorphisms"] if e["element"] == element)
+
+
+@pytest.mark.parametrize("where, exp, message", [
+    ("0:2", [2, 0], "exponent arity mismatch"),
+    ("0:2", [-1], "negative exponent"),
+    ("0:2", [-2], "negative exponent"),
+    ("law", [-1, 2], "negative exponent"),
+])
+def test_check_refuses_a_bundle_series_with_a_bad_exponent(capsys, tmp_path,
+                                                          where, exp, message):
+    bundle = json.loads(TRUNCATION.read_text())
+    series = bundle["law"]["F"] if where == "law" else _series_of(bundle, where)
+    series["terms"][0]["exp"] = exp
+    code, out, err = run(capsys, "check", "--bundle",
+                         write_json(tmp_path / "bad.json", bundle))
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed bundle: {message}\n"
+
+
+@pytest.mark.parametrize("field, value", [("vars", ["x"]), ("N", 3)])
+def test_check_accepts_an_identity_written_otherwise(capsys, tmp_path, field, value):
+    # [0:1] = T under another variable name, or at a lower degree than the law
+    bundle = json.loads(TRUNCATION.read_text())
+    _series_of(bundle, "0:1")[field] = value
+    code, out, err = run(capsys, "check", "--bundle",
+                         write_json(tmp_path / "identity.json", bundle))
+    assert (code, out, err) == (0, "ok: axioms and action identities hold\n", "")
 
 
 def test_recover_add_window_mode(capsys):

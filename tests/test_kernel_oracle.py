@@ -6,11 +6,12 @@ RingElement's own `*`, truncating at total degree N.  Substitution, powers,
 both inverses and the recovered addition table are checked against it over Q
 and over a ramified quadratic extension of Z_5.  The two composition
 defects of fgl.laws, which read memoized power tables moved onto other
-variables, are checked against their plain forms by substitution.  The
-checking pass, which compares a composition with a target without building
-either as a series, is checked against series_congruent on the built
-composition, and the endomorphism-law check against the first term of the
-intertwining defect.
+variables, are checked against their plain forms by substitution.  A law
+check compares two term dicts without building either side as a series:
+differences is checked against the terms of the difference series,
+first_difference on composed_terms against a sorted walk over the built
+composition, and intertwining_violation against the first term of the
+intertwining defect by substitution.
 Reversion over Q is also checked against sympy's, when sympy is installed.
 """
 import random
@@ -20,13 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl.laws import (_first_bad_term, associativity_defect, from_logarithm,
-                      intertwining_defect, intertwining_violation, series_congruent)
+from fgl.laws import (associativity_defect, from_logarithm, intertwining_defect,
+                      intertwining_violation)
 from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standard_datum
 from fgl.monoids import BOTTOM, padic_truncation_of
 from fgl.recovery import ADJOINED_ZERO, CAPPED, build_addition_table
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField, RingError
-from fgl.series import SeriesError, TruncatedSeries
+from fgl.series import SeriesError, TruncatedSeries, differences, first_difference
 
 Q = RationalField()
 E = EisensteinExtension(5, 9, (-5, 0, 1))
@@ -201,6 +202,15 @@ def _intertwining_by_substitution(h, F, G):
     return hF - G.substitute(dict(zip(G.variables, (hx, hy))))
 
 
+def _first_bad_term(delta, precisions=None):
+    """The first term of the series delta in graded-lex order, as (exponent,
+    text), that precisions do not excuse; None if there is none."""
+    for exp, c in delta.sorted_terms():
+        if precisions is None or delta.ctx.valuation(c) < precisions[sum(exp)]:
+            return exp, delta.ctx.fmt(c)
+    return None
+
+
 def _same_outcome(checked, reference):
     """Equal results, or the same RingError with one message from both: a
     SeriesError on a constant term, or Q's refusal of a valuation."""
@@ -271,7 +281,7 @@ def test_compositions_into_one_series_build_its_table_once(ring, monkeypatch):
 @pytest.mark.parametrize("ring", sorted(RINGS))
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_composition_difference_matches_series_congruent(ring, data):
+def test_first_difference_of_composed_terms_matches_the_sorted_walk(ring, data):
     ctx = RINGS[ring]
     f, args = data.draw(_substitution(ctx))
     if data.draw(st.booleans()):  # a constant term is refused by both forms
@@ -295,15 +305,11 @@ def test_composition_difference_matches_series_congruent(ring, data):
                                               max_size=N + 1)))
 
     def checked():
-        tables, at = f.substitution(assignments)
-        return f.composition_difference(tables, at, target.terms, precisions)
+        composed = f.composed_terms(*f.substitution(assignments))
+        return first_difference(ctx, composed, target.terms, precisions)
 
-    _same_outcome(checked, lambda: series_congruent(f.substitute(assignments), target,
+    _same_outcome(checked, lambda: _first_bad_term(f.substitute(assignments) - target,
                                                    precisions))
-    if composition is not None:
-        tables, at = f.substitution(assignments)
-        _same_outcome(checked, lambda: series_congruent(
-            f.substitute_powers(tables, at), target, precisions))
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))
@@ -324,11 +330,26 @@ def test_intertwining_violation_is_the_first_term_of_the_defect(ring, data):
         h = data.draw(_series(ctx, 1, h_degree, constant=data.draw(st.booleans())))
         h = h.rename(("T",))
 
-    def reference():
-        defect = intertwining_defect(h, F, G)
-        return None if defect.is_zero() else _first_bad_term(defect)
+    _same_outcome(lambda: intertwining_violation(h, F, G),
+                  lambda: _first_bad_term(_intertwining_by_substitution(h, F, G)))
 
-    _same_outcome(lambda: intertwining_violation(h, F, G), reference)
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_differences_are_the_terms_of_the_difference_series(ring, data):
+    ctx = RINGS[ring]
+    width, N = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+    A = data.draw(_series(ctx, width, N))
+    B = A + data.draw(_series(ctx, width, N))  # equal where the perturbation has no term
+    exps = st.lists(st.sampled_from(_exponents(width, N)), max_size=3)
+    # zero payloads where a dict has no term, as composed_terms may leave them
+    a, b = ({**dict.fromkeys(data.draw(exps), ctx.normalize(0)), **s.terms}
+            for s in (A, B))
+    for left, right, expect in ((a, b, A - B), (b, a, B - A), (a, a, A - A)):
+        delta = differences(ctx, left, right)
+        assert dict(delta) == expect.terms
+        assert len(delta) == len(expect.terms)
 
 
 # ---------------------------------------------------------------------------
