@@ -31,8 +31,8 @@ from .lubin_tate import (
     multiplicative_datum,
     standard_datum,
 )
-from .monoids import (MonoidError, PadicTruncationMonoid, monoid_from_descriptor,
-                      padic_truncation_of, truncation_size)
+from .monoids import (PadicTruncationMonoid, monoid_from_descriptor, padic_truncation_of,
+                      truncation_size)
 from .parsing import ParseError, parse_integer_polynomial, parse_series
 from .recovery import (
     NoMatch,
@@ -77,6 +77,11 @@ class _Invalid(_Exit):
 
 class _Failed(_Exit):
     code = 1
+
+
+# raised by a bundle that parses as JSON but is no law or action; every fgl
+# error, LawError and MonoidError included, is a RingError
+_MALFORMED = (KeyError, TypeError, ValueError, RingError)
 
 
 def _dump(obj) -> str:
@@ -272,7 +277,7 @@ def _cmd_check(args) -> int:
     if "endomorphisms" in obj:
         try:
             action = action_from_bundle(obj, require=False)
-        except (KeyError, TypeError, ValueError, RingError, MonoidError) as exc:
+        except _MALFORMED as exc:
             raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
         monoid = action.monoid
         if isinstance(monoid, PadicTruncationMonoid):
@@ -290,7 +295,7 @@ def _cmd_check(args) -> int:
         return 0
     try:
         law = FormalGroupLaw.from_bundle(obj, require=False)
-    except (KeyError, TypeError, ValueError, RingError) as exc:
+    except _MALFORMED as exc:
         raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
     if not law.report.all_pass:
         raise _Failed("axioms", "law axioms fail", report=law.report.to_json())
@@ -303,7 +308,7 @@ def _cmd_log(args) -> int:
     source = obj["law"] if "law" in obj and isinstance(obj["law"], dict) else obj
     try:
         law = FormalGroupLaw.from_bundle(source, require=True)
-    except (KeyError, TypeError, ValueError, RingError) as exc:
+    except _MALFORMED as exc:
         raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
     try:
         ell = logarithm(law)
@@ -469,7 +474,7 @@ def _cmd_classify(args) -> int:
     pres = generate_presentation(monoid, args.degree)
     try:
         action = action_from_bundle(_load_json(args.bundle))
-    except (KeyError, TypeError, ValueError, RingError, MonoidError, LawError) as exc:
+    except _MALFORMED as exc:
         raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
     report = action.verify()
     if not report.ok:
@@ -616,7 +621,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         return _report_error(args, 2, "parse", str(exc),
                              {"position": exc.position})
-    except (RingError, MonoidError) as exc:
+    except RingError as exc:
         return _report_error(args, 2, "input", str(exc), {})
     except KeyError as exc:
         return _report_error(args, 2, "input", f"missing field {exc}", {})

@@ -11,7 +11,7 @@ hand-edited series is off by one coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .monoids import (BOTTOM, FreeCommutativeMonoid, PadicTruncationMonoid,
                       monoid_from_descriptor)
@@ -250,24 +250,31 @@ def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
     1/n does not exist the integration fails eagerly, naming the blocking
     denominator, unless that coefficient happens to be zero.
     """
-    return _checked_log(law.F)
-
-
-def _checked_log(F: TruncatedSeries) -> TruncatedSeries:
-    """logarithm on a bare law series F, which the caller vouches for."""
-    ctx, N = F.ctx, F.trunc_degree
+    ctx, N = law.ctx, law.trunc_degree
     if N < 1:
         raise LawError("need truncation degree at least 1")
-    ell = _integrated_log(F)
+    ell = _integrated_log(law.F)
     # the defining property doubles as a self-check
     x_plus_y = TruncatedSeries(ctx, ("x", "y"), N, {(1, 0): 1, (0, 1): 1})
-    if intertwining_violation(ell, F, x_plus_y) is not None:
+    if intertwining_violation(ell, law.F, x_plus_y) is not None:
         raise LawError("logarithm does not linearize the law; F is not a group law?")
     return ell
 
 
 def exponential(log_series: TruncatedSeries) -> TruncatedSeries:
     return log_series.compositional_inverse()
+
+
+def _strict(s: TruncatedSeries) -> bool:
+    """Whether the one-variable series s is T mod degree 2."""
+    return (0,) not in s.terms and s.coefficient((1,)) == s.ctx.one()
+
+
+def _law_from_log(log: TruncatedSeries, exp: TruncatedSeries) -> TruncatedSeries:
+    """exp(log(x) + log(y)), exp the reversion of the strict log, with log
+    moved onto each of the law's variables."""
+    xy = TruncatedSeries(log.ctx, ("x", "y"), log.trunc_degree)
+    return exp.substitute_single(log.moved(xy, (0,)) + log.moved(xy, (1,)))
 
 
 def from_logarithm(f: TruncatedSeries) -> tuple:
@@ -277,15 +284,37 @@ def from_logarithm(f: TruncatedSeries) -> tuple:
     """
     if len(f.variables) != 1:
         raise LawError("a logarithm is a one-variable series")
-    ctx = f.ctx
-    N = f.trunc_degree
-    if (0,) in f.terms or f.coefficient((1,)) != ctx.one():
+    if not _strict(f):
         raise LawError("need f = T mod degree 2")
     g = f.compositional_inverse()
-    # f(x) and f(y) are f moved onto one of the law's variables
-    xy = TruncatedSeries(ctx, ("x", "y"), N)
-    F = g.substitute_single(f.moved(xy, (0,)) + f.moved(xy, (1,)))
-    return FormalGroupLaw.from_series(F), g
+    return FormalGroupLaw.from_series(_law_from_log(f, g)), g
+
+
+def scalar_table(log: TruncatedSeries, exp: TruncatedSeries) -> dict:
+    """The rows M[k] = [(j, e_j * [T^k] log^j)] for 2 <= k <= N, e_j the
+    coefficients of exp, kept where log^j reaches T^k and as nonempty rows:
+    the T^k coefficient of exp(a * log) = sum_j e_j * a^j * log^j is the
+    polynomial sum_j M[k][j] * a^j.  For strict log and exp, [T] is a."""
+    ctx, N = log.ctx, log.trunc_degree
+    powers = log.powers(N)
+    table = {}
+    for k in range(2, N + 1):
+        row = [(j, ctx.mul(e, c)) for (j,), e in sorted(exp.terms.items())
+               if j <= N and (c := powers[j].terms.get((k,))) is not None]
+        if row:
+            table[k] = row
+    return table
+
+
+def evaluate_scalar_table(ctx: RingContext, table: dict, a) -> dict:
+    """{(k,): sum_j M[k][j] * a^j} over ctx for each row k of scalar_table's
+    table: the terms of exp(a * log) past the linear one."""
+    mul, add = ctx.mul, ctx.add
+    powers = [None, a]  # powers[j] = a^j; a row k reads j <= k
+    for _ in range(max(table, default=1) - 1):
+        powers.append(mul(powers[-1], a))
+    return {(k,): reduce(add, (mul(m, powers[j]) for j, m in row))
+            for k, row in table.items()}
 
 
 class FglEndomorphism:
@@ -298,6 +327,9 @@ class FglEndomorphism:
             raise LawError("endomorphisms fix 0")
         if series.ctx.key() != law.ctx.key():
             raise LawError("endomorphism over a different ring than its law")
+        if series.trunc_degree != law.trunc_degree:
+            raise LawError(f"endomorphism truncated at degree {series.trunc_degree}, "
+                           f"its law at degree {law.trunc_degree}")
         self.law = law
         self.series = series
 
@@ -334,27 +366,21 @@ class FglEndomorphism:
         return str(self.series)
 
 
-def endomorphism_from_logarithm(
-    law: FormalGroupLaw,
-    log_series: TruncatedSeries,
-    exp_series: TruncatedSeries,
-    scalar: RingElement,
-) -> FglEndomorphism:
-    """[m](T) = g(m * f(T)); multiplication by m through the logarithm."""
-    e = exp_series.substitute_single(log_series.scale(scalar))
-    endo = FglEndomorphism(law, e)
+def endomorphism_from_logarithm(law: FormalGroupLaw, log_series: TruncatedSeries,
+                                exp_series: TruncatedSeries, scalar) -> FglEndomorphism:
+    """[m](T) = exp(m * log(T)); multiplication by m through the logarithm,
+    read off scalar_table(log, exp) at m, whose T coefficient is m.  log and
+    exp must be T mod degree 2."""
+    if not (_strict(log_series) and _strict(exp_series)):
+        raise LawError("log and exp must be T mod degree 2")
+    ctx = log_series.ctx
+    m = scalar.payload if isinstance(scalar, RingElement) else ctx.normalize(scalar)
+    terms = {(1,): m, **evaluate_scalar_table(
+        ctx, scalar_table(log_series, exp_series), m)}
+    endo = FglEndomorphism(law, TruncatedSeries(ctx, log_series.variables,
+                                                log_series.trunc_degree, terms))
     endo.verify()
     return endo
-
-
-def isomorphism_via_logs(f1: FormalGroupLaw, f2: FormalGroupLaw) -> TruncatedSeries:
-    """Strict isomorphism h = exp_2(log_1(T)), with h(F1) = F2(h, h) checked."""
-    l1 = logarithm(f1)
-    l2 = logarithm(f2)
-    h = exponential(l2).substitute_single(l1)
-    if intertwining_violation(h, f1.F, f2.F) is not None:
-        raise LawError("log-transport did not produce an isomorphism")
-    return h
 
 
 # ---------------------------------------------------------------------------

@@ -2,33 +2,36 @@
 
 Given f with f = pi*T mod degree 2 and f = T^q mod pi, there is a unique
 formal group law F_f with f(F(x,y)) = F(f(x), f(y)), and for each a in the
-base ring a unique endomorphism [a] = a*T + ... commuting with f.  F is
-solved degree by degree, once per datum and truncation degree; each
-correction divides by pi^d - pi, which is a unit obstruction only in the
-residue ring, so the solve runs in the fraction field.  There every [a] is
-exp_F(a * log_F(T)), from the one logarithm of that exact law: each of its
-coefficients is a polynomial in a, read off one scalar table per datum and
-degree, and reduced back with an integrality check.  That keeps every
-identity exact at the ring's stored precision instead of losing digits to
-in-ring division.  The base ring owns that field, the lifts into it and the
-reduction back (fgl.rings.PadicRing); this module never looks at how a ring
-stores its elements.
+base ring a unique endomorphism [a] = a*T + ... commuting with f.  All of
+it comes from one series, the logarithm of F_f, with log(f(T)) =
+pi*log(T).  Its solve divides by pi - pi^k at degree k, a unit obstruction
+only in the residue ring, so it runs in the fraction field, once per datum
+and truncation degree.  There F = exp(log x + log y), exp the reversion of
+log, and [a] = exp(a * log), each of whose coefficients is a polynomial in
+a read off the scalar table of (log, exp).  LubinTateDatum.field keeps the
+four.  Laws and endomorphisms are reduced back with an integrality check
+and verified in the ring.  That keeps every identity exact at the ring's
+stored precision instead of losing digits to in-ring division.  The base
+ring owns that field, the lifts into it and the reduction back
+(fgl.rings.PadicRing); this module never looks at how a ring stores its
+elements.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .laws import (
     FglEndomorphism,
     FormalGroupLaw,
     MonoidAction,
-    _checked_log,
     _integrated_log,
-    intertwining_defect,
+    _law_from_log,
+    evaluate_scalar_table,
     intertwining_violation,
-    isomorphism_via_logs,
+    scalar_table,
 )
 from .monoids import BOTTOM, PadicTruncationMonoid, RingSubsetMonoid
 from .rings import PadicIntegers, PadicRing, RingElement, RingError
@@ -87,36 +90,18 @@ class LubinTateDatum:
         if aq is None or ctx.valuation(aq) != 0:
             raise LubinTateError(f"degree-{self.q} coefficient must be a unit")
         self.f = f
-        self._field_laws: dict = {}  # N -> exact law over the fraction field
-        self._field_logs: dict = {}  # N -> (log_F, exp_F) of that law
-        self._scalar_tables: dict = {}  # N -> rows of [a]'s coefficients
+        self._fields: dict = {}  # N -> LubinTateField
 
     def f_at(self, N: int) -> TruncatedSeries:
         """f truncated, or padded with zero terms, to degree N."""
         return TruncatedSeries(self.ctx, self.f.variables, N, self.f.terms)
 
-    def field_law(self, N: int) -> TruncatedSeries:
-        """The exact law over the fraction field at degree N, solved once."""
-        F = self._field_laws.get(N)
-        if F is None:
-            F = self._field_laws[N] = _solve_field_law(self, N)
-        return F
-
-    def field_log(self, N: int) -> tuple:
-        """(log_F, exp_F) of field_law(N), built on first request; the log
-        is checked to linearize the law."""
-        pair = self._field_logs.get(N)
-        if pair is None:
-            log = _checked_log(self.field_law(N))
-            pair = self._field_logs[N] = (log, log.compositional_inverse())
-        return pair
-
-    def scalar_table(self, N: int) -> dict:
-        """_scalar_table of field_log(N), built on first request."""
-        table = self._scalar_tables.get(N)
-        if table is None:
-            table = self._scalar_tables[N] = _scalar_table(*self.field_log(N))
-        return table
+    def field(self, N: int) -> "LubinTateField":
+        """Everything over the fraction field at degree N, solved once."""
+        fld = self._fields.get(N)
+        if fld is None:
+            fld = self._fields[N] = _solve_field(self, N)
+        return fld
 
     def to_json(self) -> dict:
         return {"ring": self.ctx.descriptor(), "f": self.f.to_json()}
@@ -146,76 +131,65 @@ def multiplicative_datum(ctx, degree: int | None = None) -> LubinTateDatum:
 
 
 # ---------------------------------------------------------------------------
-# the law solve and the endomorphisms from its logarithm
+# the solve from the logarithm, and the endomorphisms
 
 
-def _solve_field_law(d: LubinTateDatum, N: int) -> TruncatedSeries:
-    """The unique F = x + y mod degree 2 with f(F(x,y)) = F(f(x), f(y)) over
-    the fraction field, degree by degree: a degree-deg correction delta
-    moves the degree-deg defect f(F) - F(f, f) by (pi - pi^deg) * delta, so
-    delta is the defect over pi^deg - pi."""
+class LubinTateField(NamedTuple):
+    """A datum's law over the fraction field at one degree, its logarithm,
+    the reversion exp of that log, and fgl.laws.scalar_table(log, exp)."""
+    law: TruncatedSeries
+    log: TruncatedSeries
+    exp: TruncatedSeries
+    scalar_table: dict
+
+
+def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
+    """log, then F = exp(log x + log y), over the fraction field.  log(f(T))
+    = pi * log(T) and log = T mod degree 2 (Lubin & Tate, Ann. Math. 1965;
+    Hazewinkel's functional-equation lemma), and f^k = pi^k * T^k + ..., so
+    l_k * (pi - pi^k) = sum_{j<k} l_j * [T^k] f^j: a triangular solve off
+    f's power table.  The reversion checks itself; F is checked to
+    intertwine f and to be linearized by log."""
     if N < 1:
         raise LubinTateError("need truncation degree at least 1")
     field = d.ctx.fraction_field()
     f = lift_series(d.f_at(N))
-    pi = field.el(d.ctx.lift(d.pi))
-    one = field.int_payload(1)
-    F = TruncatedSeries(field, ("x", "y"), N, {(1, 0): one, (0, 1): one})
-    for deg in range(2, N + 1):
-        inv = (pi**deg - pi).inverse().payload
-        S = F.truncate(deg)
-        defect = intertwining_defect(f.truncate(deg), S, S)
-        delta = {exp: field.mul(c, inv)
-                 for exp, c in defect.terms.items() if sum(exp) == deg}
-        if delta:
-            F = F + TruncatedSeries(field, F.variables, N, delta)
-    if intertwining_violation(f, F, F) is not None:
-        raise LubinTateError(
-            "defining identity did not close over the fraction field; "
-            "invalid datum?"
-        )
-    return F
-
-
-def _scalar_table(log: TruncatedSeries, exp: TruncatedSeries) -> dict:
-    """The rows M[k] = [(j, e_j * [T^k] log^j)] for 2 <= k <= N, e_j the
-    coefficients of exp, kept where log^j reaches T^k and as nonempty rows:
-    the T^k coefficient of exp(a * log) is sum_j M[k][j] * a^j."""
-    field, N = log.ctx, log.trunc_degree
-    powers = log.powers(N)
-    table = {}
+    pi, powers, mul = field.el(f.terms[(1,)]), f.powers(N), field.mul
+    log = {(1,): field.int_payload(1)}
     for k in range(2, N + 1):
-        row = [(j, field.mul(e, c)) for (j,), e in sorted(exp.terms.items())
-               if (c := powers[j].terms.get((k,))) is not None]
-        if row:
-            table[k] = row
-    return table
+        acc = reduce(field.add, (mul(l, c) for (j,), l in log.items()
+                                 if (c := powers[j].terms.get((k,))) is not None),
+                     field.normalize(0))
+        if not field.is_zero(acc):
+            log[(k,)] = mul(acc, (pi - pi**k).inverse().payload)
+    log = f._fresh(log)
+    exp = log.compositional_inverse()
+    F = _law_from_log(log, exp)
+    x_plus_y = TruncatedSeries(field, F.variables, N, {(1, 0): 1, (0, 1): 1})
+    if (intertwining_violation(f, F, F) is not None
+            or intertwining_violation(log, F, x_plus_y) is not None):
+        raise LubinTateError("defining identity did not close over the fraction "
+                             "field; invalid datum?")
+    return LubinTateField(F, log, exp, scalar_table(log, exp))
 
 
 def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
     """The unique F = x + y mod degree 2 with f(F(x,y)) = F(f(x), f(y)): the
     datum's exact field law reduced to its ring, with the axioms and the
     intertwining with f re-checked there."""
-    law = FormalGroupLaw.from_series(reduce_series(d.field_law(N), d.ctx))
+    law = FormalGroupLaw.from_series(reduce_series(d.field(N).law, d.ctx))
     if intertwining_violation(d.f_at(N), law.F, law.F) is not None:
         raise LubinTateError("reduced law no longer intertwines f")
     return law
 
 
-def build_endomorphism(
-    d: LubinTateDatum, law: FormalGroupLaw, a
-) -> FglEndomorphism:
-    """The unique [a] = a*T mod degree 2 commuting with f, as exp_F(a *
-    log_F(T)) over the fraction field: every endomorphism of F there is
-    exp(c * log) with c its linear term, and f = [pi] is one (Lubin & Tate,
-    Ann. Math. 1965).  Reduced to d's ring and verified there to be an
-    endomorphism of law.
-
-    exp(a * log) = sum_j e_j * a^j * log^j, so its T^k coefficient is a
-    polynomial in a whose coefficients are the datum's scalar_table row
-    M[k]; only those rows are evaluated, at the lift of a, and each value is
-    reduced through from_field, which refuses a non-integral one.  The T
-    coefficient is a itself, as log and exp are both T mod degree 2."""
+def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorphism:
+    """The unique [a] = a*T mod degree 2 commuting with f: exp(a * log) over
+    the fraction field, as every endomorphism of F there is exp(c * log)
+    with c its linear term (Lubin & Tate, Ann. Math. 1965).  Its T^k
+    coefficients past T are the datum's scalar table at the lift of a, each
+    reduced through from_field, which refuses a non-integral one; [a] is
+    then verified in the ring to be an endomorphism of law."""
     ctx = d.ctx
     if isinstance(a, RingElement):
         if a.ctx.key() != ctx.key():
@@ -223,22 +197,12 @@ def build_endomorphism(
         a_payload = a.payload
     else:
         a_payload = ctx.normalize(a)
-    N = law.trunc_degree
-    log, _ = d.field_log(N)
-    rows = d.scalar_table(N)
-    terms = {}
-    if not ctx.is_zero(a_payload):
-        terms[(1,)] = a_payload
-        if rows:
-            field = log.ctx
-            mul, add = field.mul, field.add
-            lifted = [None, ctx.lift(a_payload)]  # lifted[j] = a^j
-            for _ in range(max(rows) - 1):
-                lifted.append(mul(lifted[-1], lifted[1]))
-            for k, row in rows.items():
-                terms[(k,)] = ctx.from_field(
-                    reduce(add, (mul(m, lifted[j]) for j, m in row)))
-    endo = FglEndomorphism(law, TruncatedSeries(ctx, log.variables, N, terms))
+    fld = d.field(law.trunc_degree)
+    terms = {(1,): a_payload}
+    if fld.scalar_table and not ctx.is_zero(a_payload):
+        values = evaluate_scalar_table(fld.log.ctx, fld.scalar_table, ctx.lift(a_payload))
+        terms.update({e: ctx.from_field(v) for e, v in values.items()})
+    endo = FglEndomorphism(law, TruncatedSeries(ctx, ("T",), law.trunc_degree, terms))
     endo.verify()
     return endo
 
@@ -355,10 +319,12 @@ def compare_lubin_tate(d1: LubinTateDatum, d2: LubinTateDatum,
     F2 = build_fgl(d2, N)
     # the exact field-level laws, not lifts of residues: only those satisfy
     # the axioms on the nose, which the log transport needs
-    h_field = isomorphism_via_logs(
-        FormalGroupLaw.from_series(d1.field_law(N)),
-        FormalGroupLaw.from_series(d2.field_law(N)),
-    )
+    fld1, fld2 = d1.field(N), d2.field(N)
+    for fld in (fld1, fld2):
+        FormalGroupLaw.from_series(fld.law)
+    h_field = fld2.exp.substitute_single(fld1.log)
+    if intertwining_violation(h_field, fld1.law, fld2.law) is not None:
+        raise LubinTateError("log-transport did not produce an isomorphism")
     report = series_integrality(d1.ctx, h_field)
     h_ring = None
     verified = False

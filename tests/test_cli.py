@@ -259,14 +259,26 @@ def test_check_refuses_a_bundle_series_with_a_bad_exponent(capsys, tmp_path,
     assert err == f"error: malformed bundle: {message}\n"
 
 
-@pytest.mark.parametrize("field, value", [("vars", ["x"]), ("N", 3)])
+@pytest.mark.parametrize("field, value", [("vars", ["x"])])
 def test_check_accepts_an_identity_written_otherwise(capsys, tmp_path, field, value):
-    # [0:1] = T under another variable name, or at a lower degree than the law
+    # [0:1] = T under another variable name
     bundle = json.loads(TRUNCATION.read_text())
     _series_of(bundle, "0:1")[field] = value
     code, out, err = run(capsys, "check", "--bundle",
                          write_json(tmp_path / "identity.json", bundle))
     assert (code, out, err) == (0, "ok: axioms and action identities hold\n", "")
+
+
+@pytest.mark.parametrize("element, N", [("0:1", 3), ("0:2", 3), ("0:2", 6)])
+def test_check_refuses_an_endomorphism_at_another_degree(capsys, tmp_path, element, N):
+    # the law is at degree 4; an endomorphism above or below it is malformed
+    bundle = json.loads(TRUNCATION.read_text())
+    _series_of(bundle, element)["N"] = N
+    code, out, err = run(capsys, "check", "--bundle",
+                         write_json(tmp_path / "degree.json", bundle))
+    assert (code, out) == (2, "")
+    assert err == (f"error: malformed bundle: endomorphism truncated at degree {N}, "
+                   "its law at degree 4\n")
 
 
 def test_recover_add_window_mode(capsys):

@@ -143,6 +143,36 @@ def test_scalar_endomorphisms_compose_and_add():
         assert law.plus(ea.series, eb.series) == esum.series
 
 
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 8), data=st.data())
+def test_endomorphism_from_logarithm_matches_the_composition(N, data):
+    # lawbuild's distribution: a strict log with coefficients n/d, |n| <= 9
+    # and 1 <= d <= 9, and the scalars a, b, a*b and a + b for a, b in [-6, 6]
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    log = _one_var({1: 1, **{k: data.draw(coeff) for k in range(2, N + 1)}}, N)
+    a, b = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    law, exp = from_logarithm(log)
+    for m in (a, b, a * b, a + b):
+        endo = endomorphism_from_logarithm(law, log, exp, Q.el(m))
+        assert endo.series == exp.substitute_single(log.scale(m))
+
+
+def test_endomorphism_from_logarithm_needs_strict_log_and_exp():
+    f = _log_of_multiplicative(4)
+    law, g = from_logarithm(f)
+    one = TruncatedSeries.constant(Q, ("T",), 4, 1)
+    for log, exp in ((f.scale(2), g), (f, g.scale(2)), (f + one, g), (f, g + one)):
+        with pytest.raises(LawError, match="log and exp must be T mod degree 2"):
+            endomorphism_from_logarithm(law, log, exp, Q.el(3))
+
+
+def test_endomorphism_shares_its_laws_degree():
+    law = FormalGroupLaw.multiplicative(Q, 4)
+    for N in (3, 5):
+        with pytest.raises(LawError, match=f"truncated at degree {N}, its law at degree 4"):
+            FglEndomorphism(law, _one_var({1: 1}, N=N))
+
+
 def test_endomorphism_verify_catches_non_endo():
     law = FormalGroupLaw.multiplicative(Q, 4)
     bad = FglEndomorphism(law, _one_var({1: 2}, N=4))

@@ -1,8 +1,11 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgl.laws import (
     FglEndomorphism,
@@ -10,6 +13,7 @@ from fgl.laws import (
     LawError,
     MonoidAction,
     action_from_bundle,
+    intertwining_defect,
     verify_action,
 )
 from fgl.lubin_tate import (
@@ -20,6 +24,7 @@ from fgl.lubin_tate import (
     build_fgl,
     compare_lubin_tate,
     integrality_scan,
+    lift_series,
     multiplicative_datum,
     reduce_series,
     standard_datum,
@@ -106,43 +111,111 @@ def test_every_class_commutes_with_f_in_the_ring(carrier):
 
 
 def test_field_law_is_solved_once_per_datum_and_degree(monkeypatch):
+    # one _solve_field per datum and degree builds the law, its log and exp
+    # and the scalar table together; every [a] reads them
     import fgl.lubin_tate as lt
 
-    solves, logs, tables = [], [], []
-    solve, checked_log, scalar_table = (lt._solve_field_law, lt._checked_log,
-                                        lt._scalar_table)
-    monkeypatch.setattr(lt, "_solve_field_law",
-                        lambda d, N: solves.append(N) or solve(d, N))
-    monkeypatch.setattr(lt, "_checked_log", lambda F: logs.append(F) or checked_log(F))
-    monkeypatch.setattr(lt, "_scalar_table", lambda log, exp: tables.append(
+    solves, tables = [], []
+    solve, scalar_table = lt._solve_field, lt.scalar_table
+    monkeypatch.setattr(lt, "_solve_field", lambda d, N: solves.append(N) or solve(d, N))
+    monkeypatch.setattr(lt, "scalar_table", lambda log, exp: tables.append(
         log.trunc_degree) or scalar_table(log, exp))
     d = standard_datum(PadicIntegers(5, 8), degree=6)
     law = build_fgl(d, 6)
-    assert (solves, logs, tables) == ([6], [], [])
+    assert (solves, tables) == ([6], [6])
     for a in range(1, 8):
         build_endomorphism(d, law, a)
-    assert solves == [6]
-    assert len(logs) == 1
-    assert tables == [6]
+    assert (solves, tables) == ([6], [6])
     law4 = build_fgl(d, 4)
-    assert solves == [6, 4]
     build_endomorphism(d, law4, 2)
     build_endomorphism(d, law, 8)
-    assert tables == [6, 4]
+    assert (solves, tables) == ([6, 4], [6, 4])
+    build_fgl(standard_datum(PadicIntegers(5, 8), degree=6), 6)
+    assert solves == [6, 4, 6]
+
+
+def _reference_field_law(d, N):
+    """The oracle: F solved directly as a fixed point over the fraction
+    field, degree by degree.  A degree-deg correction delta moves the
+    degree-deg defect f(F) - F(f, f) by (pi - pi^deg) * delta, so delta is
+    the defect over pi^deg - pi."""
+    field = d.ctx.fraction_field()
+    f = lift_series(d.f_at(N))
+    pi = field.el(d.ctx.lift(d.pi))
+    one = field.int_payload(1)
+    F = TruncatedSeries(field, ("x", "y"), N, {(1, 0): one, (0, 1): one})
+    for deg in range(2, N + 1):
+        inv = (pi**deg - pi).inverse().payload
+        S = F.truncate(deg)
+        defect = intertwining_defect(f.truncate(deg), S, S)
+        delta = {exp: field.mul(c, inv)
+                 for exp, c in defect.terms.items() if sum(exp) == deg}
+        if delta:
+            F = F + TruncatedSeries(field, F.variables, N, delta)
+    return F
+
+
+FIELD_RINGS = {
+    "Z_3": PadicIntegers(3, 8),
+    "Z_5": PadicIntegers(5, 8),
+    "Z_5[sqrt 5]": EisensteinExtension(5, 9, (-5, 0, 1)),
+    "Z_5[sqrt 10]": EisensteinExtension(5, 9, (-10, 0, 1)),
+}
+
+
+def _preset(ctx, preset, N):
+    return {"standard": lambda: standard_datum(ctx, N),
+            "multiplicative": lambda: multiplicative_datum(ctx, N),
+            "nonadditive": lambda: _nonadditive_datum(ctx)}[preset]()
+
+
+@pytest.mark.parametrize("ring, preset", [
+    (ring, preset) for ring in sorted(FIELD_RINGS)
+    for preset in ("standard", "multiplicative", "nonadditive")
+    if preset != "multiplicative" or ring in ("Z_3", "Z_5")
+])
+def test_field_law_matches_the_degree_by_degree_solve(ring, preset):
+    ctx = FIELD_RINGS[ring]
+    d = _preset(ctx, preset, 6)
+    for N in range(1, 7):
+        assert d.field(N).law == _reference_field_law(d, N), N
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_law_of_a_random_datum_matches_the_degree_by_degree_solve(data):
+    ctx = FIELD_RINGS[data.draw(st.sampled_from(sorted(FIELD_RINGS)))]
+    q, pi = ctx.p, ctx.uniformizer().payload
+    top = data.draw(st.integers(q, q + 2))
+    # a unit at T^q, every other coefficient past T divisible by pi
+    terms = {(1,): pi, (q,): data.draw(st.integers(1, 4 * q).filter(lambda c: c % q))}
+    for k in range(2, top + 1):
+        if k != q:
+            terms[(k,)] = ctx.mul(pi, ctx.normalize(data.draw(st.integers(-30, 30))))
+    d = LubinTateDatum(ctx, TruncatedSeries(ctx, ("T",), top, terms))
+    N = data.draw(st.integers(1, 5))
+    assert d.field(N).law == _reference_field_law(d, N)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_multiplicative_log_is_log_one_plus_t(p):
+    log = multiplicative_datum(PadicIntegers(p, 8), degree=6).field(6).log
+    assert log.terms == {(k,): Fraction((-1) ** (k + 1), k) for k in range(1, 7)}
 
 
 def _nonadditive_datum(ctx):
-    # f = pi*T + pi*T^2 + T^5: a non-additive law below degree q = 5
-    pi = ctx.uniformizer().payload
-    return LubinTateDatum(ctx, TruncatedSeries(ctx, ("T",), 5,
-                                               {(1,): pi, (2,): pi, (5,): 1}))
+    # f = pi*T + pi*T^2 + T^q: a non-additive law below degree q (= 5 over
+    # Z_5 and its extensions)
+    pi, q = ctx.uniformizer().payload, ctx.p
+    return LubinTateDatum(ctx, TruncatedSeries(ctx, ("T",), q,
+                                               {(1,): pi, (2,): pi, (q,): 1}))
 
 
 def _composed_endomorphism(d, law, a):
     """The oracle: [a] = exp(a * log) composed over the fraction field, then
     reduced to the ring."""
-    log, exp = d.field_log(law.trunc_degree)
-    return reduce_series(exp.substitute_single(log.scale(d.ctx.lift(a))), d.ctx)
+    fld = d.field(law.trunc_degree)
+    return reduce_series(fld.exp.substitute_single(fld.log.scale(d.ctx.lift(a))), d.ctx)
 
 
 # (ring, preset, N, n, V): every class of both criterion-5 carriers, of
@@ -156,9 +229,7 @@ ORACLE_CARRIERS = {
 @pytest.mark.parametrize("carrier", sorted(ORACLE_CARRIERS))
 def test_endomorphisms_match_the_composed_oracle(carrier):
     ctx, preset, N, n, V = ORACLE_CARRIERS[carrier]
-    d = {"standard": lambda: standard_datum(ctx),
-         "multiplicative": lambda: multiplicative_datum(ctx, N),
-         "nonadditive": lambda: _nonadditive_datum(ctx)}[preset]()
+    d = _preset(ctx, preset, N)
     law = build_fgl(d, N)
     monoid = padic_truncation_of(ctx, n, V)
     degrees = set()
