@@ -20,6 +20,7 @@ from .laws import (
     verify_action,
 )
 from .lubin_tate import (
+    LubinTateAction,
     LubinTateDatum,
     build_action,
     build_endomorphism,

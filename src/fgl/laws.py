@@ -340,7 +340,8 @@ class FglEndomorphism:
     def law_violation(self) -> tuple | None:
         """The first (exponent, delta) of e(F(x,y)) - F(e(x), e(y)), or None
         where this is an endomorphism.  Checked once per instance: verify
-        and verify_action both read it."""
+        and verify_action both read it.  fgl.lubin_tate.build_action
+        records None where its datum's certificate proves the law."""
         return intertwining_violation(self.series, self.law.F, self.law.F)
 
     def verify(self) -> None:
@@ -445,23 +446,22 @@ class MonoidAction:
         self.law = law
         self.assignment = dict(assignment)
         self.tolerance = tolerance
-        self._endo_cache: dict = {}
+        self._endo_cache: dict = {}  # composed words of a free monoid
         self._uniform = None  # uniform_tolerance, scanned once per action
 
     def endo_for(self, payload) -> FglEndomorphism:
+        endo = self.assignment.get(payload)
+        if endo is not None:
+            return endo
         if payload in self._endo_cache:
             return self._endo_cache[payload]
-        if payload in self.assignment:
-            endo = self.assignment[payload]
-        else:
-            if not isinstance(self.monoid, FreeCommutativeMonoid):
-                raise LawError(f"no endomorphism assigned for {payload}")
-            law = self.law
-            series = TruncatedSeries.variable(law.ctx, ("T",), law.trunc_degree, "T")
-            for gen in self.monoid.word(payload):
-                series = self.assignment[gen].series.substitute_single(series)
-            endo = FglEndomorphism(law, series)
-        self._endo_cache[payload] = endo
+        if not isinstance(self.monoid, FreeCommutativeMonoid):
+            raise LawError(f"no endomorphism assigned for {payload}")
+        law = self.law
+        series = TruncatedSeries.variable(law.ctx, ("T",), law.trunc_degree, "T")
+        for gen in self.monoid.word(payload):
+            series = self.assignment[gen].series.substitute_single(series)
+        endo = self._endo_cache[payload] = FglEndomorphism(law, series)
         return endo
 
     def verify(self) -> ActionReport:

@@ -9,9 +9,11 @@ only in the residue ring, so it runs in the fraction field, once per datum
 and truncation degree.  There F = exp(log x + log y), exp the reversion of
 log, and [a] = exp(a * log), each of whose coefficients is a polynomial in
 a read off the scalar table of (log, exp).  LubinTateDatum.field keeps the
-four.  Laws and endomorphisms are reduced back with an integrality check
-and verified in the ring.  That keeps every identity exact at the ring's
-stored precision instead of losing digits to in-ring division.  The base
+four, and the solve certifies that F([x], [y]) = [x + y] there.  Laws and
+endomorphisms are reduced back with an integrality check; a law is
+verified in the ring, and so is every endomorphism the certificate does
+not cover.  That keeps every identity exact at the ring's stored
+precision instead of losing digits to in-ring division.  The base
 ring owns that field, the lifts into it and the reduction back
 (fgl.rings.PadicRing); this module never looks at how a ring stores its
 elements.
@@ -32,10 +34,11 @@ from .laws import (
     evaluate_scalar_table,
     intertwining_violation,
     scalar_table,
+    uniform_tolerance,
 )
 from .monoids import BOTTOM, PadicTruncationMonoid, RingSubsetMonoid
 from .rings import PadicIntegers, PadicRing, RingElement, RingError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, first_difference
 
 
 class LubinTateError(RingError):
@@ -149,7 +152,18 @@ def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
     Hazewinkel's functional-equation lemma), and f^k = pi^k * T^k + ..., so
     l_k * (pi - pi^k) = sum_{j<k} l_j * [T^k] f^j: a triangular solve off
     f's power table.  The reversion checks itself; F is checked to
-    intertwine f and to be linearized by log."""
+    intertwine f and to be linearized by log, and the scalar table M is
+    certified.
+
+    Certificate.  Let [a] = a*T + sum_k sum_j M[k][j] * a^j * T^k.  Its T^m
+    coefficient is a polynomial in a of degree at most m, so the T^k
+    coefficient of log([a]) - a*log is one of degree at most k <= N; it
+    vanishes at a = 0, where [a] = 0.  It is checked to vanish at a = 1..N
+    as well, N + 1 points in all, so log([a]) = a*log for every a in the
+    field, and [a] = exp(a*log) since log is invertible.  Apply log to both
+    sides and use log(F(x, y)) = log x + log y: F([x], [y]) = [x + y] and
+    [a](F(x, y)) = F([a]x, [a]y) hold identically in x, y and a, mod degree
+    N + 1.  This costs N one-variable compositions."""
     if N < 1:
         raise LubinTateError("need truncation degree at least 1")
     field = d.ctx.fraction_field()
@@ -170,7 +184,16 @@ def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
             or intertwining_violation(log, F, x_plus_y) is not None):
         raise LubinTateError("defining identity did not close over the fraction "
                              "field; invalid datum?")
-    return LubinTateField(F, log, exp, scalar_table(log, exp))
+    table, (top,) = scalar_table(log, exp), max(log.terms)
+    for a in range(1, N + 1):
+        c = field.int_payload(a)
+        scaled = TruncatedSeries(field, log.variables, N,
+                                 {(1,): c, **evaluate_scalar_table(field, table, c)})
+        if first_difference(field, log.composed_terms([scaled.powers(top)], scaled),
+                            log.scale(c).terms):
+            raise LubinTateError(f"log([{a}]) differs from {a}*log over the fraction "
+                                 "field; scalar table not exp(a*log)?")
+    return LubinTateField(F, log, exp, table)
 
 
 def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
@@ -183,6 +206,18 @@ def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
     return law
 
 
+def _reduced_endomorphism(d: LubinTateDatum, law: FormalGroupLaw,
+                          a_payload) -> FglEndomorphism:
+    """exp(a * log) at the lift of a, reduced to the ring, not verified."""
+    ctx = d.ctx
+    fld = d.field(law.trunc_degree)
+    terms = {(1,): a_payload}
+    if fld.scalar_table and not ctx.is_zero(a_payload):
+        values = evaluate_scalar_table(fld.log.ctx, fld.scalar_table, ctx.lift(a_payload))
+        terms.update({e: ctx.from_field(v) for e, v in values.items()})
+    return FglEndomorphism(law, TruncatedSeries(ctx, ("T",), law.trunc_degree, terms))
+
+
 def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorphism:
     """The unique [a] = a*T mod degree 2 commuting with f: exp(a * log) over
     the fraction field, as every endomorphism of F there is exp(c * log)
@@ -190,21 +225,45 @@ def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorp
     coefficients past T are the datum's scalar table at the lift of a, each
     reduced through from_field, which refuses a non-integral one; [a] is
     then verified in the ring to be an endomorphism of law."""
-    ctx = d.ctx
     if isinstance(a, RingElement):
-        if a.ctx.key() != ctx.key():
+        if a.ctx.key() != d.ctx.key():
             raise LubinTateError("scalar from the wrong ring")
-        a_payload = a.payload
+        a = a.payload
     else:
-        a_payload = ctx.normalize(a)
-    fld = d.field(law.trunc_degree)
-    terms = {(1,): a_payload}
-    if fld.scalar_table and not ctx.is_zero(a_payload):
-        values = evaluate_scalar_table(fld.log.ctx, fld.scalar_table, ctx.lift(a_payload))
-        terms.update({e: ctx.from_field(v) for e, v in values.items()})
-    endo = FglEndomorphism(law, TruncatedSeries(ctx, ("T",), law.trunc_degree, terms))
+        a = d.ctx.normalize(a)
+    endo = _reduced_endomorphism(d, law, a)
     endo.verify()
     return endo
+
+
+class LubinTateAction(MonoidAction):
+    """An action that build_action reduced from its datum and the datum's own
+    law; built keeps that law and the endomorphisms as they were built."""
+
+    def __init__(self, datum: LubinTateDatum, monoid, law: FormalGroupLaw,
+                 assignment: dict, tolerance: str = "exact"):
+        super().__init__(monoid, law, assignment, tolerance)
+        self.datum = datum
+        self.built = (law, dict(self.assignment))
+
+    def certified(self) -> bool:
+        """Whether every sum the law would confirm on this truncation carrier
+        is already proved (fgl.recovery.build_addition_table): uniform_tolerance
+        holds, so N < q; every scalar-table entry is integral; the law and
+        every endomorphism are still the ones built; and every [a] has
+        linear coefficient canonical_lift(a)."""
+        law, built = self.built
+        if self.law is not law or not uniform_tolerance(self):
+            return False
+        if any(self.assignment.get(p) is not endo for p, endo in built.items()):
+            return False
+        ctx = self.datum.ctx
+        table = self.datum.field(law.trunc_degree).scalar_table
+        if any(ctx.field_valuation(m) < 0 for row in table.values() for _, m in row):
+            return False
+        lift = self.monoid.canonical_lift
+        return all(endo.series.terms.get((1,)) == lift(p)
+                   for p, endo in built.items())
 
 
 def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
@@ -214,28 +273,42 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
     Either a list of ring elements (acting through a multiplicative window,
     products outside the list going unchecked) or a PadicTruncationMonoid
     (every class acts through its canonical lift; composition checks then
-    hold at class precision, PadicTruncationMonoid.class_precisions)."""
+    hold at class precision, PadicTruncationMonoid.class_precisions).
+
+    When law is the datum's own law reduced to its ring, the result is a
+    LubinTateAction and no [a] is composed into the law: over the fraction
+    field [a] = exp(a*log) is an endomorphism of F (_solve_field's
+    certificate), and from_field is a ring map on integral elements, so
+    the identity holds between the reduced series.  Each law_violation is
+    recorded as None.  Any other law gets every [a] verified, as
+    build_endomorphism does, and a plain MonoidAction."""
     if (elements is None) == (monoid is None):
         raise LubinTateError("pass exactly one of elements or monoid")
     if elements is not None:
-        window = RingSubsetMonoid(d.ctx, [
+        monoid = RingSubsetMonoid(d.ctx, [
             el.payload if isinstance(el, RingElement) else d.ctx.normalize(el)
             for el in elements
         ])
-        assignment = {
-            p: build_endomorphism(d, law, p) for p in window.payloads()
-        }
-        return MonoidAction(window, law, assignment)
-    if not isinstance(monoid, PadicTruncationMonoid):
-        raise LubinTateError("monoid must be a truncation monoid")
-    if monoid.ctx.key() != d.ctx.key():
-        raise LubinTateError("monoid over a different ring than the datum")
+        scalars = {p: p for p in monoid.payloads()}
+        tolerance = "exact"
+    else:
+        if not isinstance(monoid, PadicTruncationMonoid):
+            raise LubinTateError("monoid must be a truncation monoid")
+        if monoid.ctx.key() != d.ctx.key():
+            raise LubinTateError("monoid over a different ring than the datum")
+        scalars = {p: monoid.canonical_lift(p) for p in monoid.payloads() if p != BOTTOM}
+        tolerance = "truncation"
+    own = law.F == reduce_series(d.field(law.trunc_degree).law, d.ctx)
     assignment = {}
-    for payload in monoid.payloads():
-        if payload == BOTTOM:
-            continue
-        assignment[payload] = build_endomorphism(d, law, monoid.canonical_lift(payload))
-    return MonoidAction(monoid, law, assignment, tolerance="truncation")
+    for p, a in scalars.items():
+        endo = assignment[p] = _reduced_endomorphism(d, law, a)
+        if own:
+            endo.law_violation = None  # the cached property, proved above
+        else:
+            endo.verify()
+    if own:
+        return LubinTateAction(d, monoid, law, assignment, tolerance)
+    return MonoidAction(monoid, law, assignment, tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import cache, partial
 from itertools import chain, islice, product
 
 from .laws import MonoidAction, uniform_tolerance, verify_action
-from .lubin_tate import build_action, build_fgl, standard_datum
+from .lubin_tate import LubinTateAction, build_action, build_fgl, standard_datum
 from .monoids import (
     BOTTOM,
     MonoidMorphism,
@@ -315,10 +315,10 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
 
     The action is verified first, on its generator rows where
     uniform_tolerance holds and exhaustively otherwise; then the row Z[c] =
-    recover_sum(action, 1, c) for every class c.  Where the predicate holds,
-    only the flagged pairs b = a*c (Z[c] flagged, a != 1) go through
-    recover_sum.  Where it fails, every pair without 1 does, and must equal
-    the ring's entry.
+    recover_sum(action, 1, c) for every class c.  A certified action
+    (LubinTateAction.certified) needs nothing more.  Every other action has
+    every pair without 1 go through recover_sum, and each must equal the
+    ring's entry.
 
     Proof of the row step.  Elements are sorted by valuation, so v(a) <=
     v(b); put c = b/a and suppose Z[c] = 1 + c is unflagged, v(1 + c) = 0.
@@ -333,6 +333,23 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     So F([a], [b]) = [a(1 + c)] at the entry's class precision: an unflagged
     entry is the value the law confirms, and nothing is computed a second
     time to compare with it.
+
+    Proof for flagged pairs of a certified action.  Over the fraction
+    field, F([x], [y]) = [x + y] for all x and y (the certificate in
+    fgl.lubin_tate._solve_field), where [s] = s*T + sum_k sum_j M[k][j] *
+    s^j * T^k for the datum's scalar table M.  M is integral, so for
+    integral s every coefficient of [s] is, and from_field, a ring map on
+    integral elements, carries the identity to the ring: F([x], [y]) =
+    [x + y] there for the canonical lifts x, y of any two classes, exactly.
+    The law is the datum's and each [x] is still the one built at
+    canonical_lift(x), so these are the series recover_sum composes.  Its
+    candidate is the class of s = x + y, whose endomorphism is built at
+    s' = canonical_lift(class of s), and s = s' mod pi^(v(s) + n).
+    Congruence step: the T^k coefficient of [s] - [s'] is sum_j M[k][j] *
+    (s^j - s'^j), divisible by s - s' and so by pi^(v(s) + n), which is
+    class precision at every degree, as N < q.  So F([x], [y]) = [s'] at
+    the candidate's class precision: every flagged confirmation holds.  A
+    zero sum has [0] = 0 exactly, and a capped one composes nothing.
     """
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
@@ -346,21 +363,7 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     one = monoid.identity_payload()
     row = {c: recover_sum(action, one, c) for c in monoid.payloads() if c != BOTTOM}
     ring = RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
-    if uniform:
-        # the flagged c are units with 1 + c flagged, and so is 1/c: each
-        # unordered pair {a, a*c} is taken once, from the smaller of c and
-        # 1/c, and when c = 1/c from its element a <= a*c; (1, c) is the
-        # row's own
-        quotient = monoid.quotient
-        for c in ring.units:
-            inverse = quotient(one, c)
-            if c > inverse or pair_flag(one, c, row[c]) is None:
-                continue
-            for a in ring.elements:
-                b = monoid.mul(c, a)
-                x, y = (a, b) if a <= b else (b, a)
-                if x != one and (c != inverse or x == a):
-                    recover_sum(action, x, y)
+    if isinstance(action, LubinTateAction) and action.certified():
         return ring
     for i, a in enumerate(ring.elements):
         for b in ring.elements[i:]:

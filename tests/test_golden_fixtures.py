@@ -1,6 +1,7 @@
 """CLI outputs must match the fixtures in tests/golden byte for byte: the
-variation demo with its mismatch samples, at N = 2 on Z_5[sqrt 5] (n = 2
-and criterion 5's n = 3, V = 3) and at N = 4 >= q on Z_3[sqrt 3], where
+variation demo with its mismatch samples, at N = 2 on Z_5[sqrt 5] (n = 2,
+criterion 5's n = 3, V = 3, and n = 5, V = 3, whose 7,501 classes need
+FGL_BUDGET=10) and at N = 4 >= q on Z_3[sqrt 3], where
 every table pair is confirmed on its own;
 the full JSON addition table of the README recover-add carrier; the table
 of a Z_3 carrier at N = 4 >= q; the table of Z_5[sqrt 5] at N = 4 under
@@ -28,6 +29,10 @@ COMMANDS = {
         "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
         "--n", "3", "--V", "3", "--json",
     ],
+    "demo-variation-n5.stdout": [
+        "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
+        "--n", "5", "--V", "3", "--json",
+    ],
     "demo-variation-p3.stdout": [
         "demo-variation", "--p", "3", "--e1", "t^2-3", "--e2", "t^2-6",
         "--n", "2", "--V", "2", "--degree", "4", "--json",
@@ -49,10 +54,13 @@ COMMANDS = {
         "check", "--bundle", str(GOLDEN / "check-truncation.json"), "--json",
     ],
 }
+ENV = {"demo-variation-n5.stdout": {"FGL_BUDGET": "10"}}
 
 
 @pytest.mark.parametrize("fixture", sorted(COMMANDS))
-def test_output_matches_fixture(capsysbinary, fixture):
+def test_output_matches_fixture(capsysbinary, monkeypatch, fixture):
+    for name, value in ENV.get(fixture, {}).items():
+        monkeypatch.setenv(name, value)
     assert main(COMMANDS[fixture]) == 0
     captured = capsysbinary.readouterr()
     assert captured.err == b""

@@ -7,18 +7,24 @@ from itertools import product
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fgl import laws, recovery
+from fgl import laws, lubin_tate, recovery
 from fgl.laws import (
     FglEndomorphism,
+    FormalGroupLaw,
     LawError,
     MonoidAction,
     endomorphism_from_logarithm,
     from_logarithm,
     uniform_tolerance,
+    verify_action,
 )
 from fgl.lubin_tate import (
+    LubinTateAction,
     LubinTateDatum,
+    LubinTateError,
     build_action,
     build_fgl,
     multiplicative_datum,
@@ -604,10 +610,10 @@ def test_row_table_matches_the_per_pair_oracle(name):
 
 
 @pytest.mark.parametrize("name, compositions", [
-    # row entries, then the flagged pairs (a, b), a <= b, but for the row's
-    # own (1, c); a composition per pair would make 1,770 and 43,600
-    ("criterion-4", 145),          # 60 row entries, 85 flagged pairs
-    ("criterion-5-t2-5", 2475),    # 299 row entries (one capped), 2,176 flagged
+    # a certified build composes the row entries only; a composition per
+    # pair would make 1,770 and 43,600
+    ("criterion-4", 60),           # 60 row entries
+    ("criterion-5-t2-5", 299),     # 299 row entries (one capped)
     ("p3-n2-V2", 66),              # N >= q: every pair but the 12 capped ones
 ])
 def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
@@ -626,19 +632,17 @@ def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
 
 
 @pytest.mark.parametrize("name", ["criterion-4", "criterion-5-t2-5"])
-def test_each_flagged_pair_is_confirmed_once(monkeypatch, name):
-    # the flagged pairs (a, b), a <= b, but for the row's own (1, c), each
-    # taken from the smaller of c and 1/c
+def test_a_certified_build_confirms_only_the_row(monkeypatch, name):
     action = _carrier_action(name)
+    assert action.certified()
     one = action.monoid.identity_payload()
     calls = []
     real = recovery.recover_sum
     monkeypatch.setattr(recovery, "recover_sum",
                         lambda act, a, b: calls.append((a, b)) or real(act, a, b))
     ring = build_addition_table(action)
-    pairs = [(a, b) for a, b in calls if a != one]
-    assert len(pairs) == len(set(pairs))
-    assert set(pairs) == {(a, b) for a, b in ring.flagged_pairs() if a != one and a <= b}
+    assert sum(ring.flag_counts().values()) > 0
+    assert calls == [(one, c) for c in action.monoid.payloads() if c != BOTTOM]
 
 
 def _nonadditive_datum(ctx):
@@ -777,6 +781,9 @@ def test_quotient_inverts_class_multiplication():
 
 
 def test_endomorphism_defect_is_computed_once_per_class(monkeypatch):
+    # build_action proves the endomorphism law of every [a] it reduces from
+    # the datum's own law, so a table composes no per-class defect at all;
+    # an endomorphism built any other way computes its own, once
     E = EisensteinExtension(5, 7, (-5, 0, 1))
     d = standard_datum(E)
     law = build_fgl(d, 2)
@@ -794,13 +801,16 @@ def test_endomorphism_defect_is_computed_once_per_class(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "composed_terms", counted)
     action = build_action(d, law, monoid=padic_truncation_of(E, 2, 2))
     build_addition_table(action)
-    assert len(calls) == len(action.assignment) == 40
+    assert len(action.assignment) == 40
+    assert calls == []
     # a perturbed copy is a new instance, with a defect of its own
     series = action.assignment[action.monoid.class_of(E.normalize(2))].series
     bump = TruncatedSeries(E, ("T",), 2, {(2,): 1})
-    with pytest.raises(LawError, match="endomorphism law fails"):
-        FglEndomorphism(law, series + bump).verify()
-    assert len(calls) == 41
+    perturbed = FglEndomorphism(law, series + bump)
+    for _ in range(2):
+        with pytest.raises(LawError, match="endomorphism law fails"):
+            perturbed.verify()
+    assert len(calls) == 1
 
 
 def test_uniform_tolerance_scans_once_per_table(monkeypatch):
@@ -818,3 +828,155 @@ def test_uniform_tolerance_scans_once_per_table(monkeypatch):
                           tolerance=cached.tolerance)
     build_addition_table(action)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the per-datum certificate against the per-pair oracle
+
+
+def _flagged_pair_oracle(action):
+    """The table with every flagged confirmation computed: generator rows,
+    the row, then recover_sum on each unordered flagged pair {a, a*c} once
+    (from the smaller of c and 1/c, and when c = 1/c from its element a <=
+    a*c), bar the row's own (1, c).  A failed confirmation raises."""
+    monoid = action.monoid
+    assert verify_action(action, "generators").ok
+    one = monoid.identity_payload()
+    row = {c: recover_sum(action, one, c) for c in monoid.payloads() if c != BOTTOM}
+    ring = RecoveredRing(monoid, "recovered", row,
+                         functools.partial(recovery._native_sum, monoid))
+    for c in ring.units:
+        inverse = monoid.quotient(one, c)
+        if c > inverse or pair_flag(one, c, row[c]) is None:
+            continue
+        for a in ring.elements:
+            b = monoid.mul(c, a)
+            x, y = (a, b) if a <= b else (b, a)
+            if x != one and (c != inverse or x == a):
+                recover_sum(action, x, y)
+    return ring
+
+
+def _datum_action(ctx, datum, n, V, N):
+    return build_action(datum, build_fgl(datum, N), monoid=padic_truncation_of(ctx, n, V))
+
+
+ORACLE_CASES = {
+    "criterion-4": lambda: _carrier_action("criterion-4"),
+    "criterion-5-t2-5": lambda: _carrier_action("criterion-5-t2-5"),
+    "criterion-5-t2-10": lambda: _carrier_action("criterion-5-t2-10"),
+    "nonadditive-n2-V3-N4": lambda: _datum_action(SQRT5, _nonadditive_datum(SQRT5), 2, 3, 4),
+    "nonadditive-n3-V3-N2": lambda: _datum_action(SQRT5, _nonadditive_datum(SQRT5), 3, 3, 2),
+    "multiplicative-Z5-n3-V3-N3": lambda: _datum_action(
+        PadicIntegers(5, 9), multiplicative_datum(PadicIntegers(5, 9), 3), 3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_certified_table_matches_the_flagged_pair_oracle(name):
+    action = ORACLE_CASES[name]()
+    assert isinstance(action, LubinTateAction) and action.certified()
+    ring = build_addition_table(action)
+    oracle = _flagged_pair_oracle(action)
+    assert ring.row == oracle.row
+    assert ring.flag_counts() == oracle.flag_counts()
+    assert oracle.flag_counts()["precision"] > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_valid_datum_below_q_is_certified(data):
+    ctx = data.draw(st.sampled_from([PadicIntegers(5, 6), SQRT5]))
+    q, pi = ctx.p, ctx.uniformizer().payload
+    # a unit at T^q, every other coefficient past T divisible by pi
+    top = data.draw(st.integers(q, q + 2))
+    terms = {(1,): pi, (q,): data.draw(st.integers(1, 4 * q).filter(lambda c: c % q))}
+    for k in range(2, top + 1):
+        if k != q:
+            terms[(k,)] = ctx.mul(pi, ctx.normalize(data.draw(st.integers(-30, 30))))
+    d = LubinTateDatum(ctx, TruncatedSeries(ctx, ("T",), top, terms))
+    N = data.draw(st.integers(1, q - 1))
+    action = _datum_action(ctx, d, 1, 2, N)
+    assert action.certified()
+    assert build_addition_table(action).row == _flagged_pair_oracle(action).row
+
+
+def _scalar_table_entries():
+    table = _nonadditive_datum(SQRT5).field(4).scalar_table
+    return [(k, i) for k, row in sorted(table.items()) for i in range(len(row))]
+
+
+@pytest.mark.parametrize("k, i", _scalar_table_entries())
+def test_a_scalar_table_entry_plus_one_fails_the_certificate(monkeypatch, k, i):
+    law = build_fgl(_nonadditive_datum(SQRT5), 4)
+    field = SQRT5.fraction_field()
+    real = lubin_tate.scalar_table
+
+    def bumped(log, exp):
+        table = real(log, exp)
+        j, m = table[k][i]
+        table[k][i] = (j, field.add(m, field.int_payload(1)))
+        return table
+
+    monkeypatch.setattr(lubin_tate, "scalar_table", bumped)
+    with pytest.raises(LubinTateError, match=r"scalar table not exp\(a\*log\)"):
+        build_action(_nonadditive_datum(SQRT5), law, monoid=padic_truncation_of(SQRT5, 1, 2))
+
+
+def _noncanonical(series):
+    """The linear series [u] = lift(u)*T moved to (lift(u) + pi^2)*T: still
+    in class u at n = 2, and still an endomorphism of x + y."""
+    ctx = series.ctx
+    pi = ctx.uniformizer()
+    return TruncatedSeries(ctx, ("T",), series.trunc_degree,
+                           {(1,): ctx.el(series.terms[(1,)]) + pi * pi})
+
+
+def test_an_endomorphism_replaced_after_the_build_loses_the_certificate():
+    E = EisensteinExtension(5, 7, (-5, 0, 1))
+    d = standard_datum(E)
+    action = _datum_action(E, d, 2, 2, 2)
+    assert action.certified()
+    u = action.monoid.class_of(E.normalize(2))
+    built = action.endo_for(u)
+    action.assignment[u] = FglEndomorphism(action.law, _noncanonical(built.series))
+    assert action.endo_for(u) is not built
+    assert verify_action(action).ok
+    assert not action.certified()
+    with pytest.raises(RecoveryError, match="differs from"):
+        build_addition_table(action)
+
+
+def test_a_law_other_than_the_datums_gets_every_endomorphism_verified(monkeypatch):
+    Z5 = PadicIntegers(5, 8)
+    d = standard_datum(Z5, 4)  # [a] = a*T below degree q = 5
+    verified = []
+    real = FglEndomorphism.verify
+    monkeypatch.setattr(FglEndomorphism, "verify",
+                        lambda self: verified.append(self) or real(self))
+    monoid = padic_truncation_of(Z5, 1, 2)
+    with pytest.raises(LawError, match="endomorphism law fails"):
+        build_action(d, FormalGroupLaw.multiplicative(Z5, 4), monoid=monoid)
+    count = len(verified)  # class by class, up to the first that fails
+    assert count > 0
+    own = build_action(d, build_fgl(d, 4), monoid=monoid)
+    assert isinstance(own, LubinTateAction) and len(verified) == count
+
+
+def test_noncanonical_lifts_pass_verification_and_fail_the_table():
+    # every non-identity unit class u of t^2 - 5 at n = 2, V = 2, N = 2,
+    # with [u] moved off its canonical lift by pi^2: the action passes the
+    # exhaustive check, and the table is refused, not read off its lifts
+    E = EisensteinExtension(5, 7, (-5, 0, 1))
+    d = standard_datum(E)
+    base = _datum_action(E, d, 2, 2, 2)
+    one = base.monoid.identity_payload()
+    units = [u for u in base.assignment if u[0] == 0 and u != one]
+    assert len(units) == 19
+    for u in units:
+        endo = FglEndomorphism(base.law, _noncanonical(base.assignment[u].series))
+        action = MonoidAction(base.monoid, base.law, {**base.assignment, u: endo},
+                              tolerance="truncation")
+        assert verify_action(action).ok, u
+        with pytest.raises(RecoveryError, match="differs from"):
+            build_addition_table(action)
