@@ -447,7 +447,6 @@ class MonoidAction:
         self.assignment = dict(assignment)
         self.tolerance = tolerance
         self._endo_cache: dict = {}  # composed words of a free monoid
-        self._uniform = None  # uniform_tolerance, scanned once per action
 
     def endo_for(self, payload) -> FglEndomorphism:
         endo = self.assignment.get(payload)
@@ -483,29 +482,7 @@ class MonoidAction:
         }
 
 
-def uniform_tolerance(action: MonoidAction) -> bool:
-    """Whether verify_action's lemma holds here: truncation tolerance, N < p
-    (= q), every class but BOTTOM assigned, and premise (b), every
-    coefficient of every [a] of valuation at least v(a)."""
-    if action._uniform is None:
-        action._uniform = _lemma_applies(action)
-    return action._uniform
-
-
-def _lemma_applies(action: MonoidAction) -> bool:
-    if action.tolerance != "truncation":
-        return False
-    ctx = action.law.ctx
-    if action.law.trunc_degree >= ctx.p:
-        return False
-    if action.assignment.keys() != set(action.monoid.payloads()) - {BOTTOM}:
-        return False
-    valuation = ctx.valuation
-    return all(valuation(c) >= a[0] for a, endo in action.assignment.items()
-               for c in endo.series.terms.values())
-
-
-def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionReport:
+def verify_action(action: MonoidAction) -> ActionReport:
     """Identity, endomorphism law, composition, commutation.
 
     Finite monoids get every pair checked; free monoids get all generator
@@ -514,34 +491,10 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
     class precision of the product; the endomorphism law itself stays exact.
     There every class but BOTTOM must be assigned, and the linear
     coefficient of [a] must lie in class a, so an assignment moved along a
-    monoid automorphism is refused.
-
-    mode="generators" composes only the rows (g, m) of the truncation
-    monoid's generators g, for every assigned m; identity and the
-    endomorphism law are still checked on every element.  It is sound by
-    this lemma, and raises LawError where uniform_tolerance does not hold.
-
-    Lemma.  Let N < q, the residue field size (q = p for every ring built
-    here).  (a) v_p(k!) = 0 for k <= N, so class precision is v + n at every
-    degree.  (b) Suppose every coefficient of every [a] is divisible by
-    pi^v(a); for Lubin-Tate series this holds below degree q, since [pi] =
-    T^q mod pi (Lubin & Tate, Ann. Math. 1965; Serre, "Local class field
-    theory", sect. 3).  Then the rows imply [a]o[m] = [am] for every pair
-    with am not absorbing, every "=" below being mod pi^(v(am) + n).
-    Step: for integral X = Y mod pi^(w+n) without constant term, [g]oX -
-    [g]oY = sum_j g_j (X^j - Y^j) is divisible by pi^(v(g) + w + n).
-    Induction on the word length of a, from [1] = T exactly; write a = g*a'.
-    Inner step, (b) on [m]: [a] = [g]o[a'] mod pi^(v(a) + n) is a row, and
-    [m]^j is divisible by pi^(j v(m)), so [a]o[m] = ([g]o[a'])o[m].
-    Composition is associative: ([g]o[a'])o[m] = [g]o([a']o[m]).  Outer
-    step, (b) on [g]: [a']o[m] = [a'm] mod pi^(v(a'm) + n) by induction, so
-    [g]o([a']o[m]) = [g]o[a'm], and [g]o[a'm] = [am] is a row.
+    monoid automorphism is refused.  fgl.recovery.build_addition_table runs
+    this on every action but a certified Lubin-Tate one, whose checks its
+    lemma proves.
     """
-    if mode not in ("exhaustive", "generators"):
-        raise LawError(f"unknown verification mode {mode!r}")
-    if mode == "generators" and not uniform_tolerance(action):
-        raise LawError("generator rows need truncation tolerance, N < q and "
-                       "every [a] divisible by pi^v(a)")
     report = ActionReport()
     law = action.law
     ctx = law.ctx
@@ -568,8 +521,7 @@ def verify_action(action: MonoidAction, mode: str = "exhaustive") -> ActionRepor
         pairs = [(a, b) for i, a in enumerate(singles) for b in singles[i + 1:]]
     else:
         singles = [p for p in monoid.payloads() if p in action.assignment]
-        rows = monoid.generators() if mode == "generators" else singles
-        pairs = [(a, b) for a in rows for b in singles]
+        pairs = [(a, b) for a in singles for b in singles]
 
     for a in singles:
         endo = action.endo_for(a)

@@ -9,14 +9,14 @@ only in the residue ring, so it runs in the fraction field, once per datum
 and truncation degree.  There F = exp(log x + log y), exp the reversion of
 log, and [a] = exp(a * log), each of whose coefficients is a polynomial in
 a read off the scalar table of (log, exp).  LubinTateDatum.field keeps the
-four, and the solve certifies that F([x], [y]) = [x + y] there.  Laws and
-endomorphisms are reduced back with an integrality check; a law is
-verified in the ring, and so is every endomorphism the certificate does
-not cover.  That keeps every identity exact at the ring's stored
-precision instead of losing digits to in-ring division.  The base
-ring owns that field, the lifts into it and the reduction back
-(fgl.rings.PadicRing); this module never looks at how a ring stores its
-elements.
+four.  build_action certifies the table for the datum's own law, which
+proves F([x], [y]) = [x + y] there.  Laws and endomorphisms are reduced
+back with an integrality check; a law is verified in the ring, and so is
+every endomorphism the certificate does not cover.  That keeps every
+identity exact at the ring's stored precision instead of losing digits
+to in-ring division.  The base ring owns that field, the lifts into it
+and the reduction back (fgl.rings.PadicRing); this module never looks at
+how a ring stores its elements.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from .laws import (
     evaluate_scalar_table,
     intertwining_violation,
     scalar_table,
-    uniform_tolerance,
 )
 from .monoids import BOTTOM, PadicTruncationMonoid, RingSubsetMonoid
 from .rings import PadicIntegers, PadicRing, RingElement, RingError
@@ -152,18 +151,9 @@ def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
     Hazewinkel's functional-equation lemma), and f^k = pi^k * T^k + ..., so
     l_k * (pi - pi^k) = sum_{j<k} l_j * [T^k] f^j: a triangular solve off
     f's power table.  The reversion checks itself; F is checked to
-    intertwine f and to be linearized by log, and the scalar table M is
-    certified.
-
-    Certificate.  Let [a] = a*T + sum_k sum_j M[k][j] * a^j * T^k.  Its T^m
-    coefficient is a polynomial in a of degree at most m, so the T^k
-    coefficient of log([a]) - a*log is one of degree at most k <= N; it
-    vanishes at a = 0, where [a] = 0.  It is checked to vanish at a = 1..N
-    as well, N + 1 points in all, so log([a]) = a*log for every a in the
-    field, and [a] = exp(a*log) since log is invertible.  Apply log to both
-    sides and use log(F(x, y)) = log x + log y: F([x], [y]) = [x + y] and
-    [a](F(x, y)) = F([a]x, [a]y) hold identically in x, y and a, mod degree
-    N + 1.  This costs N one-variable compositions."""
+    intertwine f and to be linearized by log.  The scalar table M is not
+    checked here: build_action certifies it (_certify) where it relies on
+    it."""
     if N < 1:
         raise LubinTateError("need truncation degree at least 1")
     field = d.ctx.fraction_field()
@@ -184,7 +174,23 @@ def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
             or intertwining_violation(log, F, x_plus_y) is not None):
         raise LubinTateError("defining identity did not close over the fraction "
                              "field; invalid datum?")
-    table, (top,) = scalar_table(log, exp), max(log.terms)
+    return LubinTateField(F, log, exp, scalar_table(log, exp))
+
+
+def _certify(fld: LubinTateField) -> None:
+    """Raise unless log([a]) = a*log over the fraction field for every a.
+
+    Let [a] = a*T + sum_k sum_j M[k][j] * a^j * T^k, M the scalar table.
+    Its T^m coefficient is a polynomial in a of degree at most m, so the
+    T^k coefficient of log([a]) - a*log is one of degree at most k <= N; it
+    vanishes at a = 0, where [a] = 0.  It is checked to vanish at a = 1..N
+    as well, N + 1 points in all, so log([a]) = a*log for every a in the
+    field, and [a] = exp(a*log) since log is invertible.  Apply log to both
+    sides and use log(F(x, y)) = log x + log y: F([x], [y]) = [x + y] and
+    [a](F(x, y)) = F([a]x, [a]y) hold identically in x, y and a, mod degree
+    N + 1.  This costs N one-variable compositions."""
+    log, table = fld.log, fld.scalar_table
+    field, N, (top,) = log.ctx, log.trunc_degree, max(log.terms)
     for a in range(1, N + 1):
         c = field.int_payload(a)
         scaled = TruncatedSeries(field, log.variables, N,
@@ -193,7 +199,6 @@ def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
                             log.scale(c).terms):
             raise LubinTateError(f"log([{a}]) differs from {a}*log over the fraction "
                                  "field; scalar table not exp(a*log)?")
-    return LubinTateField(F, log, exp, table)
 
 
 def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
@@ -247,13 +252,14 @@ class LubinTateAction(MonoidAction):
         self.built = (law, dict(self.assignment))
 
     def certified(self) -> bool:
-        """Whether every sum the law would confirm on this truncation carrier
-        is already proved (fgl.recovery.build_addition_table): uniform_tolerance
-        holds, so N < q; every scalar-table entry is integral; the law and
-        every endomorphism are still the ones built; and every [a] has
-        linear coefficient canonical_lift(a)."""
+        """Whether the lemma of fgl.recovery.build_addition_table proves
+        every check and every sum on this carrier: the monoid is a
+        truncation monoid, N < q, every scalar-table entry is integral, the
+        law and every endomorphism are still the ones built, and every [a]
+        has linear coefficient canonical_lift(a)."""
         law, built = self.built
-        if self.law is not law or not uniform_tolerance(self):
+        if (self.law is not law or not isinstance(self.monoid, PadicTruncationMonoid)
+                or law.trunc_degree >= self.datum.q):
             return False
         if any(self.assignment.get(p) is not endo for p, endo in built.items()):
             return False
@@ -275,12 +281,13 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
     (every class acts through its canonical lift; composition checks then
     hold at class precision, PadicTruncationMonoid.class_precisions).
 
-    When law is the datum's own law reduced to its ring, the result is a
-    LubinTateAction and no [a] is composed into the law: over the fraction
-    field [a] = exp(a*log) is an endomorphism of F (_solve_field's
-    certificate), and from_field is a ring map on integral elements, so
-    the identity holds between the reduced series.  Each law_violation is
-    recorded as None.  Any other law gets every [a] verified, as
+    When law is the datum's own law reduced to its ring, the scalar table
+    is certified first (_certify: N one-variable compositions over the
+    fraction field), the result is a LubinTateAction, and no [a] is
+    composed into the law: over the fraction field [a] = exp(a*log) is an
+    endomorphism of F, and from_field is a ring map on integral elements,
+    so the identity holds between the reduced series.  Each law_violation
+    is recorded as None.  Any other law gets every [a] verified, as
     build_endomorphism does, and a plain MonoidAction."""
     if (elements is None) == (monoid is None):
         raise LubinTateError("pass exactly one of elements or monoid")
@@ -298,7 +305,10 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
             raise LubinTateError("monoid over a different ring than the datum")
         scalars = {p: monoid.canonical_lift(p) for p in monoid.payloads() if p != BOTTOM}
         tolerance = "truncation"
-    own = law.F == reduce_series(d.field(law.trunc_degree).law, d.ctx)
+    fld = d.field(law.trunc_degree)
+    own = law.F == reduce_series(fld.law, d.ctx)
+    if own:
+        _certify(fld)
     assignment = {}
     for p, a in scalars.items():
         endo = assignment[p] = _reduced_endomorphism(d, law, a)

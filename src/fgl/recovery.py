@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from itertools import chain, islice, product
 
-from .laws import MonoidAction, uniform_tolerance, verify_action
+from .laws import MonoidAction, verify_action
 from .lubin_tate import LubinTateAction, build_action, build_fgl, standard_datum
 from .monoids import (
     BOTTOM,
@@ -313,57 +313,53 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     """Every pairwise sum, confirmed by the law at class precision; a failed
     confirmation is a hard error.
 
-    The action is verified first, on its generator rows where
-    uniform_tolerance holds and exhaustively otherwise; then the row Z[c] =
-    recover_sum(action, 1, c) for every class c.  A certified action
-    (LubinTateAction.certified) needs nothing more.  Every other action has
-    every pair without 1 go through recover_sum, and each must equal the
-    ring's entry.
+    An action is trusted in one of two ways.  A certified Lubin-Tate action
+    (LubinTateAction.certified) is covered by the lemma below: the row Z[c]
+    = recover_sum(action, 1, c) is composed for every class c, and nothing
+    else.  Every other action is verified exhaustively (verify_action)
+    before the row, and after it every pair without 1 goes through
+    recover_sum and must equal the ring's entry.
 
-    Proof of the row step.  Elements are sorted by valuation, so v(a) <=
-    v(b); put c = b/a and suppose Z[c] = 1 + c is unflagged, v(1 + c) = 0.
-    The entry a*(1 + c) then has valuation v(a) and class precision v(a) + n
-    (premise (a) of verify_action's lemma).  Mod pi^(v(a) + n):
-      F([a], [b]) = F([a], [a]o[c]), by the lemma's composition [a]o[c] =
-        [b] mod pi^(v(b) + n) and F integral;
-      F([a], [a]o[c]) = [a]oF(T, [c]), exactly, by the endomorphism law;
-      [a]oF(T, [c]) = [a]o[1 + c], by the row F(T, [c]) = [1 + c] mod pi^n
-        and premise (b) on [a];
-      [a]o[1 + c] = [a(1 + c)], by the lemma.
-    So F([a], [b]) = [a(1 + c)] at the entry's class precision: an unflagged
-    entry is the value the law confirms, and nothing is computed a second
-    time to compare with it.
-
-    Proof for flagged pairs of a certified action.  Over the fraction
-    field, F([x], [y]) = [x + y] for all x and y (the certificate in
-    fgl.lubin_tate._solve_field), where [s] = s*T + sum_k sum_j M[k][j] *
-    s^j * T^k for the datum's scalar table M.  M is integral, so for
-    integral s every coefficient of [s] is, and from_field, a ring map on
-    integral elements, carries the identity to the ring: F([x], [y]) =
-    [x + y] there for the canonical lifts x, y of any two classes, exactly.
-    The law is the datum's and each [x] is still the one built at
-    canonical_lift(x), so these are the series recover_sum composes.  Its
-    candidate is the class of s = x + y, whose endomorphism is built at
-    s' = canonical_lift(class of s), and s = s' mod pi^(v(s) + n).
-    Congruence step: the T^k coefficient of [s] - [s'] is sum_j M[k][j] *
-    (s^j - s'^j), divisible by s - s' and so by pi^(v(s) + n), which is
-    class precision at every degree, as N < q.  So F([x], [y]) = [s'] at
-    the candidate's class precision: every flagged confirmation holds.  A
-    zero sum has [0] = 0 exactly, and a capped one composes nothing.
+    Lemma.  Let the action be certified, M its datum's scalar table, and
+    [s] = s*T + sum_k sum_j M[k][j] * s^j * T^k, j >= 1, for s in the
+    fraction field.  build_action certified log([s]) = s*log for every s
+    (fgl.lubin_tate._certify), so there [x]o[y] = exp(xy*log) = [xy], [1] =
+    T, F([x], [y]) = [x + y], and [x] is an endomorphism of F.  M is
+    integral, so for integral s every coefficient of [s] is integral and
+    divisible by s; from_field, a ring map on integral elements, carries
+    the identities to the ring, where the law is the datum's and every
+    class a but BOTTOM is assigned the [canonical_lift(a)] built.
+    Congruence step: if s = s' mod pi^(v(s) + n), the T^k coefficient of
+    [s] - [s'] is sum_j M[k][j] * (s^j - s'^j), divisible by s - s', so
+    [s] = [s'] mod pi^(v(s) + n).  That is class precision at every degree,
+    as v_p(k!) = 0 for k <= N < q.  With x, y the canonical lifts of
+    classes a, b, and s' the canonical lift of the class of s:
+      verify_action's checks hold.  [1] = T; the linear coefficient of [a]
+        is x, in class a; the endomorphism law holds exactly; and [a]o[b] =
+        [xy] = [lift of ab] at class precision, as xy is in class ab.
+      recover_sum's confirmations hold.  F([a], [b]) = [x + y] exactly, and
+        [x + y] = [s'] at the candidate's class precision for s = x + y; a
+        zero sum has [0] = 0 exactly, and a capped one composes nothing.
+      The ring's entries are those candidates.  A flagged pair reads
+        _native_sum, the candidate itself; an unflagged a*Z[b/a] is the
+        class of x + y, as RecoveredRing states of the canonical lifts.
+    So the row and the lemma give every entry, and no pair or check is
+    computed a second time.
     """
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
-    uniform = uniform_tolerance(action)
-    rep = verify_action(action, "generators" if uniform else "exhaustive")
-    if not rep.ok:
-        raise RecoveryError(
-            f"action verification failed: {rep.violations[0].to_json()}"
-        )
+    certified = isinstance(action, LubinTateAction) and action.certified()
+    if not certified:
+        rep = verify_action(action)
+        if not rep.ok:
+            raise RecoveryError(
+                f"action verification failed: {rep.violations[0].to_json()}"
+            )
     one = monoid.identity_payload()
     row = {c: recover_sum(action, one, c) for c in monoid.payloads() if c != BOTTOM}
     ring = RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
-    if isinstance(action, LubinTateAction) and action.certified():
+    if certified:
         return ring
     for i, a in enumerate(ring.elements):
         for b in ring.elements[i:]:
@@ -494,7 +490,8 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     transport of the second table to the first carrier; entry-by-entry
     comparison.  Multiplication is common to both rings whenever the
     matching is multiplicative, which transport_structure checks on the
-    generator rows; build_addition_table verifies each action.
+    generator rows; build_addition_table trusts each action by its
+    certificate or verifies it.
     """
     t0 = time.perf_counter()
     k = precision if precision is not None else n + V + 3

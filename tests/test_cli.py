@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -578,3 +581,24 @@ def test_the_parser_is_built_once_and_carries_no_state(capsys, tmp_path):
     # neither --json nor --out carries over into the next call
     code, out, err = run(capsys, "from-log", "--series", "T", "--degree", "4")
     assert (code, out, err) == (0, "F = x + y\nexp = T\n", "")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_module(*argv):
+    """python -m fgl in a fresh interpreter, with the source tree first on
+    its path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fgl", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_python_m_fgl_passes_the_exit_code_through():
+    base = ["recover-add", "--p", "5", "--precision", "6", "--preset", "standard"]
+    done = run_module(*base, "--degree", "4", "--n", "1", "--V", "2", "--table")
+    golden = ROOT / "perfbench" / "golden" / "cli" / "07-recover-add.stdout"
+    assert (done.returncode, done.stdout, done.stderr) == (0, golden.read_text(), "")
+    done = run_module(*base, "--degree", "0", "--n", "1", "--V", "2", "--table")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ")

@@ -134,6 +134,33 @@ def test_field_law_is_solved_once_per_datum_and_degree(monkeypatch):
     assert solves == [6, 4, 6]
 
 
+@pytest.mark.parametrize("N", [2, 4])
+def test_only_build_action_runs_the_certificate(monkeypatch, N):
+    # the certificate composes the field log with [a] at a = 1..N; the
+    # solve, build_fgl, build_endomorphism and a comparison compose none
+    E = EisensteinExtension(5, 9, (-5, 0, 1))
+    d, other = standard_datum(E), _nonadditive_datum(E)
+    into_log = []
+    composed_terms = TruncatedSeries.composed_terms
+
+    def counted(self, tables, model):
+        if len(model.variables) == 1:
+            into_log.append(self)
+        return composed_terms(self, tables, model)
+
+    def certificate_compositions():
+        logs = (d.field(N).log, other.field(N).log)
+        return sum(any(s is log for log in logs) for s in into_log)
+
+    monkeypatch.setattr(TruncatedSeries, "composed_terms", counted)
+    law = build_fgl(d, N)
+    build_endomorphism(d, law, 2)
+    compare_lubin_tate(d, other, N)
+    assert certificate_compositions() == 0
+    build_action(d, law, monoid=padic_truncation_of(E, 1, 2))
+    assert certificate_compositions() == N
+
+
 def _reference_field_law(d, N):
     """The oracle: F solved directly as a fixed point over the fraction
     field, degree by degree.  A degree-deg correction delta moves the

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl import laws, lubin_tate, recovery
+from fgl import lubin_tate, recovery
 from fgl.laws import (
     FglEndomorphism,
     FormalGroupLaw,
@@ -18,7 +18,6 @@ from fgl.laws import (
     MonoidAction,
     endomorphism_from_logarithm,
     from_logarithm,
-    uniform_tolerance,
     verify_action,
 )
 from fgl.lubin_tate import (
@@ -601,7 +600,7 @@ def _carrier_action(name):
 @pytest.mark.parametrize("name", ROW_CARRIERS)
 def test_row_table_matches_the_per_pair_oracle(name):
     action = _carrier_action(name)
-    assert uniform_tolerance(action)
+    assert action.certified()
     ring = build_addition_table(action)
     els = ring.elements
     for i, a in enumerate(els):
@@ -669,7 +668,7 @@ def test_the_recovered_table_does_not_depend_on_the_series(n, V, N, flags):
     for d in (standard_datum(SQRT5), _nonadditive_datum(SQRT5)):
         law = build_fgl(d, N)
         action = build_action(d, law, monoid=monoid)
-        assert uniform_tolerance(action)
+        assert action.certified()
         rings.append((len(law.F.terms), build_addition_table(action)))
     (standard_terms, standard), (other_terms, other) = rings
     assert (standard_terms, other_terms > 2) == (2, True)
@@ -745,8 +744,8 @@ def test_a_planted_row_entry_fails_the_per_pair_table(monkeypatch):
 
 
 def test_a_planted_row_entry_fails_the_ring_axioms(monkeypatch):
-    # N < q: an unflagged entry is a*Z[b/a], which the proof confirms from
-    # the row alone, so the build trusts the planted row; the axioms do not
+    # a certified build reads every entry off the row (the lemma of
+    # build_addition_table), so it trusts the planted row; the axioms do not
     action = _carrier_action("criterion-4")
     _plant_row_entry(monkeypatch, action, (0, 2), (0, 4))
     ring = build_addition_table(action)
@@ -813,21 +812,23 @@ def test_endomorphism_defect_is_computed_once_per_class(monkeypatch):
     assert len(calls) == 1
 
 
-def test_uniform_tolerance_scans_once_per_table(monkeypatch):
-    calls = []
-    scan = laws._lemma_applies
-
-    def counted(action):
-        calls.append(1)
-        return scan(action)
-
-    monkeypatch.setattr(laws, "_lemma_applies", counted)
-    cached = _carrier_action("criterion-4")
-    # a new instance, so that no earlier test's scan is remembered
-    action = MonoidAction(cached.monoid, cached.law, cached.assignment,
-                          tolerance=cached.tolerance)
+@pytest.mark.parametrize("name, calls", [
+    ("criterion-4", 0), ("cli-n1-V2", 0),  # certified: the lemma covers them
+    ("p3-n2-V2", 1),                       # N >= q: verified exhaustively
+])
+def test_only_an_uncertified_table_runs_verify_action(monkeypatch, name, calls):
+    seen = []
+    real = recovery.verify_action
+    monkeypatch.setattr(recovery, "verify_action",
+                        lambda action: seen.append(action) or real(action))
+    action = _carrier_action(name)
     build_addition_table(action)
-    assert len(calls) == 1
+    assert len(seen) == calls
+    # the same endomorphisms outside a LubinTateAction are verified once
+    plain = MonoidAction(action.monoid, action.law, action.assignment,
+                         tolerance=action.tolerance)
+    build_addition_table(plain)
+    assert len(seen) == calls + 1 and seen[-1] is plain
 
 
 # ---------------------------------------------------------------------------
@@ -835,12 +836,12 @@ def test_uniform_tolerance_scans_once_per_table(monkeypatch):
 
 
 def _flagged_pair_oracle(action):
-    """The table with every flagged confirmation computed: generator rows,
-    the row, then recover_sum on each unordered flagged pair {a, a*c} once
-    (from the smaller of c and 1/c, and when c = 1/c from its element a <=
-    a*c), bar the row's own (1, c).  A failed confirmation raises."""
+    """The table with every flagged confirmation computed: the exhaustive
+    check, the row, then recover_sum on each unordered flagged pair {a, a*c}
+    once (from the smaller of c and 1/c, and when c = 1/c from its element
+    a <= a*c), bar the row's own (1, c).  A failed confirmation raises."""
     monoid = action.monoid
-    assert verify_action(action, "generators").ok
+    assert verify_action(action).ok
     one = monoid.identity_payload()
     row = {c: recover_sum(action, one, c) for c in monoid.payloads() if c != BOTTOM}
     ring = RecoveredRing(monoid, "recovered", row,

@@ -1,11 +1,14 @@
-"""The N < q tolerance lemma behind verify_action's generator rows, and the
-generator-row checks of actions and monoid morphisms.
+"""The two ways a truncation action is trusted, and the generator-row
+checks of monoid morphisms.
 
-Premise (b) is checked on every truncation action the suite builds, the
-lemma's outer step under hypothesis, and the regime boundary N >= q where
-the lemma does not apply.  Both reductions are tested differentially against
-the exhaustive checks, on the actions as built and on mutants.
+A certified Lubin-Tate action (LubinTateAction.certified) is covered by the
+lemma of fgl.recovery.build_addition_table; every other action goes through
+the exhaustive verify_action.  The two modes are tested against each other
+on every truncation action the suite builds and on mutants of them, the
+lemma's congruence step under hypothesis, and the regime boundary N >= q
+where no action is certified.
 """
+import copy
 import functools
 import random
 
@@ -13,16 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl.laws import (
-    FglEndomorphism,
-    FormalGroupLaw,
-    LawError,
-    MonoidAction,
-    uniform_tolerance,
-    verify_action,
-)
+from fgl.laws import FglEndomorphism, verify_action
 from fgl.lubin_tate import (
     build_action,
+    build_endomorphism,
     build_fgl,
     multiplicative_datum,
     standard_datum,
@@ -34,8 +31,9 @@ from fgl.monoids import (
     build_monoid_isomorphism,
     padic_truncation_of,
 )
+from fgl.recovery import RecoveryError, build_addition_table
 from fgl.rings import EisensteinExtension, PadicIntegers
-from fgl.series import TruncatedSeries
+from fgl.series import TruncatedSeries, first_difference
 
 T2_5, T2_10 = (-5, 0, 1), (-10, 0, 1)
 
@@ -72,7 +70,9 @@ OUT_OF_REGIME = {
 
 
 def _premise_b_failures(action):
-    """(class, exponent) of every coefficient of [a] not divisible by pi^v(a)."""
+    """(class, exponent) of every coefficient of [a] not divisible by
+    pi^v(a), premise (b): an integral scalar table implies it, as each
+    coefficient of [s] is a sum of M[k][j] * s^j with j >= 1."""
     ctx = action.law.ctx
     return [(a, exp) for a, endo in action.assignment.items()
             for exp, c in endo.series.terms.items() if ctx.valuation(c) < a[0]]
@@ -84,6 +84,14 @@ def _z3_multiplicative():
     return build_action(d, build_fgl(d, 4), monoid=padic_truncation_of(Z3, 2, 2))
 
 
+def _as_built(action, assignment):
+    """A copy of the built LubinTateAction carrying assignment; its record
+    of what was built is kept."""
+    mutant = copy.copy(action)
+    mutant.assignment = assignment
+    return mutant
+
+
 # ---------------------------------------------------------------------------
 # the lemma's premises and its regime
 
@@ -93,39 +101,36 @@ def test_premise_b_holds_on_every_tier_1_truncation_action(name):
     action = _action(*IN_REGIME[name])
     assert action.law.trunc_degree < action.law.ctx.p
     assert _premise_b_failures(action) == []
-    assert uniform_tolerance(action)
+    assert action.certified()
 
 
 def test_premise_b_fails_once_n_reaches_q():
     action = _action(*OUT_OF_REGIME["kernel-oracle-N5"])
     # [a] = a*T + ... + c*T^5 with c a unit for v(a) >= 1
     assert {exp for _, exp in _premise_b_failures(action)} == {(5,)}
-    assert not uniform_tolerance(action)
+    assert not action.certified()
 
 
 def test_z3_at_degree_4_is_outside_the_lemma():
     action = _z3_multiplicative()
     assert _premise_b_failures(action)
-    assert not uniform_tolerance(action)
-    with pytest.raises(LawError, match="generator rows need"):
-        verify_action(action, mode="generators")
+    assert not action.certified()
     assert verify_action(action).ok  # the exhaustive check still runs
 
 
-def test_degree_bound_is_checked_where_premise_b_holds():
-    # the additive law's [a] = aT meets premise (b) at every degree, but at
-    # N = q class precision drops by one at degree q: premise (a) fails
+def test_degree_bound_is_checked_where_premise_b_holds(monkeypatch):
+    # at N = q class precision drops by one at degree q; a table that read
+    # as integral there would still not be certified, as N < q is checked
+    # on its own (the row of T^q is never integral for a real datum)
     Z5 = PadicIntegers(5, 8)
-    law = FormalGroupLaw.additive(Z5, 5)
     monoid = padic_truncation_of(Z5, 1, 2)
-    lift = monoid.canonical_lift
-    assignment = {c: FglEndomorphism(law, TruncatedSeries(Z5, ("T",), 5, {(1,): lift(c)}))
-                  for c in monoid.payloads() if c != BOTTOM}
-    action = MonoidAction(monoid, law, assignment, tolerance="truncation")
-    assert _premise_b_failures(action) == []
     assert monoid.class_precisions(1, 5)[5] == 1
-    assert verify_action(action).ok
-    assert not uniform_tolerance(action)
+    d = standard_datum(Z5, 5)
+    action = build_action(d, build_fgl(d, 5), monoid=monoid)
+    table = d.field(5).scalar_table
+    assert min(Z5.field_valuation(m) for row in table.values() for _, m in row) == -1
+    monkeypatch.setattr(Z5, "field_valuation", lambda c: 0)
+    assert not action.certified()
 
 
 def _small():
@@ -133,77 +138,45 @@ def _small():
 
 
 def test_premise_b_is_checked_below_q_too():
-    # [1:1] gains a unit coefficient at degree 2; N = 4 < 5 is not enough
+    # [1:1] gains a unit coefficient at degree 2; N = 4 < 5 is not enough:
+    # the certificate covers only the [a] that were built
     action = _small()
     bump = TruncatedSeries(action.law.ctx, ("T",), 4, {(2,): 1})
     moved = FglEndomorphism(action.law, action.assignment[(1, 1)].series + bump)
-    mutant = MonoidAction(action.monoid, action.law,
-                          {**action.assignment, (1, 1): moved}, tolerance="truncation")
-    assert not uniform_tolerance(mutant)
-    with pytest.raises(LawError, match="generator rows need"):
-        verify_action(mutant, mode="generators")
-
-
-def test_generator_rows_need_every_class_assigned():
-    action = _small()
-    assignment = {a: e for a, e in action.assignment.items() if a != (1, 2)}
-    partial = MonoidAction(action.monoid, action.law, assignment, tolerance="truncation")
-    assert not uniform_tolerance(partial)
-    with pytest.raises(LawError):
-        verify_action(partial, mode="generators")
-
-
-def test_exact_tolerance_has_no_generator_mode():
-    action = _small()
-    exact = MonoidAction(action.monoid, action.law, action.assignment)
-    assert not uniform_tolerance(exact)
-    with pytest.raises(LawError, match="generator rows need"):
-        verify_action(exact, mode="generators")
-    with pytest.raises(LawError, match="unknown verification mode"):
-        verify_action(action, mode="pairs")
+    mutant = _as_built(action, {**action.assignment, (1, 1): moved})
+    assert _premise_b_failures(mutant) == [((1, 1), (2,))]
+    assert not mutant.certified()
+    with pytest.raises(RecoveryError, match="action verification failed"):
+        build_addition_table(mutant)
 
 
 # ---------------------------------------------------------------------------
-# the outer step: [g]oX = [g]oY mod pi^(v(g) + w + n) when X = Y mod pi^(w + n)
-
-
-OUTER_RINGS = [("Z5", 8), ("E", 8, *T2_5), ("E", 8, *T2_10)]
+# the lemma's congruence step: [s] = [s'] mod pi^(v(s) + n) when s = s' there
 
 
 @st.composite
-def outer_step_cases(draw):
-    ring = draw(st.sampled_from(OUTER_RINGS))
-    N = draw(st.integers(1, 4))
-    action = _action(ring, "standard", N, 2, 3)
-    ctx = action.law.ctx
-    g = draw(st.sampled_from(sorted(action.assignment, key=str)))
-    w = draw(st.integers(0, 2))
-    width = ctx.e
-
-    def series(shift):
-        coeffs = st.tuples(*[st.integers(-5**6, 5**6)] * width)
-        terms = {}
-        for k in range(1, N + 1):
-            c = ctx.normalize(draw(coeffs) if width > 1 else draw(coeffs)[0])
-            terms[(k,)] = ctx.mul(c, (ctx.uniformizer() ** shift).payload)
-        return TruncatedSeries(ctx, ("T",), N, {e: c for e, c in terms.items()
-                                               if not ctx.is_zero(c)})
-
-    X = series(0)
-    Y = X + series(w + action.monoid.n)
-    return action, g, w, X, Y
+def congruent_scalars(draw):
+    action = _action(*IN_REGIME[draw(st.sampled_from(sorted(IN_REGIME)))])
+    ctx, n = action.law.ctx, action.monoid.n
+    a = draw(st.sampled_from(sorted(action.assignment)))
+    coeffs = st.tuples(*[st.integers(-5**6, 5**6)] * ctx.e)
+    t = ctx.normalize(draw(coeffs) if ctx.e > 1 else draw(coeffs)[0])
+    shift = (ctx.uniformizer() ** (a[0] + n)).payload
+    s = ctx.add(action.monoid.canonical_lift(a), ctx.mul(shift, t))
+    return action, a, s
 
 
 @settings(max_examples=60, deadline=None)
-@given(outer_step_cases())
-def test_composing_on_the_outside_keeps_the_class_tolerance(case):
-    action, g, w, X, Y = case
-    ctx, n = action.law.ctx, action.monoid.n
-    endo = action.assignment[g].series
-    delta = endo.substitute_single(X) - endo.substitute_single(Y)
-    bound = g[0] + w + n
-    assert bound <= ctx.k
-    assert all(ctx.valuation(c) >= bound for c in delta.terms.values())
+@given(congruent_scalars())
+def test_congruent_scalars_act_alike_at_class_precision(case):
+    action, a, s = case
+    ctx, monoid, N = action.law.ctx, action.monoid, action.law.trunc_degree
+    assert action.certified() and monoid.class_of(s) == a
+    endo = build_endomorphism(action.datum, action.law, s).series
+    delta = endo - action.assignment[a].series
+    assert all(ctx.valuation(c) >= a[0] + monoid.n for c in delta.terms.values())
+    assert first_difference(ctx, endo.terms, action.assignment[a].series.terms,
+                            monoid.class_precisions(a[0], N)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -233,36 +206,45 @@ def test_generators_close_to_every_payload(ring, n, V):
 
 
 # ---------------------------------------------------------------------------
-# differential tests: generator rows against every pair
+# differential tests: the certificate against every pair
 
 
 @pytest.mark.parametrize("name", sorted(IN_REGIME))
 def test_both_modes_agree_on_every_tier_1_truncation_action(name):
+    # every certified action the suite builds also passes every pair
     action = _action(*IN_REGIME[name])
+    assert action.certified()
     full = verify_action(action)
-    rows = verify_action(action, mode="generators")
-    assert full.ok and rows.ok
-    assigned = len(action.assignment)
-    generators = len(action.monoid.generators())
-    assert rows.checked_pairs + rows.skipped_pairs == generators * assigned
-    assert full.checked_pairs + full.skipped_pairs == assigned**2
-
-
-def test_criterion_5_carrier_composes_eight_hundred_pairs():
-    rows = verify_action(_action(*IN_REGIME["criterion-5-t2-10"]), mode="generators")
-    assert (rows.checked_pairs, rows.skipped_pairs) == (800, 100)
+    assert full.ok
+    assert full.checked_pairs + full.skipped_pairs == len(action.assignment)**2
 
 
 def _compositions(report):
     return [v.where for v in report.violations if v.kind == "composition"]
 
 
+def _both_modes(action, assignment):
+    """The exhaustive report on assignment, once the certificate has refused
+    it: a copy of the built action carrying it is not certified, so its
+    table is refused where that check fails, and equals the certified
+    table where it passes."""
+    mutant = _as_built(action, assignment)
+    assert not mutant.certified()
+    report = verify_action(mutant)
+    if report.ok:
+        assert build_addition_table(mutant).row == build_addition_table(action).row
+    else:
+        with pytest.raises(RecoveryError, match="action verification failed"):
+            build_addition_table(mutant)
+    return report
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_both_modes_are_tight_at_class_precision(k):
     """The bump of test_composition_check_is_tight_at_class_precision on the
-    non-generator class 1:2.  The endomorphism law is exact, so the mutant
-    fails it at every shift; the composition checks are what both modes must
-    get right, failing at precision - 1 and passing at precision."""
+    non-generator class 1:2.  Past degree 1 the mutant fails the exact
+    endomorphism law at every shift; the composition check is what must be
+    right, failing at precision - 1 and passing at precision."""
     action = _small()
     monoid, law = action.monoid, action.law
     target = (1, 2)
@@ -271,27 +253,22 @@ def test_both_modes_are_tight_at_class_precision(k):
     for shift, caught in ((precision - 1, True), (precision, False)):
         bump = TruncatedSeries(law.ctx, ("T",), law.trunc_degree, {(k,): 5**shift})
         moved = FglEndomorphism(law, action.assignment[target].series + bump)
-        mutant = MonoidAction(monoid, law, {**action.assignment, target: moved},
-                              tolerance="truncation")
-        for mode in ("exhaustive", "generators"):
-            compositions = _compositions(verify_action(mutant, mode=mode))
-            assert bool(compositions) is caught
-            assert ("0:2*1:1=1:2" in compositions) is caught
+        compositions = _compositions(
+            _both_modes(action, {**action.assignment, target: moved}))
+        assert bool(compositions) is caught
+        assert ("0:2*1:1=1:2" in compositions) is caught
 
 
 def test_both_modes_catch_a_layer_relabelled_by_a_unit():
     """[2:u] becomes [2:2u] on criterion 4's carrier.  Unit rows still
-    close, since [0:g]o[2:2u] = [2:2gu]; of the generator rows only pi's,
-    [pi]o[1:u] against [2:u], sees it."""
+    close, since [0:g]o[2:2u] = [2:2gu]; pi's row, [pi]o[1:u] against
+    [2:u], sees it."""
     action = _action(*IN_REGIME["criterion-4"])
     monoid = action.monoid
     moved = {(2, u): action.assignment[monoid.mul((0, 2), (2, u))]
              for v, u in action.assignment if v == 2}
-    mutant = MonoidAction(monoid, action.law, {**action.assignment, **moved},
-                          tolerance="truncation")
-    assert uniform_tolerance(mutant)
-    for mode in ("exhaustive", "generators"):
-        assert "1:1*1:1=2:1" in _compositions(verify_action(mutant, mode=mode))
+    report = _both_modes(action, {**action.assignment, **moved})
+    assert "1:1*1:1=2:1" in _compositions(report)
 
 
 def test_both_modes_tie_each_class_to_its_linear_coefficient():
@@ -300,15 +277,11 @@ def test_both_modes_tie_each_class_to_its_linear_coefficient():
     the linear coefficient of [1:u], in class 1:2u, shows the move."""
     action = _small()
     moved = {(1, u): action.assignment[(1, 2 * u % 5)] for u in range(1, 5)}
-    mutant = MonoidAction(action.monoid, action.law, {**action.assignment, **moved},
-                          tolerance="truncation")
-    assert uniform_tolerance(mutant)
-    for mode, counts in (("exhaustive", (48, 16)), ("generators", (12, 4))):
-        report = verify_action(mutant, mode=mode)
-        assert (report.checked_pairs, report.skipped_pairs) == counts
-        assert [(v.kind, v.where, v.delta) for v in report.violations] == [
-            ("linear_class", f"1:{u}", f"1:{2 * u % 5}") for u in range(1, 5)
-        ]
+    report = _both_modes(action, {**action.assignment, **moved})
+    assert (report.checked_pairs, report.skipped_pairs) == (48, 16)
+    assert [(v.kind, v.where, v.delta) for v in report.violations] == [
+        ("linear_class", f"1:{u}", f"1:{2 * u % 5}") for u in range(1, 5)
+    ]
 
 
 @pytest.mark.parametrize("terms, found", [({}, "0"), ({(1,): 25}, "bot")])
@@ -318,19 +291,15 @@ def test_linear_coefficient_without_the_class_is_a_violation(terms, found):
     action = _small()
     law = action.law
     moved = FglEndomorphism(law, TruncatedSeries(law.ctx, ("T",), 4, terms))
-    mutant = MonoidAction(action.monoid, law, {**action.assignment, (1, 1): moved},
-                          tolerance="truncation")
-    for mode in ("exhaustive", "generators"):
-        violations = verify_action(mutant, mode=mode).violations
-        assert ("linear_class", "1:1", found) in [
-            (v.kind, v.where, v.delta) for v in violations]
+    violations = _both_modes(action, {**action.assignment, (1, 1): moved}).violations
+    assert ("linear_class", "1:1", found) in [
+        (v.kind, v.where, v.delta) for v in violations]
 
 
 def test_exhaustive_check_reports_each_unassigned_class():
     action = _small()
     assignment = {a: e for a, e in action.assignment.items() if a not in ((1, 2), (0, 3))}
-    partial = MonoidAction(action.monoid, action.law, assignment, tolerance="truncation")
-    report = verify_action(partial)
+    report = _both_modes(action, assignment)
     assert [(v.kind, v.where) for v in report.violations] == [
         ("unassigned", "0:3"), ("unassigned", "1:2")]
 
