@@ -31,8 +31,8 @@ from .lubin_tate import (
     multiplicative_datum,
     standard_datum,
 )
-from .monoids import (PadicTruncationMonoid, monoid_from_descriptor, padic_truncation_of,
-                      truncation_size)
+from .monoids import (PadicTruncationMonoid, RingSubsetMonoid, monoid_from_descriptor,
+                      padic_truncation_of, truncation_size)
 from .parsing import ParseError, parse_integer_polynomial, parse_series
 from .recovery import (
     NoMatch,
@@ -119,13 +119,19 @@ def _report_error(args, code: int, kind: str, message: str, details: dict) -> in
 
 
 def _build_ring(args):
-    if getattr(args, "ring", None) == "rationals":
-        return RationalField()
+    """The ring the flags name; a flag that ring would drop is refused."""
+    padic = [f"--{name}" for name in ("p", "precision", "eisenstein")
+             if getattr(args, name) is not None]
+    if getattr(args, "ring", None) == "rationals" and padic:
+        raise _Invalid("conflicting-flags",
+                       f"{padic[0]} does not apply with --ring rationals")
     if args.p is None:
+        if padic:
+            raise _Invalid("missing-flag", f"{padic[0]} needs --p")
         return RationalField()
     if args.precision is None:
         raise _Invalid("missing-flag", "--precision is required with --p")
-    if getattr(args, "eisenstein", None):
+    if args.eisenstein is not None:
         poly = parse_integer_polynomial(args.eisenstein)
         return EisensteinExtension(args.p, args.precision, poly)
     return PadicIntegers(args.p, args.precision)
@@ -245,13 +251,10 @@ def _cmd_lubin_tate(args) -> int:
             action = _free_action(datum, law, _parse_generator_scalars(args.as_free))
         else:
             elements = _parse_elements("2" if args.elements is None else args.elements)
-            action = build_action(datum, law, elements=elements)
+            action = build_action(datum, law, RingSubsetMonoid(ctx, elements))
     except (LubinTateError, LawError) as exc:
         raise _Failed("endomorphism", str(exc)) from exc
-    report = action.verify()
-    if not report.ok:
-        raise _Failed("action", "action verification failed",
-                      report=report.to_json())
+    _verified(action)
     bundle = action.to_bundle()
     bundle["f"] = datum.f.to_json()
     _emit(args, bundle, _action_text(action))
@@ -272,44 +275,51 @@ def _cmd_from_log(args) -> int:
     return 0
 
 
+def _load(loader, obj):
+    """loader(obj), a malformed bundle exiting 2."""
+    try:
+        return loader(obj)
+    except _MALFORMED as exc:
+        raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
+
+
+def _check_axioms(law: FormalGroupLaw) -> dict:
+    """A loaded law's axiom report; a failing one exits 1 with it."""
+    axioms = law.report.to_json()
+    if not law.report.all_pass:
+        raise _Failed("axioms", "law axioms fail", report=axioms)
+    return axioms
+
+
+def _verified(action: MonoidAction) -> dict:
+    """verify_action's report on action; a failing one exits 1."""
+    report = action.verify()
+    if not report.ok:
+        raise _Failed("action", "action verification failed", report=report.to_json())
+    return report.to_json()
+
+
 def _cmd_check(args) -> int:
     obj = _load_json(args.bundle)
     if "endomorphisms" in obj:
-        try:
-            action = action_from_bundle(obj, require=False)
-        except _MALFORMED as exc:
-            raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
+        action = _load(action_from_bundle, obj)
         monoid = action.monoid
         if isinstance(monoid, PadicTruncationMonoid):
             _check_carrier(monoid.ctx.p, monoid.n, monoid.V)
-        axioms = action.law.report
-        if not axioms.all_pass:
-            raise _Failed("axioms", "law axioms fail", report=axioms.to_json())
-        report = action.verify()
-        if not report.ok:
-            raise _Failed("action", "action verification failed",
-                          report=report.to_json())
-        payload = {"ok": True, "axioms": axioms.to_json(),
-                   "action": report.to_json()}
+        payload = {"ok": True, "axioms": _check_axioms(action.law),
+                   "action": _verified(action)}
         _emit(args, payload, "ok: axioms and action identities hold")
         return 0
-    try:
-        law = FormalGroupLaw.from_bundle(obj, require=False)
-    except _MALFORMED as exc:
-        raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
-    if not law.report.all_pass:
-        raise _Failed("axioms", "law axioms fail", report=law.report.to_json())
-    _emit(args, {"ok": True, "axioms": law.report.to_json()}, "ok: axioms hold")
+    law = _load(FormalGroupLaw.from_bundle, obj)
+    _emit(args, {"ok": True, "axioms": _check_axioms(law)}, "ok: axioms hold")
     return 0
 
 
 def _cmd_log(args) -> int:
     obj = _load_json(args.bundle)
     source = obj["law"] if "law" in obj and isinstance(obj["law"], dict) else obj
-    try:
-        law = FormalGroupLaw.from_bundle(source, require=True)
-    except _MALFORMED as exc:
-        raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
+    law = _load(FormalGroupLaw.from_bundle, source)
+    _check_axioms(law)
     try:
         ell = logarithm(law)
     except NonInvertibleDivision as exc:
@@ -335,7 +345,7 @@ def _cmd_recover_add(args) -> int:
     law = _build_law(datum, args.degree)
     if truncation:
         monoid = padic_truncation_of(ctx, args.n, args.V)
-        action = build_action(datum, law, monoid=monoid)
+        action = build_action(datum, law, monoid)
         if args.table:
             try:
                 ring = build_addition_table(action)
@@ -352,7 +362,8 @@ def _cmd_recover_add(args) -> int:
         if args.elements is None or args.a is None or args.b is None:
             raise _Invalid("missing-flag",
                            "pass --elements with --a/--b, or --n/--V")
-        action = build_action(datum, law, elements=_parse_elements(args.elements))
+        action = build_action(datum, law,
+                              RingSubsetMonoid(ctx, _parse_elements(args.elements)))
         monoid = action.monoid
         pa, pb = ctx.normalize(args.a), ctx.normalize(args.b)
     try:
@@ -464,6 +475,7 @@ def _cmd_specialize(args) -> int:
                       value=exc.value) from exc
     except (UniversalError, LawError) as exc:
         raise _Failed("specialize", str(exc)) from exc
+    _verified(action)  # the checks `check` runs on the bundle written here
     payload = {"action": action.to_bundle(), "verification": report}
     _emit(args, payload, _action_text(action))
     return 0
@@ -472,14 +484,9 @@ def _cmd_specialize(args) -> int:
 def _cmd_classify(args) -> int:
     monoid = monoid_from_descriptor(_load_json(args.monoid))
     pres = generate_presentation(monoid, args.degree)
-    try:
-        action = action_from_bundle(_load_json(args.bundle))
-    except _MALFORMED as exc:
-        raise _Invalid("bundle", f"malformed bundle: {exc}") from exc
-    report = action.verify()
-    if not report.ok:
-        raise _Failed("action", "action verification failed",
-                      report=report.to_json())
+    action = _load(action_from_bundle, _load_json(args.bundle))
+    _check_axioms(action.law)
+    _verified(action)
     try:
         hom = classify_fgl(pres, action)
     except IdealNotKilled as exc:
@@ -498,13 +505,12 @@ def _cmd_classify(args) -> int:
 # wiring
 
 
-def _add_ring_flags(p, eisenstein=True, rationals=False):
+def _add_ring_flags(p, rationals=False):
     p.add_argument("--p", type=int, default=None, help="residue characteristic")
     p.add_argument("--precision", type=int, default=None,
                    help="coefficient precision (powers of the uniformizer)")
-    if eisenstein:
-        p.add_argument("--eisenstein", default=None,
-                       help="defining polynomial in t for a ramified extension")
+    p.add_argument("--eisenstein", default=None,
+                   help="defining polynomial in t for a ramified extension")
     if rationals:
         p.add_argument("--ring", choices=["rationals"], default=None,
                        help="work over the rationals (default without --p)")

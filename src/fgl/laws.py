@@ -26,13 +26,10 @@ class LawError(RingError):
 class NonInvertibleDivision(LawError):
     """Logarithm integration hit a denominator that is not a unit."""
 
-    def __init__(self, denominator: int, degree: int, message: str | None = None):
+    def __init__(self, denominator: int, degree: int):
         self.denominator = denominator
         self.degree = degree
-        super().__init__(
-            message
-            or f"division by {denominator} at degree {degree} is not defined here"
-        )
+        super().__init__(f"division by {denominator} at degree {degree} is not defined here")
 
 
 @dataclass
@@ -69,21 +66,22 @@ class AxiomReport:
 
 
 class FormalGroupLaw:
-    """A verified-or-reported truncated formal group law."""
+    """A truncated formal group law and its axiom report, which only
+    from_series requires to pass."""
 
-    def __init__(self, F: TruncatedSeries, report: AxiomReport | None = None):
+    def __init__(self, F: TruncatedSeries):
         if len(F.variables) != 2:
             raise LawError("a formal group law is a two-variable series")
         self.F = F
         self.ctx = F.ctx
         self.trunc_degree = F.trunc_degree
         self.x, self.y = F.variables
-        self.report = report if report is not None else check_axioms_series(F)
+        self.report = check_axioms_series(F)
 
     @classmethod
-    def from_series(cls, F: TruncatedSeries, require: bool = True) -> "FormalGroupLaw":
+    def from_series(cls, F: TruncatedSeries) -> "FormalGroupLaw":
         law = cls(F)
-        if require and not law.report.all_pass:
+        if not law.report.all_pass:
             bad = law.report.first_failure()
             raise LawError(
                 f"axiom {bad.name!r} fails at monomial {bad.monomial} (delta {bad.delta})"
@@ -118,9 +116,8 @@ class FormalGroupLaw:
         }
 
     @classmethod
-    def from_bundle(cls, obj: dict, require: bool = True) -> "FormalGroupLaw":
-        F = TruncatedSeries.from_json(obj["F"])
-        return cls.from_series(F, require=require)
+    def from_bundle(cls, obj: dict) -> "FormalGroupLaw":
+        return cls(TruncatedSeries.from_json(obj["F"]))
 
 
 def _composed(s: TruncatedSeries, assignments: dict) -> dict:
@@ -430,23 +427,20 @@ class MonoidAction:
     monoids only the generators are assigned; a composite element gets the
     composition along FreeCommutativeMonoid.word.  For finite monoids every
     non-absorbing element must be assigned.
-
-    tolerance is "exact", or "truncation" for a truncation monoid acting
-    through lifts of its classes: composition is then only checked at the
-    monoid's class precision.
     """
 
-    def __init__(self, monoid, law: FormalGroupLaw, assignment: dict,
-                 tolerance: str = "exact"):
-        if tolerance not in ("exact", "truncation"):
-            raise LawError(f"unknown tolerance {tolerance!r}")
-        if tolerance == "truncation" and not isinstance(monoid, PadicTruncationMonoid):
-            raise LawError("truncation tolerance needs a truncation monoid")
+    def __init__(self, monoid, law: FormalGroupLaw, assignment: dict):
         self.monoid = monoid
         self.law = law
         self.assignment = dict(assignment)
-        self.tolerance = tolerance
         self._endo_cache: dict = {}  # composed words of a free monoid
+
+    @property
+    def tolerance(self) -> str:
+        """"truncation" on a truncation monoid, which acts through lifts of
+        its classes, so verify_action compares a composition only at the
+        class precision of its product; "exact" on any other monoid."""
+        return "truncation" if isinstance(self.monoid, PadicTruncationMonoid) else "exact"
 
     def endo_for(self, payload) -> FglEndomorphism:
         endo = self.assignment.get(payload)
@@ -487,9 +481,10 @@ def verify_action(action: MonoidAction) -> ActionReport:
 
     Finite monoids get every pair checked; free monoids get all generator
     pairs.  Pairs whose product is absorbing (no assignment) are skipped and
-    counted.  Under truncation tolerance a composition is compared at the
-    class precision of the product; the endomorphism law itself stays exact.
-    There every class but BOTTOM must be assigned, and the linear
+    counted.  On a truncation monoid (action.tolerance) a composition is
+    compared at the class precision of the product, and exactly where the
+    product is BOTTOM, which has no lift; the endomorphism law itself stays
+    exact.  There every class but BOTTOM must be assigned, and the linear
     coefficient of [a] must lie in class a, so an assignment moved along a
     monoid automorphism is refused.  fgl.recovery.build_addition_table runs
     this on every action but a certified Lubin-Tate one, whose checks its
@@ -528,7 +523,7 @@ def verify_action(action: MonoidAction) -> ActionReport:
         bad = endo.law_violation
         if bad is not None:
             report.violations.append(ActionViolation("endomorphism_law", label(a), *bad))
-        if truncation:
+        if truncation and a != BOTTOM:
             c = endo.series.terms.get((1,))
             cls = None if c is None else monoid.class_of(c)
             if cls != a:
@@ -553,7 +548,7 @@ def verify_action(action: MonoidAction) -> ActionReport:
             report.checked_pairs += 1
             continue
         precisions = None
-        if truncation:
+        if truncation and ab != BOTTOM:
             precisions = monoid.class_precisions(ab[0], N)
         bad = first_difference(ctx, composed, action.endo_for(ab).series.terms,
                                precisions)
@@ -573,14 +568,20 @@ def _tuplify(obj):
     return obj
 
 
-def action_from_bundle(obj: dict, require: bool = True) -> MonoidAction:
-    """Rebuild an action from its bundle; require=False defers all
-    verification to an explicit check."""
+def action_from_bundle(obj: dict) -> MonoidAction:
+    """Rebuild an action from its bundle, verifying nothing: the law's
+    report and verify_action are the caller's to read.  A tolerance key
+    that disagrees with the monoid's is refused; the monoid decides."""
     monoid = monoid_from_descriptor(obj["monoid"])
-    law = FormalGroupLaw.from_bundle(obj["law"], require=require)
+    law = FormalGroupLaw.from_bundle(obj["law"])
     assignment = {}
     for entry in obj["endomorphisms"]:
         payload = _tuplify(entry["payload"])
         series = TruncatedSeries.from_json(entry["series"], law.ctx)
         assignment[payload] = FglEndomorphism(law, series)
-    return MonoidAction(monoid, law, assignment, obj.get("tolerance", "exact"))
+    action = MonoidAction(monoid, law, assignment)
+    stored = obj.get("tolerance", action.tolerance)
+    if stored != action.tolerance:
+        raise LawError(f"tolerance {stored!r} disagrees with the bundle's monoid: a "
+                       "truncation monoid takes 'truncation', any other 'exact'")
+    return action

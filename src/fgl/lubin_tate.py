@@ -10,13 +10,13 @@ and truncation degree.  There F = exp(log x + log y), exp the reversion of
 log, and [a] = exp(a * log), each of whose coefficients is a polynomial in
 a read off the scalar table of (log, exp).  LubinTateDatum.field keeps the
 four.  build_action certifies the table for the datum's own law, which
-proves F([x], [y]) = [x + y] there.  Laws and endomorphisms are reduced
-back with an integrality check; a law is verified in the ring, and so is
-every endomorphism the certificate does not cover.  That keeps every
-identity exact at the ring's stored precision instead of losing digits
-to in-ring division.  The base ring owns that field, the lifts into it
-and the reduction back (fgl.rings.PadicRing); this module never looks at
-how a ring stores its elements.
+proves F([x], [y]) = [x + y] there, and refuses any other law.  Laws and
+endomorphisms are reduced back with an integrality check; a law is
+verified in the ring, and so is every endomorphism build_endomorphism
+returns.  That keeps every identity exact at the ring's stored precision
+instead of losing digits to in-ring division.  The base ring owns that
+field, the lifts into it and the reduction back (fgl.rings.PadicRing);
+this module never looks at how a ring stores its elements.
 """
 from __future__ import annotations
 
@@ -246,8 +246,8 @@ class LubinTateAction(MonoidAction):
     law; built keeps that law and the endomorphisms as they were built."""
 
     def __init__(self, datum: LubinTateDatum, monoid, law: FormalGroupLaw,
-                 assignment: dict, tolerance: str = "exact"):
-        super().__init__(monoid, law, assignment, tolerance)
+                 assignment: dict):
+        super().__init__(monoid, law, assignment)
         self.datum = datum
         self.built = (law, dict(self.assignment))
 
@@ -272,53 +272,39 @@ class LubinTateAction(MonoidAction):
                    for p, endo in built.items())
 
 
-def build_action(d: LubinTateDatum, law: FormalGroupLaw, elements=None,
-                 monoid=None) -> MonoidAction:
-    """Monoid action by Lubin-Tate endomorphisms.
+def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAction:
+    """The action of a monoid of the datum's ring by Lubin-Tate
+    endomorphisms of law, which must be the datum's own law reduced to its
+    ring (build_fgl).
 
-    Either a list of ring elements (acting through a multiplicative window,
+    The monoid is a RingSubsetMonoid (each listed element acts by itself,
     products outside the list going unchecked) or a PadicTruncationMonoid
     (every class acts through its canonical lift; composition checks then
     hold at class precision, PadicTruncationMonoid.class_precisions).
 
-    When law is the datum's own law reduced to its ring, the scalar table
-    is certified first (_certify: N one-variable compositions over the
-    fraction field), the result is a LubinTateAction, and no [a] is
-    composed into the law: over the fraction field [a] = exp(a*log) is an
-    endomorphism of F, and from_field is a ring map on integral elements,
-    so the identity holds between the reduced series.  Each law_violation
-    is recorded as None.  Any other law gets every [a] verified, as
-    build_endomorphism does, and a plain MonoidAction."""
-    if (elements is None) == (monoid is None):
-        raise LubinTateError("pass exactly one of elements or monoid")
-    if elements is not None:
-        monoid = RingSubsetMonoid(d.ctx, [
-            el.payload if isinstance(el, RingElement) else d.ctx.normalize(el)
-            for el in elements
-        ])
-        scalars = {p: p for p in monoid.payloads()}
-        tolerance = "exact"
-    else:
-        if not isinstance(monoid, PadicTruncationMonoid):
-            raise LubinTateError("monoid must be a truncation monoid")
-        if monoid.ctx.key() != d.ctx.key():
-            raise LubinTateError("monoid over a different ring than the datum")
+    The scalar table is certified first (_certify: N one-variable
+    compositions over the fraction field), and no [a] is composed into the
+    law: over the fraction field [a] = exp(a*log) is an endomorphism of F,
+    and from_field is a ring map on integral elements, so the identity
+    holds between the reduced series.  Each law_violation is recorded as
+    None."""
+    if isinstance(monoid, PadicTruncationMonoid):
         scalars = {p: monoid.canonical_lift(p) for p in monoid.payloads() if p != BOTTOM}
-        tolerance = "truncation"
+    elif isinstance(monoid, RingSubsetMonoid):
+        scalars = {p: p for p in monoid.payloads()}
+    else:
+        raise LubinTateError("monoid must be a truncation monoid or a ring subset")
+    if monoid.ctx.key() != d.ctx.key():
+        raise LubinTateError("monoid over a different ring than the datum")
     fld = d.field(law.trunc_degree)
-    own = law.F == reduce_series(fld.law, d.ctx)
-    if own:
-        _certify(fld)
+    if law.F != reduce_series(fld.law, d.ctx):
+        raise LubinTateError("law is not the datum's own; build it with build_fgl")
+    _certify(fld)
     assignment = {}
     for p, a in scalars.items():
         endo = assignment[p] = _reduced_endomorphism(d, law, a)
-        if own:
-            endo.law_violation = None  # the cached property, proved above
-        else:
-            endo.verify()
-    if own:
-        return LubinTateAction(d, monoid, law, assignment, tolerance)
-    return MonoidAction(monoid, law, assignment, tolerance)
+        endo.law_violation = None  # the cached property, proved above
+    return LubinTateAction(d, monoid, law, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ class StructureMismatch(MonoidError):
 
 
 BOTTOM = ("bot",)
+_CLOSURE_CAP = 4096  # elements FinitelyPresentedMonoid.from_relations may enumerate
 
 
 class Monoid:
@@ -135,8 +136,9 @@ class FinitelyPresentedMonoid(_ExponentMonoid):
         self._verify_table()
 
     @classmethod
-    def from_relations(cls, generators, relations, max_elements: int = 4096):
-        """relations: pairs (lhs, rhs) of exponent tuples, lhs = rhs in M."""
+    def from_relations(cls, generators, relations):
+        """relations: pairs (lhs, rhs) of exponent tuples, lhs = rhs in M;
+        a closure past _CLOSURE_CAP elements is refused."""
         generators = tuple(generators)
         rules = []
         for lhs, rhs in relations:
@@ -171,7 +173,7 @@ class FinitelyPresentedMonoid(_ExponentMonoid):
             for g in gens:
                 nxt = normal(tuple(c + e for c, e in zip(cur, g)))
                 if nxt not in seen:
-                    if len(seen) >= max_elements:
+                    if len(seen) >= _CLOSURE_CAP:
                         raise MonoidError("relation closure exceeded the element budget")
                     seen.add(nxt)
                     frontier.append(nxt)

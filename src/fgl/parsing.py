@@ -198,10 +198,10 @@ def parse_series(text: str, ctx: RingContext, variables: tuple, degree: int,
     return TruncatedSeries(ctx, tuple(variables), degree, terms)
 
 
-def parse_integer_polynomial(text: str, variable: str = "t") -> tuple:
-    """Coefficient tuple (c_0, ..., c_d) of a one-variable integer
-    polynomial, constant first, leading coefficient last."""
-    raw = parse_terms(text, (variable,))
+def parse_integer_polynomial(text: str) -> tuple:
+    """Coefficient tuple (c_0, ..., c_d) of an integer polynomial in t,
+    constant first, leading coefficient last."""
+    raw = parse_terms(text, ("t",))
     if not raw:
         raise ParseError("polynomial is zero", 0)
     coeffs = {}

@@ -96,17 +96,45 @@ def test_check_corrupted_linear_coefficient(capsys, tmp_path):
     assert "linear_shape" in failing
 
 
-def test_check_refuses_a_truncation_bundle_with_an_unassigned_class(capsys, tmp_path):
+# the classes of TRUNCATION's carrier (Z_5, n = 1, V = 2) but BOTTOM
+CLASSES = ["0:1", "0:2", "0:3", "0:4", "1:1", "1:2", "1:3", "1:4"]
+
+
+def _truncation_bundle_with(kept):
     bundle = json.loads(TRUNCATION.read_text())
     bundle["endomorphisms"] = [e for e in bundle["endomorphisms"]
-                               if e["element"] != "1:2"]
+                               if e["element"] in kept]
+    return bundle
+
+
+# the checks follow from the monoid, so a bundle that drops its tolerance
+# key gets them all the same
+@pytest.mark.parametrize("tolerance_key", ["kept", "removed"])
+@pytest.mark.parametrize("kept, unassigned", [
+    ([c for c in CLASSES if c != "1:2"], ["1:2"]),
+    (["0:1"], CLASSES[1:]),
+], ids=["all-but-1:2", "identity-only"])
+def test_check_refuses_a_truncation_bundle_with_an_unassigned_class(
+        capsys, tmp_path, kept, unassigned, tolerance_key):
+    bundle = _truncation_bundle_with(kept)
+    if tolerance_key == "removed":
+        del bundle["tolerance"]
     code, out, err = run(capsys, "check", "--bundle",
                          write_json(tmp_path / "partial.json", bundle), "--json")
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
     assert error["kind"] == "action"
     assert [(v["kind"], v["where"]) for v in error["report"]["violations"]] == [
-        ("unassigned", "1:2")]
+        ("unassigned", c) for c in unassigned]
+
+
+def test_check_refuses_a_tolerance_key_that_disagrees_with_the_monoid(capsys, tmp_path):
+    bundle = _truncation_bundle_with(["0:1"])
+    bundle["tolerance"] = "exact"
+    code, out, err = run(capsys, "check", "--bundle",
+                         write_json(tmp_path / "exact.json", bundle))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed bundle: tolerance 'exact' disagrees")
 
 
 def test_log_blocked_at_degree_p(capsys, tmp_path):
@@ -199,8 +227,7 @@ def test_recover_add_table_refuses_an_action_that_fails_verification(capsys, mon
     def relabelled(*args, **kwargs):
         action = build(*args, **kwargs)
         moved = {(1, u): action.assignment[(1, 2 * u % 5)] for u in range(1, 5)}
-        return MonoidAction(action.monoid, action.law,
-                            {**action.assignment, **moved}, tolerance="truncation")
+        return MonoidAction(action.monoid, action.law, {**action.assignment, **moved})
 
     monkeypatch.setattr(cli, "build_action", relabelled)
     code, out, err = run(
@@ -239,6 +266,95 @@ def test_check_reports_every_failing_axiom_of_a_law(capsysbinary):
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert captured.err == AXIOMS.with_suffix(".stderr").read_bytes()
+
+
+def _specialized_truncation_action(capsys, tmp_path, m0_2):
+    """run specialize on Z_3 mod 3 (classes 0:1, 0:2, bot) with [0:2] = m0_2*T,
+    [bot] = 0 and F = x + y; the exit code and the bundle's action, if any."""
+    monoid = write_json(tmp_path / "m.json", {
+        "kind": "padic_truncation", "ring": {"kind": "padic", "p": 3, "precision": 4},
+        "n": 1, "V": 1})
+    images = write_json(tmp_path / "images.json", {
+        "m0_2": m0_2, "bot": 0, "c_1_1": 0, "d_m0_2_2": 0, "d_bot_2": 0})
+    code, out, err = run(capsys, "specialize", "--monoid", monoid, "--degree", "2",
+                         "--images", images, "--p", "3", "--precision", "4", "--json")
+    return code, json.loads(out)["action"] if code == 0 else json.loads(err)
+
+
+def _check_action(capsys, tmp_path, action):
+    code, out, err = run(capsys, "check", "--bundle",
+                         write_json(tmp_path / "action.json", action), "--json")
+    return code, json.loads(out)["action"] if code == 0 else json.loads(err)["error"]
+
+
+def test_check_verifies_the_bottom_of_a_specialized_truncation_action(capsys,
+                                                                      tmp_path):
+    # specialize assigns BOTTOM an endomorphism: its law is checked, and the
+    # compositions landing on it, which have no class precision, exactly
+    code, action = _specialized_truncation_action(capsys, tmp_path, -1)
+    assert code == 0
+    assert action["tolerance"] == "truncation"
+    assert {e["element"] for e in action["endomorphisms"]} == {"0:1", "0:2", "bot"}
+    assert _check_action(capsys, tmp_path, action) == (0, {
+        "ok": True, "checked_pairs": 9, "skipped_pairs": 0, "violations": []})
+
+
+def test_check_refuses_a_specialized_truncation_action_with_an_edited_bottom(
+        capsys, tmp_path):
+    # [bot] := -T^2 is no endomorphism of x + y, and [0:2] o [bot] = T^2
+    code, action = _specialized_truncation_action(capsys, tmp_path, -1)
+    assert code == 0
+    bottom = _series_of(action, "bot")
+    bottom["terms"] = [{**term, "exp": [2]} for term in _series_of(action, "0:2")["terms"]]
+    code, error = _check_action(capsys, tmp_path, action)
+    assert code == 1
+    assert [(v["kind"], v["where"]) for v in error["report"]["violations"]] == [
+        ("endomorphism_law", "bot"), ("composition", "0:2*bot=bot"),
+        ("composition", "bot*bot=bot")]
+
+
+def test_specialize_and_check_refuse_a_class_acting_outside_its_class(capsys,
+                                                                      tmp_path):
+    # [0:2] = T kills the ideal and is multiplicative, but a class acts
+    # through a series whose linear coefficient lies in it, and 1 is in 0:1
+    expected = [("linear_class", "0:2", "0:1")]
+    code, err = _specialized_truncation_action(capsys, tmp_path, 1)
+    assert code == 1
+    assert [(v["kind"], v["where"], v["delta"])
+            for v in err["error"]["report"]["violations"]] == expected
+    code, action = _specialized_truncation_action(capsys, tmp_path, -1)
+    assert code == 0
+    _series_of(action, "0:2")["terms"] = _series_of(action, "0:1")["terms"]
+    code, error = _check_action(capsys, tmp_path, action)
+    assert code == 1
+    assert [(v["kind"], v["where"], v["delta"])
+            for v in error["report"]["violations"]] == expected
+
+
+def test_log_reports_a_law_that_fails_its_axioms_as_check_does(capsysbinary):
+    assert main(["log", "--bundle", str(AXIOMS), "--json"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == AXIOMS.with_suffix(".stderr").read_bytes()
+
+
+def test_classify_reports_a_law_that_fails_its_axioms_as_check_does(capsys, tmp_path):
+    monoid = write_json(tmp_path / "m.json", {"kind": "free", "generators": ["m"]})
+    good = tmp_path / "action.json"
+    assert run(capsys, "lubin-tate", "--p", "5", "--precision", "8", "--preset",
+               "multiplicative", "--degree", "4", "--as-free", "m=2", "--json",
+               "--out", str(good))[0] == 0
+    bundle = json.loads(good.read_text())
+    next(t for t in bundle["law"]["F"]["terms"]
+         if t["exp"] == [1, 0])["coeff"]["residue"] = "2"
+    bad = write_json(tmp_path / "bad.json", bundle)
+    code, out, err = run(capsys, "classify", "--monoid", monoid, "--degree", "4",
+                         "--bundle", bad, "--json")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["message"]) == ("axioms", "law axioms fail")
+    assert not error["report"]["all_pass"]
+    assert run(capsys, "check", "--bundle", bad, "--json") == (1, "", err)
 
 
 def _series_of(bundle, element):
@@ -454,6 +570,7 @@ def test_degree_below_one_exits_2(capsys, argv):
     assert err == "error: --degree must be at least 1, got 0\n"
 
 
+_FROM_LOG = ("from-log", "--series", "T - 1/2*T^2", "--degree", "2")
 _RECOVER = ("recover-add", "--p", "5", "--precision", "6", "--preset",
             "standard", "--degree", "4")
 
@@ -476,6 +593,12 @@ _RECOVER = ("recover-add", "--p", "5", "--precision", "6", "--preset",
     # window mode has no table
     (_RECOVER + ("--elements", "2,3,5", "--a", "2", "--b", "3", "--table"),
      "--table needs --n/--V and no --a/--b"),
+    # ring flags that the chosen ring would drop
+    (_FROM_LOG + ("--eisenstein", "t^2-5"), "--eisenstein needs --p"),
+    (_FROM_LOG + ("--eisenstein", "t^2-5", "--precision", "6"),
+     "--precision needs --p"),
+    (_FROM_LOG + ("--ring", "rationals", "--p", "5", "--precision", "6"),
+     "--p does not apply with --ring rationals"),
 ])
 def test_conflicting_carrier_flags_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -429,8 +429,7 @@ def test_composition_check_is_tight_at_class_precision(k):
     for shift, caught in ((precisions[k] - 1, True), (precisions[k], False)):
         bump = TruncatedSeries(law.ctx, ("T",), law.trunc_degree, {(k,): 5**shift})
         moved = FglEndomorphism(law, action.assignment[target].series + bump)
-        mutant = MonoidAction(monoid, law, {**action.assignment, target: moved},
-                              tolerance="truncation")
+        mutant = MonoidAction(monoid, law, {**action.assignment, target: moved})
         composition = [v.where for v in verify_action(mutant).violations
                        if v.kind == "composition"]
         assert ("0:2*1:1=1:2" in composition) is caught

@@ -105,8 +105,7 @@ def _perturbed(action, payload, degree, by=1):
                            {(degree,): by})
     assignment = dict(action.assignment)
     assignment[payload] = FglEndomorphism(action.law, series + bump)
-    return MonoidAction(action.monoid, action.law, assignment,
-                        tolerance=action.tolerance)
+    return MonoidAction(action.monoid, action.law, assignment)
 
 
 def test_window_zero_sum_must_vanish_exactly():
@@ -155,8 +154,7 @@ def test_swapped_endomorphisms_fail_confirmation():
     action = _trunc_ring()[1]
     assignment = dict(action.assignment)
     assignment[(0, 2)], assignment[(0, 3)] = assignment[(0, 3)], assignment[(0, 2)]
-    swapped = MonoidAction(action.monoid, action.law, assignment,
-                           tolerance="truncation")
+    swapped = MonoidAction(action.monoid, action.law, assignment)
     with pytest.raises(RecoveryError, match=r"differs from \[0:4\] at degree 1"):
         recover_sum(swapped, (0, 2), (0, 2))
 
@@ -699,15 +697,14 @@ def _swapped(name, u, w):
     action = _carrier_action(name)
     assignment = dict(action.assignment)
     assignment[u], assignment[w] = assignment[w], assignment[u]
-    return MonoidAction(action.monoid, action.law, assignment, tolerance="truncation")
+    return MonoidAction(action.monoid, action.law, assignment)
 
 
 def _relabelled():
     # [1:u] := [1:2u] for every u: the assignment moved along pi -> 2pi
     action = _carrier_action("cli-n1-V2")
     moved = {(1, u): action.assignment[(1, 2 * u % 5)] for u in range(1, 5)}
-    return MonoidAction(action.monoid, action.law, {**action.assignment, **moved},
-                        tolerance="truncation")
+    return MonoidAction(action.monoid, action.law, {**action.assignment, **moved})
 
 
 @pytest.mark.parametrize("mutant", [
@@ -825,8 +822,7 @@ def test_only_an_uncertified_table_runs_verify_action(monkeypatch, name, calls):
     build_addition_table(action)
     assert len(seen) == calls
     # the same endomorphisms outside a LubinTateAction are verified once
-    plain = MonoidAction(action.monoid, action.law, action.assignment,
-                         tolerance=action.tolerance)
+    plain = MonoidAction(action.monoid, action.law, action.assignment)
     build_addition_table(plain)
     assert len(seen) == calls + 1 and seen[-1] is plain
 
@@ -948,7 +944,7 @@ def test_an_endomorphism_replaced_after_the_build_loses_the_certificate():
         build_addition_table(action)
 
 
-def test_a_law_other_than_the_datums_gets_every_endomorphism_verified(monkeypatch):
+def test_build_action_refuses_a_law_other_than_the_datums(monkeypatch):
     Z5 = PadicIntegers(5, 8)
     d = standard_datum(Z5, 4)  # [a] = a*T below degree q = 5
     verified = []
@@ -956,12 +952,10 @@ def test_a_law_other_than_the_datums_gets_every_endomorphism_verified(monkeypatc
     monkeypatch.setattr(FglEndomorphism, "verify",
                         lambda self: verified.append(self) or real(self))
     monoid = padic_truncation_of(Z5, 1, 2)
-    with pytest.raises(LawError, match="endomorphism law fails"):
+    with pytest.raises(LubinTateError, match="not the datum's own"):
         build_action(d, FormalGroupLaw.multiplicative(Z5, 4), monoid=monoid)
-    count = len(verified)  # class by class, up to the first that fails
-    assert count > 0
     own = build_action(d, build_fgl(d, 4), monoid=monoid)
-    assert isinstance(own, LubinTateAction) and len(verified) == count
+    assert isinstance(own, LubinTateAction) and verified == []
 
 
 def test_noncanonical_lifts_pass_verification_and_fail_the_table():
@@ -976,8 +970,7 @@ def test_noncanonical_lifts_pass_verification_and_fail_the_table():
     assert len(units) == 19
     for u in units:
         endo = FglEndomorphism(base.law, _noncanonical(base.assignment[u].series))
-        action = MonoidAction(base.monoid, base.law, {**base.assignment, u: endo},
-                              tolerance="truncation")
+        action = MonoidAction(base.monoid, base.law, {**base.assignment, u: endo})
         assert verify_action(action).ok, u
         with pytest.raises(RecoveryError, match="differs from"):
             build_addition_table(action)
