@@ -27,12 +27,13 @@ from .lubin_tate import (
     LubinTateDatum,
     LubinTateError,
     build_action,
+    build_endomorphism,
     build_fgl,
     multiplicative_datum,
     standard_datum,
 )
-from .monoids import (PadicTruncationMonoid, RingSubsetMonoid, monoid_from_descriptor,
-                      padic_truncation_of, truncation_size)
+from .monoids import (FreeCommutativeMonoid, PadicTruncationMonoid, RingSubsetMonoid,
+                      monoid_from_descriptor, padic_truncation_of, truncation_size)
 from .parsing import ParseError, parse_integer_polynomial, parse_series
 from .recovery import (
     NoMatch,
@@ -88,10 +89,10 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(args, payload, text: str | None = None):
+def _emit(args, payload, text: str):
     """JSON payload in json mode, text rendering otherwise; --out redirects
     either form to a file."""
-    body = _dump(payload) if args.json or text is None else text + "\n"
+    body = _dump(payload) if args.json else text + "\n"
     if getattr(args, "out", None):
         _write_file(args.out, body)
     else:
@@ -230,9 +231,6 @@ def _parse_generator_scalars(text: str) -> list:
 
 
 def _free_action(datum, law, pairs: list) -> MonoidAction:
-    from .monoids import FreeCommutativeMonoid
-    from .lubin_tate import build_endomorphism
-
     monoid = FreeCommutativeMonoid(tuple(name for name, _ in pairs))
     assignment = {monoid.generator(name): build_endomorphism(datum, law, scalar)
                   for name, scalar in pairs}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from types import MappingProxyType
 
 from .monoids import (BOTTOM, FreeCommutativeMonoid, PadicTruncationMonoid,
                       monoid_from_descriptor)
@@ -314,8 +315,20 @@ def evaluate_scalar_table(ctx: RingContext, table: dict, a) -> dict:
             for k, row in table.items()}
 
 
-class FglEndomorphism:
-    """A one-variable series commuting with the group law."""
+class _Fixed:
+    """Each attribute is set once, when the object is built, and never again."""
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"{name} is fixed when it is built")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{name} is fixed when it is built")
+
+
+class FglEndomorphism(_Fixed):
+    """A one-variable series commuting with the group law; fixed once built."""
 
     def __init__(self, law: FormalGroupLaw, series: TruncatedSeries):
         if len(series.variables) != 1:
@@ -420,19 +433,20 @@ class ActionReport:
         }
 
 
-class MonoidAction:
+class MonoidAction(_Fixed):
     """A commutative monoid acting on a law by endomorphisms.
 
     assignment maps monoid element payloads to FglEndomorphism.  For free
     monoids only the generators are assigned; a composite element gets the
     composition along FreeCommutativeMonoid.word.  For finite monoids every
-    non-absorbing element must be assigned.
+    non-absorbing element must be assigned.  Fixed once built, with
+    assignment a read-only view, so a different action is a new one.
     """
 
     def __init__(self, monoid, law: FormalGroupLaw, assignment: dict):
         self.monoid = monoid
         self.law = law
-        self.assignment = dict(assignment)
+        self.assignment = MappingProxyType(dict(assignment))
         self._endo_cache: dict = {}  # composed words of a free monoid
 
     @property

@@ -242,34 +242,38 @@ def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorp
 
 
 class LubinTateAction(MonoidAction):
-    """An action that build_action reduced from its datum and the datum's own
-    law; built keeps that law and the endomorphisms as they were built."""
+    """What build_action builds, and nothing else: no caller hands it an
+    assignment, and an action is fixed once built (MonoidAction), so what
+    was certified is what acts.  certified holds where the lemma of
+    fgl.recovery.build_addition_table proves every check and every sum on
+    this carrier: a truncation monoid, N < q, and an integral scalar table.
+    Each [a] has linear coefficient canonical_lift(a) by construction
+    (_reduced_endomorphism)."""
 
-    def __init__(self, datum: LubinTateDatum, monoid, law: FormalGroupLaw,
-                 assignment: dict):
+    def __init__(self, datum: LubinTateDatum, law: FormalGroupLaw, monoid):
+        if isinstance(monoid, PadicTruncationMonoid):
+            scalars = {p: monoid.canonical_lift(p) for p in monoid.payloads() if p != BOTTOM}
+        elif isinstance(monoid, RingSubsetMonoid):
+            scalars = {p: p for p in monoid.payloads()}
+        else:
+            raise LubinTateError("monoid must be a truncation monoid or a ring subset")
+        ctx = datum.ctx
+        if monoid.ctx.key() != ctx.key():
+            raise LubinTateError("monoid over a different ring than the datum")
+        fld = datum.field(law.trunc_degree)
+        if law.F != reduce_series(fld.law, ctx):
+            raise LubinTateError("law is not the datum's own; build it with build_fgl")
+        _certify(fld)
+        assignment = {}
+        for p, a in scalars.items():
+            endo = assignment[p] = _reduced_endomorphism(datum, law, a)
+            endo.law_violation = None  # the cached property, proved above
         super().__init__(monoid, law, assignment)
         self.datum = datum
-        self.built = (law, dict(self.assignment))
-
-    def certified(self) -> bool:
-        """Whether the lemma of fgl.recovery.build_addition_table proves
-        every check and every sum on this carrier: the monoid is a
-        truncation monoid, N < q, every scalar-table entry is integral, the
-        law and every endomorphism are still the ones built, and every [a]
-        has linear coefficient canonical_lift(a)."""
-        law, built = self.built
-        if (self.law is not law or not isinstance(self.monoid, PadicTruncationMonoid)
-                or law.trunc_degree >= self.datum.q):
-            return False
-        if any(self.assignment.get(p) is not endo for p, endo in built.items()):
-            return False
-        ctx = self.datum.ctx
-        table = self.datum.field(law.trunc_degree).scalar_table
-        if any(ctx.field_valuation(m) < 0 for row in table.values() for _, m in row):
-            return False
-        lift = self.monoid.canonical_lift
-        return all(endo.series.terms.get((1,)) == lift(p)
-                   for p, endo in built.items())
+        self.certified = (
+            isinstance(monoid, PadicTruncationMonoid) and law.trunc_degree < datum.q
+            and all(ctx.field_valuation(m) >= 0
+                    for row in fld.scalar_table.values() for _, m in row))
 
 
 def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAction:
@@ -288,23 +292,7 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAct
     and from_field is a ring map on integral elements, so the identity
     holds between the reduced series.  Each law_violation is recorded as
     None."""
-    if isinstance(monoid, PadicTruncationMonoid):
-        scalars = {p: monoid.canonical_lift(p) for p in monoid.payloads() if p != BOTTOM}
-    elif isinstance(monoid, RingSubsetMonoid):
-        scalars = {p: p for p in monoid.payloads()}
-    else:
-        raise LubinTateError("monoid must be a truncation monoid or a ring subset")
-    if monoid.ctx.key() != d.ctx.key():
-        raise LubinTateError("monoid over a different ring than the datum")
-    fld = d.field(law.trunc_degree)
-    if law.F != reduce_series(fld.law, d.ctx):
-        raise LubinTateError("law is not the datum's own; build it with build_fgl")
-    _certify(fld)
-    assignment = {}
-    for p, a in scalars.items():
-        endo = assignment[p] = _reduced_endomorphism(d, law, a)
-        endo.law_violation = None  # the cached property, proved above
-    return LubinTateAction(d, monoid, law, assignment)
+    return LubinTateAction(d, law, monoid)
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,7 @@ def build_addition_table(action: MonoidAction) -> RecoveredRing:
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
-    certified = isinstance(action, LubinTateAction) and action.certified()
+    certified = isinstance(action, LubinTateAction) and action.certified
     if not certified:
         rep = verify_action(action)
         if not rep.ok:

@@ -143,22 +143,21 @@ class UniversalPresentation:
     """Polynomial model of the universal coefficient ring at one degree.
 
     ctx is the polynomial ring (monoid relations already in its quotient);
-    ideal is the obstruction list as (label, element) pairs in emission
-    order.  F and g hold the tautological series.
+    ideal, extracted here, is the obstruction list as (label, element)
+    pairs in emission order.  F and g hold the tautological series.
     """
 
-    def __init__(self, monoid, trunc_degree, ctx, monoid_vars, c_vars, d_vars,
-                 ideal, size):
+    def __init__(self, monoid, trunc_degree, ctx, monoid_vars, c_vars, d_vars, size):
         self.monoid = monoid
         self.trunc_degree = trunc_degree
         self.ctx = ctx
         self.monoid_vars = monoid_vars
         self.c_vars = c_vars
         self.d_vars = d_vars
-        self.ideal = ideal
         self.size = size
         self.F = self._build_f()
         self.g = {p: self._build_g(p) for p in self.listed()}
+        self.ideal = _extract_ideal(self)
 
     def listed(self) -> list:
         return _listed_payloads(self.monoid)
@@ -354,16 +353,15 @@ def generate_presentation(monoid: Monoid, trunc_degree: int) -> UniversalPresent
             va = plain.var(monoid_vars[a])
             for b in listed[ia:]:
                 q = monoid.mul(a, b)
+                if q != ident and q not in monoid_vars:
+                    la, lb, lq = map(monoid.label, (a, b, q))
+                    raise UniversalError(f"monoid not closed: {la}*{lb} = {lq} is not listed")
                 img = plain.el(plain.int_payload(1)) if q == ident \
                     else plain.var(monoid_vars[q])
                 rels.append(va * plain.var(monoid_vars[b]) - img)
         ctx = plain.with_ideal(rels)
 
-    pres = UniversalPresentation(
-        monoid, N, ctx, monoid_vars, c_vars, d_vars, [], size
-    )
-    pres.ideal = _extract_ideal(pres)
-    return pres
+    return UniversalPresentation(monoid, N, ctx, monoid_vars, c_vars, d_vars, size)
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,24 @@ def test_universal_text_and_cas(capsys, tmp_path):
     assert len(payload["ideal"]) == 14
 
 
+@pytest.mark.parametrize("subcommand, extra", [
+    ("universal", []),
+    ("specialize", ["--images", "images.json"]),
+    ("classify", ["--bundle", str(TRUNCATION)]),
+], ids=["universal", "specialize", "classify"])
+def test_a_window_that_is_not_closed_exits_2(capsys, tmp_path, monkeypatch,
+                                             subcommand, extra):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "images.json", {})
+    ring = {"kind": "padic", "p": 5, "precision": 4}
+    monoid = write_json(tmp_path / "w.json", {"kind": "ring_subset", "ring": ring,
+                                              "elements": [{"residue": str(a), "precision": 4}
+                                                           for a in (2, 3)]})
+    code, out, err = run(capsys, subcommand, "--monoid", monoid, "--degree", "2", *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: monoid not closed: 2*2 = 4 is not listed\n"
+
+
 def test_specialize_pass_and_fail(capsys, tmp_path):
     monoid = write_json(tmp_path / "m.json", {"kind": "free", "generators": ["m"]})
     good = write_json(tmp_path / "good.json", {"m": 3, "c_1_1": 1, "d_m_2": 3})

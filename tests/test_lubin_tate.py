@@ -417,6 +417,32 @@ def test_truncation_tolerance_needs_a_truncation_monoid():
         action_from_bundle(bundle)
 
 
+@pytest.mark.parametrize("kind", ["built", "plain"])
+def test_an_action_is_fixed_when_built(kind):
+    # a different action is a new MonoidAction; none changes in place
+    built = _small_truncation_action()
+    action = built if kind == "built" else MonoidAction(built.monoid, built.law,
+                                                         built.assignment)
+    law, monoid, endo = action.law, action.monoid, action.assignment[(1, 1)]
+    other_law = FormalGroupLaw.multiplicative(law.ctx, 4)
+    other_monoid = padic_truncation_of(law.ctx, 1, 3)
+    names = ["law", "monoid", "assignment"] + (["certified", "datum"] if kind == "built" else [])
+    for name, value in zip(names, [other_law, other_monoid, {}, True, None]):
+        with pytest.raises(AttributeError, match="fixed when it is built"):
+            setattr(action, name, value)
+        with pytest.raises(AttributeError, match="fixed when it is built"):
+            delattr(action, name)
+    with pytest.raises(TypeError):
+        action.assignment[(1, 1)] = action.assignment[(1, 2)]
+    with pytest.raises(TypeError):
+        del action.assignment[(1, 1)]
+    with pytest.raises(AttributeError, match="fixed when it is built"):
+        endo.series = action.assignment[(1, 2)].series
+    assert action.law is law and action.monoid is monoid
+    assert action.assignment[(1, 1)] is endo
+    assert verify_action(action).ok
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_composition_check_is_tight_at_class_precision(k):
     """Moving [1:2] at degree k by pi^(precision - 1) breaks composition;

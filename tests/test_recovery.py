@@ -598,7 +598,7 @@ def _carrier_action(name):
 @pytest.mark.parametrize("name", ROW_CARRIERS)
 def test_row_table_matches_the_per_pair_oracle(name):
     action = _carrier_action(name)
-    assert action.certified()
+    assert action.certified
     ring = build_addition_table(action)
     els = ring.elements
     for i, a in enumerate(els):
@@ -631,7 +631,7 @@ def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
 @pytest.mark.parametrize("name", ["criterion-4", "criterion-5-t2-5"])
 def test_a_certified_build_confirms_only_the_row(monkeypatch, name):
     action = _carrier_action(name)
-    assert action.certified()
+    assert action.certified
     one = action.monoid.identity_payload()
     calls = []
     real = recovery.recover_sum
@@ -666,7 +666,7 @@ def test_the_recovered_table_does_not_depend_on_the_series(n, V, N, flags):
     for d in (standard_datum(SQRT5), _nonadditive_datum(SQRT5)):
         law = build_fgl(d, N)
         action = build_action(d, law, monoid=monoid)
-        assert action.certified()
+        assert action.certified
         rings.append((len(law.F.terms), build_addition_table(action)))
     (standard_terms, standard), (other_terms, other) = rings
     assert (standard_terms, other_terms > 2) == (2, True)
@@ -872,7 +872,7 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_certified_table_matches_the_flagged_pair_oracle(name):
     action = ORACLE_CASES[name]()
-    assert isinstance(action, LubinTateAction) and action.certified()
+    assert isinstance(action, LubinTateAction) and action.certified
     ring = build_addition_table(action)
     oracle = _flagged_pair_oracle(action)
     assert ring.row == oracle.row
@@ -894,7 +894,7 @@ def test_every_valid_datum_below_q_is_certified(data):
     d = LubinTateDatum(ctx, TruncatedSeries(ctx, ("T",), top, terms))
     N = data.draw(st.integers(1, q - 1))
     action = _datum_action(ctx, d, 1, 2, N)
-    assert action.certified()
+    assert action.certified
     assert build_addition_table(action).row == _flagged_pair_oracle(action).row
 
 
@@ -933,15 +933,18 @@ def test_an_endomorphism_replaced_after_the_build_loses_the_certificate():
     E = EisensteinExtension(5, 7, (-5, 0, 1))
     d = standard_datum(E)
     action = _datum_action(E, d, 2, 2, 2)
-    assert action.certified()
+    assert action.certified
     u = action.monoid.class_of(E.normalize(2))
     built = action.endo_for(u)
-    action.assignment[u] = FglEndomorphism(action.law, _noncanonical(built.series))
-    assert action.endo_for(u) is not built
-    assert verify_action(action).ok
-    assert not action.certified()
+    replaced = FglEndomorphism(action.law, _noncanonical(built.series))
+    with pytest.raises(TypeError):
+        action.assignment[u] = replaced
+    assert action.endo_for(u) is built and action.certified
+    # an action carrying the replacement is a new one, and not certified
+    mutant = MonoidAction(action.monoid, action.law, {**action.assignment, u: replaced})
+    assert verify_action(mutant).ok
     with pytest.raises(RecoveryError, match="differs from"):
-        build_addition_table(action)
+        build_addition_table(mutant)
 
 
 def test_build_action_refuses_a_law_other_than_the_datums(monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from fgl.laws import FglEndomorphism, FormalGroupLaw, MonoidAction
 from fgl.lubin_tate import build_endomorphism, build_fgl, multiplicative_datum
-from fgl.monoids import FinitelyPresentedMonoid, FreeCommutativeMonoid, MonoidMorphism
+from fgl.monoids import (FinitelyPresentedMonoid, FreeCommutativeMonoid, MonoidMorphism,
+                         RingSubsetMonoid)
 from fgl.rings import IntegerRing, PadicIntegers, RationalField
 from fgl.series import TruncatedSeries
 from fgl.universal import (
@@ -288,6 +289,15 @@ def test_finite_carrier_round_trip():
     again = classify_fgl(pres, hom.induced_action())
     assert json.dumps(again.to_json(), sort_keys=True) == \
         json.dumps(hom.to_json(), sort_keys=True)
+
+
+def test_a_window_that_is_not_closed_is_refused():
+    # every product of listed elements needs a ring variable; 2*2 = 4 has none
+    Z5 = PadicIntegers(5, 4)
+    with pytest.raises(UniversalError, match=r"not closed: 2\*2 = 4 is not listed"):
+        generate_presentation(RingSubsetMonoid(Z5, [2, 3]), 2)
+    closed = generate_presentation(RingSubsetMonoid(Z5, [-1]), 2)
+    assert list(closed.monoid_vars.values()) == ["m624"]
 
 
 def test_specialize_rejects_non_multiplicative_monoid_images():
