@@ -32,8 +32,9 @@ from .lubin_tate import (
     multiplicative_datum,
     standard_datum,
 )
-from .monoids import (FreeCommutativeMonoid, PadicTruncationMonoid, RingSubsetMonoid,
-                      monoid_from_descriptor, padic_truncation_of, truncation_size)
+from .monoids import (BOTTOM, FreeCommutativeMonoid, PadicTruncationMonoid,
+                      RingSubsetMonoid, monoid_from_descriptor, padic_truncation_of,
+                      truncation_size)
 from .parsing import ParseError, parse_integer_polynomial, parse_series
 from .recovery import (
     NoMatch,
@@ -481,8 +482,11 @@ def _cmd_specialize(args) -> int:
 
 def _cmd_classify(args) -> int:
     monoid = monoid_from_descriptor(_load_json(args.monoid))
-    pres = generate_presentation(monoid, args.degree)
     action = _load(action_from_bundle, _load_json(args.bundle))
+    if isinstance(monoid, PadicTruncationMonoid) and BOTTOM not in action.assignment:
+        raise _Invalid("monoid", "classify reads an image for every listed element, and "
+                       "the bundle assigns the absorbing class bot none")
+    pres = generate_presentation(monoid, args.degree)
     _check_axioms(action.law)
     _verified(action)
     try:

@@ -68,11 +68,14 @@ class AxiomReport:
 
 class FormalGroupLaw:
     """A truncated formal group law and its axiom report, which only
-    from_series requires to pass."""
+    from_series requires to pass.  F's terms become a read-only view, as
+    the report, the power tables memoized on F and every check read them;
+    F is the law's own, so its dict is not copied."""
 
     def __init__(self, F: TruncatedSeries):
         if len(F.variables) != 2:
             raise LawError("a formal group law is a two-variable series")
+        F.terms = MappingProxyType(F.terms)
         self.F = F
         self.ctx = F.ctx
         self.trunc_degree = F.trunc_degree
@@ -328,7 +331,10 @@ class _Fixed:
 
 
 class FglEndomorphism(_Fixed):
-    """A one-variable series commuting with the group law; fixed once built."""
+    """A one-variable series commuting with the group law; fixed once
+    built, its series' terms a read-only view (not a copy: the series is
+    the endomorphism's own), as law_violation and the power tables
+    memoized on the series read them."""
 
     def __init__(self, law: FormalGroupLaw, series: TruncatedSeries):
         if len(series.variables) != 1:
@@ -340,6 +346,7 @@ class FglEndomorphism(_Fixed):
         if series.trunc_degree != law.trunc_degree:
             raise LawError(f"endomorphism truncated at degree {series.trunc_degree}, "
                            f"its law at degree {law.trunc_degree}")
+        series.terms = MappingProxyType(series.terms)
         self.law = law
         self.series = series
 
@@ -500,16 +507,12 @@ def verify_action(action: MonoidAction) -> ActionReport:
     product is BOTTOM, which has no lift; the endomorphism law itself stays
     exact.  There every class but BOTTOM must be assigned, and the linear
     coefficient of [a] must lie in class a, so an assignment moved along a
-    monoid automorphism is refused.  fgl.recovery.build_addition_table runs
-    this on every action but a certified Lubin-Tate one, whose checks its
-    lemma proves.
+    monoid automorphism is refused.  `check` runs this on a loaded bundle;
+    an action that fgl.lubin_tate.build_action built needs none of it, as
+    the lemma of fgl.recovery.build_addition_table proves its checks.
     """
-    report = ActionReport()
-    law = action.law
-    ctx = law.ctx
-    N = law.trunc_degree
-    monoid = action.monoid
-    label = monoid.label
+    report, law, monoid = ActionReport(), action.law, action.monoid
+    ctx, N, label = law.ctx, law.trunc_degree, monoid.label
     ident = TruncatedSeries.variable(ctx, ("T",), N, "T")
     bad = first_difference(ctx, action.endo_for(monoid.identity_payload()).series.terms,
                            ident.terms)

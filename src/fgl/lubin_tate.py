@@ -10,19 +10,21 @@ and truncation degree.  There F = exp(log x + log y), exp the reversion of
 log, and [a] = exp(a * log), each of whose coefficients is a polynomial in
 a read off the scalar table of (log, exp).  LubinTateDatum.field keeps the
 four.  build_action certifies the table for the datum's own law, which
-proves F([x], [y]) = [x + y] there, and refuses any other law.  Laws and
-endomorphisms are reduced back with an integrality check; a law is
-verified in the ring, and so is every endomorphism build_endomorphism
-returns.  That keeps every identity exact at the ring's stored precision
-instead of losing digits to in-ring division.  The base ring owns that
-field, the lifts into it and the reduction back (fgl.rings.PadicRing);
-this module never looks at how a ring stores its elements.
+proves F([x], [y]) = [x + y] there and every [a] integral on the ring,
+and refuses any other law.  Laws and endomorphisms are reduced back with
+an integrality check; a law is verified in the ring, and so is every
+endomorphism build_endomorphism returns.  That keeps every identity exact
+at the ring's stored precision instead of losing digits to in-ring
+division.  The base ring owns that field, the lifts into it and the
+reduction back (fgl.rings.PadicRing); this module never looks at how a
+ring stores its elements.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from typing import NamedTuple
 
 from .laws import (
@@ -70,27 +72,21 @@ class LubinTateDatum:
         if len(f.variables) != 1:
             raise LubinTateError("f must be a one-variable series")
         self.ctx = ctx
-        self.p = ctx.p
-        self.q = ctx.p
         self.pi = ctx.uniformizer().payload
-        if f.trunc_degree < self.q:
-            raise LubinTateError(
-                f"f must carry terms at least to degree q = {self.q}"
-            )
+        q = ctx.p
+        if f.trunc_degree < q:
+            raise LubinTateError(f"f must carry terms at least to degree q = {q}")
         if (0,) in f.terms:  # terms hold no zeros
             raise LubinTateError("f(0) must be 0")
         if f.terms.get((1,)) != self.pi:
             raise LubinTateError("linear coefficient of f must be the uniformizer")
         for (d,), c in f.terms.items():
-            if d < 2 or d == self.q:
-                continue
-            if ctx.valuation(c) < 1:
-                raise LubinTateError(
-                    f"degree-{d} coefficient must vanish mod the maximal ideal"
-                )
-        aq = f.terms.get((self.q,))
+            if d >= 2 and d != q and ctx.valuation(c) < 1:
+                raise LubinTateError(f"degree-{d} coefficient must vanish mod the "
+                                     "maximal ideal")
+        aq = f.terms.get((q,))
         if aq is None or ctx.valuation(aq) != 0:
-            raise LubinTateError(f"degree-{self.q} coefficient must be a unit")
+            raise LubinTateError(f"degree-{q} coefficient must be a unit")
         self.f = f
         self._fields: dict = {}  # N -> LubinTateField
 
@@ -177,28 +173,74 @@ def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
     return LubinTateField(F, log, exp, scalar_table(log, exp))
 
 
-def _certify(fld: LubinTateField) -> None:
-    """Raise unless log([a]) = a*log over the fraction field for every a.
+def _certify(ctx: PadicRing, fld: LubinTateField) -> None:
+    """Raise unless [a] = exp(a*log) for every a in the fraction field and
+    its coefficients are integer-valued on ctx.
 
-    Let [a] = a*T + sum_k sum_j M[k][j] * a^j * T^k, M the scalar table.
-    Its T^m coefficient is a polynomial in a of degree at most m, so the
-    T^k coefficient of log([a]) - a*log is one of degree at most k <= N; it
-    vanishes at a = 0, where [a] = 0.  It is checked to vanish at a = 1..N
-    as well, N + 1 points in all, so log([a]) = a*log for every a in the
-    field, and [a] = exp(a*log) since log is invertible.  Apply log to both
-    sides and use log(F(x, y)) = log x + log y: F([x], [y]) = [x + y] and
-    [a](F(x, y)) = F([a]x, [a]y) hold identically in x, y and a, mod degree
-    N + 1.  This costs N one-variable compositions."""
-    log, table = fld.log, fld.scalar_table
+    Let [a] = a*T + sum_k P_k(a) * T^k, P_k(a) = sum_j M[k][j] * a^j, M the
+    scalar table.  _certify_rows proves every P_k integer-valued on ctx and
+    returns its values at the nodes a_0 = 0, a_1, ..., a_N, which are
+    distinct.  The T^m coefficient of [a] is a polynomial in a of degree at
+    most m, so the T^k coefficient of log([a]) - a*log is one of degree at
+    most k <= N; it vanishes at a = 0, where [a] = 0.  It is checked to
+    vanish at a_1..a_N as well, N + 1 points in all, so log([a]) = a*log
+    for every a in the field, and [a] = exp(a*log) since log is
+    invertible.  Apply log to both sides and use log(F(x, y)) = log x +
+    log y: F([x], [y]) = [x + y] and [a](F(x, y)) = F([a]x, [a]y) hold
+    identically in x, y and a, mod degree N + 1.  This costs N
+    one-variable compositions."""
+    log = fld.log
     field, N, (top,) = log.ctx, log.trunc_degree, max(log.terms)
-    for a in range(1, N + 1):
-        c = field.int_payload(a)
-        scaled = TruncatedSeries(field, log.variables, N,
-                                 {(1,): c, **evaluate_scalar_table(field, table, c)})
+    nodes, values = _certify_rows(ctx, fld.scalar_table, N)
+    for a, value in zip(nodes[1:], values[1:]):
+        scaled = TruncatedSeries(field, log.variables, N, {(1,): a, **value})
         if first_difference(field, log.composed_terms([scaled.powers(top)], scaled),
-                            log.scale(c).terms):
-            raise LubinTateError(f"log([{a}]) differs from {a}*log over the fraction "
-                                 "field; scalar table not exp(a*log)?")
+                            log.scale(a).terms):
+            raise LubinTateError(f"log([{field.fmt(a)}]) differs from {field.fmt(a)}*log "
+                                 "over the fraction field; scalar table not exp(a*log)?")
+
+
+def _certify_rows(ctx: PadicRing, table: dict, N: int) -> tuple:
+    """Raise unless every row P_k of a scalar table is integer-valued on
+    ctx, with the coordinates that fgl.recovery.build_addition_table's
+    congruence step reads; return the nodes a_0..a_N and the table's
+    values at each, {(k,): P_k(a_m)}, for _certify.
+
+    The nodes a_i = sum_t i_t * pi^t, over the base-q digits i_t of i, are
+    a q-ordering of ctx, so the Newton polynomials F_i(x) = prod_{j<i} (x -
+    a_j) / D_i, D_i = prod_{j<i} (a_i - a_j), are integer-valued on ctx and
+    a basis of the integer-valued polynomials (Bhargava, J. reine angew.
+    Math. 490, 1997).  With w[m][i] = prod_{j<i} (a_m - a_j), D_i =
+    w[i][i] and F_i(a_m) = w[m][i] / D_i, which is 1 at m = i and 0 for m <
+    i, so the coordinates of P_k are c_i = P_k(a_i) - sum_{j<i} c_j *
+    F_j(a_i), i <= k <= N, and each must be integral.  v(a_i - a_j) is the
+    least t at which the digits of i and j differ, so v(D_i) = sum_{t>=1}
+    floor(i/q^t) = v_p(i!) <= e*v_p(k!) for every i <= k: the congruence
+    step loses no more than the precision a class loses at degree k
+    (PadicTruncationMonoid.class_precisions).  A row with a non-integral
+    coefficient passes when its values are integral, as (a^q - a)/pi
+    does."""
+    field, q = ctx.fraction_field(), ctx.p  # the residue field is F_p
+    add, mul, neg, one = field.add, field.mul, field.neg, field.int_payload(1)
+    pi = ctx.lift(ctx.uniformizer().payload)
+    nodes = [field.int_payload(0)]  # a_i = (i mod q) + pi * a_(i // q)
+    for i in range(1, N + 1):
+        nodes.append(add(field.int_payload(i % q), mul(pi, nodes[i // q])))
+    newton, inverses = [], []  # newton[m][j] = -F_j(a_m), j < m; 1 / D_i
+    for m, x in enumerate(nodes[:max(table, default=-1) + 1]):  # the rows' nodes
+        w = list(accumulate((add(x, neg(a)) for a in nodes[:m]), mul, initial=one))
+        newton.append([neg(mul(wj, inverse)) for wj, inverse in zip(w, inverses)])
+        inverses.append(field.invert(w[m]))
+    values = [evaluate_scalar_table(field, table, x) for x in nodes]
+    for k in table:
+        coordinates = []
+        for m in range(k + 1):
+            c = reduce(add, map(mul, coordinates, newton[m]), values[m][(k,)])
+            if ctx.field_valuation(c) < 0:
+                raise LubinTateError(f"coordinate {m} of the degree-{k} row of the scalar "
+                                     "table is not integral; [a] not integral on the ring?")
+            coordinates.append(c)
+    return nodes, values
 
 
 def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
@@ -244,11 +286,11 @@ def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorp
 class LubinTateAction(MonoidAction):
     """What build_action builds, and nothing else: no caller hands it an
     assignment, and an action is fixed once built (MonoidAction), so what
-    was certified is what acts.  certified holds where the lemma of
-    fgl.recovery.build_addition_table proves every check and every sum on
-    this carrier: a truncation monoid, N < q, and an integral scalar table.
-    Each [a] has linear coefficient canonical_lift(a) by construction
-    (_reduced_endomorphism)."""
+    was certified is what acts.  The type is the certificate: its datum's
+    scalar table passed _certify, so on a truncation carrier the lemma of
+    fgl.recovery.build_addition_table proves every check and every sum, at
+    every N.  Each [a] has linear coefficient canonical_lift(a) by
+    construction (_reduced_endomorphism)."""
 
     def __init__(self, datum: LubinTateDatum, law: FormalGroupLaw, monoid):
         if isinstance(monoid, PadicTruncationMonoid):
@@ -263,17 +305,13 @@ class LubinTateAction(MonoidAction):
         fld = datum.field(law.trunc_degree)
         if law.F != reduce_series(fld.law, ctx):
             raise LubinTateError("law is not the datum's own; build it with build_fgl")
-        _certify(fld)
+        _certify(ctx, fld)
         assignment = {}
         for p, a in scalars.items():
             endo = assignment[p] = _reduced_endomorphism(datum, law, a)
             endo.law_violation = None  # the cached property, proved above
         super().__init__(monoid, law, assignment)
         self.datum = datum
-        self.certified = (
-            isinstance(monoid, PadicTruncationMonoid) and law.trunc_degree < datum.q
-            and all(ctx.field_valuation(m) >= 0
-                    for row in fld.scalar_table.values() for _, m in row))
 
 
 def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAction:
@@ -287,7 +325,9 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAct
     hold at class precision, PadicTruncationMonoid.class_precisions).
 
     The scalar table is certified first (_certify: N one-variable
-    compositions over the fraction field), and no [a] is composed into the
+    compositions over the fraction field, then each row's coordinates in
+    the Newton basis of the ring's integer-valued polynomials), and a table
+    that fails is refused with LubinTateError.  No [a] is composed into the
     law: over the fraction field [a] = exp(a*log) is an endomorphism of F,
     and from_field is a ring map on integral elements, so the identity
     holds between the reduced series.  Each law_violation is recorded as
@@ -384,13 +424,11 @@ def compare_lubin_tate(d1: LubinTateDatum, d2: LubinTateDatum,
         raise LubinTateError("log-transport did not produce an isomorphism")
     report = series_integrality(d1.ctx, h_field)
     h_ring = None
-    verified = False
     if report.all_integral:
         h_ring = reduce_series(h_field, d1.ctx)
-        verified = intertwining_violation(h_ring, F1.F, F2.F) is None
-        if not verified:
+        if intertwining_violation(h_ring, F1.F, F2.F) is not None:
             raise LubinTateError("integral h failed the ring-level check")
-    return LubinTateComparison(h_field, report, h_ring, verified)
+    return LubinTateComparison(h_field, report, h_ring, report.all_integral)
 
 
 def integrality_scan(law: FormalGroupLaw) -> tuple:

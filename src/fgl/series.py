@@ -136,7 +136,7 @@ class TruncatedSeries:
         self.terms = {}
         self._powers = None
         if terms:
-            for exp, c in (terms.items() if isinstance(terms, dict) else terms):
+            for exp, c in (terms.items() if hasattr(terms, "items") else terms):
                 exp = tuple(exp)
                 if len(exp) != len(variables):
                     raise SeriesError("exponent arity mismatch")
@@ -234,7 +234,7 @@ class TruncatedSeries:
     def __add__(self, other):
         self._check_compatible(other)
         ctx = self.ctx
-        acc = dict(self.terms)
+        acc = self.terms.copy()
         for exp, c in other.terms.items():
             acc[exp] = ctx.add(acc[exp], c) if exp in acc else c
         return self._fresh({e: c for e, c in acc.items() if not ctx.is_zero(c)})
@@ -284,7 +284,7 @@ class TruncatedSeries:
         table = self._powers
         if table is None:
             one = {(0,) * len(self.variables): self.ctx.normalize(1)}
-            table = self._powers = [self._fresh(one), self._fresh(dict(self.terms))]
+            table = self._powers = [self._fresh(one), self._fresh(self.terms.copy())]
         while len(table) <= top:
             table.append(table[-1] * self)
         return table if len(table) == top + 1 else table[:top + 1]
@@ -315,7 +315,7 @@ class TruncatedSeries:
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         if new_degree > self.trunc_degree:
             raise SeriesError("cannot raise the truncation degree of computed data")
-        return TruncatedSeries(self.ctx, self.variables, new_degree, dict(self.terms))
+        return TruncatedSeries(self.ctx, self.variables, new_degree, self.terms)
 
     def map_coefficients(self, fn, new_ctx=None) -> "TruncatedSeries":
         """Apply a payload map coefficient-wise, optionally into another ring."""
@@ -333,7 +333,7 @@ class TruncatedSeries:
         new_variables = tuple(new_variables)
         if len(new_variables) != len(self.variables):
             raise SeriesError("arity change needs embed, not rename")
-        return TruncatedSeries(self.ctx, new_variables, self.trunc_degree, dict(self.terms))
+        return TruncatedSeries(self.ctx, new_variables, self.trunc_degree, self.terms)
 
     def embed(self, new_variables) -> "TruncatedSeries":
         """View this series inside a superset variable list, matching by name."""
@@ -372,7 +372,7 @@ class TruncatedSeries:
         tables, model = self.substitution(assignments)
         if model is None:
             # constant-only series: keep it in place
-            return self._fresh(dict(self.terms))
+            return self._fresh(self.terms.copy())
         is_zero = model.ctx.is_zero
         return model._fresh({e: v for e, v in self.composed_terms(tables, model).items()
                              if not is_zero(v)})

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fgl.cli import main
+from fgl.recovery import RecoveryError
 
 
 def run(capsys, *argv):
@@ -217,17 +218,22 @@ def test_recover_add_table(capsys):
 
 
 def test_recover_add_table_refuses_an_action_that_fails_verification(capsys, monkeypatch):
-    # [1:u] := [1:2u], moved along pi -> 2pi: the table's own action check
-    # reports the linear coefficient of [1:1], and the command exits 1
+    # [1:u] := [1:2u], moved along pi -> 2pi: an action that build_action
+    # did not build, which the table refuses and the command exits 1 on;
+    # the every-pair oracle reports the linear coefficient of [1:1]
     from fgl import cli
     from fgl.laws import MonoidAction
+    from oracles import REFUSED, exhaustive_table
 
     build = cli.build_action
+    mutants = []
 
     def relabelled(*args, **kwargs):
         action = build(*args, **kwargs)
         moved = {(1, u): action.assignment[(1, 2 * u % 5)] for u in range(1, 5)}
-        return MonoidAction(action.monoid, action.law, {**action.assignment, **moved})
+        mutants.append(MonoidAction(action.monoid, action.law,
+                                    {**action.assignment, **moved}))
+        return mutants[-1]
 
     monkeypatch.setattr(cli, "build_action", relabelled)
     code, out, err = run(
@@ -237,8 +243,10 @@ def test_recover_add_table_refuses_an_action_that_fails_verification(capsys, mon
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
     assert error["kind"] == "recovery"
-    assert error["message"].startswith("action verification failed: ")
-    assert "'kind': 'linear_class', 'where': '1:1'" in error["message"]
+    assert error["message"].startswith(REFUSED)
+    with pytest.raises(RecoveryError, match="action verification failed: ") as exc:
+        exhaustive_table(mutants[0])
+    assert "'kind': 'linear_class', 'where': '1:1'" in str(exc.value)
 
 
 # check-truncation.json with [0:2] = 2T moved to 2T + T^2: the endomorphism
@@ -522,6 +530,40 @@ def test_classify_stored_action(capsys, tmp_path):
         "d_m_4": "0 + O(5^8)",
     }
     assert payload["verification"] == {"relations_checked": 53, "all_zero": True}
+
+
+def test_classify_refuses_a_truncation_bundle_without_bottom_up_front(capsys, tmp_path,
+                                                                      monkeypatch):
+    # check-truncation.json assigns the absorbing class bot no endomorphism,
+    # so it has no image to read; the bundle is refused before any
+    # presentation is built
+    from fgl import cli
+
+    monkeypatch.setattr(cli, "generate_presentation", None)
+    monoid = write_json(tmp_path / "m.json", json.loads(TRUNCATION.read_text())["monoid"])
+    code, out, err = run(capsys, "classify", "--monoid", monoid, "--degree", "2",
+                         "--bundle", str(TRUNCATION), "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {
+        "kind": "monoid",
+        "message": "classify reads an image for every listed element, and the "
+                   "bundle assigns the absorbing class bot none",
+    }}
+
+
+def test_classify_reads_a_specialized_truncation_bundle(capsys, tmp_path):
+    # specialize assigns bot an endomorphism, so the specialize -> classify
+    # round trip reads every image back
+    code, action = _specialized_truncation_action(capsys, tmp_path, -1)
+    assert code == 0
+    monoid = write_json(tmp_path / "m2.json", action["monoid"])
+    code, out, err = run(capsys, "classify", "--monoid", monoid, "--degree", "2",
+                         "--bundle", write_json(tmp_path / "action.json", action),
+                         "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["images"] == {
+        "m0_2": "80 + O(3^4)", "bot": "0 + O(3^4)", "c_1_1": "0 + O(3^4)",
+        "d_m0_2_2": "0 + O(3^4)", "d_bot_2": "0 + O(3^4)"}
 
 
 def test_bad_usage_exits_2(capsys):

@@ -1,14 +1,15 @@
 """CLI outputs must match the fixtures in tests/golden byte for byte: the
 variation demo with its mismatch samples, at N = 2 on Z_5[sqrt 5] (n = 2,
 criterion 5's n = 3, V = 3, and n = 5, V = 3, whose 7,501 classes need
-FGL_BUDGET=10) and at N = 4 >= q on Z_3[sqrt 3], where
-every table pair is confirmed on its own;
-the full JSON addition table of the README recover-add carrier; the table
-of a Z_3 carrier at N = 4 >= q; the table of Z_5[sqrt 5] at N = 4 under
-f = pi*T + pi*T^2 + T^5, whose law and endomorphisms have terms above
-degree 1; and the exhaustive action report of `check`
-on a Z_5 truncation bundle (n=1, V=2, N=4), with its 48 checked and 16
-skipped pairs."""
+FGL_BUDGET=10), criterion 5's carrier again at N = 5 = q, and at N = 4 >=
+q on Z_3[sqrt 3]; the full JSON addition table of the README recover-add
+carrier; the table of a Z_3 carrier at N = 4 >= q; the table of
+Z_5[sqrt 5] at N = 4 under f = pi*T + pi*T^2 + T^5, whose law and
+endomorphisms have terms above degree 1; and the exhaustive action report
+of `check` on a Z_5 truncation bundle (n=1, V=2, N=4), with its 48 checked
+and 16 skipped pairs.  The three fixtures at N >= q were recorded while
+those tables confirmed every pair on its own, so they pin the tables that
+build_addition_table reads off one certified row to the every-pair ones."""
 import json
 from pathlib import Path
 
@@ -28,6 +29,10 @@ COMMANDS = {
     "demo-variation-n3.stdout": [
         "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
         "--n", "3", "--V", "3", "--json",
+    ],
+    "demo-variation-n3-N5.stdout": [
+        "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",
+        "--n", "3", "--V", "3", "--degree", "5", "--json",
     ],
     "demo-variation-n5.stdout": [
         "demo-variation", "--p", "5", "--e1", "t^2-5", "--e2", "t^2-10",

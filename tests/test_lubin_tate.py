@@ -136,7 +136,7 @@ def test_field_law_is_solved_once_per_datum_and_degree(monkeypatch):
 
 @pytest.mark.parametrize("N", [2, 4])
 def test_only_build_action_runs_the_certificate(monkeypatch, N):
-    # the certificate composes the field log with [a] at a = 1..N; the
+    # the certificate composes the field log with [a] at a_1..a_N; the
     # solve, build_fgl, build_endomorphism and a comparison compose none
     E = EisensteinExtension(5, 9, (-5, 0, 1))
     d, other = standard_datum(E), _nonadditive_datum(E)
@@ -426,8 +426,8 @@ def test_an_action_is_fixed_when_built(kind):
     law, monoid, endo = action.law, action.monoid, action.assignment[(1, 1)]
     other_law = FormalGroupLaw.multiplicative(law.ctx, 4)
     other_monoid = padic_truncation_of(law.ctx, 1, 3)
-    names = ["law", "monoid", "assignment"] + (["certified", "datum"] if kind == "built" else [])
-    for name, value in zip(names, [other_law, other_monoid, {}, True, None]):
+    names = ["law", "monoid", "assignment"] + (["datum"] if kind == "built" else [])
+    for name, value in zip(names, [other_law, other_monoid, {}, None]):
         with pytest.raises(AttributeError, match="fixed when it is built"):
             setattr(action, name, value)
         with pytest.raises(AttributeError, match="fixed when it is built"):
@@ -441,6 +441,29 @@ def test_an_action_is_fixed_when_built(kind):
     assert action.law is law and action.monoid is monoid
     assert action.assignment[(1, 1)] is endo
     assert verify_action(action).ok
+
+
+def test_a_built_series_is_read_only():
+    # an edit to [u]'s terms would leave its recorded law_violation = None
+    # and its memoized power table behind; neither a law nor an
+    # endomorphism takes one
+    E = EisensteinExtension(5, 7, (-5, 0, 1))
+    d = standard_datum(E)
+    law = build_fgl(d, 2)
+    action = build_action(d, law, monoid=padic_truncation_of(E, 2, 2))
+    u = action.monoid.class_of(E.normalize(2))
+    series = action.assignment[u].series
+    powers = series.powers(2)
+    with pytest.raises(TypeError):
+        series.terms[(1,)] = E.normalize(3)
+    with pytest.raises(TypeError):
+        del series.terms[(1,)]
+    with pytest.raises(TypeError):
+        law.F.terms[(1, 1)] = E.normalize(1)
+    assert series.terms == {(1,): action.monoid.canonical_lift(u)}
+    assert powers[1].terms == series.terms and series.powers(2) is powers
+    assert TruncatedSeries(E, law.F.variables, 2, law.F.terms).terms == law.F.terms
+    assert action.assignment[u].law_violation is None and law.report.all_pass
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl import lubin_tate, recovery
+from fgl import laws, lubin_tate, recovery
 from fgl.laws import (
     FglEndomorphism,
     FormalGroupLaw,
@@ -52,6 +52,7 @@ from fgl.recovery import (
 )
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
 from fgl.series import TruncatedSeries
+from oracles import REFUSED, exhaustive_table
 
 Q = RationalField()
 
@@ -163,6 +164,8 @@ def test_swapped_endomorphisms_fail_confirmation():
 def test_table_build_catches_a_perturbed_endomorphism(degree):
     action = _perturbed(_trunc_ring()[1], (0, 2), degree)
     with pytest.raises(RecoveryError):
+        exhaustive_table(action)
+    with pytest.raises(RecoveryError, match=REFUSED):
         build_addition_table(action)
 
 
@@ -584,7 +587,6 @@ CARRIERS = {
     "cli-n1-V2": (("Z", 5, 6), "standard", 4, 1, 2),
     "p3-n2-V2": (("Z", 3, 6), "standard", 4, 2, 2),
 }
-ROW_CARRIERS = sorted(set(CARRIERS) - {"p3-n2-V2"})
 
 
 @functools.lru_cache(maxsize=None)
@@ -595,10 +597,9 @@ def _carrier_action(name):
     return build_action(d, build_fgl(d, N), monoid=padic_truncation_of(ctx, n, V))
 
 
-@pytest.mark.parametrize("name", ROW_CARRIERS)
+@pytest.mark.parametrize("name", sorted(CARRIERS))
 def test_row_table_matches_the_per_pair_oracle(name):
     action = _carrier_action(name)
-    assert action.certified
     ring = build_addition_table(action)
     els = ring.elements
     for i, a in enumerate(els):
@@ -607,11 +608,11 @@ def test_row_table_matches_the_per_pair_oracle(name):
 
 
 @pytest.mark.parametrize("name, compositions", [
-    # a certified build composes the row entries only; a composition per
-    # pair would make 1,770 and 43,600
+    # a build composes the row entries only, at every N; a composition per
+    # pair would make 1,770, 43,600 and 66
     ("criterion-4", 60),           # 60 row entries
     ("criterion-5-t2-5", 299),     # 299 row entries (one capped)
-    ("p3-n2-V2", 66),              # N >= q: every pair but the 12 capped ones
+    ("p3-n2-V2", 11),              # N >= q: 12 row entries (one capped)
 ])
 def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
     action = _carrier_action(name)
@@ -628,10 +629,9 @@ def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
     assert len(calls) == compositions
 
 
-@pytest.mark.parametrize("name", ["criterion-4", "criterion-5-t2-5"])
+@pytest.mark.parametrize("name", ["criterion-4", "criterion-5-t2-5", "p3-n2-V2"])
 def test_a_certified_build_confirms_only_the_row(monkeypatch, name):
     action = _carrier_action(name)
-    assert action.certified
     one = action.monoid.identity_payload()
     calls = []
     real = recovery.recover_sum
@@ -666,7 +666,6 @@ def test_the_recovered_table_does_not_depend_on_the_series(n, V, N, flags):
     for d in (standard_datum(SQRT5), _nonadditive_datum(SQRT5)):
         law = build_fgl(d, N)
         action = build_action(d, law, monoid=monoid)
-        assert action.certified
         rings.append((len(law.F.terms), build_addition_table(action)))
     (standard_terms, standard), (other_terms, other) = rings
     assert (standard_terms, other_terms > 2) == (2, True)
@@ -689,8 +688,11 @@ def test_a_perturbed_nonadditive_endomorphism_fails_the_table(label, by, degree)
     target, = (p for p in action.assignment if action.monoid.label(p) == label)
     assert max(k for (k,) in action.endo_for(target).series.terms) == 4
     bump = SQRT5.int_payload(1) if by == "unit" else SQRT5.uniformizer().payload
+    mutant = _perturbed(action, target, degree, by=bump)
     with pytest.raises(RecoveryError, match="action verification failed"):
-        build_addition_table(_perturbed(action, target, degree, by=bump))
+        exhaustive_table(mutant)
+    with pytest.raises(RecoveryError, match=REFUSED):
+        build_addition_table(mutant)
 
 
 def _swapped(name, u, w):
@@ -713,8 +715,11 @@ def _relabelled():
     lambda: _swapped("p3-n2-V2", (0, 2), (0, 4)),
 ], ids=["criterion-4-swapped", "pi-to-2pi", "p3-swapped"])
 def test_table_refuses_an_action_that_fails_verification(mutant):
+    action = mutant()
     with pytest.raises(RecoveryError, match="action verification failed"):
-        build_addition_table(mutant())
+        exhaustive_table(action)
+    with pytest.raises(RecoveryError, match=REFUSED):
+        build_addition_table(action)
 
 
 def _plant_row_entry(monkeypatch, action, c0, entry):
@@ -730,14 +735,20 @@ def _plant_row_entry(monkeypatch, action, c0, entry):
 
 
 def test_a_planted_row_entry_fails_the_per_pair_table(monkeypatch):
-    # N >= q: every pair is confirmed by the law and compared with the
+    # the oracle confirms every pair by the law and compares it with the
     # ring's entry; 1 + 4 = 5 planted as 2 makes 2 + 8 read 2*2 = 4, where
-    # the law confirms 2 + 8 = 10 = 1 mod 9
+    # the law confirms 2 + 8 = 10 = 1 mod 9.  build_addition_table reads
+    # every entry off the row at N >= q too, so it trusts the planted row;
+    # the axioms do not
     action = _carrier_action("p3-n2-V2")
     _plant_row_entry(monkeypatch, action, (0, 4), (0, 2))
     with pytest.raises(RecoveryError,
                        match=r"0:2 \+ 0:8 = 0:1 breaks a \+ b = a\*Z\[b/a\]"):
-        build_addition_table(action)
+        exhaustive_table(action)
+    ring = build_addition_table(action)
+    assert ring.row[(0, 4)] == (0, 2)
+    with pytest.raises(RecoveryError, match="not symmetric"):
+        ring.verify_ring_axioms()
 
 
 def test_a_planted_row_entry_fails_the_ring_axioms(monkeypatch):
@@ -809,22 +820,22 @@ def test_endomorphism_defect_is_computed_once_per_class(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name, calls", [
-    ("criterion-4", 0), ("cli-n1-V2", 0),  # certified: the lemma covers them
-    ("p3-n2-V2", 1),                       # N >= q: verified exhaustively
-])
-def test_only_an_uncertified_table_runs_verify_action(monkeypatch, name, calls):
+@pytest.mark.parametrize("name", ["criterion-4", "cli-n1-V2", "p3-n2-V2"])
+def test_no_table_runs_verify_action(monkeypatch, name):
+    # the lemma of build_addition_table covers verify_action's checks at
+    # every N, N >= q (p3) included; the same endomorphisms outside a
+    # LubinTateAction are refused, not verified
+    assert not hasattr(recovery, "verify_action")
     seen = []
-    real = recovery.verify_action
-    monkeypatch.setattr(recovery, "verify_action",
+    real = laws.verify_action
+    monkeypatch.setattr(laws, "verify_action",
                         lambda action: seen.append(action) or real(action))
     action = _carrier_action(name)
     build_addition_table(action)
-    assert len(seen) == calls
-    # the same endomorphisms outside a LubinTateAction are verified once
     plain = MonoidAction(action.monoid, action.law, action.assignment)
-    build_addition_table(plain)
-    assert len(seen) == calls + 1 and seen[-1] is plain
+    with pytest.raises(RecoveryError, match=REFUSED):
+        build_addition_table(plain)
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
@@ -866,13 +877,14 @@ ORACLE_CASES = {
     "nonadditive-n3-V3-N2": lambda: _datum_action(SQRT5, _nonadditive_datum(SQRT5), 3, 3, 2),
     "multiplicative-Z5-n3-V3-N3": lambda: _datum_action(
         PadicIntegers(5, 9), multiplicative_datum(PadicIntegers(5, 9), 3), 3, 3, 3),
+    "p3-n2-V2": lambda: _carrier_action("p3-n2-V2"),  # N >= q
 }
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_certified_table_matches_the_flagged_pair_oracle(name):
     action = ORACLE_CASES[name]()
-    assert isinstance(action, LubinTateAction) and action.certified
+    assert isinstance(action, LubinTateAction)
     ring = build_addition_table(action)
     oracle = _flagged_pair_oracle(action)
     assert ring.row == oracle.row
@@ -880,9 +892,7 @@ def test_certified_table_matches_the_flagged_pair_oracle(name):
     assert oracle.flag_counts()["precision"] > 0
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_every_valid_datum_below_q_is_certified(data):
+def _valid_datum(data):
     ctx = data.draw(st.sampled_from([PadicIntegers(5, 6), SQRT5]))
     q, pi = ctx.p, ctx.uniformizer().payload
     # a unit at T^q, every other coefficient past T divisible by pi
@@ -891,11 +901,25 @@ def test_every_valid_datum_below_q_is_certified(data):
     for k in range(2, top + 1):
         if k != q:
             terms[(k,)] = ctx.mul(pi, ctx.normalize(data.draw(st.integers(-30, 30))))
-    d = LubinTateDatum(ctx, TruncatedSeries(ctx, ("T",), top, terms))
-    N = data.draw(st.integers(1, q - 1))
-    action = _datum_action(ctx, d, 1, 2, N)
-    assert action.certified
+    return ctx, LubinTateDatum(ctx, TruncatedSeries(ctx, ("T",), top, terms))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_valid_datum_below_q_is_certified(data):
+    ctx, d = _valid_datum(data)
+    action = _datum_action(ctx, d, 1, 2, data.draw(st.integers(1, ctx.p - 1)))
     assert build_addition_table(action).row == _flagged_pair_oracle(action).row
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_valid_datum_from_q_on_is_certified(data):
+    # the T^q row is integer-valued but not integral coefficient by
+    # coefficient; build_action certifies it in the Newton basis
+    ctx, d = _valid_datum(data)
+    action = _datum_action(ctx, d, 1, 2, data.draw(st.integers(ctx.p, ctx.p + 1)))
+    assert build_addition_table(action).row == exhaustive_table(action).row
 
 
 def _scalar_table_entries():
@@ -933,17 +957,18 @@ def test_an_endomorphism_replaced_after_the_build_loses_the_certificate():
     E = EisensteinExtension(5, 7, (-5, 0, 1))
     d = standard_datum(E)
     action = _datum_action(E, d, 2, 2, 2)
-    assert action.certified
     u = action.monoid.class_of(E.normalize(2))
     built = action.endo_for(u)
     replaced = FglEndomorphism(action.law, _noncanonical(built.series))
     with pytest.raises(TypeError):
         action.assignment[u] = replaced
-    assert action.endo_for(u) is built and action.certified
-    # an action carrying the replacement is a new one, and not certified
+    assert action.endo_for(u) is built
+    # an action carrying the replacement is a new one, which no table takes
     mutant = MonoidAction(action.monoid, action.law, {**action.assignment, u: replaced})
     assert verify_action(mutant).ok
     with pytest.raises(RecoveryError, match="differs from"):
+        exhaustive_table(mutant)
+    with pytest.raises(RecoveryError, match=REFUSED):
         build_addition_table(mutant)
 
 
@@ -964,7 +989,8 @@ def test_build_action_refuses_a_law_other_than_the_datums(monkeypatch):
 def test_noncanonical_lifts_pass_verification_and_fail_the_table():
     # every non-identity unit class u of t^2 - 5 at n = 2, V = 2, N = 2,
     # with [u] moved off its canonical lift by pi^2: the action passes the
-    # exhaustive check, and the table is refused, not read off its lifts
+    # exhaustive check, and the oracle's table is refused, not read off its
+    # lifts; build_addition_table refuses the action outright
     E = EisensteinExtension(5, 7, (-5, 0, 1))
     d = standard_datum(E)
     base = _datum_action(E, d, 2, 2, 2)
@@ -976,4 +1002,6 @@ def test_noncanonical_lifts_pass_verification_and_fail_the_table():
         action = MonoidAction(base.monoid, base.law, {**base.assignment, u: endo})
         assert verify_action(action).ok, u
         with pytest.raises(RecoveryError, match="differs from"):
+            exhaustive_table(action)
+        with pytest.raises(RecoveryError, match=REFUSED):
             build_addition_table(action)

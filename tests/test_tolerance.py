@@ -1,12 +1,15 @@
-"""The two ways a truncation action is trusted, and the generator-row
-checks of monoid morphisms.
+"""How a truncation action is trusted, and the generator-row checks of
+monoid morphisms.
 
-A certified Lubin-Tate action (LubinTateAction.certified) is covered by the
-lemma of fgl.recovery.build_addition_table; every other action goes through
-the exhaustive verify_action.  The two modes are tested against each other
-on every truncation action the suite builds and on mutants of them, the
-lemma's congruence step under hypothesis, and the regime boundary N >= q
-where no action is certified.
+An action that fgl.lubin_tate.build_action built carries its datum's
+certificate, and the lemma of fgl.recovery.build_addition_table covers it
+at every N; build_addition_table refuses any other action, which
+verify_action and the every-pair oracle (oracles.exhaustive_table) check.
+The two are tested against each other on every truncation action the
+suite builds, below q and from q on, and on mutants of them; the lemma's
+congruence step under hypothesis on both sides of q; and the certificate's
+Newton-basis rows, which pass the T^q row that is integer-valued but not
+integral coefficient by coefficient.
 """
 import functools
 import random
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 
 from fgl.laws import FglEndomorphism, MonoidAction, verify_action
 from fgl.lubin_tate import (
+    LubinTateError,
+    _certify_rows,
     build_action,
     build_endomorphism,
     build_fgl,
@@ -28,18 +33,22 @@ from fgl.monoids import (
     MonoidError,
     MonoidMorphism,
     build_monoid_isomorphism,
+    padic_factorial_valuation,
     padic_truncation_of,
 )
 from fgl.recovery import RecoveryError, build_addition_table
 from fgl.rings import EisensteinExtension, PadicIntegers
 from fgl.series import TruncatedSeries, first_difference
+from oracles import REFUSED, exhaustive_table
 
 T2_5, T2_10 = (-5, 0, 1), (-10, 0, 1)
 
 
 def _ring(spec):
     kind, k, *poly = spec
-    return PadicIntegers(5, k) if kind == "Z5" else EisensteinExtension(5, k, tuple(poly))
+    if kind == "E":
+        return EisensteinExtension(5, k, tuple(poly))
+    return PadicIntegers(int(kind[1:]), k)  # "Z3" or "Z5"
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,7 +59,8 @@ def _action(ring, preset, N, n, V):
 
 
 # (ring, preset, N, n, V) of every truncation action the tier-1 suite builds
-IN_REGIME = {
+# below q, where premise (b) holds
+BELOW_Q = {
     "lubin-tate-small": (("Z5", 8), "standard", 4, 1, 2),
     "criterion-4": (("Z5", 8), "multiplicative", 4, 2, 3),
     "recover-add": (("Z5", 6), "standard", 4, 1, 2),
@@ -63,56 +73,87 @@ IN_REGIME = {
     "criterion-5-t2-10": (("E", 9, *T2_10), "standard", 2, 3, 3),
 }
 # N >= q: the kernel oracle's degree-5 Eisenstein action, and Z_3 at N = 4
-OUT_OF_REGIME = {
+FROM_Q = {
     "kernel-oracle-N5": (("E", 9, *T2_5), "standard", 5, 1, 2),
+    "z3-multiplicative-N4": (("Z3", 6), "multiplicative", 4, 2, 2),
 }
 
 
 def _premise_b_failures(action):
     """(class, exponent) of every coefficient of [a] not divisible by
     pi^v(a), premise (b): an integral scalar table implies it, as each
-    coefficient of [s] is a sum of M[k][j] * s^j with j >= 1."""
+    coefficient of [s] is a sum of M[k][j] * s^j with j >= 1.  The lemma
+    no longer needs it; where it fails the table must still be the
+    oracle's."""
     ctx = action.law.ctx
     return [(a, exp) for a, endo in action.assignment.items()
             for exp, c in endo.series.terms.items() if ctx.valuation(c) < a[0]]
 
 
-def _z3_multiplicative():
-    Z3 = PadicIntegers(3, 6)
-    d = multiplicative_datum(Z3, 4)
-    return build_action(d, build_fgl(d, 4), monoid=padic_truncation_of(Z3, 2, 2))
-
-
 # ---------------------------------------------------------------------------
-# the lemma's premises and its regime
+# premise (b), which holds below q and fails from q on
 
 
-@pytest.mark.parametrize("name", sorted(IN_REGIME))
+@pytest.mark.parametrize("name", sorted(BELOW_Q))
 def test_premise_b_holds_on_every_tier_1_truncation_action(name):
-    action = _action(*IN_REGIME[name])
+    action = _action(*BELOW_Q[name])
     assert action.law.trunc_degree < action.law.ctx.p
     assert _premise_b_failures(action) == []
-    assert action.certified
 
 
 def test_premise_b_fails_once_n_reaches_q():
-    action = _action(*OUT_OF_REGIME["kernel-oracle-N5"])
+    action = _action(*FROM_Q["kernel-oracle-N5"])
     # [a] = a*T + ... + c*T^5 with c a unit for v(a) >= 1
     assert {exp for _, exp in _premise_b_failures(action)} == {(5,)}
-    assert not action.certified
+    assert build_addition_table(action).row == exhaustive_table(action).row
 
 
-def test_z3_at_degree_4_is_outside_the_lemma():
-    action = _z3_multiplicative()
+def test_z3_at_degree_4_fails_premise_b_and_keeps_the_oracle_row():
+    action = _action(*FROM_Q["z3-multiplicative-N4"])
     assert _premise_b_failures(action)
-    assert not action.certified
-    assert verify_action(action).ok  # the exhaustive check still runs
+    assert verify_action(action).ok
+    assert build_addition_table(action).row == exhaustive_table(action).row
 
 
-def test_degree_bound_is_checked_where_premise_b_holds(monkeypatch):
-    # at N = q class precision drops by one at degree q; a table that read
-    # as integral there would still not be certified, as N < q is checked
-    # on its own (the row of T^q is never integral for a real datum)
+# ---------------------------------------------------------------------------
+# the certificate's rows: Newton-basis coordinates and the degree bound
+
+
+def _rows(ctx, k, terms, shift=1):
+    """A one-row scalar table, P_k(a) = sum_j terms[j] * a^j / pi^shift."""
+    field = ctx.fraction_field()
+    inv = field.invert(ctx.lift((ctx.uniformizer() ** shift).payload))
+    return {k: [(j, field.mul(field.int_payload(c), inv)) for j, c in terms.items()]}
+
+
+@pytest.mark.parametrize("ctx", [PadicIntegers(3, 6), EisensteinExtension(5, 9, T2_5)],
+                         ids=["Z3", "Z5[sqrt5]"])
+def test_the_row_a_to_the_q_minus_a_over_pi_is_certified(ctx):
+    # a^q = a mod pi on the ring, so (a^q - a)/pi is integer-valued, though
+    # its coefficients are not integral
+    q = ctx.p
+    _certify_rows(ctx, _rows(ctx, q, {1: -1, q: 1}), q)
+
+
+@pytest.mark.parametrize("ctx", [PadicIntegers(3, 6), EisensteinExtension(5, 9, T2_5)],
+                         ids=["Z3", "Z5[sqrt5]"])
+def test_the_row_a_over_pi_is_refused(ctx):
+    with pytest.raises(LubinTateError, match="coordinate 1 of the degree-2 row"):
+        _certify_rows(ctx, _rows(ctx, 2, {1: 1}), 2)
+
+
+def test_a_row_integral_on_the_integers_only_is_refused():
+    # (a^5 - a)/5 is integral at every integer, but at a = pi = sqrt 5 it is
+    # pi^3 - 1/pi: the node a_5 = pi, not 5, is what shows it
+    ctx = EisensteinExtension(5, 9, T2_5)
+    with pytest.raises(LubinTateError, match="coordinate 5 of the degree-5 row"):
+        _certify_rows(ctx, _rows(ctx, 5, {1: -1, 5: 1}, shift=2), 5)
+
+
+def test_n_equal_q_is_certified_where_coefficients_are_not_integral():
+    # at N = q the T^q row has a coefficient of valuation -1, and the
+    # certificate passes it; class precision drops by e*v_p(q!) = 1 at
+    # degree q, which is v(D_q)
     Z5 = PadicIntegers(5, 8)
     monoid = padic_truncation_of(Z5, 1, 2)
     assert monoid.class_precisions(1, 5)[5] == 1
@@ -120,34 +161,58 @@ def test_degree_bound_is_checked_where_premise_b_holds(monkeypatch):
     law = build_fgl(d, 5)
     table = d.field(5).scalar_table
     assert min(Z5.field_valuation(m) for row in table.values() for _, m in row) == -1
-    monkeypatch.setattr(Z5, "field_valuation", lambda c: 0)
-    assert not build_action(d, law, monoid=monoid).certified
+    action = build_action(d, law, monoid=monoid)
+    assert build_addition_table(action).row == exhaustive_table(action).row
+
+
+def test_degree_bound_is_checked_where_premise_b_holds():
+    # the congruence step loses v(D_i) at degree k >= i, and at the
+    # certificate's nodes a_i = sum_t i_t * pi^t, v(D_i) = v_p(i!) <=
+    # e*v_p(k!), the precision a class loses there, so the certificate checks
+    # no bound of its own: below q every D_i is a unit and premise (b)
+    # holds, and past q^2 a second digit carries
+    Z5 = PadicIntegers(5, 8)
+    d = multiplicative_datum(Z5, 4)
+    action = build_action(d, build_fgl(d, 4), monoid=padic_truncation_of(Z5, 1, 2))
+    assert _premise_b_failures(action) == []
+    for ctx in (Z5, PadicIntegers(3, 6), EisensteinExtension(5, 9, T2_5)):
+        field, q = ctx.fraction_field(), ctx.p
+        nodes, _ = _certify_rows(ctx, {}, q * q + 1)
+        for i, x in enumerate(nodes):
+            D = functools.reduce(field.mul, (field.add(x, field.neg(a)) for a in nodes[:i]),
+                                 field.int_payload(1))
+            assert ctx.field_valuation(D) == padic_factorial_valuation(i, q)
 
 
 def _small():
-    return _action(*IN_REGIME["lubin-tate-small"])
+    return _action(*BELOW_Q["lubin-tate-small"])
 
 
 def test_premise_b_is_checked_below_q_too():
     # [1:1] gains a unit coefficient at degree 2; N = 4 < 5 is not enough:
     # the certificate covers only the [a] that were built, and an action
-    # carrying another [a] is a plain MonoidAction, verified pair by pair
+    # carrying another [a] is a plain MonoidAction, which no table takes
+    # and the oracle verifies pair by pair
     action = _small()
     bump = TruncatedSeries(action.law.ctx, ("T",), 4, {(2,): 1})
     moved = FglEndomorphism(action.law, action.assignment[(1, 1)].series + bump)
     mutant = MonoidAction(action.monoid, action.law, {**action.assignment, (1, 1): moved})
     assert _premise_b_failures(mutant) == [((1, 1), (2,))]
     with pytest.raises(RecoveryError, match="action verification failed"):
+        exhaustive_table(mutant)
+    with pytest.raises(RecoveryError, match=REFUSED):
         build_addition_table(mutant)
 
 
 # ---------------------------------------------------------------------------
-# the lemma's congruence step: [s] = [s'] mod pi^(v(s) + n) when s = s' there
+# the lemma's congruence step: [s] = [s'] at class precision when s = s'
+# mod pi^(v(s) + n); below q that is mod pi^(v(s) + n) at every degree
 
 
 @st.composite
 def congruent_scalars(draw):
-    action = _action(*IN_REGIME[draw(st.sampled_from(sorted(IN_REGIME)))])
+    actions = draw(st.sampled_from([BELOW_Q, FROM_Q]))
+    action = _action(*actions[draw(st.sampled_from(sorted(actions)))])
     ctx, n = action.law.ctx, action.monoid.n
     a = draw(st.sampled_from(sorted(action.assignment)))
     coeffs = st.tuples(*[st.integers(-5**6, 5**6)] * ctx.e)
@@ -162,10 +227,11 @@ def congruent_scalars(draw):
 def test_congruent_scalars_act_alike_at_class_precision(case):
     action, a, s = case
     ctx, monoid, N = action.law.ctx, action.monoid, action.law.trunc_degree
-    assert action.certified and monoid.class_of(s) == a
+    assert monoid.class_of(s) == a
     endo = build_endomorphism(action.datum, action.law, s).series
-    delta = endo - action.assignment[a].series
-    assert all(ctx.valuation(c) >= a[0] + monoid.n for c in delta.terms.values())
+    if N < ctx.p:
+        delta = endo - action.assignment[a].series
+        assert all(ctx.valuation(c) >= a[0] + monoid.n for c in delta.terms.values())
     assert first_difference(ctx, endo.terms, action.assignment[a].series.terms,
                             monoid.class_precisions(a[0], N)) is None
 
@@ -200,14 +266,15 @@ def test_generators_close_to_every_payload(ring, n, V):
 # differential tests: the certificate against every pair
 
 
-@pytest.mark.parametrize("name", sorted(IN_REGIME))
+@pytest.mark.parametrize("name", sorted(BELOW_Q))
 def test_both_modes_agree_on_every_tier_1_truncation_action(name):
-    # every certified action the suite builds also passes every pair
-    action = _action(*IN_REGIME[name])
-    assert action.certified
+    # every action the suite builds also passes every pair, and its table
+    # is the oracle's; FROM_Q's are compared where premise (b) is
+    action = _action(*BELOW_Q[name])
     full = verify_action(action)
     assert full.ok
     assert full.checked_pairs + full.skipped_pairs == len(action.assignment)**2
+    assert build_addition_table(action).row == exhaustive_table(action).row
 
 
 def _compositions(report):
@@ -216,15 +283,18 @@ def _compositions(report):
 
 def _both_modes(action, assignment):
     """The exhaustive report on assignment: an action carrying it is a
-    plain MonoidAction, not certified, so its table is refused where that
-    check fails, and equals the certified table where it passes."""
+    plain MonoidAction, which build_addition_table refuses; the oracle's
+    table is refused where the report fails, and equals the built
+    action's table where it passes."""
     mutant = MonoidAction(action.monoid, action.law, assignment)
+    with pytest.raises(RecoveryError, match=REFUSED):
+        build_addition_table(mutant)
     report = verify_action(mutant)
     if report.ok:
-        assert build_addition_table(mutant).row == build_addition_table(action).row
+        assert exhaustive_table(mutant).row == build_addition_table(action).row
     else:
         with pytest.raises(RecoveryError, match="action verification failed"):
-            build_addition_table(mutant)
+            exhaustive_table(mutant)
     return report
 
 
@@ -252,7 +322,7 @@ def test_both_modes_catch_a_layer_relabelled_by_a_unit():
     """[2:u] becomes [2:2u] on criterion 4's carrier.  Unit rows still
     close, since [0:g]o[2:2u] = [2:2gu]; pi's row, [pi]o[1:u] against
     [2:u], sees it."""
-    action = _action(*IN_REGIME["criterion-4"])
+    action = _action(*BELOW_Q["criterion-4"])
     monoid = action.monoid
     moved = {(2, u): action.assignment[monoid.mul((0, 2), (2, u))]
              for v, u in action.assignment if v == 2}
