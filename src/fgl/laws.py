@@ -68,14 +68,11 @@ class AxiomReport:
 
 class FormalGroupLaw:
     """A truncated formal group law and its axiom report, which only
-    from_series requires to pass.  F's terms become a read-only view, as
-    the report, the power tables memoized on F and every check read them;
-    F is the law's own, so its dict is not copied."""
+    from_series requires to pass."""
 
     def __init__(self, F: TruncatedSeries):
         if len(F.variables) != 2:
             raise LawError("a formal group law is a two-variable series")
-        F.terms = MappingProxyType(F.terms)
         self.F = F
         self.ctx = F.ctx
         self.trunc_degree = F.trunc_degree
@@ -231,7 +228,7 @@ def _integrated_log(F: TruncatedSeries) -> TruncatedSeries:
     if u.constant_term() != ctx.one():
         raise LawError("dF/dy(0,0) must be 1 for a formal group law")
     w = u.multiplicative_inverse()
-    ell = TruncatedSeries.zero(ctx, ("T",), N)
+    ell = {}
     for n in range(1, N + 1):
         c = w.terms.get((n - 1,))
         if c is None:
@@ -240,8 +237,8 @@ def _integrated_log(F: TruncatedSeries) -> TruncatedSeries:
             inv_n = ctx.invert(ctx.normalize(n))
         except RingError:
             raise NonInvertibleDivision(n, n) from None
-        ell.terms[(n,)] = ctx.mul(c, inv_n)
-    return ell
+        ell[(n,)] = ctx.mul(c, inv_n)
+    return T._fresh(ell)
 
 
 def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
@@ -292,18 +289,25 @@ def from_logarithm(f: TruncatedSeries) -> tuple:
 
 
 def scalar_table(log: TruncatedSeries, exp: TruncatedSeries) -> dict:
-    """The rows M[k] = [(j, e_j * [T^k] log^j)] for 2 <= k <= N, e_j the
-    coefficients of exp, kept where log^j reaches T^k and as nonempty rows:
-    the T^k coefficient of exp(a * log) = sum_j e_j * a^j * log^j is the
-    polynomial sum_j M[k][j] * a^j.  For strict log and exp, [T] is a."""
+    """The rows M[k] = ((j, e_j * [T^k] log^j), ...) for 2 <= k <= N, e_j
+    the coefficients of exp, kept where log^j reaches T^k and as nonempty
+    rows: the T^k coefficient of exp(a * log) = sum_j e_j * a^j * log^j is
+    the polynomial sum_j M[k][j] * a^j.  For strict log and exp, [T] is a.
+    A series never changes, so the table is memoized on log for the exp it
+    was last built with, and shared with every caller: treat it as
+    read-only."""
+    memo = log._scalar_table
+    if memo is not None and memo[0] is exp:
+        return memo[1]
     ctx, N = log.ctx, log.trunc_degree
     powers = log.powers(N)
     table = {}
     for k in range(2, N + 1):
-        row = [(j, ctx.mul(e, c)) for (j,), e in sorted(exp.terms.items())
-               if j <= N and (c := powers[j].terms.get((k,))) is not None]
+        row = tuple((j, ctx.mul(e, c)) for (j,), e in sorted(exp.terms.items())
+                    if j <= N and (c := powers[j].terms.get((k,))) is not None)
         if row:
             table[k] = row
+    log._scalar_table = (exp, table)
     return table
 
 
@@ -332,9 +336,8 @@ class _Fixed:
 
 class FglEndomorphism(_Fixed):
     """A one-variable series commuting with the group law; fixed once
-    built, its series' terms a read-only view (not a copy: the series is
-    the endomorphism's own), as law_violation and the power tables
-    memoized on the series read them."""
+    built, as law_violation and the power tables memoized on the series
+    read it."""
 
     def __init__(self, law: FormalGroupLaw, series: TruncatedSeries):
         if len(series.variables) != 1:
@@ -346,7 +349,6 @@ class FglEndomorphism(_Fixed):
         if series.trunc_degree != law.trunc_degree:
             raise LawError(f"endomorphism truncated at degree {series.trunc_degree}, "
                            f"its law at degree {law.trunc_degree}")
-        series.terms = MappingProxyType(series.terms)
         self.law = law
         self.series = series
 

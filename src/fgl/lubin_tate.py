@@ -8,8 +8,9 @@ pi*log(T).  Its solve divides by pi - pi^k at degree k, a unit obstruction
 only in the residue ring, so it runs in the fraction field, once per datum
 and truncation degree.  There F = exp(log x + log y), exp the reversion of
 log, and [a] = exp(a * log), each of whose coefficients is a polynomial in
-a read off the scalar table of (log, exp).  LubinTateDatum.field keeps the
-four.  build_action certifies the table for the datum's own law, which
+a read off the scalar table of (log, exp), memoized on log
+(fgl.laws.scalar_table).  LubinTateDatum.field keeps the three series.
+build_action certifies the table for the datum's own law, which
 proves F([x], [y]) = [x + y] there and every [a] integral on the ring,
 and refuses any other law.  Laws and endomorphisms are reduced back with
 an integrality check; a law is verified in the ring, and so is every
@@ -134,11 +135,11 @@ def multiplicative_datum(ctx, degree: int | None = None) -> LubinTateDatum:
 
 class LubinTateField(NamedTuple):
     """A datum's law over the fraction field at one degree, its logarithm,
-    the reversion exp of that log, and fgl.laws.scalar_table(log, exp)."""
+    and the reversion exp of that log; fgl.laws.scalar_table(log, exp)
+    memoizes the scalar table on log."""
     law: TruncatedSeries
     log: TruncatedSeries
     exp: TruncatedSeries
-    scalar_table: dict
 
 
 def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
@@ -147,9 +148,9 @@ def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
     Hazewinkel's functional-equation lemma), and f^k = pi^k * T^k + ..., so
     l_k * (pi - pi^k) = sum_{j<k} l_j * [T^k] f^j: a triangular solve off
     f's power table.  The reversion checks itself; F is checked to
-    intertwine f and to be linearized by log.  The scalar table M is not
-    checked here: build_action certifies it (_certify) where it relies on
-    it."""
+    intertwine f and to be linearized by log.  The scalar table M is
+    neither built nor checked here: build_action certifies it (_certify)
+    where it relies on it."""
     if N < 1:
         raise LubinTateError("need truncation degree at least 1")
     field = d.ctx.fraction_field()
@@ -170,7 +171,7 @@ def _solve_field(d: LubinTateDatum, N: int) -> LubinTateField:
             or intertwining_violation(log, F, x_plus_y) is not None):
         raise LubinTateError("defining identity did not close over the fraction "
                              "field; invalid datum?")
-    return LubinTateField(F, log, exp, scalar_table(log, exp))
+    return LubinTateField(F, log, exp)
 
 
 def _certify(ctx: PadicRing, fld: LubinTateField) -> None:
@@ -191,7 +192,7 @@ def _certify(ctx: PadicRing, fld: LubinTateField) -> None:
     one-variable compositions."""
     log = fld.log
     field, N, (top,) = log.ctx, log.trunc_degree, max(log.terms)
-    nodes, values = _certify_rows(ctx, fld.scalar_table, N)
+    nodes, values = _certify_rows(ctx, scalar_table(log, fld.exp), N)
     for a, value in zip(nodes[1:], values[1:]):
         scaled = TruncatedSeries(field, log.variables, N, {(1,): a, **value})
         if first_difference(field, log.composed_terms([scaled.powers(top)], scaled),
@@ -215,7 +216,7 @@ def _certify_rows(ctx: PadicRing, table: dict, N: int) -> tuple:
     i, so the coordinates of P_k are c_i = P_k(a_i) - sum_{j<i} c_j *
     F_j(a_i), i <= k <= N, and each must be integral.  v(a_i - a_j) is the
     least t at which the digits of i and j differ, so v(D_i) = sum_{t>=1}
-    floor(i/q^t) = v_p(i!) <= e*v_p(k!) for every i <= k: the congruence
+    floor(i/q^t) = v_p(i!) <= v_p(k!) for every i <= k: the congruence
     step loses no more than the precision a class loses at degree k
     (PadicTruncationMonoid.class_precisions).  A row with a non-integral
     coefficient passes when its values are integral, as (a^q - a)/pi
@@ -258,9 +259,10 @@ def _reduced_endomorphism(d: LubinTateDatum, law: FormalGroupLaw,
     """exp(a * log) at the lift of a, reduced to the ring, not verified."""
     ctx = d.ctx
     fld = d.field(law.trunc_degree)
+    table = scalar_table(fld.log, fld.exp)
     terms = {(1,): a_payload}
-    if fld.scalar_table and not ctx.is_zero(a_payload):
-        values = evaluate_scalar_table(fld.log.ctx, fld.scalar_table, ctx.lift(a_payload))
+    if table and not ctx.is_zero(a_payload):
+        values = evaluate_scalar_table(fld.log.ctx, table, ctx.lift(a_payload))
         terms.update({e: ctx.from_field(v) for e, v in values.items()})
     return FglEndomorphism(law, TruncatedSeries(ctx, ("T",), law.trunc_degree, terms))
 

@@ -370,14 +370,16 @@ class PadicTruncationMonoid(Monoid):
         for a class of valuation v, k = 0..N; built once per (v, N).
 
         The class pins a down only mod m^(v+n), and coefficient k of [a]
-        moves like a degree-k binomial in a, so it is pinned down mod
-        m^(v + n - e*v_p(k!)).  Every comparison on the carrier compares
+        moves like a degree-k polynomial in a, integer-valued in the Newton
+        basis of fgl.lubin_tate._certify_rows, whose denominators D_i, i <=
+        k, have valuation v_p(i!) in powers of pi; so it is pinned down mod
+        m^(v + n - v_p(k!)).  Every comparison on the carrier compares
         degree k at this precision."""
         out = self._precisions.get((v, N))
         if out is None:
-            e, p = self.ctx.e, self.ctx.p
+            p = self.ctx.p
             out = self._precisions[(v, N)] = tuple(
-                max(0, v + self.n - e * padic_factorial_valuation(k, p))
+                max(0, v + self.n - padic_factorial_valuation(k, p))
                 for k in range(N + 1)
             )
         return out

@@ -323,8 +323,8 @@ def build_addition_table(action: LubinTateAction) -> RecoveredRing:
     T, F([x], [y]) = [x + y], and [x] is an endomorphism of F.  It also
     wrote each P_k in the Newton basis F_i(x) = prod_{j<i} (x - a_j) / D_i
     of the ring's integer-valued polynomials, with integral coordinates,
-    and v(D_i) = v_p(i!) <= e*v_p(k!) for i <= k at its nodes
-    (fgl.lubin_tate._certify_rows).  So for
+    and v(D_i) = v_p(i!) <= v_p(k!) for i <= k at its nodes, counted in
+    powers of pi (fgl.lubin_tate._certify_rows).  So for
     integral s every coefficient of [s] is integral; [xy] = [x]o[y] and [x +
     y] = F([x], [y]) are compositions of integral series, and from_field, a
     ring map on integral elements, carries the identities to the ring,
@@ -333,7 +333,7 @@ def build_addition_table(action: LubinTateAction) -> RecoveredRing:
     Congruence step: the numerator of F_i(s) - F_i(s') is prod_{j<i} (s -
     a_j) - prod_{j<i} (s' - a_j), an integral multiple of s - s'.  So if s
     = s' mod pi^(v(s) + n), the T^k coefficient of [s] - [s'] is sum_i c_i
-    * (F_i(s) - F_i(s')), zero mod pi^(v(s) + n - e*v_p(k!)): class
+    * (F_i(s) - F_i(s')), zero mod pi^(v(s) + n - v_p(k!)): class
     precision at degree k (PadicTruncationMonoid.class_precisions).  With
     x, y the canonical lifts of classes a, b, and s' the canonical lift of
     the class of s:

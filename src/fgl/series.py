@@ -2,10 +2,14 @@
 
 A series keeps every term of total degree <= trunc_degree and forgets the
 rest; all operations re-truncate so the invariant holds by construction.
-Terms are a dict from exponent tuples to nonzero coefficient payloads of the
-ring context.  One to three variables is all the formal group machinery
-needs, and substitution only accepts zero-constant-term arguments so that
-composition commutes with truncation.
+Terms are a read-only mapping (types.MappingProxyType) from exponent tuples
+to nonzero coefficient payloads of the ring context, fixed when the series
+is built: every constructor fills a local dict and wraps it once, and a
+read-only mapping is shared as it is, never copied or wrapped again.  So a
+series never changes, and a memo on it cannot go stale.  One to three
+variables is all the formal group machinery needs, and substitution only
+accepts zero-constant-term arguments so that composition commutes with
+truncation.
 
 There is one kernel.  _pair_products is the only loop over pairs of terms;
 multiplication calls it directly and composition calls it through
@@ -14,11 +18,12 @@ its terms; a law check instead holds the term dicts of an identity's two
 sides and compares them, first_difference for the first failing term or
 differences for all of them, so no composed or difference series is built.
 powers() is the only code that builds a power table [1, s, s^2, ...], and
-it memoizes the table on the series itself: substitution, reversion,
-inversion and integer powers all read it there, so every composition into
-one series shares one table and no caller keeps a copy.  moved() carries a
-series' table onto other variables, so F(x, y) and F(y, z), or h(x) and
-h(y), read the table of F or of h.
+it memoizes the table on the series itself, s^1 sharing s's terms:
+substitution, reversion, inversion and integer powers all read it there,
+so every composition into one series shares one table and no caller keeps
+a copy.  moved() carries a series' table onto other variables, so F(x, y)
+and F(y, z), or h(x) and h(y), read the table of F or of h.  The one other
+memo on a series is fgl.laws.scalar_table's, on a logarithm.
 
 Over Q the kernel runs on integers wherever products add up, as FLINT's
 fmpq_poly does: each operand is cleared once into integer numerators over
@@ -33,6 +38,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import lcm, prod
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .rings import RationalField, RingContext, RingElement, RingError, grlex_key
@@ -120,7 +126,7 @@ def first_difference(ctx: RingContext, terms: dict, target: dict,
 
 
 class TruncatedSeries:
-    __slots__ = ("ctx", "variables", "trunc_degree", "terms", "_powers")
+    __slots__ = ("ctx", "variables", "trunc_degree", "terms", "_powers", "_scalar_table")
 
     def __init__(self, ctx: RingContext, variables, trunc_degree: int, terms=None):
         variables = tuple(variables)
@@ -130,30 +136,21 @@ class TruncatedSeries:
             raise SeriesError("variable names must be distinct")
         if trunc_degree < 0:
             raise SeriesError("truncation degree must be non-negative")
+        out: dict = {}
+        for exp, c in (terms.items() if hasattr(terms, "items") else terms or ()):
+            exp = tuple(exp)
+            if len(exp) != len(variables):
+                raise SeriesError("exponent arity mismatch")
+            if any(e < 0 for e in exp):
+                raise SeriesError("negative exponent")
+            if sum(exp) <= trunc_degree:
+                c = ctx.normalize(c.payload if isinstance(c, RingElement) else c)
+                out[exp] = ctx.add(out[exp], c) if exp in out else c
         self.ctx = ctx
         self.variables = variables
         self.trunc_degree = trunc_degree
-        self.terms = {}
-        self._powers = None
-        if terms:
-            for exp, c in (terms.items() if hasattr(terms, "items") else terms):
-                exp = tuple(exp)
-                if len(exp) != len(variables):
-                    raise SeriesError("exponent arity mismatch")
-                if any(e < 0 for e in exp):
-                    raise SeriesError("negative exponent")
-                if sum(exp) > trunc_degree:
-                    continue
-                c = ctx.normalize(c.payload if isinstance(c, RingElement) else c)
-                if not ctx.is_zero(c):
-                    if exp in self.terms:
-                        s = ctx.add(self.terms[exp], c)
-                        if ctx.is_zero(s):
-                            del self.terms[exp]
-                        else:
-                            self.terms[exp] = s
-                    else:
-                        self.terms[exp] = c
+        self.terms = MappingProxyType({e: c for e, c in out.items() if not ctx.is_zero(c)})
+        self._powers = self._scalar_table = None
 
     # ---- constructors -------------------------------------------------
 
@@ -163,31 +160,26 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, ctx, variables, trunc_degree, value):
-        s = cls(ctx, variables, trunc_degree)
-        payload = value.payload if isinstance(value, RingElement) else ctx.normalize(value)
-        if not ctx.is_zero(payload):
-            s.terms[(0,) * len(s.variables)] = payload
-        return s
+        return cls(ctx, variables, trunc_degree, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, ctx, variables, trunc_degree, name):
         variables = tuple(variables)
         if name not in variables:
             raise SeriesError(f"unknown variable {name!r}")
-        s = cls(ctx, variables, trunc_degree)
-        if trunc_degree >= 1:
-            exp = tuple(1 if v == name else 0 for v in variables)
-            s.terms[exp] = ctx.normalize(1)
-        return s
+        return cls(ctx, variables, trunc_degree,
+                   {tuple(1 if v == name else 0 for v in variables): 1})
 
     def _fresh(self, terms=None) -> "TruncatedSeries":
         """A series over this one's ring, variables and degree holding terms,
         which the caller vouches for: normalized, nonzero and within the
-        degree.  Kernel results are built here without __init__'s checks."""
+        degree, in a dict it no longer writes or a read-only mapping, which
+        is shared.  Kernel results are built here without __init__'s
+        checks."""
         s = object.__new__(TruncatedSeries)
         s.ctx, s.variables, s.trunc_degree = self.ctx, self.variables, self.trunc_degree
-        s.terms = terms or {}
-        s._powers = None
+        s.terms = terms if type(terms) is MappingProxyType else MappingProxyType(terms or {})
+        s._powers = s._scalar_table = None
         return s
 
     def _check_compatible(self, other: "TruncatedSeries"):
@@ -276,15 +268,14 @@ class TruncatedSeries:
 
     def powers(self, top: int) -> list:
         """The power table [1, s, s^2, ..., s^top], each power the previous
-        one times s, memoized on the series and extended on demand.  The
-        invariant: a series' terms are never changed after its first
-        powers() call (fgl writes terms only while building a series).
-        The table is shared with every caller, and is the memo itself when
-        that holds exactly top + 1 entries, so treat it as read-only."""
+        one times s, memoized on the series and extended on demand; s^1
+        shares s's terms.  The list is shared with every caller, and is the
+        memo itself when it holds exactly top + 1 entries, so treat it as
+        read-only."""
         table = self._powers
         if table is None:
             one = {(0,) * len(self.variables): self.ctx.normalize(1)}
-            table = self._powers = [self._fresh(one), self._fresh(self.terms.copy())]
+            table = self._powers = [self._fresh(one), self._fresh(self.terms)]
         while len(table) <= top:
             table.append(table[-1] * self)
         return table if len(table) == top + 1 else table[:top + 1]
@@ -319,14 +310,8 @@ class TruncatedSeries:
 
     def map_coefficients(self, fn, new_ctx=None) -> "TruncatedSeries":
         """Apply a payload map coefficient-wise, optionally into another ring."""
-        ctx = new_ctx or self.ctx
-        out = TruncatedSeries(ctx, self.variables, self.trunc_degree)
-        for exp, c in self.terms.items():
-            p = fn(c)
-            p = ctx.normalize(p.payload if isinstance(p, RingElement) else p)
-            if not ctx.is_zero(p):
-                out.terms[exp] = p
-        return out
+        return TruncatedSeries(new_ctx or self.ctx, self.variables, self.trunc_degree,
+                               [(exp, fn(c)) for exp, c in self.terms.items()])
 
     def rename(self, new_variables) -> "TruncatedSeries":
         """Same terms, different variable names (arity must match)."""
@@ -353,12 +338,12 @@ class TruncatedSeries:
             raise SeriesError(f"unknown variable {name!r}")
         idx = self.variables.index(name)
         ctx = self.ctx
-        out = TruncatedSeries(ctx, self.variables, self.trunc_degree)
+        out = {}
         for exp, c in self.terms.items():  # lowering one slot is injective
             e = exp[idx]
             if e and not ctx.is_zero(p := ctx.mul(ctx.normalize(e), c)):
-                out.terms[exp[:idx] + (e - 1,) + exp[idx + 1:]] = p
-        return out
+                out[exp[:idx] + (e - 1,) + exp[idx + 1:]] = p
+        return self._fresh(out)
 
     # ---- composition ----------------------------------------------------
 
@@ -372,7 +357,7 @@ class TruncatedSeries:
         tables, model = self.substitution(assignments)
         if model is None:
             # constant-only series: keep it in place
-            return self._fresh(self.terms.copy())
+            return self._fresh(self.terms)
         is_zero = model.ctx.is_zero
         return model._fresh({e: v for e, v in self.composed_terms(tables, model).items()
                              if not is_zero(v)})
@@ -479,15 +464,14 @@ class TruncatedSeries:
         N = self.trunc_degree
         a1 = self.coefficient((1,))
         a1_inv = a1.inverse()
-        g = TruncatedSeries.zero(ctx, self.variables, N)
-        g.terms[(1,)] = a1_inv.payload
+        g = {(1,): a1_inv.payload}
         table = self.powers(N)
         a1_inv_pow = a1_inv
         for n in range(2, N + 1):
             a1_inv_pow = a1_inv_pow * a1_inv
             acc = ctx.normalize(0)
             for k in range(1, n):
-                bk = g.terms.get((k,))
+                bk = g.get((k,))
                 if bk is None:
                     continue
                 ck = table[k].terms.get((n,))
@@ -495,7 +479,8 @@ class TruncatedSeries:
                     continue
                 acc = ctx.add(acc, ctx.mul(bk, ck))
             if not ctx.is_zero(acc):
-                g.terms[(n,)] = ctx.mul(ctx.neg(acc), a1_inv_pow.payload)
+                g[(n,)] = ctx.mul(ctx.neg(acc), a1_inv_pow.payload)
+        g = self._fresh(g)
         ident = TruncatedSeries.variable(ctx, self.variables, N, self.variables[0])
         if g.substitute_single(self) != ident:
             raise SeriesError("reversion failed to verify; coefficient ring too lossy?")

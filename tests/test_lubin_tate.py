@@ -112,24 +112,26 @@ def test_every_class_commutes_with_f_in_the_ring(carrier):
 
 def test_field_law_is_solved_once_per_datum_and_degree(monkeypatch):
     # one _solve_field per datum and degree builds the law, its log and exp
-    # and the scalar table together; every [a] reads them
+    # together; build_fgl builds no scalar table, and every [a] reads the
+    # one memoized on the field's log
     import fgl.lubin_tate as lt
 
-    solves, tables = [], []
-    solve, scalar_table = lt._solve_field, lt.scalar_table
+    solves = []
+    solve = lt._solve_field
     monkeypatch.setattr(lt, "_solve_field", lambda d, N: solves.append(N) or solve(d, N))
-    monkeypatch.setattr(lt, "scalar_table", lambda log, exp: tables.append(
-        log.trunc_degree) or scalar_table(log, exp))
     d = standard_datum(PadicIntegers(5, 8), degree=6)
     law = build_fgl(d, 6)
-    assert (solves, tables) == ([6], [6])
-    for a in range(1, 8):
+    assert solves == [6] and d.field(6).log._scalar_table is None
+    build_endomorphism(d, law, 1)
+    fld = d.field(6)
+    table = lt.scalar_table(fld.log, fld.exp)
+    for a in range(2, 8):
         build_endomorphism(d, law, a)
-    assert (solves, tables) == ([6], [6])
+    assert solves == [6] and lt.scalar_table(fld.log, fld.exp) is table
     law4 = build_fgl(d, 4)
     build_endomorphism(d, law4, 2)
     build_endomorphism(d, law, 8)
-    assert (solves, tables) == ([6, 4], [6, 4])
+    assert solves == [6, 4] and lt.scalar_table(fld.log, fld.exp) is table
     build_fgl(standard_datum(PadicIntegers(5, 8), degree=6), 6)
     assert solves == [6, 4, 6]
 

@@ -923,7 +923,8 @@ def test_every_valid_datum_from_q_on_is_certified(data):
 
 
 def _scalar_table_entries():
-    table = _nonadditive_datum(SQRT5).field(4).scalar_table
+    fld = _nonadditive_datum(SQRT5).field(4)
+    table = laws.scalar_table(fld.log, fld.exp)
     return [(k, i) for k, row in sorted(table.items()) for i in range(len(row))]
 
 
@@ -934,7 +935,7 @@ def test_a_scalar_table_entry_plus_one_fails_the_certificate(monkeypatch, k, i):
     real = lubin_tate.scalar_table
 
     def bumped(log, exp):
-        table = real(log, exp)
+        table = {r: list(row) for r, row in real(log, exp).items()}
         j, m = table[k][i]
         table[k][i] = (j, field.add(m, field.int_payload(1)))
         return table

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl.laws import FglEndomorphism, MonoidAction, verify_action
+from fgl.laws import FglEndomorphism, MonoidAction, scalar_table, verify_action
 from fgl.lubin_tate import (
     LubinTateError,
     _certify_rows,
@@ -152,23 +152,40 @@ def test_a_row_integral_on_the_integers_only_is_refused():
 
 def test_n_equal_q_is_certified_where_coefficients_are_not_integral():
     # at N = q the T^q row has a coefficient of valuation -1, and the
-    # certificate passes it; class precision drops by e*v_p(q!) = 1 at
+    # certificate passes it; class precision drops by v_p(q!) = 1 at
     # degree q, which is v(D_q)
     Z5 = PadicIntegers(5, 8)
     monoid = padic_truncation_of(Z5, 1, 2)
     assert monoid.class_precisions(1, 5)[5] == 1
     d = standard_datum(Z5, 5)
     law = build_fgl(d, 5)
-    table = d.field(5).scalar_table
+    fld = d.field(5)
+    table = scalar_table(fld.log, fld.exp)
     assert min(Z5.field_valuation(m) for row in table.values() for _, m in row) == -1
     action = build_action(d, law, monoid=monoid)
+    assert build_addition_table(action).row == exhaustive_table(action).row
+
+
+def test_class_precision_drops_by_v_p_of_k_factorial_over_a_ramified_ring():
+    # v(D_5) = v_5(5!) = 1 counted in powers of pi, also where e = 2, so a
+    # class of valuation 1 at n = 1 keeps one digit at degree 5, not none
+    E = EisensteinExtension(5, 9, T2_5)
+    assert padic_truncation_of(E, 1, 2).class_precisions(1, 5) == (2, 2, 2, 2, 2, 1)
+
+
+@pytest.mark.parametrize("poly", [T2_5, T2_10], ids=["t2-5", "t2-10"])
+def test_the_recorded_n3_demo_at_degree_q_passes_every_pair(poly):
+    # both actions of tests/golden/demo-variation-n3-N5.stdout (n = 3, V = 3,
+    # N = 5 = q), checked pair by pair at the class precision above
+    action = _action(("E", 9, *poly), "standard", 5, 3, 3)
+    assert verify_action(action).ok
     assert build_addition_table(action).row == exhaustive_table(action).row
 
 
 def test_degree_bound_is_checked_where_premise_b_holds():
     # the congruence step loses v(D_i) at degree k >= i, and at the
     # certificate's nodes a_i = sum_t i_t * pi^t, v(D_i) = v_p(i!) <=
-    # e*v_p(k!), the precision a class loses there, so the certificate checks
+    # v_p(k!), the precision a class loses there, so the certificate checks
     # no bound of its own: below q every D_i is a unit and premise (b)
     # holds, and past q^2 a second digit carries
     Z5 = PadicIntegers(5, 8)
