@@ -13,7 +13,6 @@ from .laws import (
     MonoidAction,
     action_from_bundle,
     check_axioms_series,
-    exponential,
     formal_inverse,
     from_logarithm,
     logarithm,

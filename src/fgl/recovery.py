@@ -128,8 +128,8 @@ def recover_sum(action: MonoidAction, p1, p2):
             precisions = monoid.class_precisions(candidate[0], first.trunc_degree)
         target = action.endo_for(candidate).series.terms
     second = action.endo_for(p2).series
-    composed = action.law.F.composed_terms(
-        [first.powers(first.trunc_degree), second.powers(second.trunc_degree)], first)
+    F = action.law.F
+    composed = F.composed_terms(dict(zip(F.variables, (first, second))))
     bad = first_difference(first.ctx, composed, target, precisions)
     if bad:
         raise RecoveryError(

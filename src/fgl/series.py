@@ -13,17 +13,20 @@ truncation.
 
 There is one kernel.  _pair_products is the only loop over pairs of terms;
 multiplication calls it directly and composition calls it through
-composed_terms, the one composition loop.  substitute builds a series from
-its terms; a law check instead holds the term dicts of an identity's two
-sides and compares them, first_difference for the first failing term or
-differences for all of them, so no composed or difference series is built.
-powers() is the only code that builds a power table [1, s, s^2, ...], and
-it memoizes the table on the series itself, s^1 sharing s's terms:
-substitution, reversion, inversion and integer powers all read it there,
-so every composition into one series shares one table and no caller keeps
-a copy.  moved() carries a series' table onto other variables, so F(x, y)
-and F(y, z), or h(x) and h(y), read the table of F or of h.  The one other
-memo on a series is fgl.laws.scalar_table's, on a logarithm.
+composed_terms(assignments), the one composition loop, which checks its
+inputs, reads each power table only as deep as the outer series reaches
+and drops zero payloads.  substitute builds a series from its terms; a law
+check, a recovered sum and an action's pair checks instead hold the term
+dicts of an identity's two sides and compare them, first_difference for
+the first failing term or differences for all of them, so no composed or
+difference series is built.  powers() is the only code that builds a power
+table [None, s, s^2, ...], and it memoizes the table on the series itself,
+s^1 sharing s's terms; no composition reads s^0, so no table holds one.
+Composition, reversion, inversion and integer powers all read the table
+there, so every composition into one series shares one table and no caller
+keeps a copy.  moved() carries a series' table onto other variables, so
+F(x, y) and F(y, z), or h(x) and h(y), read the table of F or of h.  The
+one other memo on a series is fgl.laws.scalar_table's, on a logarithm.
 
 Over Q the kernel runs on integers wherever products add up, as FLINT's
 fmpq_poly does: each operand is cleared once into integer numerators over
@@ -264,18 +267,20 @@ class TruncatedSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise SeriesError("only non-negative integer powers")
+        if n == 0:
+            return TruncatedSeries.constant(self.ctx, self.variables, self.trunc_degree, 1)
         return self.powers(n)[n]
 
     def powers(self, top: int) -> list:
-        """The power table [1, s, s^2, ..., s^top], each power the previous
-        one times s, memoized on the series and extended on demand; s^1
-        shares s's terms.  The list is shared with every caller, and is the
+        """The power table [None, s, s^2, ..., s^top], each power the
+        previous one times s, memoized on the series and extended on
+        demand; s^1 shares s's terms, and no composition reads s^0, so the
+        table holds none.  The list is shared with every caller, and is the
         memo itself when it holds exactly top + 1 entries, so treat it as
         read-only."""
         table = self._powers
         if table is None:
-            one = {(0,) * len(self.variables): self.ctx.normalize(1)}
-            table = self._powers = [self._fresh(one), self._fresh(self.terms)]
+            table = self._powers = [None, self._fresh(self.terms)]
         while len(table) <= top:
             table.append(table[-1] * self)
         return table if len(table) == top + 1 else table[:top + 1]
@@ -299,8 +304,9 @@ class TruncatedSeries:
             return out
 
         s = model._fresh(move(self.terms))
-        if top > 1 and N <= self.trunc_degree:  # [1, s] holds no product
-            s._powers = [model._fresh(move(t.terms)) for t in self.powers(top)]
+        if top > 1 and N <= self.trunc_degree:  # [None, s] holds no product
+            s._powers = [None] + [model._fresh(move(t.terms))
+                                  for t in self.powers(top)[1:]]
         return s
 
     def truncate(self, new_degree: int) -> "TruncatedSeries":
@@ -348,24 +354,36 @@ class TruncatedSeries:
     # ---- composition ----------------------------------------------------
 
     def substitute(self, assignments: dict) -> "TruncatedSeries":
-        """Plug a series in for each used variable.
+        """Plug a series in for each used variable: composed_terms as a
+        series where the assigned series live, or this series as it is
+        where it uses no variable and is assigned none."""
+        terms = self.composed_terms(assignments)
+        model = next((assignments[v] for v in self.variables if v in assignments), self)
+        return model._fresh(terms)
 
-        All assigned series must live in one common target context/variable
-        list/truncation degree and have zero constant term; that makes the
-        degree-N result depend only on degree-N data on both sides.
-        """
-        tables, model = self.substitution(assignments)
-        if model is None:
-            # constant-only series: keep it in place
-            return self._fresh(self.terms)
-        is_zero = model.ctx.is_zero
-        return model._fresh({e: v for e, v in self.composed_terms(tables, model).items()
-                             if not is_zero(v)})
+    def top_exponents(self, N: int) -> list:
+        """The largest exponent of each variable over the terms of degree
+        <= N: how far a composition at degree N reads each power table."""
+        low = [exp for exp in self.terms if sum(exp) <= N]
+        return list(map(max, zip(*low))) if low else [0] * len(self.variables)
 
-    def substitution(self, assignments: dict) -> tuple:
-        """substitute's checks and power tables: (tables, model), for
-        composed_terms, or (None, None) for a series that uses no variable
-        and is assigned none."""
+    def composed_terms(self, assignments: dict) -> dict:
+        """The nonzero terms of self with each used variable replaced by the
+        series assigned to it, at their common degree N: the one
+        composition loop.  A series that uses no variable and is assigned
+        none keeps its own terms.
+
+        All assigned series must live over self's ring, in one common
+        variable list and truncation degree, and have zero constant term;
+        that makes the degree-N result depend only on degree-N data on both
+        sides.  Each table is read from its series' memo only as deep as
+        top_exponents(N), and each term c * x^i * y^j ... adds c times the
+        product of the table entries, the product formed by _pair_products.
+
+        Over Q, unless every substituted series is a monomial, each table
+        entry read is cleared once and each term's coefficient is scaled to
+        L, the lcm of its piece's denominators, so the loop sums integers
+        and each output is one Fraction."""
         # in variable order, so a refusal names the same variable every run
         reach = map(max, zip(*self.terms)) if self.terms else ()
         used = [v for v, top in zip(self.variables, reach) if top]
@@ -374,7 +392,7 @@ class TruncatedSeries:
         if missing:
             raise SeriesError(f"missing assignment for used variable {missing[0]!r}")
         if not targets:
-            return None, None
+            return self.terms
         model = targets[0]
         for t in targets[1:]:
             model._check_compatible(t)
@@ -385,36 +403,12 @@ class TruncatedSeries:
             if zero_exp in assignments[v].terms:  # terms hold no zeros
                 raise SeriesError(f"assignment for {v!r} has a nonzero constant term")
 
-        tops = self.top_exponents(model.trunc_degree)
-        tables = [assignments[v].powers(top) if top else None
-                  for v, top in zip(self.variables, tops)]
-        return tables, model
-
-    def top_exponents(self, N: int) -> list:
-        """The largest exponent of each variable over the terms of degree
-        <= N: how far a composition at degree N reads each power table."""
-        low = [exp for exp in self.terms if sum(exp) <= N]
-        return list(map(max, zip(*low))) if low else [0] * len(self.variables)
-
-    def composed_terms(self, tables, model: "TruncatedSeries") -> dict:
-        """The terms of self with its k-th variable replaced by the series
-        whose power table is tables[k], at model's degree N: the one
-        composition loop.  Zero payloads may remain.
-
-        No validation: the substituted series must have zero constant term,
-        and each table must reach the largest exponent its variable carries
-        in a term of degree <= N (None for a variable no such term uses).
-        Each term c * x^i * y^j ... adds c times the product of the table
-        entries, the product formed by _pair_products.
-
-        Over Q, unless every substituted series is a monomial, each table
-        entry read is cleared once and each term's coefficient is scaled to
-        L, the lcm of its piece's denominators, so the loop sums integers
-        and each output is one Fraction."""
         ctx, N = model.ctx, model.trunc_degree
+        tables = [assignments[v].powers(top) if top else None
+                  for v, top in zip(self.variables, self.top_exponents(N))]
         terms, mul, add = self.terms, ctx.mul, ctx.add
         over_q = type(ctx) is RationalField and any(
-            t and len(t) > 1 and len(t[1].terms) > 1 for t in tables)
+            t and len(t[1].terms) > 1 for t in tables)
         if over_q:
             terms, dc = _cleared({x: c for x, c in terms.items() if sum(x) <= N})
             tables = [{e: _cleared(t[e].terms) for e in {x[k] for x in terms} if e}
@@ -423,7 +417,6 @@ class TruncatedSeries:
             L = lcm(*dens.values())
             terms = {x: c * (L // dens[x]) for x, c in terms.items()}
             mul, add = operator.mul, operator.add
-        zero_exp = (0,) * len(model.variables)
         acc: dict = {}
         for exp, c in terms.items():
             if sum(exp) > N:
@@ -441,7 +434,8 @@ class TruncatedSeries:
                 acc[e] = add(acc[e], v) if e in acc else v
         if over_q:
             return {e: Fraction(v, dc * L) for e, v in acc.items() if v}
-        return acc
+        is_zero = ctx.is_zero
+        return {e: v for e, v in acc.items() if not is_zero(v)}
 
     def substitute_single(self, target: "TruncatedSeries") -> "TruncatedSeries":
         """Composition for one-variable series: self(target)."""
@@ -492,7 +486,7 @@ class TruncatedSeries:
         c0_inv = self.constant_term().inverse()
         one = TruncatedSeries.constant(self.ctx, self.variables, self.trunc_degree, 1)
         table = (one - self.scale(c0_inv)).powers(self.trunc_degree)
-        inv = sum(table[1:], table[0]).scale(c0_inv)
+        inv = sum(table[1:], one).scale(c0_inv)
         if self * inv != one:
             raise SeriesError("series inversion failed to verify")
         return inv

@@ -145,10 +145,10 @@ def test_only_build_action_runs_the_certificate(monkeypatch, N):
     into_log = []
     composed_terms = TruncatedSeries.composed_terms
 
-    def counted(self, tables, model):
-        if len(model.variables) == 1:
+    def counted(self, assignments):
+        if all(len(t.variables) == 1 for t in assignments.values()):
             into_log.append(self)
-        return composed_terms(self, tables, model)
+        return composed_terms(self, assignments)
 
     def certificate_compositions():
         logs = (d.field(N).log, other.field(N).log)
@@ -389,15 +389,27 @@ def test_absorbing_pairs_are_not_composed(monkeypatch):
     composed_terms = TruncatedSeries.composed_terms
     compositions = []
 
-    def counting(self, tables, model):
-        if len(model.variables) == 1:
-            compositions.append(model)
-        return composed_terms(self, tables, model)
+    def counting(self, assignments):
+        if all(len(t.variables) == 1 for t in assignments.values()):
+            compositions.append(assignments)
+        return composed_terms(self, assignments)
 
     monkeypatch.setattr(TruncatedSeries, "composed_terms", counting)
     report = action.verify()
     assert (report.checked_pairs, report.skipped_pairs) == (48, 16)
     assert len(compositions) == 48
+
+
+def test_verify_action_reads_each_endomorphism_variable():
+    # the pair checks substitute for the series' own variable, whatever
+    # its name, also where two endomorphisms name theirs differently
+    action = _small_truncation_action()
+    bundle = action.to_bundle()
+    for k, entry in enumerate(bundle["endomorphisms"]):
+        entry["series"]["vars"] = ["S" if k % 2 else "T"]
+    report = action_from_bundle(bundle).verify()
+    assert report.ok
+    assert (report.checked_pairs, report.skipped_pairs) == (48, 16)
 
 
 def test_truncation_action_bundle_round_trips():

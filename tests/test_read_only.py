@@ -57,9 +57,9 @@ def _built():
         "parse_series": parse_series("pi*T + pi*T^2 + T^5", E, ("T",), 5,
                                      E.uniformizer().payload),
     }
-    built.update({f"powers[{k}]": p for k, p in enumerate(f.powers(4))})
+    built.update({f"powers[{k}]": p for k, p in enumerate(f.powers(4)) if k})
     built.update({f"moved powers[{k}]": p
-                  for k, p in enumerate(f.moved(xy, (0,), 3).powers(3))})
+                  for k, p in enumerate(f.moved(xy, (0,), 3).powers(3)) if k})
     return built
 
 

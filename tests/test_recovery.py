@@ -619,14 +619,49 @@ def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
     calls = []
     composed_terms = TruncatedSeries.composed_terms
 
-    def counted(self, tables, model):
+    def counted(self, assignments):
         if len(self.variables) == 2:
             calls.append(1)
-        return composed_terms(self, tables, model)
+        return composed_terms(self, assignments)
 
     monkeypatch.setattr(TruncatedSeries, "composed_terms", counted)
     build_addition_table(action)
     assert len(calls) == compositions
+
+
+def _read_tables(action):
+    """The power tables that compositions left memoized on the classes."""
+    return {p: e.series._powers for p, e in action.assignment.items()
+            if e.series._powers is not None}
+
+
+def test_a_table_at_degree_2_multiplies_no_series(monkeypatch):
+    # F = x + y at N = 2 reads each [c] to degree 1, and [None, s] is no product
+    action = _carrier_action.__wrapped__("criterion-5-t2-5")
+    products = []
+    mul = TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    build_addition_table(action)
+    assert products == []
+    tables = _read_tables(action)
+    assert (len(tables), len(action.assignment)) == (299, 300)  # one entry capped
+    for p, table in tables.items():
+        series = action.assignment[p].series
+        assert table[0] is None and len(table) == 2
+        assert table[1].terms is series.terms
+
+
+def test_a_row_reads_each_class_to_the_law_top_exponent():
+    # at p = 3, N = 4 the law is x + y + u*x^2*y + u*x*y^2, so no [c]^3 or
+    # [c]^4 is built
+    action = _carrier_action.__wrapped__("p3-n2-V2")
+    N = action.law.trunc_degree
+    top = max(action.law.F.top_exponents(N))
+    assert (N, top) == (4, 2)
+    build_addition_table(action)
+    tables = _read_tables(action)
+    assert tables and all(len(t) == top + 1 for t in tables.values())
 
 
 @pytest.mark.parametrize("name", ["criterion-4", "criterion-5-t2-5", "p3-n2-V2"])
@@ -798,12 +833,13 @@ def test_endomorphism_defect_is_computed_once_per_class(monkeypatch):
     calls = []
     composed_terms = TruncatedSeries.composed_terms
 
-    def counted(self, tables, model):
+    def counted(self, assignments):
         # h(F), one per endomorphism-law check: a one-variable series
         # composed into the two-variable law
-        if len(self.variables) == 1 and len(model.variables) == 2:
+        if len(self.variables) == 1 and all(len(t.variables) == 2
+                                            for t in assignments.values()):
             calls.append(1)
-        return composed_terms(self, tables, model)
+        return composed_terms(self, assignments)
 
     monkeypatch.setattr(TruncatedSeries, "composed_terms", counted)
     action = build_action(d, law, monoid=padic_truncation_of(E, 2, 2))
