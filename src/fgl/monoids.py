@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 
-from .rings import PadicRing, RingContext, RingError, _vp
+from .rings import PadicRing, RingContext, RingError
 
 
 class MonoidError(RingError):
@@ -310,8 +309,7 @@ class PadicTruncationMonoid(Monoid):
         first use, so a caller pays for the rows it reads, not all |U|^2."""
         g = self.unit_group
         eu = g.dlog[u]
-        return {w: g.unit_of[tuple((x + y) % d for x, y, d in zip(eu, ew, g.factors))]
-                for w, ew in g.dlog.items()}
+        return {w: g.unit(map(operator.add, eu, ew)) for w, ew in g.dlog.items()}
 
     def quotient(self, b, a):
         """The class c with a*c = b, for classes a and b with v(b) >= v(a):
@@ -320,8 +318,7 @@ class PadicTruncationMonoid(Monoid):
         if a == BOTTOM or b == BOTTOM or b[0] < a[0]:
             raise MonoidError(f"{self.label(b)} is not a multiple of {self.label(a)}")
         g = self.unit_group
-        exps = map(operator.sub, g.dlog[b[1]], g.dlog[a[1]])
-        return (b[0] - a[0], g.unit_of[tuple(map(operator.mod, exps, g.factors))])
+        return (b[0] - a[0], g.unit(map(operator.sub, g.dlog[b[1]], g.dlog[a[1]])))
 
     def payloads(self):
         out = []
@@ -508,117 +505,94 @@ class UnitGroup:
     """Invariant-factor decomposition of (O/m^n)^*, computed exhaustively.
 
     factors is ascending with d_1 | d_2 | ... | d_r; generators[i] has exact
-    order factors[i], and the products g_1^{e_1} ... g_r^{e_r} with
-    0 <= e_i < d_i enumerate the group without repetition (checked).
+    order factors[i]; dlog sends each unit to its exponent vector (e_1, ...,
+    e_r), 0 <= e_i < d_i, the unit being g_1^{e_1} ... g_r^{e_r}, and
+    unit_of is its inverse.
+
+    One greedy pass builds all three.  Rank the units by (-order,
+    sort_key).  S, the span of the picks so far, starts at {1}.  The next
+    pick is the first ranked x with x^(d/ell) not in S for every prime ell
+    | d, d = ord x: that is <x> meet S = 1, as x^(d/ell) generates the one
+    subgroup of order ell of <x>.  S grows by x's powers, each exponent
+    prepended, until it is the group.
+
+    Each pick's d is the largest invariant factor not yet picked, and S
+    stays a direct factor.  Say G = S x T, T's invariant factors being
+    those not yet picked.  A unit x with <x> meet S = 1 maps injectively to
+    G/S = T, so d <= exp T, and the first ranked such x has d = exp T, as
+    T's largest generator is one.  Write x = s*t, s in S, t in T; t has
+    order d too, and an element of largest order generates a direct factor
+    (Lang, Algebra, I par. 8): T = <t> x C.  So S<x>C is all of G and has
+    |S| * d * |C| = |G| elements, and S<x> is a direct factor with
+    complement C.  So the reversed picks are the generators, each the
+    smallest unit of exact order d whose span with the earlier picks stays
+    direct.
     """
 
     def __init__(self, monoid: PadicTruncationMonoid):
         self.monoid = monoid
         self.ctx = monoid.unit_ctx
-        self._order_cache: dict = {}
         units = monoid.unit_payloads()
         self.size = len(units)
-        self.factors = self._census_factors([self.order_of(u) for u in units])
-        self.generators = self._canonical_generators(units, self.factors)
-        self.dlog = self._discrete_log_table()
-        self.unit_of = {exps: u for u, exps in self.dlog.items()}
-
-    # -- group primitives on unit payloads
-
-    def _mul(self, a, b):
-        return self.ctx.mul(a, b)
+        self._primes = _primes(self.size)
+        one, mul = self.ctx.int_payload(1), self.ctx.mul
+        order = {u: self.order_of(u) for u in units}
+        ranked = sorted(units, key=lambda u: (-order[u], self.ctx.sort_key(u)))
+        span, picks = {one: ()}, []
+        while len(span) < self.size:
+            x = next((x for x in ranked if order[x] > 1 and all(
+                self._pow(x, order[x] // ell) not in span
+                for ell in self._primes if order[x] % ell == 0)), None)
+            if x is None:
+                raise MonoidError("no unit grows the span of the generators")
+            grown, power = {}, one
+            for e in range(order[x]):
+                for u, exps in span.items():
+                    key = mul(u, power)
+                    if key in grown:
+                        raise MonoidError("span enumeration collided; not a direct product")
+                    grown[key] = (e,) + exps
+                power = mul(power, x)
+            span = grown
+            picks.append(x)
+        if len(span) != self.size:
+            raise MonoidError("generators do not span the unit group")
+        self.generators = picks[::-1]
+        self.factors = [order[x] for x in self.generators]
+        self.dlog = span
+        self.unit_of = {exps: u for u, exps in span.items()}
 
     def _pow(self, a, e: int):
         acc = self.ctx.int_payload(1)
-        base = a
         while e:
             if e & 1:
-                acc = self._mul(acc, base)
-            base = self._mul(base, base)
-            e >>= 1
+                acc = self.ctx.mul(acc, a)
+            a, e = self.ctx.mul(a, a), e >> 1
         return acc
 
     def order_of(self, a) -> int:
-        if a not in self._order_cache:
-            ident = self.ctx.int_payload(1)
-            t = self.size
-            for ell in _factorize(self.size):
-                while t % ell == 0 and self._pow(a, t // ell) == ident:
-                    t //= ell
-            self._order_cache[a] = t
-        return self._order_cache[a]
+        ident = self.ctx.int_payload(1)
+        t = self.size
+        for ell in self._primes:
+            while t % ell == 0 and self._pow(a, t // ell) == ident:
+                t //= ell
+        return t
 
-    # -- structure
-
-    def _census_factors(self, orders) -> list:
-        """Invariant factors from the census of element orders.  For a prime
-        ell, #{u : v_ell(ord u) <= j} / #{u : v_ell(ord u) <= j - 1} is ell to
-        the number of cyclic ell-factors of order at least ell^j.  The primes
-        fuse slot-wise, largest ell-factor into the largest invariant factor."""
-        slots: list = []  # invariant factors, largest first
-        for ell, a in _factorize(self.size).items():
-            census = Counter(_vp(o, ell) for o in orders)
-            below = census[0]
-            for j in range(1, a + 1):
-                upto = below + census[j]
-                for slot in range(_vp(upto // below, ell)):
-                    if slot == len(slots):
-                        slots.append(1)
-                    slots[slot] *= ell
-                below = upto
-        return slots[::-1]
-
-    def _canonical_generators(self, units, factors):
-        """Per slot, largest factor first: the smallest payload of exact order
-        d whose span with the earlier picks stays a direct product."""
-        chosen: list = []
-        for d in reversed(factors):
-            for x in sorted(
-                (u for u in units if self.order_of(u) == d), key=self.ctx.sort_key
-            ):
-                try:
-                    self._span(chosen + [(x, d)])
-                except MonoidError:
-                    continue
-                chosen.append((x, d))
-                break
-            else:
-                raise MonoidError(f"no generator of order {d} completes the basis")
-        return [g for g, _ in reversed(chosen)]
-
-    def _span(self, basis):
-        out = {self.ctx.int_payload(1): ()}
-        for g, o in basis:
-            nxt = {}
-            p = self.ctx.int_payload(1)
-            for e in range(o):
-                for payload, exps in out.items():
-                    key = self._mul(payload, p)
-                    if key in nxt:
-                        raise MonoidError("span enumeration collided; not a direct product")
-                    nxt[key] = exps + (e,)
-                p = self._mul(p, g)
-            out = nxt
-        return out
-
-    def _discrete_log_table(self):
-        table = self._span([(g, d) for g, d in zip(self.generators, self.factors)])
-        if len(table) != self.size:
-            raise MonoidError("generators do not span the unit group")
-        return table
+    def unit(self, exps):
+        """The unit with exponent vector exps, read mod the invariant factors."""
+        return self.unit_of[tuple(map(operator.mod, exps, self.factors))]
 
 
-def _factorize(n: int) -> dict:
-    out: dict = {}
-    d = 2
+def _primes(n: int) -> tuple:
+    """The primes dividing n, ascending."""
+    out, d = [], 2
     while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return tuple(out + [n] if n > 1 else out)
 
 
 # ---------------------------------------------------------------------------
@@ -726,11 +700,8 @@ def build_monoid_isomorphism(
         if math.gcd(t, d) != 1:
             raise StructureMismatch(f"twist {t} is not invertible mod {d}")
     # g^e goes to (h^t)^e = h^(e*t mod d), read off u2's inverted log table
-    unit_map = {
-        payload: u2.unit_of[tuple(e * t % d for e, t, d in
-                               zip(exps, generator_powers, u2.factors))]
-        for payload, exps in u1.dlog.items()
-    }
+    unit_map = {payload: u2.unit(map(operator.mul, exps, generator_powers))
+                for payload, exps in u1.dlog.items()}
     if len(set(unit_map.values())) != len(unit_map):
         raise StructureMismatch("twisted generator matching is not injective")
     table = {BOTTOM: BOTTOM}

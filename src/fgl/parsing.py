@@ -111,13 +111,16 @@ class _Parser:
             return {e: -c for e, c in self.factor().items()}
         value = self.atom()
         if self.peek()[0] == "^":
-            pos = self.take()[2]
-            etok = self.take("int")
-            if etok[1] < 0:
-                raise ParseError("exponent must be nonnegative", pos)
+            self.take()
+            e = self.take("int")[1]  # an int token has no sign
+            # square-and-multiply: about 2*log2(e) products, not e
             out = {(0,) * self.width: Fraction(1)}
-            for _ in range(etok[1]):
-                out = self._mul(out, value)
+            while e:
+                if e & 1:
+                    out = self._mul(out, value)
+                e >>= 1
+                if e:
+                    value = self._mul(value, value)
             return out
         return value
 
@@ -188,8 +191,7 @@ def parse_series(text: str, ctx: RingContext, variables: tuple, degree: int,
         var_exp = exp[:width]
         coeff = _coefficient(ctx, frac, 0)
         if pi_payload is not None and exp[width]:
-            for _ in range(exp[width]):
-                coeff = ctx.mul(coeff, pi_payload)
+            coeff = ctx.mul(coeff, (ctx.el(pi_payload) ** exp[width]).payload)
         if sum(var_exp) > degree:
             continue
         if var_exp in terms:

@@ -362,17 +362,19 @@ def build_addition_table(action: LubinTateAction) -> RecoveredRing:
 
 def transport_structure(iso: MonoidMorphism, ring2: RecoveredRing) -> RecoveredRing:
     """Addition pulled back along a multiplicative isomorphism, a +' b =
-    iso_inv(iso(a) + iso(b)).  iso is verified first: only then is a +' b =
-    a*iso_inv(1 + iso(b/a)), so the row is permuted and the other pairs are
-    pulled back on demand.  Flags are untouched: iso keeps valuations."""
+    iso_inv(iso(a) + iso(b)).  iso is verified and inverted first, so a
+    multiplicative map that is not a bijection raises MonoidError; only then
+    is a +' b = a*iso_inv(1 + iso(b/a)), so the row is permuted and the
+    other pairs are pulled back on demand.  Flags are untouched: iso keeps
+    valuations."""
     if iso.target.key() != ring2.monoid.key():
         raise RecoveryError("isomorphism target does not carry the given table")
     fwd = iso.table
     if fwd is None:
         raise RecoveryError("transport needs a full table morphism")
     iso.verify()
-    inv = {b: a for a, b in fwd.items()}
-    inv[CAPPED], inv[ADJOINED_ZERO] = CAPPED, ADJOINED_ZERO  # not classes
+    # CAPPED and the adjoined zero are not classes
+    inv = {**iso.inverse().table, CAPPED: CAPPED, ADJOINED_ZERO: ADJOINED_ZERO}
     row = {c: inv[ring2.row[fwd[c]]] for c in fwd if c != BOTTOM}
     return RecoveredRing(iso.source, "transported", row,
                          lambda a, b: inv[ring2.add(fwd[a], fwd[b])])

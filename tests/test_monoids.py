@@ -13,12 +13,14 @@ from fgl.monoids import (
     MonoidMorphism,
     PadicTruncationMonoid,
     RingSubsetMonoid,
+    UnitGroup,
     monoid_from_descriptor,
     padic_factorial_valuation,
     padic_truncation_of,
     unit_isomorphism_variants,
 )
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
+from oracles import census_unit_group
 
 
 def test_free_monoid_words():
@@ -198,6 +200,63 @@ def test_unit_group_non_cyclic_factors_match_order_census(ctx, n, V, factors):
     )
     assert group == model
     assert [G.order_of(g) for g in G.generators] == factors
+
+
+# (p, Eisenstein polynomial constant first or None for Z_p, n): the wild
+# rings, where p divides the ramification index, among them
+CENSUS_CARRIERS = [
+    *((2, None, n) for n in range(1, 6)),
+    *((3, None, n) for n in range(1, 5)),
+    *((5, None, n) for n in range(1, 4)),
+    (7, None, 2),
+    *((2, (2, 0, 1), n) for n in range(2, 7)),     # t^2 + 2
+    *((2, (2, 2, 1), n) for n in range(3, 7)),     # t^2 + 2t + 2
+    *((3, (3, 0, 0, 1), n) for n in range(2, 6)),  # t^3 + 3
+    (5, (-5, 0, 1), 3),
+    (5, (-10, 0, 1), 3),
+]
+
+
+@pytest.mark.parametrize("p, poly, n", CENSUS_CARRIERS)
+def test_unit_group_matches_the_census_oracle(p, poly, n):
+    ctx = PadicIntegers(p, 8) if poly is None else EisensteinExtension(p, 8, poly)
+    monoid = padic_truncation_of(ctx, n, 1)
+    G = monoid.unit_group
+    assert (G.factors, G.generators, G.dlog) == census_unit_group(monoid)
+    for u, exps in G.dlog.items():
+        assert G.unit(exps) == G.unit([e + 2 * d for e, d in zip(exps, G.factors)]) == u
+
+
+class _Mod:
+    """Z/m with a chosen list of "units", which need not be a group."""
+
+    def __init__(self, m, listed):
+        self.m, self.listed = m, listed
+
+    def int_payload(self, k):
+        return k % self.m
+
+    def mul(self, a, b):
+        return a * b % self.m
+
+    def sort_key(self, a):
+        return a
+
+    @property
+    def unit_ctx(self):
+        return self
+
+    def unit_payloads(self):
+        return list(self.listed)
+
+
+@pytest.mark.parametrize("m, listed", [
+    (8, [1, 3, 5]),  # |U| = 3 reads 3 as of order 3, and 3^2 = 1 collides
+    (3, [1, 0, 2]),  # 0 is listed as a unit
+])
+def test_unit_group_refuses_a_list_that_is_not_a_group(m, listed):
+    with pytest.raises(MonoidError, match="collided"):
+        UnitGroup(_Mod(m, listed))
 
 
 def test_morphism_gen_images_and_verify():

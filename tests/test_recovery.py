@@ -555,6 +555,21 @@ def test_transport_refuses_a_non_multiplicative_table():
         transport_structure(MonoidMorphism(native.monoid, r2.monoid, table=table), r2)
 
 
+def test_transport_refuses_a_multiplicative_map_that_is_not_a_bijection():
+    # (v, u) -> (v, 1) on Z_5[sqrt 5], n = 1, V = 2, is multiplicative, so
+    # verify passes it; inverting it is what must refuse it
+    E = EisensteinExtension(5, 6, (-5, 0, 1))
+    d = standard_datum(E)
+    monoid = padic_truncation_of(E, 1, 2)
+    ring = build_addition_table(build_action(d, build_fgl(d, 2), monoid=monoid))
+    one = monoid.identity_payload()[1]
+    collapse = MonoidMorphism(monoid, monoid, table={
+        c: c if c == BOTTOM else (c[0], one) for c in monoid.payloads()})
+    collapse.verify()
+    with pytest.raises(MonoidError, match="not injective"):
+        transport_structure(collapse, ring)
+
+
 def test_variation_demo_shallow_depth():
     # at n = 2 the generator-matched twist transports addition perfectly;
     # mismatched twists disagree everywhere off the flags
