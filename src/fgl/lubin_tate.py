@@ -254,12 +254,11 @@ def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
     return law
 
 
-def _reduced_endomorphism(d: LubinTateDatum, law: FormalGroupLaw,
-                          a_payload) -> FglEndomorphism:
-    """exp(a * log) at the lift of a, reduced to the ring, not verified."""
-    ctx = d.ctx
-    fld = d.field(law.trunc_degree)
-    table = scalar_table(fld.log, fld.exp)
+def _reduced_endomorphism(ctx: PadicRing, fld: LubinTateField, table: dict,
+                          law: FormalGroupLaw, a_payload) -> FglEndomorphism:
+    """exp(a * log) at the lift of a, reduced to the datum's ring ctx, not
+    verified; fld is the datum's field at law's degree, table its scalar
+    table, both read once by the caller."""
     terms = {(1,): a_payload}
     if table and not ctx.is_zero(a_payload):
         values = evaluate_scalar_table(fld.log.ctx, table, ctx.lift(a_payload))
@@ -280,7 +279,8 @@ def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorp
         a = a.payload
     else:
         a = d.ctx.normalize(a)
-    endo = _reduced_endomorphism(d, law, a)
+    fld = d.field(law.trunc_degree)
+    endo = _reduced_endomorphism(d.ctx, fld, scalar_table(fld.log, fld.exp), law, a)
     endo.verify()
     return endo
 
@@ -308,9 +308,10 @@ class LubinTateAction(MonoidAction):
         if law.F != reduce_series(fld.law, ctx):
             raise LubinTateError("law is not the datum's own; build it with build_fgl")
         _certify(ctx, fld)
+        table = scalar_table(fld.log, fld.exp)
         assignment = {}
         for p, a in scalars.items():
-            endo = assignment[p] = _reduced_endomorphism(datum, law, a)
+            endo = assignment[p] = _reduced_endomorphism(ctx, fld, table, law, a)
             endo.law_violation = None  # the cached property, proved above
         super().__init__(monoid, law, assignment)
         self.datum = datum

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import accumulate, repeat
 
 from .rings import PadicRing, RingContext, RingError
 
@@ -261,6 +262,10 @@ class PadicTruncationMonoid(Monoid):
         self._products: dict = {}  # unit -> its row of products
         self._classes: dict = {}
         self._lifts: dict = {}
+        # pi^0 .. pi^(V-1), the valuation parts of the canonical lifts
+        pi = ctx.uniformizer().payload
+        self._pi_powers = list(accumulate(repeat(pi, V - 1), ctx.mul,
+                                          initial=ctx.int_payload(1)))
         self._precisions: dict = {}
 
     def unit_payloads(self) -> list:
@@ -351,15 +356,15 @@ class PadicTruncationMonoid(Monoid):
         return cls
 
     def canonical_lift(self, payload):
-        """The fixed lift of a class: a normalized payload of ctx, memoized
-        per class."""
+        """The fixed lift of a class (v, u): u * pi^v, a normalized payload
+        of ctx, memoized per class.  A unit mod m^n is a payload of ctx
+        too, so the lift is one product with pi^v from the monoid's table."""
         lift = self._lifts.get(payload)
         if lift is None:
             if payload == BOTTOM:
                 raise MonoidError("BOTTOM has no canonical lift")
             v, unit = payload
-            lift = self._lifts[payload] = (
-                self.ctx.el(unit) * self.ctx.uniformizer() ** v).payload
+            lift = self._lifts[payload] = self.ctx.mul(unit, self._pi_powers[v])
         return lift
 
     def class_precisions(self, v: int, N: int) -> tuple:
@@ -509,6 +514,11 @@ class UnitGroup:
     e_r), 0 <= e_i < d_i, the unit being g_1^{e_1} ... g_r^{e_r}, and
     unit_of is its inverse.
 
+    Orders come from cyclic walks: for each unit x with no order yet, x,
+    x^2, ... up to 1, and with d the walk's length each x^j has order d /
+    gcd(d, j).  A walk longer than |U|, or a d not dividing |U|, is not a
+    group's, and raises MonoidError.
+
     One greedy pass builds all three.  Rank the units by (-order,
     sort_key).  S, the span of the picks so far, starts at {1}.  The next
     pick is the first ranked x with x^(d/ell) not in S for every prime ell
@@ -534,15 +544,26 @@ class UnitGroup:
         self.ctx = monoid.unit_ctx
         units = monoid.unit_payloads()
         self.size = len(units)
-        self._primes = _primes(self.size)
         one, mul = self.ctx.int_payload(1), self.ctx.mul
-        order = {u: self.order_of(u) for u in units}
+        order = {}
+        for x in units:
+            if x in order:
+                continue
+            walk = [x]
+            while walk[-1] != one and len(walk) < self.size:
+                walk.append(mul(walk[-1], x))
+            d = len(walk)
+            if walk[-1] != one or self.size % d:
+                raise MonoidError(f"powers of {x} collided: not a group of order {self.size}")
+            for j, y in enumerate(walk, 1):
+                order[y] = d // math.gcd(d, j)
+        primes = _primes(self.size)
         ranked = sorted(units, key=lambda u: (-order[u], self.ctx.sort_key(u)))
         span, picks = {one: ()}, []
         while len(span) < self.size:
             x = next((x for x in ranked if order[x] > 1 and all(
                 self._pow(x, order[x] // ell) not in span
-                for ell in self._primes if order[x] % ell == 0)), None)
+                for ell in primes if order[x] % ell == 0)), None)
             if x is None:
                 raise MonoidError("no unit grows the span of the generators")
             grown, power = {}, one
@@ -569,14 +590,6 @@ class UnitGroup:
                 acc = self.ctx.mul(acc, a)
             a, e = self.ctx.mul(a, a), e >> 1
         return acc
-
-    def order_of(self, a) -> int:
-        ident = self.ctx.int_payload(1)
-        t = self.size
-        for ell in self._primes:
-            while t % ell == 0 and self._pow(a, t // ell) == ident:
-                t //= ell
-        return t
 
     def unit(self, exps):
         """The unit with exponent vector exps, read mod the invariant factors."""

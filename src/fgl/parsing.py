@@ -14,6 +14,7 @@ Every error carries the character position it was raised at.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .rings import RingContext, RingError
@@ -63,13 +64,21 @@ def _tokenize(text: str) -> list:
 class _Parser:
     """Recursive descent over the token list; values are dicts mapping
     exponent tuples to Fraction coefficients, exponents running over the
-    name table's order."""
+    name table's order.
 
-    def __init__(self, text: str, names: tuple):
+    Given a degree, products drop every term whose exponents over the first
+    graded names sum past it.  That is exact for the terms kept: exponents
+    are never negative, so a dropped term only ever feeds terms past the
+    degree."""
+
+    def __init__(self, text: str, names: tuple, degree: float = math.inf,
+                 graded: int = 0):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.names = names
         self.width = len(names)
+        self.degree = degree
+        self.graded = graded
 
     def peek(self):
         return self.tokens[self.pos]
@@ -155,8 +164,12 @@ class _Parser:
 
     def _mul(self, a: dict, b: dict) -> dict:
         out: dict = {}
+        g = self.graded
         for ea, ca in a.items():
+            room = self.degree - sum(ea[:g])
             for eb, cb in b.items():
+                if sum(eb[:g]) > room:
+                    continue
                 exp = tuple(x + y for x, y in zip(ea, eb))
                 out[exp] = out.get(exp, Fraction(0)) + ca * cb
         return {e: c for e, c in out.items() if c}
@@ -181,11 +194,12 @@ def parse_series(text: str, ctx: RingContext, variables: tuple, degree: int,
     """A truncated series over ctx in the listed variables.
 
     pi appears as a name only when pi_payload is given; terms above the
-    truncation degree are dropped.
+    truncation degree are dropped, by every product as it is formed, so a
+    power of a sum costs what its kept degrees need.
     """
     names = tuple(variables) + (("pi",) if pi_payload is not None else ())
-    raw = parse_terms(text, names)
     width = len(variables)
+    raw = _Parser(text, names, degree, width).parse()
     terms: dict = {}
     for exp, frac in raw.items():
         var_exp = exp[:width]

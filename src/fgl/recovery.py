@@ -452,9 +452,13 @@ def _compare_tables(native: RecoveredRing,
     one = m1.identity_payload()
     kinds, counts = {}, Counter()
     for c in els:
-        f1, f2 = native.flag(one, c), transported.flag(one, c)
+        # add(1, c) is row[c] on both rings: a flagged entry is read off
+        # other(), which gives the same native candidate, or on the
+        # transported ring the same inv[ring2.row[fwd[c]]]
+        z1, z2 = native.row[c], transported.row[c]
+        f1, f2 = pair_flag(one, c, z1), pair_flag(one, c, z2)
         kinds[c] = ("both" if f1 and f2 else "flag" if f1 or f2 else
-                    "agree" if native.row[c] == transported.row[c] else "entry")
+                    "agree" if z1 == z2 else "entry")
         w = native.weight(c[0])
         counts[kinds[c]] += w if c[0] or c == one else w // 2
     walk = ((a, b, kinds[m1.quotient(b, a)])

@@ -171,15 +171,17 @@ def test_unit_group_invariant_factors():
     assert G2.factors == [20]
 
 
+def _order(x, mul, one) -> int:
+    """The order of x, by repeated multiplication."""
+    y, k = x, 1
+    while y != one:
+        y, k = mul(y, x), k + 1
+    return k
+
+
 def _order_census(elements, mul, one) -> Counter:
     """Element orders counted by repeated multiplication."""
-    census = Counter()
-    for x in elements:
-        y, k = x, 1
-        while y != one:
-            y, k = mul(y, x), k + 1
-        census[k] += 1
-    return census
+    return Counter(_order(x, mul, one) for x in elements)
 
 
 @pytest.mark.parametrize("ctx, n, V, factors", [
@@ -199,7 +201,7 @@ def test_unit_group_non_cyclic_factors_match_order_census(ctx, n, V, factors):
         for exps in itertools.product(*(range(d) for d in factors))
     )
     assert group == model
-    assert [G.order_of(g) for g in G.generators] == factors
+    assert [_order(g, G.ctx.mul, G.ctx.int_payload(1)) for g in G.generators] == factors
 
 
 # (p, Eisenstein polynomial constant first or None for Z_p, n): the wild
@@ -225,6 +227,35 @@ def test_unit_group_matches_the_census_oracle(p, poly, n):
     assert (G.factors, G.generators, G.dlog) == census_unit_group(monoid)
     for u, exps in G.dlog.items():
         assert G.unit(exps) == G.unit([e + 2 * d for e, d in zip(exps, G.factors)]) == u
+
+
+def test_unit_group_build_makes_a_bounded_number_of_products(monkeypatch):
+    # one walk per cyclic subgroup met, not a power chain per unit
+    monoid = padic_truncation_of(EisensteinExtension(5, 8, (-5, 0, 1)), 5, 1)
+    ctx = monoid.unit_ctx
+    calls, inner = [0], ctx.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return inner(a, b)
+
+    monkeypatch.setattr(ctx, "mul", counted)
+    G = UnitGroup(monoid)
+    assert G.size == 2500
+    assert calls[0] <= 12 * G.size
+
+
+@pytest.mark.parametrize("ctx, n, V", [
+    (PadicIntegers(5, 6), 2, 3),
+    (EisensteinExtension(5, 7, (-5, 0, 1)), 2, 4),
+    (EisensteinExtension(3, 8, (3, 0, 0, 1)), 3, 4),
+], ids=["Z5", "e2", "e3"])
+def test_canonical_lift_is_the_unit_times_a_power_of_pi(ctx, n, V):
+    monoid = padic_truncation_of(ctx, n, V)
+    for c in monoid.payloads():
+        if c != BOTTOM:
+            v, u = c
+            assert monoid.canonical_lift(c) == (ctx.el(u) * ctx.uniformizer() ** v).payload
 
 
 class _Mod:

@@ -612,6 +612,21 @@ def _carrier_action(name):
     return build_action(d, build_fgl(d, N), monoid=padic_truncation_of(ctx, n, V))
 
 
+def test_adding_one_reads_the_row_on_criterion_5_and_transported_rings():
+    # _compare_tables takes the kind of (1, c) off row[c]: it is add(1, c)
+    native, r2 = (build_addition_table(_carrier_action(name))
+                  for name in ("criterion-5-t2-5", "criterion-5-t2-10"))
+    rings = [native, r2] + [transport_structure(iso, r2) for _, iso in
+                            unit_isomorphism_variants(native.monoid, r2.monoid, count=3)]
+    for name in DEMO_PAIRS:
+        n1, n2 = _demo_rings(name)
+        rings += [transport_structure(iso, n2) for _, iso in
+                  unit_isomorphism_variants(n1.monoid, n2.monoid, count=100)]
+    for ring in rings:
+        one = ring.monoid.identity_payload()
+        assert [ring.add(one, c) for c in ring.elements] == [ring.row[c] for c in ring.elements]
+
+
 @pytest.mark.parametrize("name", sorted(CARRIERS))
 def test_row_table_matches_the_per_pair_oracle(name):
     action = _carrier_action(name)
