@@ -23,9 +23,11 @@ ring stores its elements.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .laws import (
@@ -254,16 +256,20 @@ def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
     return law
 
 
-def _reduced_endomorphism(ctx: PadicRing, fld: LubinTateField, table: dict,
-                          law: FormalGroupLaw, a_payload) -> FglEndomorphism:
-    """exp(a * log) at the lift of a, reduced to the datum's ring ctx, not
-    verified; fld is the datum's field at law's degree, table its scalar
-    table, both read once by the caller."""
-    terms = {(1,): a_payload}
-    if table and not ctx.is_zero(a_payload):
+def _reduced_series(model: TruncatedSeries, fld: LubinTateField, table: dict,
+                    a_payload) -> TruncatedSeries:
+    """The series of [a] = exp(a * log) at the lift of a, reduced to the
+    ring of model, a series in T at the degree of fld, the datum's field;
+    table is its scalar table, both read once by the caller.  The payload a
+    and every from_field value are normal forms, so it is built through
+    model._fresh, keeping only the nonzero ones."""
+    ctx = model.ctx
+    terms = {} if ctx.is_zero(a_payload) else {(1,): a_payload}
+    if terms and table:
         values = evaluate_scalar_table(fld.log.ctx, table, ctx.lift(a_payload))
-        terms.update({e: ctx.from_field(v) for e, v in values.items()})
-    return FglEndomorphism(law, TruncatedSeries(ctx, ("T",), law.trunc_degree, terms))
+        terms.update((e, c) for e, v in values.items()
+                     if not ctx.is_zero(c := ctx.from_field(v)))
+    return model._fresh(terms)
 
 
 def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorphism:
@@ -279,10 +285,37 @@ def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorp
         a = a.payload
     else:
         a = d.ctx.normalize(a)
-    fld = d.field(law.trunc_degree)
-    endo = _reduced_endomorphism(d.ctx, fld, scalar_table(fld.log, fld.exp), law, a)
+    fld, N = d.field(law.trunc_degree), law.trunc_degree
+    endo = FglEndomorphism(law, _reduced_series(TruncatedSeries.zero(d.ctx, ("T",), N),
+                                                fld, scalar_table(fld.log, fld.exp), a))
     endo.verify()
     return endo
+
+
+class _OnDemand(Mapping):
+    """A LubinTateAction's assignment: [a] for each element it lifts, built
+    from the datum's field and scalar table at law's degree when asked and
+    never kept, so the series a caller reads, and any power table memoized
+    on them, die with the caller.  Read-only, as a Mapping has no setter;
+    it holds no reference to its action, so an action is freed as soon as
+    it is dropped."""
+
+    def __init__(self, law: FormalGroupLaw, fld: LubinTateField, table: dict, lifts: dict):
+        self._law, self._fld, self._table, self._lifts = law, fld, table, lifts
+        self._model = TruncatedSeries.zero(law.ctx, ("T",), law.trunc_degree)
+
+    def __getitem__(self, payload) -> FglEndomorphism:
+        series = _reduced_series(self._model, self._fld, self._table, self._lifts[payload])
+        return FglEndomorphism._certified(self._law, series)  # _certify proved it
+
+    def __contains__(self, payload):
+        return payload in self._lifts
+
+    def __iter__(self):
+        return iter(self._lifts)
+
+    def __len__(self):
+        return len(self._lifts)
 
 
 class LubinTateAction(MonoidAction):
@@ -291,14 +324,20 @@ class LubinTateAction(MonoidAction):
     was certified is what acts.  The type is the certificate: its datum's
     scalar table passed _certify, so on a truncation carrier the lemma of
     fgl.recovery.build_addition_table proves every check and every sum, at
-    every N.  Each [a] has linear coefficient canonical_lift(a) by
-    construction (_reduced_endomorphism)."""
+    every N.
+
+    It keeps what every [a] is read from: lifts, the payload whose [a]
+    acts for each assigned element (canonical_lift(a) on a truncation
+    carrier, a itself on a ring subset), and the datum's field and scalar
+    table at law's degree.  assignment builds [a] from them when asked
+    (_reduced_series), equal each time and a new series each time, with
+    law_violation recorded as None."""
 
     def __init__(self, datum: LubinTateDatum, law: FormalGroupLaw, monoid):
         if isinstance(monoid, PadicTruncationMonoid):
-            scalars = {p: monoid.canonical_lift(p) for p in monoid.payloads() if p != BOTTOM}
+            lifts = {p: monoid.canonical_lift(p) for p in monoid.payloads() if p != BOTTOM}
         elif isinstance(monoid, RingSubsetMonoid):
-            scalars = {p: p for p in monoid.payloads()}
+            lifts = {p: p for p in monoid.payloads()}
         else:
             raise LubinTateError("monoid must be a truncation monoid or a ring subset")
         ctx = datum.ctx
@@ -308,13 +347,10 @@ class LubinTateAction(MonoidAction):
         if law.F != reduce_series(fld.law, ctx):
             raise LubinTateError("law is not the datum's own; build it with build_fgl")
         _certify(ctx, fld)
-        table = scalar_table(fld.log, fld.exp)
-        assignment = {}
-        for p, a in scalars.items():
-            endo = assignment[p] = _reduced_endomorphism(ctx, fld, table, law, a)
-            endo.law_violation = None  # the cached property, proved above
-        super().__init__(monoid, law, assignment)
-        self.datum = datum
+        self.monoid, self.law, self.datum = monoid, law, datum
+        self.lifts = MappingProxyType(lifts)
+        self.field, self.table = fld, scalar_table(fld.log, fld.exp)
+        self.assignment = _OnDemand(law, fld, self.table, lifts)
 
 
 def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAction:
@@ -333,7 +369,8 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAct
     that fails is refused with LubinTateError.  No [a] is composed into the
     law: over the fraction field [a] = exp(a*log) is an endomorphism of F,
     and from_field is a ring map on integral elements, so the identity
-    holds between the reduced series.  Each law_violation is recorded as
+    holds between the reduced series.  No [a] is built here either: the
+    action builds each one when it is read, with law_violation recorded as
     None."""
     return LubinTateAction(d, law, monoid)
 

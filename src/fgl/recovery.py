@@ -33,7 +33,7 @@ from .monoids import (
     unit_isomorphism_variants,
 )
 from .rings import EisensteinExtension, RingError
-from .series import first_difference
+from .series import _pair_products, first_difference
 
 
 class RecoveryError(RingError):
@@ -98,6 +98,69 @@ def _native_sum(monoid, p1, p2):
     raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
 
 
+def sum_with(action: MonoidAction, p1):
+    """The function p2 -> recover_sum(action, p1, p2), with F's first
+    argument folded once.
+
+    F([p1], y) = sum_j g_j * y^j, g_j = sum_i F_ij * [p1]^i, is formed from
+    [p1]'s power table at the first confirmation that needs it; each p2 then
+    costs sum_j g_j * [p2]^j, one _pair_products per j, reading [p2]'s
+    powers only to F's top y-exponent.  That is F.composed_terms({x: [p1],
+    y: [p2]}) with each term c * ([p1]^i * [p2]^j) regrouped as (c *
+    [p1]^i) * [p2]^j and the sums reordered, which is exact where products
+    are commutative and associative on normal forms: over Q and the
+    PadicRings that build_action accepts.  A PolynomialQuotient whose
+    generators are not confluent may reduce the two groupings to different
+    normal forms (fgl.rings); no caller confirms a sum there."""
+    if p1 == ADJOINED_ZERO:
+        return lambda p2: p2
+    monoid, F = action.monoid, action.law.F
+    N, truncation = F.trunc_degree, isinstance(monoid, PadicTruncationMonoid)
+    top_x, top_y = F.top_exponents(N)
+
+    @cache
+    def fold():
+        first = action.endo_for(p1).series
+        ctx, powers = first.ctx, first.powers(top_x)
+        mul, add, one = ctx.mul, ctx.add, {(0,): ctx.int_payload(1)}
+        g = [{} for _ in range(top_y + 1)]
+        for (i, j), c in F.terms.items():
+            gj = g[j]
+            for e, v in (powers[i].terms if i else one).items():
+                if e[0] + j <= N:  # [p2]^j starts at degree j
+                    v = mul(c, v)
+                    gj[e] = add(gj[e], v) if e in gj else v
+        return ctx, [{e: v for e, v in gj.items() if not ctx.is_zero(v)} for gj in g]
+
+    def add_p1(p2):
+        if p2 == ADJOINED_ZERO:
+            return p1
+        candidate = _native_sum(monoid, p1, p2)
+        if candidate == CAPPED:
+            return CAPPED
+        ctx, g = fold()
+        target, precisions = {}, None
+        if candidate != ADJOINED_ZERO:
+            target = action.endo_for(candidate).series.terms
+            if truncation:
+                precisions = monoid.class_precisions(candidate[0], N)
+        mul, add = ctx.mul, ctx.add
+        summed = dict(g[0])
+        for gj, power in zip(g[1:], action.endo_for(p2).series.powers(top_y)[1:]):
+            for e, v in _pair_products(N, gj, power.terms, mul, add).items():
+                summed[e] = add(summed[e], v) if e in summed else v
+        bad = first_difference(ctx, summed, target, precisions)
+        if bad:
+            raise RecoveryError(
+                f"F([{monoid.label(p1)}], [{monoid.label(p2)}]) differs from "
+                f"[{entry_label(monoid, candidate)}] at degree {sum(bad[0])}; "
+                f"action not strict here?"
+            )
+        return candidate
+
+    return add_p1
+
+
 def recover_sum(action: MonoidAction, p1, p2):
     """The carrier element whose endomorphism matches F([p1], [p2]).
 
@@ -109,35 +172,10 @@ def recover_sum(action: MonoidAction, p1, p2):
     [candidate] at the candidate's class precision over a truncation
     monoid, exactly over a window, and vanish exactly when the candidate is
     the adjoined zero.  A mismatch is a hard error; a window sum that is
-    not listed raises NoMatch before any law work.
+    not listed raises NoMatch before any law work.  This is sum_with(action,
+    p1) applied to p2, the one confirmation path.
     """
-    if p1 == ADJOINED_ZERO:
-        return p2
-    if p2 == ADJOINED_ZERO:
-        return p1
-    monoid = action.monoid
-    candidate = _native_sum(monoid, p1, p2)
-    if candidate == CAPPED:
-        return CAPPED
-    first = action.endo_for(p1).series
-    precisions = None
-    if candidate == ADJOINED_ZERO:
-        target = {}
-    else:
-        if isinstance(monoid, PadicTruncationMonoid):
-            precisions = monoid.class_precisions(candidate[0], first.trunc_degree)
-        target = action.endo_for(candidate).series.terms
-    second = action.endo_for(p2).series
-    F = action.law.F
-    composed = F.composed_terms(dict(zip(F.variables, (first, second))))
-    bad = first_difference(first.ctx, composed, target, precisions)
-    if bad:
-        raise RecoveryError(
-            f"F([{monoid.label(p1)}], [{monoid.label(p2)}]) differs from "
-            f"[{entry_label(monoid, candidate)}] at degree {sum(bad[0])}; "
-            f"action not strict here?"
-        )
-    return candidate
+    return sum_with(action, p1)(p2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +350,11 @@ class RecoveredRing:
 def build_addition_table(action: LubinTateAction) -> RecoveredRing:
     """Every pairwise sum, read off the row Z[c] = recover_sum(action, 1, c)
     that the law confirms at class precision; a failed confirmation is a
-    hard error.  Only an action that build_action built is taken: the
-    lemma below proves every other pair and check from its certificate.
-    Any other action is refused; verify_action checks one pair by pair.
+    hard error.  The row folds F([1], y) once (sum_with) and applies it to
+    every class, each [c] built as the action serves it.  Only an action
+    that build_action built is taken: the lemma below proves every other
+    pair and check from its certificate.  Any other action is refused;
+    verify_action checks one pair by pair.
 
     Lemma.  Let M be the datum's scalar table, [s] = s*T + sum_k P_k(s) *
     T^k with P_k(s) = sum_j M[k][j] * s^j, for s in the fraction field.
@@ -355,8 +395,8 @@ def build_addition_table(action: LubinTateAction) -> RecoveredRing:
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
-    one = monoid.identity_payload()
-    row = {c: recover_sum(action, one, c) for c in monoid.payloads() if c != BOTTOM}
+    add_one = sum_with(action, monoid.identity_payload())
+    row = {c: add_one(c) for c in monoid.payloads() if c != BOTTOM}
     return RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
 
 

@@ -216,16 +216,6 @@ class UniversalPresentation:
                 return g
         raise UniversalError(f"no relation labeled {label!r}")
 
-    def self_check(self):
-        """Re-derive every relation class from the tautological series and
-        compare against the stored list; bookkeeping guard."""
-        fresh = _extract_ideal(self)
-        if len(fresh) != len(self.ideal):
-            raise UniversalError("relation count drifted")
-        for (l1, g1), (l2, g2) in zip(self.ideal, fresh):
-            if l1 != l2 or g1.payload != g2.payload:
-                raise UniversalError(f"relation {l1} does not match re-extraction")
-
     def _poly_json(self, element: RingElement) -> list:
         return [[list(exp), c] for exp, c in element.payload]
 

@@ -9,6 +9,11 @@ trusts nothing: verify_action first, then the row, then every pair without
 looked up on fgl.recovery at call time, so a test that plants one there
 reaches it.
 
+composed_row is the row of a truncation action with each entry confirmed
+by composing [1] and [c] into F, one F.composed_terms per class, an oracle
+for the row that fgl.recovery.sum_with confirms with F's first argument
+folded once.
+
 census_unit_group is the order census and one trial span per candidate
 generator, an oracle for fgl.monoids.UnitGroup.
 """
@@ -16,10 +21,12 @@ from collections import Counter
 from functools import partial
 
 from fgl import recovery
-from fgl.laws import verify_action
+from fgl.laws import MonoidAction, verify_action
 from fgl.monoids import BOTTOM, MonoidError, PadicTruncationMonoid
-from fgl.recovery import RecoveredRing, RecoveryError, entry_label
+from fgl.recovery import (ADJOINED_ZERO, CAPPED, RecoveredRing, RecoveryError,
+                          entry_label)
 from fgl.rings import _vp
+from fgl.series import first_difference
 
 # what build_addition_table says to an action that build_action did not build
 REFUSED = "full tables need an action built by build_action"
@@ -32,6 +39,9 @@ def exhaustive_table(action) -> RecoveredRing:
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
+    # the same endomorphisms, each built once: a pair reads the power
+    # tables that earlier pairs memoized on them
+    action = MonoidAction(monoid, action.law, action.assignment)
     rep = verify_action(action)
     if not rep.ok:
         raise RecoveryError(f"action verification failed: {rep.violations[0].to_json()}")
@@ -48,6 +58,35 @@ def exhaustive_table(action) -> RecoveredRing:
                 raise RecoveryError(f"{monoid.label(a)} + {monoid.label(b)} = "
                                     f"{entry_label(monoid, entry)} breaks a + b = a*Z[b/a]")
     return ring
+
+
+def composed_row(action) -> dict:
+    """{c: 1 + c} for every class c of a truncation action, each candidate
+    the native sum of the canonical lifts and confirmed by F.composed_terms
+    of [1] and [c] against [candidate] at its class precision; raises
+    RecoveryError on a failed confirmation, as recover_sum does."""
+    monoid, F = action.monoid, action.law.F
+    one, label = monoid.identity_payload(), monoid.label
+    first = action.endo_for(one).series
+    row = {}
+    for c in monoid.payloads():
+        if c == BOTTOM:
+            continue
+        candidate = row[c] = recovery._native_sum(monoid, one, c)
+        if candidate == CAPPED:
+            continue
+        target, precisions = {}, None
+        if candidate != ADJOINED_ZERO:
+            target = action.endo_for(candidate).series.terms
+            precisions = monoid.class_precisions(candidate[0], F.trunc_degree)
+        composed = F.composed_terms(dict(zip(F.variables,
+                                             (first, action.endo_for(c).series))))
+        bad = first_difference(first.ctx, composed, target, precisions)
+        if bad:
+            raise RecoveryError(f"F([{label(one)}], [{label(c)}]) differs from "
+                                f"[{entry_label(monoid, candidate)}] at degree "
+                                f"{sum(bad[0])}")
+    return row
 
 
 def census_unit_group(monoid: PadicTruncationMonoid):

@@ -320,7 +320,8 @@ def test_random_pairs_compose_and_add():
     for _ in range(12):
         a = rng.randrange(1, 125)
         b = rng.randrange(1, 125)
-        assert endo(a).compose(endo(b)) == endo(a * b)
+        composite = endo(a).series.substitute_single(endo(b).series)
+        assert composite == endo(a * b).series
         assert law.plus(endo(a).series, endo(b).series) == endo(a + b).series
 
 
@@ -332,12 +333,12 @@ def test_scalar_reduction_moves_deep_coefficients():
     Z5 = PadicIntegers(5, 6)
     d = standard_datum(Z5, degree=6)
     law = build_fgl(d, 6)
-    composite = build_endomorphism(d, law, 177).compose(
-        build_endomorphism(d, law, 192)
+    composite = build_endomorphism(d, law, 177).series.substitute_single(
+        build_endomorphism(d, law, 192).series
     )
     reduced = build_endomorphism(d, law, (177 * 192) % 5**6)
-    assert composite.series != reduced.series
-    delta = composite.series - reduced.series
+    assert composite != reduced.series
+    delta = composite - reduced.series
     assert set(delta.terms) == {(5,)}
     assert Z5.valuation(delta.terms[(5,)]) == 5
     for (k,), c in delta.terms.items():
@@ -433,15 +434,19 @@ def test_truncation_tolerance_needs_a_truncation_monoid():
 
 @pytest.mark.parametrize("kind", ["built", "plain"])
 def test_an_action_is_fixed_when_built(kind):
-    # a different action is a new MonoidAction; none changes in place
+    # a different action is a new MonoidAction; none changes in place.  A
+    # built action keeps what [a] is read from and builds [a] when asked, a
+    # new series equal to the last one
     built = _small_truncation_action()
     action = built if kind == "built" else MonoidAction(built.monoid, built.law,
                                                          built.assignment)
     law, monoid, endo = action.law, action.monoid, action.assignment[(1, 1)]
     other_law = FormalGroupLaw.multiplicative(law.ctx, 4)
     other_monoid = padic_truncation_of(law.ctx, 1, 3)
-    names = ["law", "monoid", "assignment"] + (["datum"] if kind == "built" else [])
-    for name, value in zip(names, [other_law, other_monoid, {}, None]):
+    fixed = {"law": other_law, "monoid": other_monoid, "assignment": {}}
+    if kind == "built":
+        fixed.update(datum=None, lifts={}, field=None, table={})
+    for name, value in fixed.items():
         with pytest.raises(AttributeError, match="fixed when it is built"):
             setattr(action, name, value)
         with pytest.raises(AttributeError, match="fixed when it is built"):
@@ -450,10 +455,16 @@ def test_an_action_is_fixed_when_built(kind):
         action.assignment[(1, 1)] = action.assignment[(1, 2)]
     with pytest.raises(TypeError):
         del action.assignment[(1, 1)]
+    if kind == "built":
+        with pytest.raises(TypeError):
+            action.lifts[(1, 1)] = action.lifts[(1, 2)]
     with pytest.raises(AttributeError, match="fixed when it is built"):
         endo.series = action.assignment[(1, 2)].series
     assert action.law is law and action.monoid is monoid
-    assert action.assignment[(1, 1)] is endo
+    if kind == "built":
+        assert action.assignment[(1, 1)] == endo
+    else:
+        assert action.assignment[(1, 1)] is endo
     assert verify_action(action).ok
 
 

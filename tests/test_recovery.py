@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 from collections import Counter
 from itertools import product
@@ -52,7 +53,7 @@ from fgl.recovery import (
 )
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
 from fgl.series import TruncatedSeries
-from oracles import REFUSED, exhaustive_table
+from oracles import REFUSED, composed_row, exhaustive_table
 
 Q = RationalField()
 
@@ -637,73 +638,112 @@ def test_row_table_matches_the_per_pair_oracle(name):
             assert ring.add(a, b) == ring.add(b, a) == recover_sum(action, a, b), (a, b)
 
 
+def _confirmations(monkeypatch):
+    """The law confirmations that fgl.recovery makes from here on: one
+    first_difference per confirmed sum."""
+    calls = []
+    real = recovery.first_difference
+    monkeypatch.setattr(recovery, "first_difference",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 @pytest.mark.parametrize("name, compositions", [
-    # a build composes the row entries only, at every N; a composition per
+    # a build confirms the row entries only, at every N; a confirmation per
     # pair would make 1,770, 43,600 and 66
     ("criterion-4", 60),           # 60 row entries
     ("criterion-5-t2-5", 299),     # 299 row entries (one capped)
     ("p3-n2-V2", 11),              # N >= q: 12 row entries (one capped)
 ])
 def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
+    # each confirmation is F([1], [c]), F's first argument folded once per
+    # row, so the law itself is composed into nothing
     action = _carrier_action(name)
-    calls = []
+    composed = []
     composed_terms = TruncatedSeries.composed_terms
 
     def counted(self, assignments):
         if len(self.variables) == 2:
-            calls.append(1)
+            composed.append(1)
         return composed_terms(self, assignments)
 
     monkeypatch.setattr(TruncatedSeries, "composed_terms", counted)
+    confirmations = _confirmations(monkeypatch)
     build_addition_table(action)
-    assert len(calls) == compositions
+    assert len(confirmations) == compositions
+    assert composed == []
 
 
-def _read_tables(action):
-    """The power tables that compositions left memoized on the classes."""
-    return {p: e.series._powers for p, e in action.assignment.items()
-            if e.series._powers is not None}
+def _power_reads(monkeypatch):
+    """(series, top, memo length) for every power table a one-variable
+    series is read from from here on."""
+    reads = []
+    powers = TruncatedSeries.powers
+
+    def recorded(self, top):
+        table = powers(self, top)
+        if len(self.variables) == 1:
+            reads.append((self, top, len(self._powers)))
+        return table
+
+    monkeypatch.setattr(TruncatedSeries, "powers", recorded)
+    return reads
+
+
+def _no_memo_served(action):
+    """No series that the action serves carries a power table."""
+    return all(endo.series._powers is None for endo in action.assignment.values())
 
 
 def test_a_table_at_degree_2_multiplies_no_series(monkeypatch):
-    # F = x + y at N = 2 reads each [c] to degree 1, and [None, s] is no product
+    # F = x + y at N = 2 reads [1] and each [c] to degree 1, and [None, s]
+    # is no product
     action = _carrier_action.__wrapped__("criterion-5-t2-5")
     products = []
     mul = TruncatedSeries.__mul__
     monkeypatch.setattr(TruncatedSeries, "__mul__",
                         lambda a, b: products.append(1) or mul(a, b))
+    reads = _power_reads(monkeypatch)
     build_addition_table(action)
     assert products == []
-    tables = _read_tables(action)
-    assert (len(tables), len(action.assignment)) == (299, 300)  # one entry capped
-    for p, table in tables.items():
-        series = action.assignment[p].series
-        assert table[0] is None and len(table) == 2
-        assert table[1].terms is series.terms
+    assert len(action.assignment) == 300
+    assert len(reads) == 1 + 299  # [1] folded once; one entry capped
+    for series, top, memo in reads:
+        assert (top, memo) == (1, 2)
+        assert series._powers[1].terms is series.terms
+    assert _no_memo_served(action)
 
 
-def test_a_row_reads_each_class_to_the_law_top_exponent():
+def test_a_row_reads_each_class_to_the_law_top_exponent(monkeypatch):
     # at p = 3, N = 4 the law is x + y + u*x^2*y + u*x*y^2, so no [c]^3 or
-    # [c]^4 is built
+    # [c]^4 is built, for [1] or for any [c]
     action = _carrier_action.__wrapped__("p3-n2-V2")
     N = action.law.trunc_degree
     top = max(action.law.F.top_exponents(N))
     assert (N, top) == (4, 2)
+    reads = _power_reads(monkeypatch)
     build_addition_table(action)
-    tables = _read_tables(action)
-    assert tables and all(len(t) == top + 1 for t in tables.values())
+    assert len(reads) == 1 + 11  # [1] folded once; one entry capped
+    assert all((t, memo) == (top, top + 1) for _, t, memo in reads)
+    assert _no_memo_served(action)
 
 
 @pytest.mark.parametrize("name", ["criterion-4", "criterion-5-t2-5", "p3-n2-V2"])
 def test_a_certified_build_confirms_only_the_row(monkeypatch, name):
     action = _carrier_action(name)
     one = action.monoid.identity_payload()
-    calls = []
-    real = recovery.recover_sum
-    monkeypatch.setattr(recovery, "recover_sum",
-                        lambda act, a, b: calls.append((a, b)) or real(act, a, b))
+    folds, calls = [], []
+    real = recovery.sum_with
+
+    def counted(act, p1):
+        add = real(act, p1)
+        folds.append(p1)
+        return lambda p2: calls.append((p1, p2)) or add(p2)
+
+    monkeypatch.setattr(recovery, "sum_with", counted)
     ring = build_addition_table(action)
     assert sum(ring.flag_counts().values()) > 0
+    assert folds == [one]
     assert calls == [(one, c) for c in action.monoid.payloads() if c != BOTTOM]
 
 
@@ -788,15 +828,16 @@ def test_table_refuses_an_action_that_fails_verification(mutant):
 
 
 def _plant_row_entry(monkeypatch, action, c0, entry):
-    """recover_sum answers entry for 1 + c0, and the law for every other
-    sum."""
+    """recover_sum and the row answer entry for 1 + c0, and the law for
+    every other sum."""
     one = action.monoid.identity_payload()
-    real = recovery.recover_sum
+    real = recovery.sum_with
 
-    def planted(action, p1, p2):
-        return entry if (p1, p2) == (one, c0) else real(action, p1, p2)
+    def planted(action, p1):
+        add = real(action, p1)
+        return lambda p2: entry if (p1, p2) == (one, c0) else add(p2)
 
-    monkeypatch.setattr(recovery, "recover_sum", planted)
+    monkeypatch.setattr(recovery, "sum_with", planted)
 
 
 def test_a_planted_row_entry_fails_the_per_pair_table(monkeypatch):
@@ -958,6 +999,64 @@ def test_certified_table_matches_the_flagged_pair_oracle(name):
     assert oracle.flag_counts()["precision"] > 0
 
 
+# the rows the fold is checked on: every carrier above, and the non-additive
+# datum over Z_5[sqrt 5] at N = 2, 3 and 4, whose laws have terms below q
+ROW_CASES = {
+    **{name: functools.partial(_carrier_action, name) for name in CARRIERS},
+    **{f"nonadditive-n2-V3-N{N}": functools.partial(
+        _datum_action, SQRT5, _nonadditive_datum(SQRT5), 2, 3, N) for N in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+def test_the_folded_row_matches_the_composed_row(name):
+    action = ROW_CASES[name]()
+    assert build_addition_table(action).row == composed_row(action)
+
+
+@pytest.mark.parametrize("name", ["criterion-4", "criterion-5-t2-5", "p3-n2-V2",
+                                  "nonadditive-n2-V3-N2", "nonadditive-n2-V3-N4"])
+def test_a_perturbed_class_fails_the_folded_row(monkeypatch, name):
+    # [c] is read as F's second argument at row entry c and as the target
+    # of the entry whose sum is c; c is the first class past 1 that the row
+    # reads as an argument first, and its T^N coefficient gains a unit
+    action = ROW_CASES[name]()
+    monoid, N = action.monoid, action.law.trunc_degree
+    one = monoid.identity_payload()
+    targets = set()
+    for c in monoid.payloads():
+        if c != one and c not in targets:
+            break
+        targets.add(recovery._native_sum(monoid, one, c))
+    lift = action.lifts[c]
+    real = lubin_tate._reduced_series
+
+    def perturbed(model, fld, table, a):
+        series = real(model, fld, table, a)
+        if a != lift:
+            return series
+        return series + TruncatedSeries(model.ctx, ("T",), N, {(N,): 1})
+
+    monkeypatch.setattr(lubin_tate, "_reduced_series", perturbed)
+    named = re.escape(f"F([{monoid.label(one)}], [{monoid.label(c)}]) differs from")
+    with pytest.raises(RecoveryError, match=named):
+        build_addition_table(action)
+    with pytest.raises(RecoveryError, match=named):
+        composed_row(action)
+
+
+@pytest.mark.parametrize("name", ["p3-n2-V2", "nonadditive-n2-V3-N2",
+                                  "nonadditive-n2-V3-N3", "nonadditive-n2-V3-N4"])
+def test_a_served_class_is_in_normal_form(name):
+    # [c] is built without TruncatedSeries' checks, from payloads that
+    # from_field returns in normal form; the checks would change nothing
+    action = ROW_CASES[name]()
+    ctx, N = action.law.ctx, action.law.trunc_degree
+    for c, endo in action.assignment.items():
+        terms = endo.series.terms
+        assert TruncatedSeries(ctx, ("T",), N, terms).terms == terms, c
+
+
 def _valid_datum(data):
     ctx = data.draw(st.sampled_from([PadicIntegers(5, 6), SQRT5]))
     q, pi = ctx.p, ctx.uniformizer().payload
@@ -1029,7 +1128,7 @@ def test_an_endomorphism_replaced_after_the_build_loses_the_certificate():
     replaced = FglEndomorphism(action.law, _noncanonical(built.series))
     with pytest.raises(TypeError):
         action.assignment[u] = replaced
-    assert action.endo_for(u) is built
+    assert action.endo_for(u) == built
     # an action carrying the replacement is a new one, which no table takes
     mutant = MonoidAction(action.monoid, action.law, {**action.assignment, u: replaced})
     assert verify_action(mutant).ok

@@ -15,6 +15,7 @@ from fgl.universal import (
     BudgetExceeded,
     IdealNotKilled,
     UniversalError,
+    _extract_ideal,
     budget_caps,
     classify_fgl,
     functoriality_map,
@@ -145,6 +146,15 @@ def _oracle_rank_one():
     return rels
 
 
+def _self_check(pres):
+    """Re-derive every relation class from the tautological series and
+    compare against the stored list; bookkeeping guard."""
+    fresh = _extract_ideal(pres)
+    assert len(fresh) == len(pres.ideal), "relation count drifted"
+    for (l1, g1), (l2, g2) in zip(pres.ideal, fresh):
+        assert (l1, g1.payload) == (l2, g2.payload), f"relation {l1} does not match"
+
+
 def test_rank_one_relations_match_oracle():
     oracle = _oracle_rank_one()
     # anchor the oracle itself before trusting it
@@ -160,7 +170,7 @@ def test_rank_one_relations_match_oracle():
         "Z_m_m_1", "Z_m_m_2",
     ]
     assert {l: dict(g.payload) for l, g in pres.ideal} == oracle
-    pres.self_check()
+    _self_check(pres)
 
 
 def test_rank_one_export_text():
