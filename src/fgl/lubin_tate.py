@@ -27,7 +27,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .laws import (
@@ -293,29 +292,32 @@ def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorp
 
 
 class _OnDemand(Mapping):
-    """A LubinTateAction's assignment: [a] for each element it lifts, built
-    from the datum's field and scalar table at law's degree when asked and
-    never kept, so the series a caller reads, and any power table memoized
-    on them, die with the caller.  Read-only, as a Mapping has no setter;
-    it holds no reference to its action, so an action is freed as soon as
-    it is dropped."""
+    """A LubinTateAction's assignment: [a] for each payload a of the monoid
+    but BOTTOM, built at monoid.canonical_lift(a) from the datum's field and
+    scalar table at law's degree when asked and never kept, so the series a
+    caller reads, and any power table memoized on them, die with the caller.
+    Read-only, as a Mapping has no setter; it holds no reference to its
+    action, so an action is freed as soon as it is dropped."""
 
-    def __init__(self, law: FormalGroupLaw, fld: LubinTateField, table: dict, lifts: dict):
-        self._law, self._fld, self._table, self._lifts = law, fld, table, lifts
+    def __init__(self, law: FormalGroupLaw, fld: LubinTateField, table: dict, monoid):
+        self._law, self._fld, self._table = law, fld, table
+        self._payloads, self._lift = monoid.payloads(), monoid.canonical_lift
         self._model = TruncatedSeries.zero(law.ctx, ("T",), law.trunc_degree)
 
     def __getitem__(self, payload) -> FglEndomorphism:
-        series = _reduced_series(self._model, self._fld, self._table, self._lifts[payload])
+        if payload not in self:
+            raise KeyError(payload)
+        series = _reduced_series(self._model, self._fld, self._table, self._lift(payload))
         return FglEndomorphism._certified(self._law, series)  # _certify proved it
 
     def __contains__(self, payload):
-        return payload in self._lifts
+        return payload != BOTTOM and payload in self._payloads
 
     def __iter__(self):
-        return iter(self._lifts)
+        return (p for p in self._payloads if p != BOTTOM)
 
     def __len__(self):
-        return len(self._lifts)
+        return len(self._payloads) - (BOTTOM in self._payloads)
 
 
 class LubinTateAction(MonoidAction):
@@ -326,19 +328,15 @@ class LubinTateAction(MonoidAction):
     fgl.recovery.build_addition_table proves every check and every sum, at
     every N.
 
-    It keeps what every [a] is read from: lifts, the payload whose [a]
-    acts for each assigned element (canonical_lift(a) on a truncation
-    carrier, a itself on a ring subset), and the datum's field and scalar
-    table at law's degree.  assignment builds [a] from them when asked
-    (_reduced_series), equal each time and a new series each time, with
-    law_violation recorded as None."""
+    It keeps what every [a] is read from besides the monoid, which forms
+    the lift of each element (canonical_lift: u * pi^v for a class (v, u)
+    of a truncation carrier, a itself on a ring subset): the datum's field
+    and scalar table at law's degree.  assignment builds [a] from them when
+    asked (_reduced_series), equal each time and a new series each time,
+    with law_violation recorded as None."""
 
     def __init__(self, datum: LubinTateDatum, law: FormalGroupLaw, monoid):
-        if isinstance(monoid, PadicTruncationMonoid):
-            lifts = {p: monoid.canonical_lift(p) for p in monoid.payloads() if p != BOTTOM}
-        elif isinstance(monoid, RingSubsetMonoid):
-            lifts = {p: p for p in monoid.payloads()}
-        else:
+        if not isinstance(monoid, (PadicTruncationMonoid, RingSubsetMonoid)):
             raise LubinTateError("monoid must be a truncation monoid or a ring subset")
         ctx = datum.ctx
         if monoid.ctx.key() != ctx.key():
@@ -348,9 +346,8 @@ class LubinTateAction(MonoidAction):
             raise LubinTateError("law is not the datum's own; build it with build_fgl")
         _certify(ctx, fld)
         self.monoid, self.law, self.datum = monoid, law, datum
-        self.lifts = MappingProxyType(lifts)
         self.field, self.table = fld, scalar_table(fld.log, fld.exp)
-        self.assignment = _OnDemand(law, fld, self.table, lifts)
+        self.assignment = _OnDemand(law, fld, self.table, monoid)
 
 
 def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAction:

@@ -39,7 +39,7 @@ class Monoid:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def payloads(self) -> list:
+    def payloads(self):
         raise MonoidError("not a finite monoid")
 
     def label(self, payload) -> str:
@@ -260,19 +260,19 @@ class PadicTruncationMonoid(Monoid):
         self._units = None
         self._unit_group = None
         self._products: dict = {}  # unit -> its row of products
+        self._registry = None  # payloads(), built on first use
         self._classes: dict = {}
-        self._lifts: dict = {}
         # pi^0 .. pi^(V-1), the valuation parts of the canonical lifts
         pi = ctx.uniformizer().payload
         self._pi_powers = list(accumulate(repeat(pi, V - 1), ctx.mul,
                                           initial=ctx.int_payload(1)))
         self._precisions: dict = {}
 
-    def unit_payloads(self) -> list:
-        """All units of O/m^n, deterministically ordered."""
+    def unit_payloads(self) -> tuple:
+        """All units of O/m^n, deterministically ordered, built once."""
         if self._units is None:
-            self._units = self.unit_ctx.units()
-        return list(self._units)
+            self._units = tuple(self.unit_ctx.units())
+        return self._units
 
     @property
     def unit_group(self) -> "UnitGroup":
@@ -326,12 +326,14 @@ class PadicTruncationMonoid(Monoid):
         return (b[0] - a[0], g.unit(map(operator.sub, g.dlog[b[1]], g.dlog[a[1]])))
 
     def payloads(self):
-        out = []
-        for v in range(self.V):
-            for u in self.unit_payloads():
-                out.append((v, u))
-        out.append(BOTTOM)
-        return out
+        """The registry, built on first use: a read-only keys view of a dict
+        sending every class (v, u), valuation first, then BOTTOM, to itself,
+        the same on every call.  Every structure over the monoid holds these
+        objects; payloads().mapping[c] is the one equal to a tuple c."""
+        if self._registry is None:
+            classes = [(v, u) for v in range(self.V) for u in self.unit_payloads()] + [BOTTOM]
+            self._registry = dict(zip(classes, classes)).keys()
+        return self._registry
 
     def generators(self) -> list:
         """The class of pi (BOTTOM when V = 1), then (0, g) for each unit
@@ -341,8 +343,8 @@ class PadicTruncationMonoid(Monoid):
 
     def class_of(self, a):
         """Collapse a nonzero normalized payload of ctx to its truncation
-        class payload, memoized on its residue mod m^(n + V - 1); a zero
-        residue is BOTTOM."""
+        class, the registry's object (payloads), memoized on its residue
+        mod m^(n + V - 1); a zero residue is BOTTOM."""
         residue = self._class_ctx.normalize(a)
         if self._class_ctx.is_zero(residue):
             if self.ctx.is_zero(a):
@@ -350,22 +352,21 @@ class PadicTruncationMonoid(Monoid):
             return BOTTOM
         cls = self._classes.get(residue)
         if cls is None:
-            v = self.ctx.valuation(a)
-            cls = self._classes[residue] = BOTTOM if v >= self.V else (
-                v, self.unit_ctx.normalize(self.ctx.unit_part(a, v)))
+            v, registry = self.ctx.valuation(a), self.payloads().mapping
+            cls = self._classes[residue] = BOTTOM if v >= self.V else registry[
+                v, self.unit_ctx.normalize(self.ctx.unit_part(a, v))]
         return cls
 
     def canonical_lift(self, payload):
         """The fixed lift of a class (v, u): u * pi^v, a normalized payload
-        of ctx, memoized per class.  A unit mod m^n is a payload of ctx
-        too, so the lift is one product with pi^v from the monoid's table."""
-        lift = self._lifts.get(payload)
-        if lift is None:
-            if payload == BOTTOM:
-                raise MonoidError("BOTTOM has no canonical lift")
-            v, unit = payload
-            lift = self._lifts[payload] = self.ctx.mul(unit, self._pi_powers[v])
-        return lift
+        of ctx.  A unit mod m^n is a payload of ctx too, so the lift is one
+        product with pi^v from the monoid's table, formed on each call and
+        kept by no one, as a memo would hold a lift per class for the
+        monoid's life."""
+        if payload == BOTTOM:
+            raise MonoidError("BOTTOM has no canonical lift")
+        v, unit = payload
+        return self.ctx.mul(unit, self._pi_powers[v])
 
     def class_precisions(self, v: int, N: int) -> tuple:
         """Entry k is the pi-adic precision of degree-k coefficients of [a]
@@ -441,14 +442,10 @@ class RingSubsetMonoid(Monoid):
         self.ctx = ctx
         listed = [ctx.normalize(p) for p in payloads]
         one = ctx.int_payload(1)
-        if one not in listed:
-            listed.insert(0, one)
-        seen = set()
-        self.listed = []
+        elements = {} if one in listed else {one: one}  # first occurrences, in order
         for p in listed:
-            if p not in seen:
-                seen.add(p)
-                self.listed.append(p)
+            elements.setdefault(p, p)
+        self._elements = elements.keys()
 
     def check_payload(self, payload):
         return self.ctx.normalize(payload)
@@ -460,20 +457,25 @@ class RingSubsetMonoid(Monoid):
         return self.ctx.mul(a, b)
 
     def payloads(self):
-        return list(self.listed)
+        """The registry, as a truncation monoid keeps one."""
+        return self._elements
+
+    def canonical_lift(self, payload):
+        """An element acts by itself: its lift is the payload."""
+        return payload
 
     def label(self, payload) -> str:
         # the ring's own rendering, without its precision term or spaces
         return self.ctx.fmt(payload).split(" + O(")[0].replace(" + ", "+")
 
     def key(self):
-        return ("subset", self.ctx.key(), tuple(self.listed))
+        return ("subset", self.ctx.key(), tuple(self._elements))
 
     def descriptor(self):
         return {
             "kind": "ring_subset",
             "ring": self.ctx.descriptor(),
-            "elements": [self.ctx.value_to_json(p) for p in self.listed],
+            "elements": [self.ctx.value_to_json(p) for p in self._elements],
         }
 
 
@@ -652,8 +654,7 @@ class MonoidMorphism:
             ident = self.apply(self.source.identity_payload())
             if ident != self.target.identity_payload():
                 raise MonoidError("identity is not preserved")
-            ps = self.source.payloads()
-            images = {p: self.table[p] for p in ps}
+            ps, images = self.source.payloads(), self.table
             rows = (self.source.generators()
                     if isinstance(self.source, PadicTruncationMonoid) else ps)
             for a in rows:
@@ -717,10 +718,9 @@ def build_monoid_isomorphism(
                 for payload, exps in u1.dlog.items()}
     if len(set(unit_map.values())) != len(unit_map):
         raise StructureMismatch("twisted generator matching is not injective")
-    table = {BOTTOM: BOTTOM}
-    for v in range(m1.V):
-        for u, img in unit_map.items():
-            table[(v, u)] = (v, img)
+    # keys and values are the two registries' own objects
+    image = m2.payloads().mapping
+    table = {c: c if c == BOTTOM else image[c[0], unit_map[c[1]]] for c in m1.payloads()}
     return MonoidMorphism(m1, m2, table=table)
 
 

@@ -81,21 +81,18 @@ def _native_sum(monoid, p1, p2):
     is.  A window sum that is not listed raises NoMatch."""
     if p1 == BOTTOM or p2 == BOTTOM:
         return CAPPED
+    if not isinstance(monoid, (PadicTruncationMonoid, RingSubsetMonoid)):
+        raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
     ctx = monoid.ctx
-    if isinstance(monoid, PadicTruncationMonoid):
-        s = ctx.add(monoid.canonical_lift(p1), monoid.canonical_lift(p2))
-        if ctx.is_zero(s):
-            return ADJOINED_ZERO
-        cls = monoid.class_of(s)
-        return CAPPED if cls == BOTTOM else cls
+    s = ctx.add(monoid.canonical_lift(p1), monoid.canonical_lift(p2))
+    if ctx.is_zero(s):
+        return ADJOINED_ZERO
     if isinstance(monoid, RingSubsetMonoid):
-        s = ctx.add(p1, p2)
-        if ctx.is_zero(s):
-            return ADJOINED_ZERO
-        if s not in monoid.listed:
+        if s not in monoid.payloads():
             raise NoMatch("sum lies outside the listed window")
         return s
-    raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
+    cls = monoid.class_of(s)
+    return CAPPED if cls == BOTTOM else cls
 
 
 def sum_with(action: MonoidAction, p1):
@@ -191,9 +188,9 @@ class RecoveredRing:
     other(a, b).  The canonical lifts satisfy a + b = a(1 + c) mod
     pi^(v(b) + n), c = b/a, so a pair is flagged exactly when its row entry
     is.  Entries are class payloads, ADJOINED_ZERO, or CAPPED for sums
-    escaping the valuation window; pair_flag reads a pair's flag off its
-    entry.  Axiom checks run only over unflagged entries, where class
-    addition is independent of lifts.
+    escaping the valuation window; pair_flag(1, c, row[c]) reads an entry's
+    flag, and the row is all the ring keeps.  Axiom checks run only over
+    unflagged entries, where class addition is independent of lifts.
 
     Away from flags the rule is homogeneous: when s*a and s*b are classes,
     (s*a, s*b) has the quotient c of (a, b), so s*a + s*b = s*(a + b).  So a
@@ -209,8 +206,7 @@ class RecoveredRing:
         self.row = row
         self.other = other
         self.units = self.elements[:len(monoid.unit_payloads())]
-        one = monoid.identity_payload()
-        self._unflagged = {c: z for c, z in row.items() if pair_flag(one, c, z) is None}
+        self._one = monoid.identity_payload()
 
     def add(self, a, b):
         if a == ADJOINED_ZERO:
@@ -219,8 +215,9 @@ class RecoveredRing:
             return a
         if b[0] < a[0]:
             a, b = b, a
-        z = self._unflagged.get(self.monoid.quotient(b, a))
-        return self.other(a, b) if z is None else self.monoid.mul(a, z)
+        c = self.monoid.quotient(b, a)
+        z = self.row[c]
+        return self.other(a, b) if pair_flag(self._one, c, z) else self.monoid.mul(a, z)
 
     def flag(self, a, b):
         """The pair's flag: "cap", "precision", or None."""
@@ -232,7 +229,7 @@ class RecoveredRing:
         1 + c is one when v(c) > 0; the a are the first weight(v(c))
         elements."""
         return ((a, self.monoid.mul(c, a)) for c in self.elements
-                if c not in self._unflagged
+                if pair_flag(self._one, c, self.row[c])
                 for a in self.elements[:self.weight(c[0])])
 
     def flag_counts(self) -> dict:
@@ -254,9 +251,11 @@ class RecoveredRing:
         of unequal valuation are read one way round.  So this is a + b =
         b + a on every unflagged pair, and what makes a pair's kind in
         _compare_tables the same under c and under 1/c."""
-        one, quotient = self.monoid.identity_payload(), self.monoid.quotient
+        one, quotient = self._one, self.monoid.quotient
         for c in self.units:
-            z, w = self._unflagged.get(c), self._unflagged.get(quotient(one, c))
+            # the unflagged entries at c and 1/c, units both, else None
+            z, w = (e if pair_flag(one, c, e) is None else None
+                    for e in (self.row[c], self.row[quotient(one, c)]))
             # z = c*w read as z/c = w: c*w would build c's product row
             if (z is None) != (w is None) or z is not None and quotient(z, c) != w:
                 raise RecoveryError(f"table not symmetric at ({one}, {c})")
@@ -287,7 +286,7 @@ class RecoveredRing:
         once and counts weight(max v(t)) times; a failure names the
         row-major first of the s*t, which has s a unit.
         """
-        els, mul, one = self.elements, self.monoid.mul, self.monoid.identity_payload()
+        els, mul, one = self.elements, self.monoid.mul, self._one
         self.check_symmetry()
         for a, b in sorted(self.flagged_pairs()):
             e = self.other(a, b)
@@ -322,7 +321,7 @@ class RecoveredRing:
         # the unflagged pairs at c are a*(1, c), and a*(c, 1) too when
         # v(c) > 0, for the |U| classes a of each valuation j < V - v(c)
         distributive = sum((2 if c[0] else 1) * len(self.units) * self.weight(j + c[0])
-                           for c in self._unflagged
+                           for c in els if not pair_flag(one, c, self.row[c])
                            for j in range(self.monoid.V - c[0]))
         return {"checked": {"commutativity": len(els) ** 2,
                             "associativity": counts[True],

@@ -445,7 +445,7 @@ def test_an_action_is_fixed_when_built(kind):
     other_monoid = padic_truncation_of(law.ctx, 1, 3)
     fixed = {"law": other_law, "monoid": other_monoid, "assignment": {}}
     if kind == "built":
-        fixed.update(datum=None, lifts={}, field=None, table={})
+        fixed.update(datum=None, field=None, table={})
     for name, value in fixed.items():
         with pytest.raises(AttributeError, match="fixed when it is built"):
             setattr(action, name, value)
@@ -456,8 +456,11 @@ def test_an_action_is_fixed_when_built(kind):
     with pytest.raises(TypeError):
         del action.assignment[(1, 1)]
     if kind == "built":
+        # [a] acts through the monoid's own lift, and the monoid's classes
+        # are a read-only view
+        assert endo.series.terms[(1,)] == monoid.canonical_lift((1, 1))
         with pytest.raises(TypeError):
-            action.lifts[(1, 1)] = action.lifts[(1, 2)]
+            monoid.payloads()[(1, 1)] = (1, 2)
     with pytest.raises(AttributeError, match="fixed when it is built"):
         endo.series = action.assignment[(1, 2)].series
     assert action.law is law and action.monoid is monoid

@@ -103,22 +103,6 @@ def test_canonical_lift_round_trips():
         assert M.class_of(lift) == payload
 
 
-def test_canonical_lift_is_memoized_per_class():
-    # the cached lift is u * pi^v for every class, built once
-    for ctx in (PadicIntegers(5, 8), EisensteinExtension(5, 7, (-5, 0, 1))):
-        M = padic_truncation_of(ctx, 2, 3)
-        pi = ctx.uniformizer()
-        for payload in M.payloads():
-            if payload == BOTTOM:
-                continue
-            v, u = payload
-            lift = M.canonical_lift(payload)
-            assert lift == (ctx.el(u) * pi**v).payload
-            assert M.canonical_lift(payload) is lift
-        with pytest.raises(MonoidError, match="BOTTOM has no canonical lift"):
-            M.canonical_lift(BOTTOM)
-
-
 def test_class_precisions_profile():
     Z5 = PadicIntegers(5, 6)
     monoid = padic_truncation_of(Z5, 2, 3)
@@ -155,6 +139,24 @@ def test_ring_subset_monoid_window():
     out = W.mul(W.check_payload(Z5.normalize(4)), a)
     assert out == Z5.normalize(8)
     assert out not in W.payloads()
+
+
+def test_payloads_are_one_read_only_view_of_the_monoids_objects():
+    Z5 = PadicIntegers(5, 4)
+    W = RingSubsetMonoid(Z5, [2, 4, 2, 1])
+    M = padic_truncation_of(Z5, 2, 2)
+    for monoid in (W, M):
+        view = monoid.payloads()
+        assert view is monoid.payloads()
+        with pytest.raises(TypeError):
+            view[0]
+    # first occurrences in order, 1 where it was listed
+    assert list(W.payloads()) == [2, 4, 1] and W.canonical_lift(4) == 4
+    assert M.unit_payloads() is M.unit_payloads()
+    assert list(M.payloads()) == [(v, u) for v in range(2) for u in M.unit_payloads()] + [BOTTOM]
+    # classes found anew, as sums are, are the registry's objects
+    own = {id(c) for c in M.payloads()}
+    assert all(id(M.class_of(M.canonical_lift(c))) in own for c in M.payloads() if c != BOTTOM)
 
 
 def test_unit_group_invariant_factors():
@@ -256,6 +258,8 @@ def test_canonical_lift_is_the_unit_times_a_power_of_pi(ctx, n, V):
         if c != BOTTOM:
             v, u = c
             assert monoid.canonical_lift(c) == (ctx.el(u) * ctx.uniformizer() ** v).payload
+    with pytest.raises(MonoidError, match="BOTTOM has no canonical lift"):
+        monoid.canonical_lift(BOTTOM)
 
 
 class _Mod:

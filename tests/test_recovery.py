@@ -1028,7 +1028,7 @@ def test_a_perturbed_class_fails_the_folded_row(monkeypatch, name):
         if c != one and c not in targets:
             break
         targets.add(recovery._native_sum(monoid, one, c))
-    lift = action.lifts[c]
+    lift = monoid.canonical_lift(c)
     real = lubin_tate._reduced_series
 
     def perturbed(model, fld, table, a):
@@ -1171,3 +1171,64 @@ def test_noncanonical_lifts_pass_verification_and_fail_the_table():
             exhaustive_table(action)
         with pytest.raises(RecoveryError, match=REFUSED):
             build_addition_table(action)
+
+
+# (p, poly1, poly2, N, n, V): the n = 3, V = 3 carrier of criterion 5, and
+# the p = 3 demo at N = 4 >= q
+SHARED_CARRIERS = {
+    "criterion-5-n3-V3": (5, (-5, 0, 1), (-10, 0, 1), 2, 3, 3),
+    "p3-n2-V2": (3, (-3, 0, 1), (-6, 0, 1), 4, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CARRIERS))
+def test_every_class_held_is_the_monoids_own_object(name):
+    # the monoid is the one store of its classes: rings, rows, isomorphisms
+    # and assignments hold its objects, not equal copies
+    p, poly1, poly2, N, n, V = SHARED_CARRIERS[name]
+    actions = []
+    for poly in (poly1, poly2):
+        E = EisensteinExtension(p, n + V + 3, poly)
+        d = standard_datum(E)
+        actions.append(build_action(d, build_fgl(d, N), monoid=padic_truncation_of(E, n, V)))
+    rings = [build_addition_table(action) for action in actions]
+    m1, m2 = (action.monoid for action in actions)
+    assert m1.payloads() is m1.payloads() and m2.payloads() is m2.payloads()
+    own = [{id(c) for c in m.payloads()} for m in (m1, m2)]
+
+    def held(m, classes):
+        return all(id(c) in own[m is m2] for c in classes)
+
+    isos = [iso for _, iso in unit_isomorphism_variants(m1, m2, count=3)]
+    rings += [transport_structure(iso, rings[1]) for iso in isos]
+    for ring in rings:
+        entries = [z for z in ring.row.values() if z not in (ADJOINED_ZERO, CAPPED)]
+        assert entries
+        assert held(ring.monoid, ring.elements)
+        assert held(ring.monoid, ring.row) and held(ring.monoid, entries)
+    for iso in isos:
+        assert held(m1, iso.table) and held(m2, iso.table.values())
+    for action in actions:
+        assert held(action.monoid, action.assignment)
+
+
+def test_the_error_paths_keep_their_types():
+    Z5 = PadicIntegers(5, 8)
+    d = standard_datum(Z5, 4)
+    law = build_fgl(d, 4)
+    carrier = build_action(d, law, monoid=padic_truncation_of(Z5, 2, 2))
+    window = build_action(d, law, monoid=RingSubsetMonoid(Z5, [1, 2, 3]))
+    one, minus_one = carrier.monoid.identity_payload(), Z5.normalize(-1)
+    assert recover_sum(window, 1, 2) == 3
+    assert BOTTOM not in carrier.assignment and (0, 5) not in carrier.assignment
+    assert len(carrier.assignment) == 40 and list(window.assignment) == [1, 2, 3]
+    with pytest.raises(LawError, match="no endomorphism assigned"):
+        carrier.endo_for(BOTTOM)
+    with pytest.raises(NoMatch):
+        recover_sum(window, 2, 3)
+    # an unlisted operand whose sum is listed, or a class whose unit is not a
+    # unit, is refused when its endomorphism is read
+    for action, p1, p2 in [(window, minus_one, 2), (window, 2, minus_one),
+                           (carrier, one, (0, 5)), (carrier, (0, 5), one)]:
+        with pytest.raises(LawError, match="no endomorphism assigned"):
+            recover_sum(action, p1, p2)
