@@ -255,13 +255,10 @@ class PadicTruncationMonoid(Monoid):
         self.n = n
         self.V = V
         self.unit_ctx = ctx.residue_ring(n)
-        # a class is fixed by its element mod m^(v + n), and v < V
-        self._class_ctx = ctx.residue_ring(n + V - 1)
         self._units = None
         self._unit_group = None
         self._products: dict = {}  # unit -> its row of products
         self._registry = None  # payloads(), built on first use
-        self._classes: dict = {}
         # pi^0 .. pi^(V-1), the valuation parts of the canonical lifts
         pi = ctx.uniformizer().payload
         self._pi_powers = list(accumulate(repeat(pi, V - 1), ctx.mul,
@@ -343,19 +340,15 @@ class PadicTruncationMonoid(Monoid):
 
     def class_of(self, a):
         """Collapse a nonzero normalized payload of ctx to its truncation
-        class, the registry's object (payloads), memoized on its residue
-        mod m^(n + V - 1); a zero residue is BOTTOM."""
-        residue = self._class_ctx.normalize(a)
-        if self._class_ctx.is_zero(residue):
-            if self.ctx.is_zero(a):
-                raise MonoidError("zero has no truncation class")
+        class: BOTTOM at valuation V or more, else the registry's object
+        (payloads) for its valuation and unit part mod m^n.  It stores
+        nothing, as a row asks for each sum's class once."""
+        if self.ctx.is_zero(a):
+            raise MonoidError("zero has no truncation class")
+        v = self.ctx.valuation(a)
+        if v >= self.V:
             return BOTTOM
-        cls = self._classes.get(residue)
-        if cls is None:
-            v, registry = self.ctx.valuation(a), self.payloads().mapping
-            cls = self._classes[residue] = BOTTOM if v >= self.V else registry[
-                v, self.unit_ctx.normalize(self.ctx.unit_part(a, v))]
-        return cls
+        return self.payloads().mapping[v, self.unit_ctx.normalize(self.ctx.unit_part(a, v))]
 
     def canonical_lift(self, payload):
         """The fixed lift of a class (v, u): u * pi^v, a normalized payload
@@ -616,12 +609,14 @@ def _primes(n: int) -> tuple:
 
 class MonoidMorphism:
     """A multiplicative map on payloads.  Finite sources carry a full payload
-    table; free sources may give generator images (name -> target payload)."""
+    table, which the morphism owns: it is not copied, so a caller hands in
+    a table it will not change.  Free sources may give generator images
+    (name -> target payload)."""
 
     def __init__(self, source: Monoid, target: Monoid, table=None, gen_images=None):
         self.source = source
         self.target = target
-        self.table = dict(table) if table is not None else None
+        self.table = table
         self.gen_images = dict(gen_images) if gen_images is not None else None
         if self.table is None and self.gen_images is None:
             raise MonoidError("morphism needs a table or generator images")

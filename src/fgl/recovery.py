@@ -412,8 +412,10 @@ def transport_structure(iso: MonoidMorphism, ring2: RecoveredRing) -> RecoveredR
     if fwd is None:
         raise RecoveryError("transport needs a full table morphism")
     iso.verify()
-    # CAPPED and the adjoined zero are not classes
-    inv = {**iso.inverse().table, CAPPED: CAPPED, ADJOINED_ZERO: ADJOINED_ZERO}
+    # the inverse's fresh table becomes transport's own, and CAPPED and the
+    # adjoined zero, which are not classes, map to themselves in it
+    inv = iso.inverse().table
+    inv[CAPPED], inv[ADJOINED_ZERO] = CAPPED, ADJOINED_ZERO
     row = {c: inv[ring2.row[fwd[c]]] for c in fwd if c != BOTTOM}
     return RecoveredRing(iso.source, "transported", row,
                          lambda a, b: inv[ring2.add(fwd[a], fwd[b])])

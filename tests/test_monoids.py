@@ -1,10 +1,14 @@
+import gc
 import itertools
 import math
+import os
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+import fgl.monoids
 from fgl.monoids import (
     BOTTOM,
     FinitelyPresentedMonoid,
@@ -438,19 +442,51 @@ def _random_payload(ctx, rng):
     (EisensteinExtension(5, 9, (-10, 0, 1)), 3, 3),
     (PadicIntegers(5, 8), 2, 3),
 ])
-def test_memoized_class_of_matches_a_fresh_monoid(ctx, n, V):
+def test_class_of_reads_the_residue_and_returns_the_registrys_object(ctx, n, V):
+    # a class is fixed by its element mod m^(v + n), and v < V
     rng = random.Random(7)
     M = padic_truncation_of(ctx, n, V)
+    registry = M.payloads().mapping
     depth = n + V - 1
     shift = (ctx.uniformizer() ** depth).payload
     for r in _nonzero_residues(ctx, depth):
         lift = ctx.add(r, ctx.mul(shift, _random_payload(ctx, rng)))
-        for payload in (r, lift, r):
-            elt = ctx.normalize(payload)
-            assert M.class_of(elt) == PadicTruncationMonoid(ctx, n, V).class_of(elt)
+        cls = M.class_of(ctx.normalize(r))
+        assert M.class_of(ctx.normalize(lift)) is cls
+        assert registry[cls] is cls
+    for c in M.payloads():
+        if c != BOTTOM:
+            assert M.class_of(M.canonical_lift(c)) is c
 
 
-def test_memo_never_answers_for_zero():
+def test_class_of_keeps_nothing_per_call():
+    # each class is computed, so 2,000 calls leave behind nothing that the
+    # package's files allocated; the interpreter's own allocations are not
+    # counted
+    E = EisensteinExtension(5, 9, (-5, 0, 1))  # criterion 5
+    M = padic_truncation_of(E, 3, 3)
+    M.payloads()  # built first, as every action builds it
+    rng = random.Random(11)
+    calls = []
+    while len(calls) < 2000:
+        a = E.normalize(_random_payload(E, rng))
+        if not E.is_zero(a):
+            calls.append(a)
+    package = [tracemalloc.Filter(True, os.path.join(os.path.dirname(fgl.monoids.__file__), "*"))]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(package)
+        for a in calls:
+            M.class_of(a)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(package)
+    finally:
+        tracemalloc.stop()
+    assert [stat for stat in after.compare_to(before, "lineno") if stat.size_diff > 0] == []
+
+
+def test_class_of_refuses_zero_and_sends_deep_elements_to_bottom():
     E = EisensteinExtension(5, 9, (-5, 0, 1))
     M = padic_truncation_of(E, 3, 3)
     # pi^5 is nonzero with residue 0 mod m^5: BOTTOM, but not the zero
