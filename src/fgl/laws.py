@@ -473,6 +473,10 @@ class MonoidAction(_Fixed):
         endo = self._endo_cache[payload] = FglEndomorphism(law, series)
         return endo
 
+    def series_at(self, payload, lift) -> TruncatedSeries:
+        """[payload]'s series; a LubinTateAction builds it at lift instead."""
+        return self.endo_for(payload).series
+
     def verify(self) -> ActionReport:
         return verify_action(self)
 

@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .laws import (
     FglEndomorphism,
     FormalGroupLaw,
+    LawError,
     MonoidAction,
     _integrated_log,
     _law_from_log,
@@ -293,9 +294,7 @@ def build_endomorphism(d: LubinTateDatum, law: FormalGroupLaw, a) -> FglEndomorp
 
 class _OnDemand(Mapping):
     """A LubinTateAction's assignment: [a] for each payload a of the monoid
-    but BOTTOM, built at monoid.canonical_lift(a) from the datum's field and
-    scalar table at law's degree when asked and never kept, so the series a
-    caller reads, and any power table memoized on them, die with the caller.
+    but BOTTOM, built at monoid.canonical_lift(a) when asked and never kept.
     Read-only, as a Mapping has no setter; it holds no reference to its
     action, so an action is freed as soon as it is dropped."""
 
@@ -328,12 +327,11 @@ class LubinTateAction(MonoidAction):
     fgl.recovery.build_addition_table proves every check and every sum, at
     every N.
 
-    It keeps what every [a] is read from besides the monoid, which forms
-    the lift of each element (canonical_lift: u * pi^v for a class (v, u)
-    of a truncation carrier, a itself on a ring subset): the datum's field
-    and scalar table at law's degree.  assignment builds [a] from them when
-    asked (_reduced_series), equal each time and a new series each time,
-    with law_violation recorded as None."""
+    It keeps the datum's field and scalar table at law's degree.  Each read
+    of [a] builds a new series from them at the lift of a (canonical_lift:
+    u * pi^v for a class (v, u), a itself on a ring subset), which dies with
+    its reader, power memos and all; assignment wraps it as an endomorphism
+    with law_violation None, and series_at hands it over bare."""
 
     def __init__(self, datum: LubinTateDatum, law: FormalGroupLaw, monoid):
         if not isinstance(monoid, (PadicTruncationMonoid, RingSubsetMonoid)):
@@ -348,6 +346,11 @@ class LubinTateAction(MonoidAction):
         self.monoid, self.law, self.datum = monoid, law, datum
         self.field, self.table = fld, scalar_table(fld.log, fld.exp)
         self.assignment = _OnDemand(law, fld, self.table, monoid)
+
+    def series_at(self, payload, lift) -> TruncatedSeries:
+        if payload not in self.assignment:
+            raise LawError(f"no endomorphism assigned for {payload}")
+        return _reduced_series(self.assignment._model, self.field, self.table, lift)
 
 
 def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAction:
@@ -366,9 +369,7 @@ def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAct
     that fails is refused with LubinTateError.  No [a] is composed into the
     law: over the fraction field [a] = exp(a*log) is an endomorphism of F,
     and from_field is a ring map on integral elements, so the identity
-    holds between the reduced series.  No [a] is built here either: the
-    action builds each one when it is read, with law_violation recorded as
-    None."""
+    holds between the reduced series, and no [a] is built here."""
     return LubinTateAction(d, law, monoid)
 
 

@@ -535,7 +535,6 @@ class UnitGroup:
     """
 
     def __init__(self, monoid: PadicTruncationMonoid):
-        self.monoid = monoid
         self.ctx = monoid.unit_ctx
         units = monoid.unit_payloads()
         self.size = len(units)

@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from itertools import chain, islice, product
+from types import MappingProxyType
 
 from .laws import MonoidAction
 from .lubin_tate import LubinTateAction, build_action, build_fgl, standard_datum
@@ -74,18 +75,11 @@ def pair_flag(a, b, entry):
     return None
 
 
-def _native_sum(monoid, p1, p2):
-    """The native sum of the lifts of p1 and p2 (canonical lifts of two
-    classes, or two listed elements), as the carrier sees it: a payload, the
-    adjoined zero, or CAPPED when an operand is absorbing or the sum's class
-    is.  A window sum that is not listed raises NoMatch."""
-    if p1 == BOTTOM or p2 == BOTTOM:
-        return CAPPED
-    if not isinstance(monoid, (PadicTruncationMonoid, RingSubsetMonoid)):
-        raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
-    ctx = monoid.ctx
-    s = ctx.add(monoid.canonical_lift(p1), monoid.canonical_lift(p2))
-    if ctx.is_zero(s):
+def _entry_of(monoid, s):
+    """The native sum s of two lifts as the carrier sees it: the adjoined
+    zero, a listed element, or the class of s, CAPPED where that class is
+    absorbing.  A window sum that is not listed raises NoMatch."""
+    if monoid.ctx.is_zero(s):
         return ADJOINED_ZERO
     if isinstance(monoid, RingSubsetMonoid):
         if s not in monoid.payloads():
@@ -95,55 +89,65 @@ def _native_sum(monoid, p1, p2):
     return CAPPED if cls == BOTTOM else cls
 
 
-def sum_with(action: MonoidAction, p1):
-    """The function p2 -> recover_sum(action, p1, p2), with F's first
-    argument folded once.
+def _native_sum(monoid, p1, p2):
+    """_entry_of the sum of the canonical lifts of p1 and p2."""
+    lift = monoid.canonical_lift
+    return _entry_of(monoid, monoid.ctx.add(lift(p1), lift(p2)))
 
-    F([p1], y) = sum_j g_j * y^j, g_j = sum_i F_ij * [p1]^i, is formed from
-    [p1]'s power table at the first confirmation that needs it; each p2 then
-    costs sum_j g_j * [p2]^j, one _pair_products per j, reading [p2]'s
-    powers only to F's top y-exponent.  That is F.composed_terms({x: [p1],
-    y: [p2]}) with each term c * ([p1]^i * [p2]^j) regrouped as (c *
-    [p1]^i) * [p2]^j and the sums reordered, which is exact where products
-    are commutative and associative on normal forms: over Q and the
-    PadicRings that build_action accepts.  A PolynomialQuotient whose
-    generators are not confluent may reduce the two groupings to different
-    normal forms (fgl.rings); no caller confirms a sum there."""
+
+def sum_with(action: MonoidAction, p1):
+    """The function p2 -> recover_sum(action, p1, p2), with p1 lifted and
+    F([p1], y) = sum_j g_j * y^j, g_j = sum_i F_ij * [p1]^i, folded once.
+
+    Each p2 is lifted once, for the native sum and for [p2], which
+    action.series_at reads off a LubinTateAction's scalar table at that
+    lift, as it reads [candidate]; each then costs sum_j g_j * [p2]^j, one
+    _pair_products per j, reading [p2]'s powers only to F's top y-exponent.
+    That is F.composed_terms({x: [p1], y: [p2]}) with each term c * ([p1]^i
+    * [p2]^j) regrouped as (c * [p1]^i) * [p2]^j and the sums reordered,
+    which is exact where products are commutative and associative on normal
+    forms: over Q and the PadicRings that build_action accepts.  A
+    PolynomialQuotient whose generators are not confluent may reduce the
+    two groupings to different normal forms (fgl.rings); no caller confirms
+    a sum there."""
     if p1 == ADJOINED_ZERO:
         return lambda p2: p2
+    if p1 == BOTTOM:
+        return lambda p2: p1 if p2 == ADJOINED_ZERO else CAPPED
     monoid, F = action.monoid, action.law.F
+    if not isinstance(monoid, (PadicTruncationMonoid, RingSubsetMonoid)):
+        raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
     N, truncation = F.trunc_degree, isinstance(monoid, PadicTruncationMonoid)
     top_x, top_y = F.top_exponents(N)
-
-    @cache
-    def fold():
-        first = action.endo_for(p1).series
-        ctx, powers = first.ctx, first.powers(top_x)
-        mul, add, one = ctx.mul, ctx.add, {(0,): ctx.int_payload(1)}
-        g = [{} for _ in range(top_y + 1)]
-        for (i, j), c in F.terms.items():
-            gj = g[j]
-            for e, v in (powers[i].terms if i else one).items():
-                if e[0] + j <= N:  # [p2]^j starts at degree j
-                    v = mul(c, v)
-                    gj[e] = add(gj[e], v) if e in gj else v
-        return ctx, [{e: v for e, v in gj.items() if not ctx.is_zero(v)} for gj in g]
+    lift, plus, series_at = monoid.canonical_lift, monoid.ctx.add, action.series_at
+    lift1, first = lift(p1), action.endo_for(p1).series
+    ctx, powers = first.ctx, first.powers(top_x)
+    mul, add, one = ctx.mul, ctx.add, {(0,): ctx.int_payload(1)}
+    g = [{} for _ in range(top_y + 1)]
+    for (i, j), c in F.terms.items():
+        gj = g[j]
+        for e, v in (powers[i].terms if i else one).items():
+            if e[0] + j <= N:  # [p2]^j starts at degree j
+                v = mul(c, v)
+                gj[e] = add(gj[e], v) if e in gj else v
+    g0, *g = [{e: v for e, v in gj.items() if not ctx.is_zero(v)} for gj in g]
 
     def add_p1(p2):
         if p2 == ADJOINED_ZERO:
             return p1
-        candidate = _native_sum(monoid, p1, p2)
+        if p2 == BOTTOM:
+            return CAPPED
+        lift2 = lift(p2)
+        candidate = _entry_of(monoid, plus(lift1, lift2))
         if candidate == CAPPED:
             return CAPPED
-        ctx, g = fold()
         target, precisions = {}, None
         if candidate != ADJOINED_ZERO:
-            target = action.endo_for(candidate).series.terms
+            target = series_at(candidate, lift(candidate)).terms
             if truncation:
                 precisions = monoid.class_precisions(candidate[0], N)
-        mul, add = ctx.mul, ctx.add
-        summed = dict(g[0])
-        for gj, power in zip(g[1:], action.endo_for(p2).series.powers(top_y)[1:]):
+        summed = dict(g0)
+        for gj, power in zip(g, series_at(p2, lift2).powers(top_y)[1:]):
             for e, v in _pair_products(N, gj, power.terms, mul, add).items():
                 summed[e] = add(summed[e], v) if e in summed else v
         bad = first_difference(ctx, summed, target, precisions)
@@ -169,8 +173,8 @@ def recover_sum(action: MonoidAction, p1, p2):
     [candidate] at the candidate's class precision over a truncation
     monoid, exactly over a window, and vanish exactly when the candidate is
     the adjoined zero.  A mismatch is a hard error; a window sum that is
-    not listed raises NoMatch before any law work.  This is sum_with(action,
-    p1) applied to p2, the one confirmation path.
+    not listed raises NoMatch before any confirmation.  This is
+    sum_with(action, p1) applied to p2, the one confirmation path.
     """
     return sum_with(action, p1)(p2)
 
@@ -189,8 +193,9 @@ class RecoveredRing:
     pi^(v(b) + n), c = b/a, so a pair is flagged exactly when its row entry
     is.  Entries are class payloads, ADJOINED_ZERO, or CAPPED for sums
     escaping the valuation window; pair_flag(1, c, row[c]) reads an entry's
-    flag, and the row is all the ring keeps.  Axiom checks run only over
-    unflagged entries, where class addition is independent of lifts.
+    flag.  The ring owns the row it is given and holds it read-only, so
+    check_symmetry runs once.  Axiom checks run only over unflagged
+    entries, where class addition is independent of lifts.
 
     Away from flags the rule is homogeneous: when s*a and s*b are classes,
     (s*a, s*b) has the quotient c of (a, b), so s*a + s*b = s*(a + b).  So a
@@ -203,16 +208,17 @@ class RecoveredRing:
         self.monoid = monoid
         self.elements = sorted(p for p in monoid.payloads() if p != BOTTOM)
         self.provenance = provenance
-        self.row = row
+        self.row = row if type(row) is MappingProxyType else MappingProxyType(row)
         self.other = other
         self.units = self.elements[:len(monoid.unit_payloads())]
         self._one = monoid.identity_payload()
+        self._symmetric = False
 
     def add(self, a, b):
-        if a == ADJOINED_ZERO:
-            return b
-        if b == ADJOINED_ZERO:
-            return a
+        if ADJOINED_ZERO in (a, b):
+            return b if a == ADJOINED_ZERO else a
+        if BOTTOM in (a, b):
+            return CAPPED
         if b[0] < a[0]:
             a, b = b, a
         c = self.monoid.quotient(b, a)
@@ -220,8 +226,8 @@ class RecoveredRing:
         return self.other(a, b) if pair_flag(self._one, c, z) else self.monoid.mul(a, z)
 
     def flag(self, a, b):
-        """The pair's flag: "cap", "precision", or None."""
-        return pair_flag(a, b, self.add(a, b))
+        """The pair's flag: "cap", "precision", or None; 0 + b = b is exact."""
+        return None if ADJOINED_ZERO in (a, b) else pair_flag(a, b, self.add(a, b))
 
     def flagged_pairs(self):
         """Ordered pairs (a, a*c) with 1 + c flagged and a*c a class; all
@@ -251,6 +257,8 @@ class RecoveredRing:
         of unequal valuation are read one way round.  So this is a + b =
         b + a on every unflagged pair, and what makes a pair's kind in
         _compare_tables the same under c and under 1/c."""
+        if self._symmetric:
+            return
         one, quotient = self._one, self.monoid.quotient
         for c in self.units:
             # the unflagged entries at c and 1/c, units both, else None
@@ -259,6 +267,7 @@ class RecoveredRing:
             # z = c*w read as z/c = w: c*w would build c's product row
             if (z is None) != (w is None) or z is not None and quotient(z, c) != w:
                 raise RecoveryError(f"table not symmetric at ({one}, {c})")
+        self._symmetric = True
 
     def verify_ring_axioms(self) -> dict:
         """Commutativity, associativity and distributivity on everything
@@ -350,10 +359,10 @@ def build_addition_table(action: LubinTateAction) -> RecoveredRing:
     """Every pairwise sum, read off the row Z[c] = recover_sum(action, 1, c)
     that the law confirms at class precision; a failed confirmation is a
     hard error.  The row folds F([1], y) once (sum_with) and applies it to
-    every class, each [c] built as the action serves it.  Only an action
-    that build_action built is taken: the lemma below proves every other
-    pair and check from its certificate.  Any other action is refused;
-    verify_action checks one pair by pair.
+    every class, each [c] read off the scalar table at c's lift.  Only an
+    action that build_action built is taken: the lemma below proves every
+    other pair and check from its certificate.  Any other action is
+    refused; verify_action checks one pair by pair.
 
     Lemma.  Let M be the datum's scalar table, [s] = s*T + sum_k P_k(s) *
     T^k with P_k(s) = sum_j M[k][j] * s^j, for s in the fraction field.
@@ -530,31 +539,17 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     """
     t0 = time.perf_counter()
     k = precision if precision is not None else n + V + 3
-    ctx1 = EisensteinExtension(p, k, tuple(poly1))
-    ctx2 = EisensteinExtension(p, k, tuple(poly2))
-    m1 = padic_truncation_of(ctx1, n, V)
-    m2 = padic_truncation_of(ctx2, n, V)
+    ctxs = [EisensteinExtension(p, k, tuple(poly)) for poly in (poly1, poly2)]
+    m1, m2 = monoids = [padic_truncation_of(ctx, n, V) for ctx in ctxs]
     isos = unit_isomorphism_variants(m1, m2, count=variants)
-    d1 = standard_datum(ctx1)
-    d2 = standard_datum(ctx2)
-    law1 = build_fgl(d1, trunc_degree)
-    law2 = build_fgl(d2, trunc_degree)
-    r1 = build_addition_table(build_action(d1, law1, monoid=m1))
-    r2 = build_addition_table(build_action(d2, law2, monoid=m2))
-    report = VariationReport(
-        p=p,
-        poly1=tuple(poly1),
-        poly2=tuple(poly2),
-        n=n,
-        V=V,
-        trunc_degree=trunc_degree,
-        precision=k,
-        carrier_size=len(m1.payloads()),
-        multiplication_identical=True,
-    )
+    r1, r2 = (build_addition_table(build_action(d, build_fgl(d, trunc_degree), monoid=m))
+              for d, m in zip(map(standard_datum, ctxs), monoids))
+    report = VariationReport(p=p, poly1=tuple(poly1), poly2=tuple(poly2), n=n, V=V,
+                             trunc_degree=trunc_degree, precision=k,
+                             carrier_size=len(m1.payloads()), multiplication_identical=True)
     for powers, iso in isos:
-        transported = transport_structure(iso, r2)
-        outcome = _compare_tables(r1, transported)
+        # each transported ring is dropped once it is compared
+        outcome = _compare_tables(r1, transport_structure(iso, r2))
         outcome.twist = powers
         report.variants.append(outcome)
     report.seconds = time.perf_counter() - t0

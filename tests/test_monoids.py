@@ -4,6 +4,7 @@ import math
 import os
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -163,6 +164,21 @@ def test_payloads_are_one_read_only_view_of_the_monoids_objects():
     assert all(id(M.class_of(M.canonical_lift(c))) in own for c in M.payloads() if c != BOTTOM)
 
 
+def test_a_monoid_is_freed_without_the_cycle_collector():
+    # nothing a monoid builds refers back to it, so its registry, unit group
+    # and product rows go with its last reference, not at a later collection
+    gc.disable()
+    try:
+        M = padic_truncation_of(EisensteinExtension(5, 9, (-5, 0, 1)), 3, 3)
+        gens = M.generators()
+        assert M.mul(gens[1], gens[0]) in M.payloads()
+        freed = weakref.ref(M)
+        del M
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_unit_group_invariant_factors():
     Z5 = PadicIntegers(5, 6)
     # (Z/25)^* is cyclic of order 20
@@ -198,10 +214,11 @@ def _order_census(elements, mul, one) -> Counter:
     (EisensteinExtension(5, 9, (-10, 0, 1)), 3, 3, [5, 20]),
 ])
 def test_unit_group_non_cyclic_factors_match_order_census(ctx, n, V, factors):
-    G = padic_truncation_of(ctx, n, V).unit_group
+    M = padic_truncation_of(ctx, n, V)
+    G = M.unit_group
     assert G.factors == factors
     # the multiset of element orders of the group is that of + Z/d_i
-    group = _order_census(G.monoid.unit_payloads(), G.ctx.mul, G.ctx.int_payload(1))
+    group = _order_census(M.unit_payloads(), G.ctx.mul, G.ctx.int_payload(1))
     model = Counter(
         math.lcm(*(d // math.gcd(e, d) for e, d in zip(exps, factors)))
         for exps in itertools.product(*(range(d) for d in factors))

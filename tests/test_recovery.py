@@ -34,6 +34,7 @@ from fgl.monoids import (
     BOTTOM,
     MonoidError,
     MonoidMorphism,
+    PadicTruncationMonoid,
     RingSubsetMonoid,
     padic_truncation_of,
     unit_isomorphism_variants,
@@ -745,6 +746,94 @@ def test_a_certified_build_confirms_only_the_row(monkeypatch, name):
     assert sum(ring.flag_counts().values()) > 0
     assert folds == [one]
     assert calls == [(one, c) for c in action.monoid.payloads() if c != BOTTOM]
+
+
+def test_a_row_wraps_one_endomorphism_and_lifts_each_operand_once(monkeypatch):
+    # per entry: [c] and [candidate] are read off the scalar table at the
+    # lifts the sum already formed, so the only endomorphism built is the
+    # fold's [1], which the assignment lifts a second time
+    wrapped, lifts = [], []
+    certified, canonical_lift = FglEndomorphism._certified, PadicTruncationMonoid.canonical_lift
+    monkeypatch.setattr(FglEndomorphism, "_certified", classmethod(
+        lambda cls, law, series: wrapped.append(series) or certified(law, series)))
+    monkeypatch.setattr(PadicTruncationMonoid, "canonical_lift",
+                        lambda self, p: lifts.append(p) or canonical_lift(self, p))
+    action = _carrier_action.__wrapped__("criterion-5-t2-5")
+    one = action.monoid.identity_payload()
+    ring = build_addition_table(action)
+    assert len(wrapped) == 1
+    candidates = [z for z in ring.row.values() if z not in (ADJOINED_ZERO, CAPPED)]
+    assert len(candidates) == 299
+    assert Counter(lifts) == Counter([one, one, *ring.row, *candidates])
+
+
+def test_a_planted_wrong_candidate_fails_its_confirmation(monkeypatch):
+    # the native sum 1 + 2 = 3 read as the class 4: F([1], [2]) = 3*T + ...
+    # differs from [4] in its linear term
+    action = _carrier_action("criterion-4")
+    monoid = action.monoid
+    three, four = (monoid.class_of(monoid.ctx.normalize(k)) for k in (3, 4))
+    class_of = PadicTruncationMonoid.class_of
+    monkeypatch.setattr(PadicTruncationMonoid, "class_of",
+                        lambda self, a: four if class_of(self, a) == three else class_of(self, a))
+    with pytest.raises(RecoveryError,
+                       match=re.escape("F([0:1], [0:2]) differs from [0:4] at degree 1")):
+        build_addition_table(action)
+
+
+@pytest.mark.parametrize("name", ["criterion-5-t2-5", "p3-n2-V2", "nonadditive-n2-V3-N4"])
+def test_a_row_confirms_the_same_through_a_plain_action(name):
+    # a LubinTateAction builds [c] from its table at the lift; a plain
+    # action over the same endomorphisms reads its assignment
+    action = ROW_CASES[name]()
+    monoid = action.monoid
+    plain = MonoidAction(monoid, action.law, dict(action.assignment))
+    add_one = recovery.sum_with(plain, monoid.identity_payload())
+    row = {c: add_one(c) for c in monoid.payloads() if c != BOTTOM}
+    assert build_addition_table(action).row == row
+
+
+def test_each_ring_checks_its_symmetry_once_across_the_demo(monkeypatch):
+    # the native ring is compared with three transported rings; its row is
+    # read-only, so its symmetry is checked once, and each transported
+    # ring's once
+    runs, rings = Counter(), []
+
+    class Units(list):
+        def __iter__(self):
+            runs[id(self)] += 1
+            return super().__iter__()
+
+    init = RecoveredRing.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        self.units = Units(self.units)
+        rings.append(self)
+
+    monkeypatch.setattr(RecoveredRing, "__init__", counted)
+    variation_demo(5, (-5, 0, 1), (-10, 0, 1), n=2, V=2)
+    native, other, *transported = rings
+    assert [runs[id(r.units)] for r in rings] == [1, 0, 1, 1, 1]
+    with pytest.raises(TypeError):
+        native.row[native.elements[0]] = CAPPED
+
+
+def test_an_adjoined_zero_operand_is_unflagged():
+    # 0 + b = b exactly, on either side
+    ring = build_addition_table(_carrier_action("criterion-4"))
+    for c in ring.elements:
+        assert ring.add(ADJOINED_ZERO, c) == ring.add(c, ADJOINED_ZERO) == c
+        assert ring.flag(ADJOINED_ZERO, c) is ring.flag(c, ADJOINED_ZERO) is None
+
+
+def test_adding_bottom_is_capped():
+    action = _carrier_action("criterion-4")
+    ring = build_addition_table(action)
+    for c in ring.elements:
+        assert ring.add(BOTTOM, c) == recover_sum(action, BOTTOM, c) == CAPPED
+        assert ring.add(c, BOTTOM) == recover_sum(action, c, BOTTOM) == CAPPED
+        assert ring.flag(BOTTOM, c) == ring.flag(c, BOTTOM) == "cap"
 
 
 def _nonadditive_datum(ctx):
