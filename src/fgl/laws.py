@@ -449,7 +449,6 @@ class MonoidAction(_Fixed):
         self.monoid = monoid
         self.law = law
         self.assignment = MappingProxyType(dict(assignment))
-        self._endo_cache: dict = {}  # composed words of a free monoid
 
     @property
     def tolerance(self) -> str:
@@ -459,19 +458,18 @@ class MonoidAction(_Fixed):
         return "truncation" if isinstance(self.monoid, PadicTruncationMonoid) else "exact"
 
     def endo_for(self, payload) -> FglEndomorphism:
+        """The assigned endomorphism, or on a free monoid the composition
+        along payload's word, formed on each call and kept by no one."""
         endo = self.assignment.get(payload)
         if endo is not None:
             return endo
         if not isinstance(self.monoid, FreeCommutativeMonoid):
             raise LawError(f"no endomorphism assigned for {payload}")
-        if payload in self._endo_cache:
-            return self._endo_cache[payload]
         law = self.law
         series = TruncatedSeries.variable(law.ctx, ("T",), law.trunc_degree, "T")
         for gen in self.monoid.word(payload):
             series = self.assignment[gen].series.substitute_single(series)
-        endo = self._endo_cache[payload] = FglEndomorphism(law, series)
-        return endo
+        return FglEndomorphism(law, series)
 
     def series_at(self, payload, lift) -> TruncatedSeries:
         """[payload]'s series; a LubinTateAction builds it at lift instead."""

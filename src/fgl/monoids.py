@@ -257,7 +257,6 @@ class PadicTruncationMonoid(Monoid):
         self.unit_ctx = ctx.residue_ring(n)
         self._units = None
         self._unit_group = None
-        self._products: dict = {}  # unit -> its row of products
         self._registry = None  # payloads(), built on first use
         # pi^0 .. pi^(V-1), the valuation parts of the canonical lifts
         pi = ctx.uniformizer().payload
@@ -294,24 +293,14 @@ class PadicTruncationMonoid(Monoid):
         return (0, self.unit_ctx.int_payload(1))
 
     def mul(self, a, b):
+        """The residue ring's product: canonical lifts are u*pi^v, so (v, u)
+        times (w, u') is (v + w, u*u'), BOTTOM from valuation V on."""
         if a == BOTTOM or b == BOTTOM:
             return BOTTOM
         v = a[0] + b[0]
         if v >= self.V:
             return BOTTOM
-        try:
-            row = self._products[a[1]]
-        except KeyError:
-            row = self._products[a[1]] = self._unit_row(a[1])
-        return (v, row[b[1]])
-
-    def _unit_row(self, u) -> dict:
-        """u*w for every unit w, read off the discrete-log table: exponent
-        vectors add mod the invariant factors.  mul builds each row on its
-        first use, so a caller pays for the rows it reads, not all |U|^2."""
-        g = self.unit_group
-        eu = g.dlog[u]
-        return {w: g.unit(map(operator.add, eu, ew)) for w, ew in g.dlog.items()}
+        return (v, self.unit_ctx.mul(a[1], b[1]))
 
     def quotient(self, b, a):
         """The class c with a*c = b, for classes a and b with v(b) >= v(a):

@@ -259,13 +259,12 @@ class RecoveredRing:
         _compare_tables the same under c and under 1/c."""
         if self._symmetric:
             return
-        one, quotient = self._one, self.monoid.quotient
+        one, monoid = self._one, self.monoid
         for c in self.units:
             # the unflagged entries at c and 1/c, units both, else None
             z, w = (e if pair_flag(one, c, e) is None else None
-                    for e in (self.row[c], self.row[quotient(one, c)]))
-            # z = c*w read as z/c = w: c*w would build c's product row
-            if (z is None) != (w is None) or z is not None and quotient(z, c) != w:
+                    for e in (self.row[c], self.row[monoid.quotient(one, c)]))
+            if (z is None) != (w is None) or z is not None and monoid.mul(c, w) != z:
                 raise RecoveryError(f"table not symmetric at ({one}, {c})")
         self._symmetric = True
 
@@ -340,9 +339,13 @@ class RecoveredRing:
 
     def to_json(self) -> dict:
         label = self.monoid.label
-        cells = [entry_label(self.monoid, self.add(a, b))
-                 + ("?" if self.flag(a, b) == "precision" else "")
-                 for a, b in product(self.elements, repeat=2)]
+
+        def cell(a, b):
+            entry = self.add(a, b)
+            return (entry_label(self.monoid, entry)
+                    + ("?" if pair_flag(a, b, entry) == "precision" else ""))
+
+        cells = [cell(a, b) for a, b in product(self.elements, repeat=2)]
         size = len(self.elements)
         rows = [{"element": label(a), "sums": cells[i * size:(i + 1) * size]}
                 for i, a in enumerate(self.elements)]

@@ -438,6 +438,25 @@ def eisenstein_check(p: int, poly: tuple) -> None:
         raise RingError(f"constant term {poly[0]} has valuation > 1 at {p}")
 
 
+def _reduce_poly(poly: tuple, coeffs) -> tuple:
+    # fold degrees >= e using pi^e = -(c_{e-1} pi^{e-1} + ... + c_0)
+    e, work = len(poly) - 1, list(coeffs)
+    for d in range(len(work) - 1, e - 1, -1):
+        c = work[d]
+        if c:
+            for i in range(e):
+                work[d - e + i] -= c * poly[i]
+        work.pop()
+    return tuple(work)
+
+
+def _eisenstein_normalize(poly: tuple, coef_mod: tuple, payload) -> tuple:
+    """EisensteinExtension.normalize: an int or a coefficient sequence,
+    folded to e coefficients, each reduced mod its coefficient modulus."""
+    coeffs = _reduce_poly(poly, (payload,) if isinstance(payload, int) else payload)
+    return tuple(a % m for a, m in itertools.zip_longest(coeffs, coef_mod, fillvalue=0))
+
+
 class EisensteinExtension(PadicRing):
     """Totally ramified extension O = Z_p[pi]/(E(pi)) at fixed precision.
 
@@ -465,9 +484,9 @@ class EisensteinExtension(PadicRing):
         """Closed forms of mul, add, neg, is_zero, valuation and normalize
         for e = 2, where pi^2 = -(c1 pi + c0).  They agree with the generic
         methods below, which every other e uses."""
-        p, k = self.p, self.k
-        c0, c1 = self.poly[0], self.poly[1]
-        m0, m1 = self.coef_mod
+        p, k, poly = self.p, self.k, self.poly
+        c0, c1 = poly[0], poly[1]
+        m0, m1 = coef_mod = self.coef_mod
 
         def mul(a, b):
             a0, a1 = a
@@ -500,30 +519,13 @@ class EisensteinExtension(PadicRing):
         def normalize(payload):
             if type(payload) is tuple and len(payload) == 2:
                 return payload[0] % m0, payload[1] % m1
-            return EisensteinExtension.normalize(self, payload)
+            # the generic form without self: no ring refers to itself
+            return _eisenstein_normalize(poly, coef_mod, payload)
 
         return mul, add, neg, is_zero, valuation, normalize
 
     def normalize(self, payload):
-        if isinstance(payload, int):
-            payload = (payload,) + (0,) * (self.e - 1)
-        payload = tuple(payload)
-        if len(payload) > self.e:
-            payload = self._reduce_poly(payload)
-        elif len(payload) < self.e:
-            payload = payload + (0,) * (self.e - len(payload))
-        return tuple(a % m for a, m in zip(payload, self.coef_mod))
-
-    def _reduce_poly(self, coeffs: tuple) -> tuple:
-        # fold degrees >= e using pi^e = -(c_{e-1} pi^{e-1} + ... + c_0)
-        work = list(coeffs)
-        for d in range(len(work) - 1, self.e - 1, -1):
-            c = work[d]
-            if c:
-                for i in range(self.e):
-                    work[d - self.e + i] -= c * self.poly[i]
-            work.pop()
-        return tuple(work)
+        return _eisenstein_normalize(self.poly, self.coef_mod, payload)
 
     def add(self, a, b):
         return tuple((x + y) % m for x, y, m in zip(a, b, self.coef_mod))
@@ -538,7 +540,7 @@ class EisensteinExtension(PadicRing):
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        red = self._reduce_poly(tuple(prod))
+        red = _reduce_poly(self.poly, prod)
         return tuple(x % m for x, m in zip(red, self.coef_mod))
 
     def int_payload(self, n: int):

@@ -213,6 +213,22 @@ def test_free_action_checks_commutation():
     assert e6 == endomorphism_from_logarithm(law, f, g, Q.el(6))
 
 
+def test_a_composite_word_is_formed_on_each_call_and_kept_by_no_one():
+    f = _one_var({1: 1, 3: Fraction(2, 5)}, N=6)
+    law, g = from_logarithm(f)
+    M = FreeCommutativeMonoid(("u", "v"))
+    u, v = (endomorphism_from_logarithm(law, f, g, Q.el(m)) for m in (2, 3))
+    action = MonoidAction(M, law, {(1, 0): u, (0, 1): v})
+    assert vars(action).keys() == {"monoid", "law", "assignment"}
+    before = dict(vars(action))
+    word = M.check_payload((2, 1))
+    endo = action.endo_for(word)
+    assert vars(action) == before
+    assert endo.series == u.series.substitute_single(
+        u.series.substitute_single(v.series))
+    assert endo == action.endo_for(word)
+
+
 def test_action_bundle_round_trip():
     f = _log_of_multiplicative(4)
     law, g = from_logarithm(f)

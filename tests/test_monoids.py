@@ -165,8 +165,8 @@ def test_payloads_are_one_read_only_view_of_the_monoids_objects():
 
 
 def test_a_monoid_is_freed_without_the_cycle_collector():
-    # nothing a monoid builds refers back to it, so its registry, unit group
-    # and product rows go with its last reference, not at a later collection
+    # nothing a monoid builds refers back to it, so its registry and unit
+    # group go with its last reference, not at a later collection
     gc.disable()
     try:
         M = padic_truncation_of(EisensteinExtension(5, 9, (-5, 0, 1)), 3, 3)
@@ -426,18 +426,46 @@ def test_unit_product_table_matches_ring_product(ctx, n):
     assert M.mul(BOTTOM, (0, units[0])) == BOTTOM
 
 
-def test_unit_product_rows_are_built_on_first_use():
-    # 500 units at n = 4: one product reads one row of the table, not all
-    # 250,000 entries
-    M = padic_truncation_of(PadicIntegers(5, 5), 4, 2)
-    units = M.unit_payloads()
-    assert len(units) == 500
-    assert M.mul((0, units[3]), (0, units[7])) == (0, M.unit_ctx.mul(units[3], units[7]))
-    assert list(M._products) == [units[3]]
-    assert len(M._products[units[3]]) == 500
-    assert M.mul((1, units[3]), (0, units[9])) == (1, M.unit_ctx.mul(units[3], units[9]))
-    assert M.mul((0, units[9]), (1, units[3])) == (1, M.unit_ctx.mul(units[9], units[3]))
-    assert list(M._products) == [units[3], units[9]]
+@pytest.mark.parametrize("ctx", [PadicIntegers(5, 3), EisensteinExtension(5, 3, (-5, 0, 1))],
+                         ids=["Z5", "t2-5"])
+def test_mul_is_the_residue_ring_product(ctx):
+    # every pair of classes, BOTTOM included: the class of the product of
+    # the canonical lifts, BOTTOM where either is BOTTOM or it lies deeper
+    M = padic_truncation_of(ctx, 2, 2)
+    for a, b in itertools.product(M.payloads(), repeat=2):
+        if BOTTOM in (a, b):
+            want = BOTTOM
+        else:
+            want = M.class_of(ctx.mul(M.canonical_lift(a), M.canonical_lift(b)))
+        assert M.mul(a, b) == want, (a, b)
+
+
+def _package_growth(run) -> list:
+    """The lines of the package's files whose allocations grow across
+    run(), after a collection; the interpreter's own are not counted."""
+    package = [tracemalloc.Filter(True, os.path.join(os.path.dirname(fgl.monoids.__file__), "*"))]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(package)
+        run()
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(package)
+    finally:
+        tracemalloc.stop()
+    return [stat for stat in after.compare_to(before, "lineno") if stat.size_diff > 0]
+
+
+def test_mul_keeps_nothing_per_call():
+    # a product is the unit ring's, so 2,000 calls leave behind nothing
+    # that the package's files allocated
+    E = EisensteinExtension(5, 9, (-5, 0, 1))  # criterion 5
+    M = padic_truncation_of(E, 3, 3)
+    M.unit_group  # built first, as every carrier with a generator builds it
+    classes = list(M.payloads())
+    rng = random.Random(7)
+    calls = [(rng.choice(classes), rng.choice(classes)) for _ in range(2000)]
+    assert _package_growth(lambda: [M.mul(a, b) for a, b in calls]) == []
 
 
 def _nonzero_residues(ctx, depth) -> list:
@@ -478,8 +506,7 @@ def test_class_of_reads_the_residue_and_returns_the_registrys_object(ctx, n, V):
 
 def test_class_of_keeps_nothing_per_call():
     # each class is computed, so 2,000 calls leave behind nothing that the
-    # package's files allocated; the interpreter's own allocations are not
-    # counted
+    # package's files allocated
     E = EisensteinExtension(5, 9, (-5, 0, 1))  # criterion 5
     M = padic_truncation_of(E, 3, 3)
     M.payloads()  # built first, as every action builds it
@@ -489,18 +516,7 @@ def test_class_of_keeps_nothing_per_call():
         a = E.normalize(_random_payload(E, rng))
         if not E.is_zero(a):
             calls.append(a)
-    package = [tracemalloc.Filter(True, os.path.join(os.path.dirname(fgl.monoids.__file__), "*"))]
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot().filter_traces(package)
-        for a in calls:
-            M.class_of(a)
-        gc.collect()
-        after = tracemalloc.take_snapshot().filter_traces(package)
-    finally:
-        tracemalloc.stop()
-    assert [stat for stat in after.compare_to(before, "lineno") if stat.size_diff > 0] == []
+    assert _package_growth(lambda: [M.class_of(a) for a in calls]) == []
 
 
 def test_class_of_refuses_zero_and_sends_deep_elements_to_bottom():

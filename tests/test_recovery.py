@@ -1,4 +1,5 @@
 import functools
+import gc
 import random
 import re
 
@@ -447,6 +448,24 @@ def test_table_json_marks_flags():
     assert out["flags"] == ring.flag_counts()
 
 
+def test_table_json_computes_each_cell_once(monkeypatch):
+    # the README table: 64 cells, each summed once, and flag_counts sums
+    # each flagged pair once more
+    ring = build_addition_table(_carrier_action("cli-n1-V2"))
+    flagged = len(list(ring.flagged_pairs()))
+    calls = Counter()
+    add = RecoveredRing.add
+
+    def counted(self, a, b):
+        calls["add"] += 1
+        return add(self, a, b)
+
+    monkeypatch.setattr(RecoveredRing, "add", counted)
+    out = ring.to_json()
+    assert sum(len(row["sums"]) for row in out["table"]) == 64
+    assert calls["add"] == 64 + flagged == 72
+
+
 def test_transport_preserves_structure_along_isomorphism():
     from fgl.rings import EisensteinExtension
 
@@ -584,6 +603,23 @@ def test_variation_demo_shallow_depth():
     assert by_twist[(7,)].disagreements == 720
     assert all(v.flag_mismatches == 0 for v in report.variants)
     assert not report.all_variants_disagree
+
+
+def test_variation_demo_leaves_no_cycles():
+    # every ring, monoid, action and table of a demo is freed by reference
+    # counting alone, so the cycle collector finds none of the package's
+    # objects
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        variation_demo(5, (-5, 0, 1), (-10, 0, 1), n=1, V=2)
+        gc.collect()
+        left = Counter(type(o).__name__ for o in gc.garbage
+                       if type(o).__module__.startswith("fgl."))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == Counter()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 from fractions import Fraction
 
@@ -278,6 +280,26 @@ def test_quadratic_closed_forms_match_the_generic_code(case):
     for x in (a, b, ctx.mul(a, b)):
         for op in ("neg", "is_zero", "valuation"):
             assert getattr(ctx, op)(x) == _generic(ctx, op)(x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EisensteinExtension(5, 6, (-5, 0, 1)),  # closed forms
+    lambda: EisensteinExtension(5, 6, (-5, 0, 0, 1)),
+    lambda: PadicIntegers(5, 6),
+], ids=["e2", "e3", "Zp"])
+def test_a_ring_is_freed_without_the_cycle_collector(make):
+    # no ring refers back to itself, its e = 2 closed forms included, so it
+    # goes with its last reference
+    gc.disable()
+    try:
+        ctx = make()
+        ctx.normalize(7)
+        ctx.fraction_field()
+        freed = weakref.ref(ctx)
+        del ctx
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @st.composite
