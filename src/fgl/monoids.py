@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, repeat
+from functools import cached_property
+from itertools import accumulate, product, repeat
 
 from .rings import PadicRing, RingContext, RingError
 
@@ -256,7 +257,6 @@ class PadicTruncationMonoid(Monoid):
         self.V = V
         self.unit_ctx = ctx.residue_ring(n)
         self._units = None
-        self._unit_group = None
         self._registry = None  # payloads(), built on first use
         # pi^0 .. pi^(V-1), the valuation parts of the canonical lifts
         pi = ctx.uniformizer().payload
@@ -270,13 +270,11 @@ class PadicTruncationMonoid(Monoid):
             self._units = tuple(self.unit_ctx.units())
         return self._units
 
-    @property
+    @cached_property
     def unit_group(self) -> "UnitGroup":
         """Invariant factors and matching generators of the unit part,
         computed once per monoid."""
-        if self._unit_group is None:
-            self._unit_group = UnitGroup(self)
-        return self._unit_group
+        return UnitGroup(self)
 
     def check_payload(self, payload):
         if payload == BOTTOM:
@@ -626,30 +624,16 @@ class MonoidMorphism:
         return self.table[payload]
 
     def verify(self) -> None:
-        """Identity and multiplicativity.
-
-        A finite source gets f(ab) = f(a)f(b) checked for every pair, except
-        that a truncation source only needs the rows of its generators g:
-        if a = g*a' and the claim holds for a', then f(ab) = f(g)f(a'b) =
-        f(g)f(a')f(b) = f(a)f(b), so induction on word length from f(1) = 1
-        gives every pair exactly."""
+        """Identity and multiplicativity: a finite source gets f(ab) =
+        f(a)f(b) checked for every pair, a free one its generator images."""
         if self.table is not None:
-            ident = self.apply(self.source.identity_payload())
-            if ident != self.target.identity_payload():
+            if self.apply(self.source.identity_payload()) != self.target.identity_payload():
                 raise MonoidError("identity is not preserved")
-            ps, images = self.source.payloads(), self.table
-            rows = (self.source.generators()
-                    if isinstance(self.source, PadicTruncationMonoid) else ps)
-            for a in rows:
-                fa = images[a]
-                for b in ps:
-                    lhs = images[self.source.mul(a, b)]
-                    rhs = self.target.mul(fa, images[b])
-                    if lhs != rhs:
-                        raise MonoidError(
-                            f"multiplicativity fails at ({self.source.label(a)}, "
-                            f"{self.source.label(b)})"
-                        )
+            src, images = self.source, self.table
+            for a, b in product(src.payloads(), repeat=2):
+                if images[src.mul(a, b)] != self.target.mul(images[a], images[b]):
+                    raise MonoidError(f"multiplicativity fails at ({src.label(a)}, "
+                                      f"{src.label(b)})")
         else:
             for g in self.source.generators:
                 if g not in self.gen_images:
@@ -659,68 +643,87 @@ class MonoidMorphism:
     def inverse(self) -> "MonoidMorphism":
         if self.table is None:
             raise MonoidError("only table morphisms invert")
-        inv = {}
-        for a, b in self.table.items():
-            if b in inv:
-                raise MonoidError("morphism is not injective")
-            inv[b] = a
+        inv = {b: a for a, b in self.table.items()}
+        if len(inv) != len(self.table):
+            raise MonoidError("morphism is not injective")
         if len(inv) != len(self.target.payloads()):
             raise MonoidError("morphism is not surjective")
         return MonoidMorphism(self.target, self.source, table=inv)
 
 
-def build_monoid_isomorphism(
-    m1: PadicTruncationMonoid,
-    m2: PadicTruncationMonoid,
-    generator_powers: tuple | None = None,
-) -> MonoidMorphism:
-    """Generator-matched isomorphism between two truncation monoids.
+class TwistIsomorphism:
+    """(v, u) -> (v, unit_2(t * dlog_1(u))) and BOTTOM -> BOTTOM between truncation
+    monoids of equal caps and unit groups: t fixes the map, so it holds no table."""
 
-    Requires equal valuation caps and equal unit-group invariant factors.
-    The uniformizer class goes to the uniformizer class; unit generators are
-    matched slot by slot, optionally twisted by generator_powers (one exponent
-    per invariant factor, coprime to it).
-    """
+    __slots__ = ("source", "target", "twist")
+
+    def __init__(self, source: PadicTruncationMonoid, target: PadicTruncationMonoid, twist):
+        self.source, self.target, self.twist = source, target, twist
+
+    def apply(self, payload):
+        """The target registry's object for a source class; only a unit
+        missing from the source's dlog goes through check_payload."""
+        if payload == BOTTOM:
+            return BOTTOM
+        v, u = payload
+        dlog = self.source.unit_group.dlog
+        if u not in dlog:
+            v, u = self.source.check_payload(payload)
+        unit = self.target.unit_group.unit(map(operator.mul, dlog[u], self.twist))
+        image = self.target.payloads().mapping.get((v, unit))
+        if image is None:
+            raise MonoidError(f"{self.source.label(payload)} maps to no class of the target")
+        return image
+
+    def verify(self) -> None:
+        """The source's relations, in ring arithmetic: pi's class goes to pi's, and
+        each unit generator g_i to a unit whose d_i-th power is 1.  So the map on
+        generators extends to a unique homomorphism, and it is apply, as dlog is a
+        group isomorphism onto prod Z/d_i by UnitGroup's construction."""
+        pi, *units = self.source.generators()
+        if self.apply(pi) != self.target.generators()[0]:
+            raise MonoidError("the class of pi does not go to the class of pi")
+        G = self.target.unit_group
+        for g, d in zip(units, G.factors):
+            if G._pow(self.apply(g)[1], d) != G.ctx.int_payload(1):
+                raise MonoidError(f"the image of {self.source.label(g)} has order "
+                                  f"not dividing {d}")
+
+    def inverse(self) -> "TwistIsomorphism":
+        """The twist by t^-1 mod each invariant factor, the other way."""
+        return TwistIsomorphism(self.target, self.source, tuple(
+            pow(t, -1, d) for t, d in zip(self.twist, self.source.unit_group.factors)))
+
+
+def build_monoid_isomorphism(m1: PadicTruncationMonoid, m2: PadicTruncationMonoid,
+                             generator_powers: tuple | None = None) -> TwistIsomorphism:
+    """Generator-matched isomorphism between two truncation monoids of equal
+    valuation caps and unit-group invariant factors: the uniformizer class
+    goes to the uniformizer class, and unit generators slot by slot, twisted
+    by generator_powers (one exponent per invariant factor, coprime to it)."""
     if m1.V != m2.V:
         raise StructureMismatch(f"valuation caps differ: {m1.V} vs {m2.V}")
-    u1 = m1.unit_group
-    u2 = m2.unit_group
-    if u1.factors != u2.factors:
-        raise StructureMismatch(
-            f"unit groups differ: {u1.factors} vs {u2.factors}"
-        )
-    if generator_powers is None:
-        generator_powers = (1,) * len(u1.factors)
-    if len(generator_powers) != len(u1.factors):
+    factors = m1.unit_group.factors
+    if factors != m2.unit_group.factors:
+        raise StructureMismatch(f"unit groups differ: {factors} vs {m2.unit_group.factors}")
+    twist = (1,) * len(factors) if generator_powers is None else tuple(generator_powers)
+    if len(twist) != len(factors):
         raise StructureMismatch("one twist exponent per invariant factor")
-    for t, d in zip(generator_powers, u1.factors):
+    for t, d in zip(twist, factors):
         if math.gcd(t, d) != 1:
             raise StructureMismatch(f"twist {t} is not invertible mod {d}")
-    # g^e goes to (h^t)^e = h^(e*t mod d), read off u2's inverted log table
-    unit_map = {payload: u2.unit(map(operator.mul, exps, generator_powers))
-                for payload, exps in u1.dlog.items()}
-    if len(set(unit_map.values())) != len(unit_map):
-        raise StructureMismatch("twisted generator matching is not injective")
-    # keys and values are the two registries' own objects
-    image = m2.payloads().mapping
-    table = {c: c if c == BOTTOM else image[c[0], unit_map[c[1]]] for c in m1.payloads()}
-    return MonoidMorphism(m1, m2, table=table)
+    return TwistIsomorphism(m1, m2, twist)
 
 
-def unit_isomorphism_variants(
-    m1: PadicTruncationMonoid, m2: PadicTruncationMonoid, count: int = 3
-) -> list:
-    """Up to count distinct generator-matched isomorphisms: twist the
-    largest invariant factor's generator by successive units.  Returns
-    (powers, map) pairs so callers can report which twist produced which
-    behaviour."""
+def unit_isomorphism_variants(m1: PadicTruncationMonoid, m2: PadicTruncationMonoid,
+                              count: int = 3) -> list:
+    """Up to count distinct generator-matched isomorphisms, the largest
+    invariant factor's generator twisted by successive units."""
     if count < 1:
         raise MonoidError(f"need at least one variant, got {count}")
-    u1 = m1.unit_group
-    if not u1.factors:
-        return [((), build_monoid_isomorphism(m1, m2))]
-    top = u1.factors[-1]
-    rest = (1,) * (len(u1.factors) - 1)
+    factors = m1.unit_group.factors
+    if not factors:
+        return [build_monoid_isomorphism(m1, m2)]
+    top, rest = factors[-1], (1,) * (len(factors) - 1)
     twists = [rest + (t,) for t in range(1, top) if math.gcd(t, top) == 1]
-    return [(powers, build_monoid_isomorphism(m1, m2, generator_powers=powers))
-            for powers in twists[:count]]
+    return [build_monoid_isomorphism(m1, m2, twist) for twist in twists[:count]]

@@ -27,7 +27,6 @@ from .laws import MonoidAction
 from .lubin_tate import LubinTateAction, build_action, build_fgl, standard_datum
 from .monoids import (
     BOTTOM,
-    MonoidMorphism,
     PadicTruncationMonoid,
     RingSubsetMonoid,
     padic_truncation_of,
@@ -411,26 +410,24 @@ def build_addition_table(action: LubinTateAction) -> RecoveredRing:
     return RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
 
 
-def transport_structure(iso: MonoidMorphism, ring2: RecoveredRing) -> RecoveredRing:
-    """Addition pulled back along a multiplicative isomorphism, a +' b =
-    iso_inv(iso(a) + iso(b)).  iso is verified and inverted first, so a
-    multiplicative map that is not a bijection raises MonoidError; only then
-    is a +' b = a*iso_inv(1 + iso(b/a)), so the row is permuted and the
-    other pairs are pulled back on demand.  Flags are untouched: iso keeps
-    valuations."""
+def transport_structure(iso, ring2: RecoveredRing) -> RecoveredRing:
+    """Addition pulled back along a TwistIsomorphism or a table MonoidMorphism,
+    a +' b = iso_inv(iso(a) + iso(b)).  iso is verified and inverted first, so
+    a multiplicative map that is not a bijection raises MonoidError; only then
+    is a +' b = a*iso_inv(1 + iso(b/a)), so the row is permuted and the other
+    pairs are pulled back on demand.  Flags are untouched: iso keeps valuations."""
     if iso.target.key() != ring2.monoid.key():
         raise RecoveryError("isomorphism target does not carry the given table")
-    fwd = iso.table
-    if fwd is None:
-        raise RecoveryError("transport needs a full table morphism")
     iso.verify()
-    # the inverse's fresh table becomes transport's own, and CAPPED and the
-    # adjoined zero, which are not classes, map to themselves in it
-    inv = iso.inverse().table
-    inv[CAPPED], inv[ADJOINED_ZERO] = CAPPED, ADJOINED_ZERO
-    row = {c: inv[ring2.row[fwd[c]]] for c in fwd if c != BOTTOM}
+    fwd, back = iso.apply, iso.inverse().apply
+
+    def pull(entry):
+        # CAPPED and the adjoined zero are not classes: they map to themselves
+        return entry if entry in (CAPPED, ADJOINED_ZERO) else back(entry)
+
+    row = {c: pull(ring2.row[fwd(c)]) for c in iso.source.payloads() if c != BOTTOM}
     return RecoveredRing(iso.source, "transported", row,
-                         lambda a, b: inv[ring2.add(fwd[a], fwd[b])])
+                         lambda a, b: pull(ring2.add(fwd(a), fwd(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +504,7 @@ def _compare_tables(native: RecoveredRing,
     for c in els:
         # add(1, c) is row[c] on both rings: a flagged entry is read off
         # other(), which gives the same native candidate, or on the
-        # transported ring the same inv[ring2.row[fwd[c]]]
+        # transported ring the same pull(ring2.row[fwd(c)])
         z1, z2 = native.row[c], transported.row[c]
         f1, f2 = pair_flag(one, c, z1), pair_flag(one, c, z2)
         kinds[c] = ("both" if f1 and f2 else "flag" if f1 or f2 else
@@ -537,7 +534,7 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     transport of the second table to the first carrier; entry-by-entry
     comparison.  Multiplication is common to both rings whenever the
     matching is multiplicative, which transport_structure checks on the
-    generator rows; build_addition_table trusts each action by its
+    generators; build_addition_table trusts each action by its
     certificate.
     """
     t0 = time.perf_counter()
@@ -550,10 +547,10 @@ def variation_demo(p: int, poly1: tuple, poly2: tuple, n: int, V: int,
     report = VariationReport(p=p, poly1=tuple(poly1), poly2=tuple(poly2), n=n, V=V,
                              trunc_degree=trunc_degree, precision=k,
                              carrier_size=len(m1.payloads()), multiplication_identical=True)
-    for powers, iso in isos:
+    for iso in isos:
         # each transported ring is dropped once it is compared
         outcome = _compare_tables(r1, transport_structure(iso, r2))
-        outcome.twist = powers
+        outcome.twist = iso.twist
         report.variants.append(outcome)
     report.seconds = time.perf_counter() - t0
     return report

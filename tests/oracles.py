@@ -16,13 +16,17 @@ folded once.
 
 census_unit_group is the order census and one trial span per candidate
 generator, an oracle for fgl.monoids.UnitGroup.
+
+tabulated is a generator-matched isomorphism written out class by class
+through its apply, a table MonoidMorphism whose verify walks every pair, an
+oracle for TwistIsomorphism.verify.
 """
 from collections import Counter
 from functools import partial
 
 from fgl import recovery
 from fgl.laws import MonoidAction, verify_action
-from fgl.monoids import BOTTOM, MonoidError, PadicTruncationMonoid
+from fgl.monoids import BOTTOM, MonoidError, MonoidMorphism, PadicTruncationMonoid
 from fgl.recovery import (ADJOINED_ZERO, CAPPED, RecoveredRing, RecoveryError,
                           entry_label)
 from fgl.rings import _vp
@@ -155,3 +159,9 @@ def census_unit_group(monoid: PadicTruncationMonoid):
     if len(dlog) != size:
         raise MonoidError("generators do not span the unit group")
     return [d for _, d in chosen], [g for g, _ in chosen], dlog
+
+
+def tabulated(iso) -> MonoidMorphism:
+    """iso as a table morphism: every source class sent through iso.apply."""
+    return MonoidMorphism(iso.source, iso.target,
+                          table={c: iso.apply(c) for c in iso.source.payloads()})

@@ -18,7 +18,9 @@ from fgl.monoids import (
     MonoidMorphism,
     PadicTruncationMonoid,
     RingSubsetMonoid,
+    StructureMismatch,
     UnitGroup,
+    build_monoid_isomorphism,
     monoid_from_descriptor,
     padic_factorial_valuation,
     padic_truncation_of,
@@ -365,13 +367,64 @@ def test_unit_isomorphism_variants_are_isomorphisms():
     M1 = padic_truncation_of(E1, 2, 2)
     M2 = padic_truncation_of(E2, 2, 2)
     seen = []
-    for powers, iso in unit_isomorphism_variants(M1, M2, count=3):
+    for iso in unit_isomorphism_variants(M1, M2, count=3):
         iso.verify()
-        seen.append(powers)
+        seen.append(iso.twist)
         back = iso.inverse()
         for payload in M1.payloads():
             assert back.apply(iso.apply(payload)) == payload
     assert len(seen) == len(set(seen)) == 3
+
+
+def _t2_5(n, V):
+    return padic_truncation_of(EisensteinExtension(5, 7, (-5, 0, 1)), n, V)
+
+
+@pytest.mark.parametrize("m2, powers, message", [
+    ((2, 3), None, r"valuation caps differ: 2 vs 3"),
+    ((3, 2), None, r"unit groups differ: \[20\] vs \[5, 20\]"),
+    ((2, 2), (1, 1), "one twist exponent per invariant factor"),
+    ((2, 2), (4,), "twist 4 is not invertible mod 20"),
+], ids=["caps", "unit-groups", "twist-length", "twist-not-coprime"])
+def test_isomorphism_refuses_structures_it_cannot_match(m2, powers, message):
+    with pytest.raises(StructureMismatch, match=message):
+        build_monoid_isomorphism(_t2_5(2, 2), _t2_5(*m2), generator_powers=powers)
+
+
+def test_isomorphism_applies_to_source_classes_only():
+    M = _t2_5(2, 2)
+    iso = build_monoid_isomorphism(M, M, generator_powers=(3,))
+    unit = M.unit_payloads()[1]
+    # an unnormalized unit is normalized; its image is the registry's object
+    raw = tuple(c + 25 for c in unit)
+    assert iso.apply((1, raw)) is iso.apply((1, unit))
+    assert M.payloads().mapping[iso.apply((1, unit))] is iso.apply((1, unit))
+    with pytest.raises(MonoidError, match="maps to no class of the target"):
+        iso.apply((2, unit))
+    with pytest.raises(MonoidError, match="not a unit"):
+        iso.apply((0, M.unit_ctx.uniformizer().payload))
+
+
+def test_isomorphisms_keep_nothing_per_class():
+    # three variants held on criterion 5's 301 classes, verified and
+    # inverted: each is an object and its twist, two small blocks whatever
+    # the carrier, where a table would hold an entry per class
+    M1, M2 = (padic_truncation_of(EisensteinExtension(5, 9, poly), 3, 3)
+              for poly in ((-5, 0, 1), (-10, 0, 1)))
+    for M in (M1, M2):
+        M.payloads(), M.unit_group  # built first, as build_monoid_isomorphism builds them
+    held = []
+
+    def run():
+        held.extend(unit_isomorphism_variants(M1, M2, count=3))
+        for iso in held:
+            iso.verify()
+            iso.inverse().verify()
+
+    growth = _package_growth(run)
+    assert len(held) == 3
+    assert sum(stat.count_diff for stat in growth) <= 2 * len(held)
+    assert sum(stat.size_diff for stat in growth) <= 2 * 64 * len(held)
 
 
 @pytest.mark.parametrize("count", [0, -1])

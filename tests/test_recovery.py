@@ -55,7 +55,7 @@ from fgl.recovery import (
 )
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
 from fgl.series import TruncatedSeries
-from oracles import REFUSED, composed_row, exhaustive_table
+from oracles import REFUSED, composed_row, exhaustive_table, tabulated
 
 Q = RationalField()
 
@@ -338,7 +338,7 @@ def _axioms_outcome(check, ring):
 def _twisted_ring():
     native, r2 = _demo_rings("t2-5-t2-10")
     variants = unit_isomorphism_variants(native.monoid, r2.monoid, count=3)
-    iso = next(iso for powers, iso in variants if powers != (1,))
+    iso = next(iso for iso in variants if iso.twist != (1,))
     return transport_structure(iso, r2)
 
 
@@ -429,7 +429,7 @@ def test_compare_refuses_an_asymmetric_row():
     # 1 + c for a unit c on one side only: the class weights need c and
     # 1/c to be of one kind, so the compare raises rather than count
     native, r2 = _demo_rings("t2-5-t2-10")
-    (powers, iso), = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
+    iso, = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
     transported = transport_structure(iso, r2)
     c = next(c for c in native.units[1:] if transported.flag(native.units[0], c) is None)
     wrong = next(u for u in native.units if u != transported.row[c])
@@ -476,7 +476,7 @@ def test_transport_preserves_structure_along_isomorphism():
     d2 = standard_datum(E2)
     law2 = build_fgl(d2, 2)
     r2 = build_addition_table(build_action(d2, law2, monoid=m2))
-    (powers, iso), = list(unit_isomorphism_variants(m1, m2, count=1))
+    iso, = unit_isomorphism_variants(m1, m2, count=1)
     moved = transport_structure(iso, r2)
     assert moved.monoid.key() == m1.key()
     classes = [p for p in m1.payloads() if p != BOTTOM]
@@ -495,10 +495,10 @@ def test_transport_matches_per_pair_oracle_on_a_twist():
     d2 = standard_datum(E2)
     r2 = build_addition_table(build_action(d2, build_fgl(d2, 2), monoid=m2))
     variants = unit_isomorphism_variants(m1, m2, count=3)
-    twisted = [iso for powers, iso in variants if powers != (1,)]
+    twisted = [iso for iso in variants if iso.twist != (1,)]
     assert twisted
     for iso in twisted:
-        fwd = iso.table
+        fwd = tabulated(iso).table
         inv = {b: a for a, b in fwd.items()}
         inv[CAPPED], inv[ADJOINED_ZERO] = CAPPED, ADJOINED_ZERO
         moved = transport_structure(iso, r2)
@@ -555,25 +555,25 @@ def test_per_class_compare_matches_a_walk_of_every_pair(name):
     native, r2 = _demo_rings(name)
     variants = unit_isomorphism_variants(native.monoid, r2.monoid, count=100)
     disagreeing = 0
-    for powers, iso in variants:
+    for iso in variants:
         got = recovery._compare_tables(native, transport_structure(iso, r2))
         counts, sample = _walk_compare(native, transport_structure(iso, r2))
         assert (got.agreements, got.disagreements, got.flag_mismatches,
                 got.both_flagged) == (counts["agree"], counts["entry"],
-                                      counts["flag"], counts["both"]), powers
-        assert got.sample == sample, powers
+                                      counts["flag"], counts["both"]), iso.twist
+        assert got.sample == sample, iso.twist
         disagreeing += got.disagreements > 0
     assert len(variants) > disagreeing > 0
 
 
 def test_transport_refuses_a_non_multiplicative_table():
     native, r2 = _demo_rings("t2-5-t2-10")
-    (powers, iso), = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
-    table = dict(iso.table)
+    iso, = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
+    table = tabulated(iso)
     u, w = native.elements[1:3]  # two units, neither of them 1
-    table[u], table[w] = table[w], table[u]
+    table.table[u], table.table[w] = table.table[w], table.table[u]
     with pytest.raises(MonoidError, match="multiplicativity fails"):
-        transport_structure(MonoidMorphism(native.monoid, r2.monoid, table=table), r2)
+        transport_structure(table, r2)
 
 
 def test_transport_refuses_a_multiplicative_map_that_is_not_a_bijection():
@@ -589,6 +589,16 @@ def test_transport_refuses_a_multiplicative_map_that_is_not_a_bijection():
     collapse.verify()
     with pytest.raises(MonoidError, match="not injective"):
         transport_structure(collapse, ring)
+
+
+def test_transport_refuses_a_ring_off_the_isomorphisms_target():
+    # the isomorphism runs to r2's carrier; the native ring is on its source
+    native, r2 = _demo_rings("t2-5-t2-10")
+    iso, = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
+    with pytest.raises(RecoveryError, match="target does not carry the given table"):
+        transport_structure(iso, native)
+    with pytest.raises(RecoveryError, match="target does not carry the given table"):
+        transport_structure(tabulated(iso), native)
 
 
 def test_variation_demo_shallow_depth():
@@ -654,11 +664,11 @@ def test_adding_one_reads_the_row_on_criterion_5_and_transported_rings():
     # _compare_tables takes the kind of (1, c) off row[c]: it is add(1, c)
     native, r2 = (build_addition_table(_carrier_action(name))
                   for name in ("criterion-5-t2-5", "criterion-5-t2-10"))
-    rings = [native, r2] + [transport_structure(iso, r2) for _, iso in
+    rings = [native, r2] + [transport_structure(iso, r2) for iso in
                             unit_isomorphism_variants(native.monoid, r2.monoid, count=3)]
     for name in DEMO_PAIRS:
         n1, n2 = _demo_rings(name)
-        rings += [transport_structure(iso, n2) for _, iso in
+        rings += [transport_structure(iso, n2) for iso in
                   unit_isomorphism_variants(n1.monoid, n2.monoid, count=100)]
     for ring in rings:
         one = ring.monoid.identity_payload()
@@ -1324,7 +1334,7 @@ def test_every_class_held_is_the_monoids_own_object(name):
     def held(m, classes):
         return all(id(c) in own[m is m2] for c in classes)
 
-    isos = [iso for _, iso in unit_isomorphism_variants(m1, m2, count=3)]
+    isos = unit_isomorphism_variants(m1, m2, count=3)
     rings += [transport_structure(iso, rings[1]) for iso in isos]
     for ring in rings:
         entries = [z for z in ring.row.values() if z not in (ADJOINED_ZERO, CAPPED)]
@@ -1332,7 +1342,8 @@ def test_every_class_held_is_the_monoids_own_object(name):
         assert held(ring.monoid, ring.elements)
         assert held(ring.monoid, ring.row) and held(ring.monoid, entries)
     for iso in isos:
-        assert held(m1, iso.table) and held(m2, iso.table.values())
+        images = [iso.apply(c) for c in m1.payloads()]
+        assert held(m2, images) and held(m1, map(iso.inverse().apply, images))
     for action in actions:
         assert held(action.monoid, action.assignment)
 

@@ -1,5 +1,5 @@
-"""How a truncation action is trusted, and the generator-row checks of
-monoid morphisms.
+"""How a truncation action is trusted, and how a generator-matched
+isomorphism is.
 
 An action that fgl.lubin_tate.build_action built carries its datum's
 certificate, and the lemma of fgl.recovery.build_addition_table covers it
@@ -9,7 +9,9 @@ The two are tested against each other on every truncation action the
 suite builds, below q and from q on, and on mutants of them; the lemma's
 congruence step under hypothesis on both sides of q; and the certificate's
 Newton-basis rows, which pass the T^q row that is integer-valued but not
-integral coefficient by coefficient.
+integral coefficient by coefficient.  A TwistIsomorphism checks only its
+generators' images; on every carrier below, its table (oracles.tabulated)
+passes the every-pair walk of MonoidMorphism.verify.
 """
 import functools
 import random
@@ -35,11 +37,12 @@ from fgl.monoids import (
     build_monoid_isomorphism,
     padic_factorial_valuation,
     padic_truncation_of,
+    unit_isomorphism_variants,
 )
 from fgl.recovery import RecoveryError, build_addition_table
 from fgl.rings import EisensteinExtension, PadicIntegers
 from fgl.series import TruncatedSeries, first_difference
-from oracles import REFUSED, exhaustive_table
+from oracles import REFUSED, exhaustive_table, tabulated
 
 T2_5, T2_10 = (-5, 0, 1), (-10, 0, 1)
 
@@ -279,6 +282,29 @@ def test_generators_close_to_every_payload(ring, n, V):
     assert seen == set(M.payloads())
 
 
+@pytest.mark.parametrize("ring,n,V", CARRIERS)
+def test_twists_pass_the_every_pair_walk_and_invert(ring, n, V, monkeypatch):
+    # self-twists, each written out through apply; the 1,001-class carrier
+    # walks its million pairs for one twist only
+    M = padic_truncation_of(_ring(ring), n, V)
+    isos = unit_isomorphism_variants(M, M, count=3)
+    for iso in isos[-1:] if len(M.payloads()) > 1000 else isos:
+        iso.verify()
+        tabulated(iso).verify()
+        back = iso.inverse()
+        assert all(back.apply(iso.apply(c)) is c for c in M.payloads())
+    # the entry of the target's unit_of that the first generator's image
+    # reads, replaced by a residue whose d-th power is not 1: a unit of
+    # larger order where the group has one, else 0, which is no class
+    G = M.unit_group
+    d, one = G.factors[0], M.unit_ctx.int_payload(1)
+    wrong = next(x for x in (*M.unit_payloads(), M.unit_ctx.int_payload(0))
+                 if G._pow(x, d) != one)
+    monkeypatch.setitem(G.unit_of, (iso.twist[0],) + (0,) * (len(G.factors) - 1), wrong)
+    with pytest.raises(MonoidError, match=f"has order not dividing {d}|maps to no class"):
+        iso.verify()
+
+
 # ---------------------------------------------------------------------------
 # differential tests: the certificate against every pair
 
@@ -395,23 +421,6 @@ def _iso():
     return build_monoid_isomorphism(m1, m2)
 
 
-def test_truncation_morphism_reads_generator_rows_only(monkeypatch):
-    iso = _iso()
-    source = iso.source
-    products = []
-    mul = source.mul
-
-    def counting(a, b):
-        products.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(source, "mul", counting)
-    iso.verify()
-    gens = source.generators()
-    assert len(products) == len(gens) * len(source.payloads())
-    assert {a for a, _ in products} == set(gens)
-
-
 def _swaps():
     M = _iso().source
     gens = set(M.generators()) | {M.identity_payload()}
@@ -424,9 +433,8 @@ def _swaps():
 
 @pytest.mark.parametrize("a,b", _swaps(), ids=str)
 def test_swapped_non_generator_images_fail_verify(a, b):
-    iso = _iso()
-    table = dict(iso.table)
-    table[a], table[b] = table[b], table[a]
+    table = tabulated(_iso())
+    table.table[a], table.table[b] = table.table[b], table.table[a]
     with pytest.raises(MonoidError, match="multiplicativity fails"):
-        MonoidMorphism(iso.source, iso.target, table=table).verify()
+        table.verify()
 
