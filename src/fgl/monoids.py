@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import accumulate, product, repeat
+from itertools import accumulate, islice, product, repeat
 
 from .rings import PadicRing, RingContext, RingError
 
@@ -319,6 +319,13 @@ class PadicTruncationMonoid(Monoid):
             self._registry = dict(zip(classes, classes)).keys()
         return self._registry
 
+    @cached_property
+    def classes(self) -> tuple:
+        """The registry's objects without BOTTOM, in its order, which is sorted:
+        valuation first, then unit_payloads(), which ascend.  Every ring over
+        the monoid shares this one tuple as its elements."""
+        return tuple(islice(self.payloads(), len(self.payloads()) - 1))
+
     def generators(self) -> list:
         """The class of pi (BOTTOM when V = 1), then (0, g) for each unit
         generator; every payload, BOTTOM included, is a product of these."""
@@ -494,7 +501,8 @@ class UnitGroup:
     factors is ascending with d_1 | d_2 | ... | d_r; generators[i] has exact
     order factors[i]; dlog sends each unit to its exponent vector (e_1, ...,
     e_r), 0 <= e_i < d_i, the unit being g_1^{e_1} ... g_r^{e_r}, and
-    unit_of is its inverse.
+    unit_of is its inverse.  Both hold the monoid's own unit objects
+    (unit_payloads()), no copies.
 
     Orders come from cyclic walks: for each unit x with no order yet, x,
     x^2, ... up to 1, and with d the walk's length each x^j has order d /
@@ -561,8 +569,9 @@ class UnitGroup:
             raise MonoidError("generators do not span the unit group")
         self.generators = picks[::-1]
         self.factors = [order[x] for x in self.generators]
-        self.dlog = span
-        self.unit_of = {exps: u for u, exps in span.items()}
+        # keyed on the monoid's own units, so the span's products die here
+        self.dlog = {u: span[u] for u in units}
+        self.unit_of = {exps: u for u, exps in self.dlog.items()}
 
     def _pow(self, a, e: int):
         acc = self.ctx.int_payload(1)

@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
-from itertools import chain, islice, product
+from itertools import chain, islice
 from types import MappingProxyType
 
 from .laws import MonoidAction
@@ -95,8 +95,9 @@ def _native_sum(monoid, p1, p2):
 
 
 def sum_with(action: MonoidAction, p1):
-    """The function p2 -> recover_sum(action, p1, p2), with p1 lifted and
-    F([p1], y) = sum_j g_j * y^j, g_j = sum_i F_ij * [p1]^i, folded once.
+    """The function p2 -> recover_sum(action, p1, p2), with p1 lifted once,
+    [p1] read at that lift, and F([p1], y) = sum_j g_j * y^j, g_j = sum_i
+    F_ij * [p1]^i, folded once.
 
     Each p2 is lifted once, for the native sum and for [p2], which
     action.series_at reads off a LubinTateAction's scalar table at that
@@ -119,7 +120,8 @@ def sum_with(action: MonoidAction, p1):
     N, truncation = F.trunc_degree, isinstance(monoid, PadicTruncationMonoid)
     top_x, top_y = F.top_exponents(N)
     lift, plus, series_at = monoid.canonical_lift, monoid.ctx.add, action.series_at
-    lift1, first = lift(p1), action.endo_for(p1).series
+    lift1 = lift(p1)
+    first = series_at(p1, lift1)
     ctx, powers = first.ctx, first.powers(top_x)
     mul, add, one = ctx.mul, ctx.add, {(0,): ctx.int_payload(1)}
     g = [{} for _ in range(top_y + 1)]
@@ -185,7 +187,8 @@ def recover_sum(action: MonoidAction, p1, p2):
 class RecoveredRing:
     """Addition on the carrier of a finite truncation monoid: a row and a rule.
 
-    elements lists the non-absorbing classes, sorted, so valuation first; the
+    elements is the monoid's classes: the non-absorbing classes, sorted, so
+    valuation first, one tuple shared by every ring over the monoid; the
     adjoined zero is implicit (0 + m = m).  row[c] is 1 + c.  For v(a) <=
     v(b), add(a, b) is a*row[b/a] when that entry is unflagged, else
     other(a, b).  The canonical lifts satisfy a + b = a(1 + c) mod
@@ -205,7 +208,7 @@ class RecoveredRing:
     def __init__(self, monoid: PadicTruncationMonoid, provenance: str,
                  row: dict, other):
         self.monoid = monoid
-        self.elements = sorted(p for p in monoid.payloads() if p != BOTTOM)
+        self.elements = monoid.classes
         self.provenance = provenance
         self.row = row if type(row) is MappingProxyType else MappingProxyType(row)
         self.other = other
@@ -344,10 +347,8 @@ class RecoveredRing:
             return (entry_label(self.monoid, entry)
                     + ("?" if pair_flag(a, b, entry) == "precision" else ""))
 
-        cells = [cell(a, b) for a, b in product(self.elements, repeat=2)]
-        size = len(self.elements)
-        rows = [{"element": label(a), "sums": cells[i * size:(i + 1) * size]}
-                for i, a in enumerate(self.elements)]
+        rows = [{"element": label(a), "sums": [cell(a, b) for b in self.elements]}
+                for a in self.elements]
         return {
             "monoid": self.monoid.descriptor(),
             "elements": [label(a) for a in self.elements],
@@ -406,7 +407,7 @@ def build_addition_table(action: LubinTateAction) -> RecoveredRing:
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
     add_one = sum_with(action, monoid.identity_payload())
-    row = {c: add_one(c) for c in monoid.payloads() if c != BOTTOM}
+    row = {c: add_one(c) for c in monoid.classes}
     return RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
 
 
@@ -425,7 +426,7 @@ def transport_structure(iso, ring2: RecoveredRing) -> RecoveredRing:
         # CAPPED and the adjoined zero are not classes: they map to themselves
         return entry if entry in (CAPPED, ADJOINED_ZERO) else back(entry)
 
-    row = {c: pull(ring2.row[fwd(c)]) for c in iso.source.payloads() if c != BOTTOM}
+    row = {c: pull(ring2.row[fwd(c)]) for c in iso.source.classes}
     return RecoveredRing(iso.source, "transported", row,
                          lambda a, b: pull(ring2.add(fwd(a), fwd(b))))
 
@@ -491,28 +492,32 @@ def _compare_tables(native: RecoveredRing,
 
     On both rings a pair's flag and entry a*(1 + c) follow from the row at
     c = b/a, and a*z = a*z' only when z = z', so its kind is that of (1, c),
-    and it is decided once per class.  Class c stands for its upper-triangle
-    pairs: the weight(v(c)) pairs (a, a*c) when v(c) > 0 or c = 1, and half
-    of weight(0) for any other unit, as {a, a*c} is met once, under c or
-    under 1/c.  Both rings pass check_symmetry first, which gives c and 1/c
-    one kind.  Pairs are walked, in row order, only for the samples."""
+    and it is decided per class, when asked.  Class c stands for its
+    upper-triangle pairs: the weight(v(c)) pairs (a, a*c) when v(c) > 0 or
+    c = 1, and half of weight(0) for any other unit, as {a, a*c} is met
+    once, under c or under 1/c.  Both rings pass check_symmetry first,
+    which gives c and 1/c one kind.  Pairs are walked, in row order, only
+    for the samples."""
     native.check_symmetry()
     transported.check_symmetry()
     m1, els = native.monoid, native.elements
     one = m1.identity_payload()
-    kinds, counts = {}, Counter()
-    for c in els:
+
+    def kind(c):
         # add(1, c) is row[c] on both rings: a flagged entry is read off
         # other(), which gives the same native candidate, or on the
         # transported ring the same pull(ring2.row[fwd(c)])
         z1, z2 = native.row[c], transported.row[c]
         f1, f2 = pair_flag(one, c, z1), pair_flag(one, c, z2)
-        kinds[c] = ("both" if f1 and f2 else "flag" if f1 or f2 else
-                    "agree" if z1 == z2 else "entry")
+        return ("both" if f1 and f2 else "flag" if f1 or f2 else
+                "agree" if z1 == z2 else "entry")
+
+    counts = Counter()
+    for c in els:
         w = native.weight(c[0])
-        counts[kinds[c]] += w if c[0] or c == one else w // 2
-    walk = ((a, b, kinds[m1.quotient(b, a)])
-            for i, a in enumerate(els) for b in els[i:])
+        counts[kind(c)] += w if c[0] or c == one else w // 2
+    walk = ((a, b, kind(m1.quotient(b, a)))
+            for i, a in enumerate(els) for b in islice(els, i, None))
     mismatches = ((a, b, kind) for a, b, kind in walk if kind in ("entry", "flag"))
     want = min(10, counts["entry"] + counts["flag"])
     sample = [{"pair": [m1.label(a), m1.label(b)],

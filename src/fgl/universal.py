@@ -59,8 +59,11 @@ class IdealNotKilled(UniversalError):
         self.value = value
 
 
+# carrier_elements caps truncation classes.  A table build is one row of |C|
+# confirmations plus one transport per twist, so linear in |C|; only `check`
+# on a truncation bundle still walks |C|^2 pairs.
 _CAPS = {"free_generators": 8, "finite_elements": 12, "degree": 6,
-         "carrier_elements": 2000}  # truncation classes; pair work is quadratic
+         "carrier_elements": 2000}
 
 
 def budget_caps() -> dict:

@@ -479,6 +479,19 @@ def test_unit_product_table_matches_ring_product(ctx, n):
     assert M.mul(BOTTOM, (0, units[0])) == BOTTOM
 
 
+@pytest.mark.parametrize("ctx, n", _UNIT_RINGS)
+def test_unit_logs_hold_the_monoids_own_units(ctx, n):
+    # dlog is keyed on unit_payloads()'s objects, in their order, and
+    # unit_of and quotient hand those objects back, not equal products
+    M = padic_truncation_of(ctx, n, 2)
+    G, units = M.unit_group, M.unit_payloads()
+    assert len(G.dlog) == len(units)
+    assert all(key is u for key, u in zip(G.dlog, units))
+    assert all(G.unit_of[G.dlog[u]] is u for u in units)
+    one = M.identity_payload()
+    assert all(M.quotient((1, u), one)[1] is u for u in units)
+
+
 @pytest.mark.parametrize("ctx", [PadicIntegers(5, 3), EisensteinExtension(5, 3, (-5, 0, 1))],
                          ids=["Z5", "t2-5"])
 def test_mul_is_the_residue_ring_product(ctx):

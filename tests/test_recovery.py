@@ -2,6 +2,8 @@ import functools
 import gc
 import random
 import re
+import sys
+import tracemalloc
 
 from collections import Counter
 from itertools import product
@@ -56,6 +58,7 @@ from fgl.recovery import (
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
 from fgl.series import TruncatedSeries
 from oracles import REFUSED, composed_row, exhaustive_table, tabulated
+from test_monoids import _package_growth
 
 Q = RationalField()
 
@@ -376,7 +379,7 @@ def test_ring_axioms_match_the_cubic_walk_on_planted_faults():
         planted.append(RecoveredRing(ring.monoid, ring.provenance, row, ring.other))
     for _ in range(40):
         a, b = pair = rng.choice(flagged)
-        wrong = [e for e in ring.elements + [CAPPED] if e != ring.other(a, b)]
+        wrong = [e for e in (*ring.elements, CAPPED) if e != ring.other(a, b)]
         planted.append(_other_planted(ring, pair, rng.choice(wrong)))
     outcomes = Counter()
     for mutant in planted:
@@ -480,7 +483,7 @@ def test_transport_preserves_structure_along_isomorphism():
     moved = transport_structure(iso, r2)
     assert moved.monoid.key() == m1.key()
     classes = [p for p in m1.payloads() if p != BOTTOM]
-    assert moved.elements == sorted(classes)
+    assert list(moved.elements) == sorted(classes)
     # multiplicativity of the matching means flags transport along entries
     assert sorted(moved.flag_counts().items()) == sorted(r2.flag_counts().items())
 
@@ -794,10 +797,10 @@ def test_a_certified_build_confirms_only_the_row(monkeypatch, name):
     assert calls == [(one, c) for c in action.monoid.payloads() if c != BOTTOM]
 
 
-def test_a_row_wraps_one_endomorphism_and_lifts_each_operand_once(monkeypatch):
-    # per entry: [c] and [candidate] are read off the scalar table at the
-    # lifts the sum already formed, so the only endomorphism built is the
-    # fold's [1], which the assignment lifts a second time
+def test_a_row_wraps_no_endomorphism_and_lifts_each_operand_once(monkeypatch):
+    # [1], [c] and [candidate] are all read off the scalar table at the
+    # lifts the sums already formed, so the row wraps no endomorphism and
+    # lifts 1 once
     wrapped, lifts = [], []
     certified, canonical_lift = FglEndomorphism._certified, PadicTruncationMonoid.canonical_lift
     monkeypatch.setattr(FglEndomorphism, "_certified", classmethod(
@@ -807,10 +810,10 @@ def test_a_row_wraps_one_endomorphism_and_lifts_each_operand_once(monkeypatch):
     action = _carrier_action.__wrapped__("criterion-5-t2-5")
     one = action.monoid.identity_payload()
     ring = build_addition_table(action)
-    assert len(wrapped) == 1
+    assert wrapped == []
     candidates = [z for z in ring.row.values() if z not in (ADJOINED_ZERO, CAPPED)]
     assert len(candidates) == 299
-    assert Counter(lifts) == Counter([one, one, *ring.row, *candidates])
+    assert Counter(lifts) == Counter([one, *ring.row, *candidates])
 
 
 def test_a_planted_wrong_candidate_fails_its_confirmation(monkeypatch):
@@ -1346,6 +1349,53 @@ def test_every_class_held_is_the_monoids_own_object(name):
         assert held(m2, images) and held(m1, map(iso.inverse().apply, images))
     for action in actions:
         assert held(action.monoid, action.assignment)
+
+
+def test_a_second_ring_holds_its_row_and_no_class_list():
+    # rings over one monoid share its class tuple, so a second ring on
+    # criterion 5's carrier grows by its row and its units' slice, and what
+    # is left is smaller than a list of the classes
+    action = _carrier_action("criterion-5-t2-5")
+    M = action.monoid
+    build_addition_table(action)  # the monoid's class tuple and unit group, built first
+    held = []
+    growth = _package_growth(lambda: held.append(build_addition_table(action)))
+    ring, = held
+    assert ring.elements is M.classes
+    rest = (sum(stat.size_diff for stat in growth)
+            - sys.getsizeof(dict.fromkeys(M.classes)) - sys.getsizeof(ring.units))
+    assert 0 <= rest < sys.getsizeof(list(M.classes))
+
+
+def test_the_compare_peaks_below_one_entry_per_class():
+    # n = 4, V = 3, 1,500 classes: each class's kind is decided when asked,
+    # so the compare's peak, its counts and samples, stays below one dict
+    # with an entry per class
+    rings = []
+    for poly in ((-5, 0, 1), (-10, 0, 1)):
+        d = standard_datum(EisensteinExtension(5, 10, poly))
+        monoid = padic_truncation_of(d.ctx, 4, 3)
+        rings.append(build_addition_table(build_action(d, build_fgl(d, 2), monoid=monoid)))
+    native, r2 = rings
+    iso, = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
+    transported = transport_structure(iso, r2)
+    peaks, outcomes = [], []
+
+    def run():
+        # each ring's symmetry check, which runs once per ring, comes first:
+        # the tuples it frees stay in the interpreter's free lists, which
+        # tracemalloc counts as live
+        native.check_symmetry()
+        transported.check_symmetry()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        outcomes.append(recovery._compare_tables(native, transported))
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+    _package_growth(run)
+    outcome, = outcomes
+    assert outcome.disagreements and len(outcome.sample) == 10
+    assert peaks[0] < sys.getsizeof(dict.fromkeys(native.elements))
 
 
 def test_the_error_paths_keep_their_types():

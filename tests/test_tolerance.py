@@ -39,7 +39,7 @@ from fgl.monoids import (
     padic_truncation_of,
     unit_isomorphism_variants,
 )
-from fgl.recovery import RecoveryError, build_addition_table
+from fgl.recovery import RecoveryError, build_addition_table, transport_structure
 from fgl.rings import EisensteinExtension, PadicIntegers
 from fgl.series import TruncatedSeries, first_difference
 from oracles import REFUSED, exhaustive_table, tabulated
@@ -303,6 +303,18 @@ def test_twists_pass_the_every_pair_walk_and_invert(ring, n, V, monkeypatch):
     monkeypatch.setitem(G.unit_of, (iso.twist[0],) + (0,) * (len(G.factors) - 1), wrong)
     with pytest.raises(MonoidError, match=f"has order not dividing {d}|maps to no class"):
         iso.verify()
+
+
+@pytest.mark.parametrize("ring,n,V", CARRIERS)
+def test_classes_are_the_sorted_registry_and_every_rings_elements(ring, n, V):
+    # the registry's order is sorted already, so no ring sorts: a native
+    # ring and one transported along a twist hold the monoid's one tuple
+    M = _action(ring, "standard", 2, n, V).monoid
+    assert list(M.classes) == sorted(c for c in M.payloads() if c != BOTTOM)
+    assert all(M.payloads().mapping[c] is c for c in M.classes)
+    native = build_addition_table(_action(ring, "standard", 2, n, V))
+    transported = transport_structure(unit_isomorphism_variants(M, M)[-1], native)
+    assert native.elements is M.classes and transported.elements is M.classes
 
 
 # ---------------------------------------------------------------------------
