@@ -125,13 +125,11 @@ def _intertwining_sides(h: TruncatedSeries, F: TruncatedSeries,
                         G: TruncatedSeries) -> tuple:
     """The term dicts of h(F(x, y)) and G(h(x), h(y)) in F's variables,
     which agree iff the one-variable series h carries the two-variable
-    series F to G.  h(F) reads F's memoized power table; h(x) and h(y) are
-    h moved onto one of F's variables, carrying h's table as far as G
-    reads it."""
-    hF = h.composed_terms({h.variables[0]: F})
-    hx, hy = (h.moved(F, (k,), top)
-              for k, top in enumerate(G.top_exponents(F.trunc_degree)))
-    return hF, G.composed_terms(dict(zip(G.variables, (hx, hy))))
+    series F to G.  h(F) reads F's memoized power table, and G(h(x), h(y))
+    reads h's own, one product per term at F's degree
+    (TruncatedSeries.paired_terms)."""
+    return (h.composed_terms({h.variables[0]: F}),
+            G.paired_terms(h, F.trunc_degree))
 
 
 def intertwining_defect(h: TruncatedSeries, F: TruncatedSeries,
@@ -151,13 +149,21 @@ def intertwining_violation(h: TruncatedSeries, F: TruncatedSeries,
 def _associativity_sides(F: TruncatedSeries) -> tuple:
     """The term dicts of F(x, F(y, z)) and F(F(x, y), z) in the variables
     (x, y, z), which agree iff the two-variable series F is associative mod
-    degree N+1.  F(y, z) and F(x, y) are F moved onto two of the three
-    variables, so both compositions read F's own memoized power table."""
+    degree N+1.  The left side is composed, F(y, z) being F moved onto two
+    of the three variables, so it reads F's own memoized power table.
+    Where F's terms equal those of F(y, x), the comparison the
+    commutativity check makes, the right side is F(z, F(x, y)): the left
+    side relabelled, its term at x^a y^b z^c moved to x^b y^c z^a.  That is
+    exact on every ring, as c_ij = c_ji term for term and every ring's
+    product commutes on normal forms.  Any other F has its right side
+    composed as the left is, with F(x, y) moved onto the first two."""
     ctx, N = F.ctx, F.trunc_degree
     xname, yname = F.variables
     top_x, top_y = F.top_exponents(N)
     X, Z = (TruncatedSeries.variable(ctx, ("x", "y", "z"), N, v) for v in ("x", "z"))
     left = F.composed_terms({xname: X, yname: F.moved(X, (1, 2), top_y)})
+    if F.terms == F.moved(F, (1, 0)).terms:
+        return left, {(b, c, a): v for (a, b, c), v in left.items()}
     return left, F.composed_terms({xname: F.moved(X, (0, 1), top_x), yname: Z})
 
 
@@ -169,7 +175,11 @@ def associativity_defect(F: TruncatedSeries) -> TruncatedSeries:
 
 def check_axioms_series(F: TruncatedSeries) -> AxiomReport:
     """Unit, low-degree shape, commutativity, associativity; first failing
-    monomial per axiom in graded-lex order."""
+    monomial per axiom in graded-lex order.  Each check compares two term
+    dicts: F's low terms with x + y, F(T, 0) and F(0, T) composed with T,
+    F's terms with F(y, x)'s, and the two sides of _associativity_sides,
+    whose right side is read off its left where that comparison finds F
+    commutative, and composed otherwise."""
     ctx, N = F.ctx, F.trunc_degree
     xname, yname = F.variables
     # shape: F = x + y mod degree 2

@@ -326,6 +326,12 @@ class PadicTruncationMonoid(Monoid):
         the monoid shares this one tuple as its elements."""
         return tuple(islice(self.payloads(), len(self.payloads()) - 1))
 
+    @cached_property
+    def unit_classes(self) -> tuple:
+        """The classes of valuation 0, the head of classes, in its order;
+        every ring over the monoid shares this one tuple as its units."""
+        return self.classes[:len(self.unit_payloads())]
+
     def generators(self) -> list:
         """The class of pi (BOTTOM when V = 1), then (0, g) for each unit
         generator; every payload, BOTTOM included, is a product of these."""

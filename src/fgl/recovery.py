@@ -212,7 +212,7 @@ class RecoveredRing:
         self.provenance = provenance
         self.row = row if type(row) is MappingProxyType else MappingProxyType(row)
         self.other = other
-        self.units = self.elements[:len(monoid.unit_payloads())]
+        self.units = monoid.unit_classes
         self._one = monoid.identity_payload()
         self._symmetric = False
 

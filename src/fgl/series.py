@@ -15,7 +15,11 @@ There is one kernel.  _pair_products is the only loop over pairs of terms;
 multiplication calls it directly and composition calls it through
 composed_terms(assignments), the one composition loop, which checks its
 inputs, reads each power table only as deep as the outer series reaches
-and drops zero payloads.  substitute builds a series from its terms; a law
+and drops zero payloads.  paired_terms(h, N) is its one-variable-pair
+form, G(h(x), h(y)) for a two-variable G: h(x)^i * h(y)^j has one product
+per term, so it reads h's own table with no pair loop and no moved copy,
+forming the products composed_terms would, in the same grouping, after the
+same refusals (_target).  substitute builds a series from its terms; a law
 check, a recovered sum and an action's pair checks instead hold the term
 dicts of an identity's two sides and compare them, first_difference for
 the first failing term or differences for all of them, so no composed or
@@ -25,8 +29,8 @@ s^1 sharing s's terms; no composition reads s^0, so no table holds one.
 Composition, reversion, inversion and integer powers all read the table
 there, so every composition into one series shares one table and no caller
 keeps a copy.  moved() carries a series' table onto other variables, so
-F(x, y) and F(y, z), or h(x) and h(y), read the table of F or of h.  The
-one other memo on a series is fgl.laws.scalar_table's, on a logarithm.
+F(y, z) and F(x, y) read the table of F.  The one other memo on a series
+is fgl.laws.scalar_table's, on a logarithm.
 
 Over Q the kernel runs on integers wherever products add up, as FLINT's
 fmpq_poly does: each operand is cleared once into integer numerators over
@@ -367,32 +371,22 @@ class TruncatedSeries:
         low = [exp for exp in self.terms if sum(exp) <= N]
         return list(map(max, zip(*low))) if low else [0] * len(self.variables)
 
-    def composed_terms(self, assignments: dict) -> dict:
-        """The nonzero terms of self with each used variable replaced by the
-        series assigned to it, at their common degree N: the one
-        composition loop.  A series that uses no variable and is assigned
-        none keeps its own terms.
-
-        All assigned series must live over self's ring, in one common
-        variable list and truncation degree, and have zero constant term;
-        that makes the degree-N result depend only on degree-N data on both
-        sides.  Each table is read from its series' memo only as deep as
-        top_exponents(N), and each term c * x^i * y^j ... adds c times the
-        product of the table entries, the product formed by _pair_products.
-
-        Over Q, unless every substituted series is a monomial, each table
-        entry read is cleared once and each term's coefficient is scaled to
-        L, the lcm of its piece's denominators, so the loop sums integers
-        and each output is one Fraction."""
-        # in variable order, so a refusal names the same variable every run
+    def _target(self, assignments: dict):
+        """The first series assigned to one of self's variables, or None
+        where none is, once the refusals every composition shares have
+        passed, in this order: a used variable with no assignment, assigned
+        series that differ in ring, variables or degree, assignments over
+        another ring than self, and a used variable's series with a nonzero
+        constant term.  Used variables are taken in variable order, so a
+        refusal names the same variable every run."""
         reach = map(max, zip(*self.terms)) if self.terms else ()
         used = [v for v, top in zip(self.variables, reach) if top]
-        targets = [assignments[v] for v in self.variables if v in assignments]
         missing = [v for v in used if v not in assignments]
         if missing:
             raise SeriesError(f"missing assignment for used variable {missing[0]!r}")
+        targets = [assignments[v] for v in self.variables if v in assignments]
         if not targets:
-            return self.terms
+            return None
         model = targets[0]
         for t in targets[1:]:
             model._check_compatible(t)
@@ -402,7 +396,30 @@ class TruncatedSeries:
         for v in used:
             if zero_exp in assignments[v].terms:  # terms hold no zeros
                 raise SeriesError(f"assignment for {v!r} has a nonzero constant term")
+        return model
 
+    def composed_terms(self, assignments: dict) -> dict:
+        """The nonzero terms of self with each used variable replaced by the
+        series assigned to it, at their common degree N: the one
+        composition loop.  A series that uses no variable and is assigned
+        none keeps its own terms.
+
+        All assigned series must live over self's ring, in one common
+        variable list and truncation degree, and have zero constant term
+        (_target); that makes the degree-N result depend only on degree-N
+        data on both sides.  Each table is read from its series' memo only
+        as deep as top_exponents(N), and each term c * x^i * y^j ... adds c
+        times the product of the table entries, the product formed by
+        _pair_products.
+
+        Over Q, unless every substituted series is a monomial, each table
+        entry read is cleared once and each term's coefficient is scaled to
+        L, the lcm of its piece's denominators, so the loop sums integers
+        and each output is one Fraction."""
+        model = self._target(assignments)
+        if model is None:
+            return self.terms
+        zero_exp = (0,) * len(model.variables)
         ctx, N = model.ctx, model.trunc_degree
         tables = [assignments[v].powers(top) if top else None
                   for v, top in zip(self.variables, self.top_exponents(N))]
@@ -432,6 +449,61 @@ class TruncatedSeries:
             for e, v in piece.items():
                 v = mul(c, v)
                 acc[e] = add(acc[e], v) if e in acc else v
+        if over_q:
+            return {e: Fraction(v, dc * L) for e, v in acc.items() if v}
+        is_zero = ctx.is_zero
+        return {e: v for e, v in acc.items() if not is_zero(v)}
+
+    def paired_terms(self, h: "TruncatedSeries", N: int) -> dict:
+        """The nonzero terms of self(h(x), h(y)) at degree N, for a
+        two-variable self and a one-variable h, after composed_terms'
+        refusals (_target).  h(x)^i * h(y)^j has one product per term, so
+        the term at (a, b) sums c * (u * v) over self's terms c * x^i * y^j,
+        u and v the T^a and T^b coefficients of h^i and h^j: the products,
+        in the grouping, that composed_terms forms over h's table moved onto
+        x and y, read off h's own memoized table instead.  Above its own
+        degree h's powers are unknown, so an h below N is taken as the
+        polynomial it holds, as moved takes it.  Over Q the loop sums
+        integers over one denominator, as composed_terms' does."""
+        if len(self.variables) != 2:
+            raise SeriesError("a paired composition needs a two-variable series")
+        self._target(dict.fromkeys(self.variables, h))
+        if h.trunc_degree < N:
+            h = TruncatedSeries(h.ctx, h.variables, N, h.terms)
+        ctx = self.ctx
+        terms = {x: c for x, c in self.terms.items() if sum(x) <= N}
+        table = h.powers(max(self.top_exponents(N)))
+        rows = {e: {a: c for (a,), c in table[e].terms.items() if a <= N}
+                for e in {e for x in terms for e in x if e}}
+        mul, add = ctx.mul, ctx.add
+        over_q = type(ctx) is RationalField and len(h.terms) > 1
+        if over_q:
+            terms, dc = _cleared(terms)
+            rows = {e: _cleared(row) for e, row in rows.items()}
+            dens = {x: prod(rows[e].d for e in x if e) for x in terms}
+            L = lcm(*dens.values())
+            terms = {x: c * (L // dens[x]) for x, c in terms.items()}
+            rows = {e: row.terms for e, row in rows.items()}
+            mul, add = operator.mul, operator.add
+        rows = {e: sorted(row.items()) for e, row in rows.items()}
+        acc: dict = {}
+        for (i, j), c in terms.items():
+            if i and j:
+                right = rows[j]
+                for a, u in rows[i]:
+                    room = N - a
+                    for b, w in right:
+                        if b > room:
+                            break
+                        v = mul(c, mul(u, w))
+                        acc[a, b] = add(acc[a, b], v) if (a, b) in acc else v
+            elif i or j:
+                for a, u in rows[i or j]:
+                    e = (a, 0) if i else (0, a)
+                    v = mul(c, u)
+                    acc[e] = add(acc[e], v) if e in acc else v
+            else:
+                acc[0, 0] = add(acc[0, 0], c) if (0, 0) in acc else c
         if over_q:
             return {e: Fraction(v, dc * L) for e, v in acc.items() if v}
         is_zero = ctx.is_zero

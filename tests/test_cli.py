@@ -276,6 +276,20 @@ def test_check_reports_every_failing_axiom_of_a_law(capsysbinary):
     assert captured.err == AXIOMS.with_suffix(".stderr").read_bytes()
 
 
+# F = x + y + x^2*y + x*y^2 + 1/2*x^2*y^2 over Q at degree 4: commutative,
+# so its associativity check reads the right side off the left, and not
+# associative, failing at x*y*z^2 with delta -1.  The stderr was recorded
+# while both sides were still composed.
+COMMUTATIVE = Path(__file__).resolve().parent / "golden" / "check-commutative.json"
+
+
+def test_check_reports_the_associativity_of_a_commutative_law(capsysbinary):
+    assert main(["check", "--bundle", str(COMMUTATIVE), "--json"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == COMMUTATIVE.with_suffix(".stderr").read_bytes()
+
+
 def _specialized_truncation_action(capsys, tmp_path, m0_2):
     """run specialize on Z_3 mod 3 (classes 0:1, 0:2, bot) with [0:2] = m0_2*T,
     [bot] = 0 and F = x + y; the exit code and the bundle's action, if any."""

@@ -21,17 +21,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl.laws import (associativity_defect, from_logarithm, intertwining_defect,
-                      intertwining_violation)
+from fgl.laws import (_associativity_sides, _intertwining_sides, associativity_defect,
+                      from_logarithm, intertwining_defect, intertwining_violation)
 from fgl.lubin_tate import build_action, build_fgl, multiplicative_datum, standard_datum
 from fgl.monoids import BOTTOM, padic_truncation_of
 from fgl.recovery import ADJOINED_ZERO, CAPPED, build_addition_table
-from fgl.rings import EisensteinExtension, PadicIntegers, RationalField, RingError
+from fgl.rings import (EisensteinExtension, PadicIntegers, PolynomialQuotient, RationalField,
+                       RingError)
 from fgl.series import SeriesError, TruncatedSeries, differences, first_difference
 
 Q = RationalField()
 E = EisensteinExtension(5, 9, (-5, 0, 1))
 RINGS = {"Q": Q, "E": E}
+# a^2 - b and ab - c are no Groebner basis: their S-polynomial ac - b^2
+# reduces by neither, so this ring's normal forms are not canonical
+P = PolynomialQuotient(Q, ("a", "b", "c")).with_ideal(
+    [{(2, 0, 0): 1, (0, 1, 0): -1}, {(1, 1, 0): 1, (0, 0, 1): -1}])
+LAW_RINGS = {**RINGS, "P": P}
 NAMES = ("x", "y", "z")
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -77,6 +83,9 @@ def _oracle_substitute(f: TruncatedSeries, args: list) -> dict:
 def _coefficient(ctx):
     if ctx is Q:
         return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    if ctx is P:  # a polynomial in a, b, c of degree <= 2, reduced when built
+        return st.lists(st.tuples(st.sampled_from(_exponents(3, 2)), _coefficient(Q)),
+                        max_size=3)
     return st.tuples(st.integers(-30, 30), st.integers(-30, 30))
 
 
@@ -278,6 +287,106 @@ def test_compositions_into_one_series_build_its_table_once(ring, monkeypatch):
     # F's table to its own degree (h reaches T^N), each h's as far as F reads it
     assert sum(b is F for b in products) == N - 1
     assert all(sum(b is h for b in products) == top - 1 for h in hs)
+
+
+# ---------------------------------------------------------------------------
+# each law-check side that data already fixes, against its composition
+
+
+def _right_side_by_composition(F):
+    """F(F(x, y), z), with F(x, y) composed afresh."""
+    x, y = F.variables
+    X, Y, Z = (TruncatedSeries.variable(F.ctx, NAMES, F.trunc_degree, v) for v in NAMES)
+    return F.composed_terms({x: F.substitute({x: X, y: Y}), y: Z})
+
+
+def _paired_by_moved_tables(G, h, F):
+    """G(h(x), h(y)) by composed_terms over h moved onto F's variables at
+    F's degree, each copy carrying h's table as far as G reads it."""
+    hx, hy = (h.moved(F, (k,), top)
+              for k, top in enumerate(G.top_exponents(F.trunc_degree)))
+    return G.composed_terms(dict(zip(G.variables, (hx, hy))))
+
+
+def _golden_law(ctx):
+    """x + y + x^2 y + x y^2 + 2 x^2 y^2 at degree 4: commutative, not
+    associative."""
+    return TruncatedSeries(ctx, ("x", "y"), 4,
+                           {(1, 0): 1, (0, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 2})
+
+
+@pytest.mark.parametrize("ring", sorted(LAW_RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_a_commutative_laws_right_side_is_its_left_side_relabelled(ring, data):
+    ctx = LAW_RINGS[ring]
+    N = data.draw(st.integers(1, 4))
+    F = data.draw(_series(ctx, 2, N, constant=False))
+    F = F + F.moved(F, (1, 0))  # c_ij = c_ji term for term
+    left, right = _associativity_sides(F)
+    assert right == _right_side_by_composition(F)
+    assert left == F.composed_terms(
+        {"x": TruncatedSeries.variable(ctx, NAMES, N, "x"),
+         "y": F.substitute({"x": TruncatedSeries.variable(ctx, NAMES, N, "y"),
+                            "y": TruncatedSeries.variable(ctx, NAMES, N, "z")})})
+
+
+@pytest.mark.parametrize("ring", sorted(LAW_RINGS))
+def test_a_relabelling_other_than_the_cyclic_one_is_caught(ring):
+    # F(z, F(x, y)) is the left side at (b, c, a); the other cycle (c, a, b)
+    # is F(y, F(z, x)), which differs from F(F(x, y), z) for this F
+    F = _golden_law(LAW_RINGS[ring])
+    left, right = _associativity_sides(F)
+    assert right == _right_side_by_composition(F) != left
+    assert {(c, a, b): v for (a, b, c), v in left.items()} != right
+
+
+@pytest.mark.parametrize("ring", sorted(LAW_RINGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_paired_terms_match_the_composition_over_moved_tables(ring, data):
+    ctx = LAW_RINGS[ring]
+    N = data.draw(st.integers(1, 4))
+    F = TruncatedSeries(ctx, ("x", "y"), N)  # where moved puts h
+    G = data.draw(_series(ctx, 2, N))
+    # h may live at another degree than F; both compose at F's
+    h_degree = data.draw(st.integers(N - 1, N + 1).filter(bool))
+    h = data.draw(_series(ctx, 1, h_degree, constant=data.draw(st.booleans())))
+    h = h.rename(("T",))
+    _same_outcome(lambda: G.paired_terms(h, N),
+                  lambda: _paired_by_moved_tables(G, h, F))
+
+
+@pytest.mark.parametrize("ring", sorted(LAW_RINGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_intertwining_sides_refuse_as_the_moved_tables_did(ring, data):
+    # a constant term in F or h, h or G over a foreign ring, and h or G at
+    # another degree than F: the same sides, or the same refusal first
+    ctx = LAW_RINGS[ring]
+    foreign = LAW_RINGS[data.draw(st.sampled_from(sorted(LAW_RINGS)))]
+    N = data.draw(st.integers(1, 4))
+    degree = st.integers(N - 1, N + 1).filter(bool)
+    F = data.draw(_series(ctx, 2, N, constant=data.draw(st.booleans())))
+    G = data.draw(_series(data.draw(st.sampled_from([ctx, foreign])), 2, data.draw(degree),
+                          constant=data.draw(st.booleans())))
+    h = data.draw(_series(data.draw(st.sampled_from([ctx, foreign])), 1, data.draw(degree),
+                          constant=data.draw(st.booleans())))
+    h = h.rename(("T",))
+    _same_outcome(lambda: _intertwining_sides(h, F, G),
+                  lambda: (h.composed_terms({"T": F}), _paired_by_moved_tables(G, h, F)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_q_paired_terms_with_large_denominators(data):
+    N = data.draw(st.integers(1, 4))
+    F = TruncatedSeries(Q, ("x", "y"), N)
+    G = data.draw(_big_series(2, N))
+    h = data.draw(_big_series(1, N, constant=False)).rename(("T",))
+    terms = G.paired_terms(h, N)
+    assert terms == _paired_by_moved_tables(G, h, F)
+    assert all(type(c) is Fraction and c for c in terms.values())
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))

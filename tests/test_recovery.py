@@ -1352,19 +1352,18 @@ def test_every_class_held_is_the_monoids_own_object(name):
 
 
 def test_a_second_ring_holds_its_row_and_no_class_list():
-    # rings over one monoid share its class tuple, so a second ring on
-    # criterion 5's carrier grows by its row and its units' slice, and what
-    # is left is smaller than a list of the classes
+    # rings over one monoid share its class tuple and its unit classes, so
+    # a second ring on criterion 5's carrier grows by its row alone: what
+    # is left is smaller than one tuple of the 100 units
     action = _carrier_action("criterion-5-t2-5")
     M = action.monoid
-    build_addition_table(action)  # the monoid's class tuple and unit group, built first
+    build_addition_table(action)  # the monoid's class tuples and unit group, built first
     held = []
     growth = _package_growth(lambda: held.append(build_addition_table(action)))
     ring, = held
-    assert ring.elements is M.classes
-    rest = (sum(stat.size_diff for stat in growth)
-            - sys.getsizeof(dict.fromkeys(M.classes)) - sys.getsizeof(ring.units))
-    assert 0 <= rest < sys.getsizeof(list(M.classes))
+    assert ring.elements is M.classes and ring.units is M.unit_classes
+    rest = sum(stat.size_diff for stat in growth) - sys.getsizeof(dict.fromkeys(M.classes))
+    assert 0 <= rest < sys.getsizeof(M.unit_classes)
 
 
 def test_the_compare_peaks_below_one_entry_per_class():
