@@ -146,23 +146,24 @@ def intertwining_violation(h: TruncatedSeries, F: TruncatedSeries,
     return first_difference(F.ctx, *_intertwining_sides(h, F, G))
 
 
-def _associativity_sides(F: TruncatedSeries) -> tuple:
+def _associativity_sides(F: TruncatedSeries, commutative: bool) -> tuple:
     """The term dicts of F(x, F(y, z)) and F(F(x, y), z) in the variables
     (x, y, z), which agree iff the two-variable series F is associative mod
     degree N+1.  The left side is composed, F(y, z) being F moved onto two
     of the three variables, so it reads F's own memoized power table.
-    Where F's terms equal those of F(y, x), the comparison the
-    commutativity check makes, the right side is F(z, F(x, y)): the left
-    side relabelled, its term at x^a y^b z^c moved to x^b y^c z^a.  That is
-    exact on every ring, as c_ij = c_ji term for term and every ring's
-    product commutes on normal forms.  Any other F has its right side
-    composed as the left is, with F(x, y) moved onto the first two."""
+    The caller says whether F is commutative: whether F's terms equal those
+    of F(y, x), the comparison the commutativity check makes.  Where they
+    do, the right side is F(z, F(x, y)): the left side relabelled, its term
+    at x^a y^b z^c moved to x^b y^c z^a.  That is exact on every ring, as
+    c_ij = c_ji term for term and every ring's product commutes on normal
+    forms.  Any other F has its right side composed as the left is, with
+    F(x, y) moved onto the first two."""
     ctx, N = F.ctx, F.trunc_degree
     xname, yname = F.variables
     top_x, top_y = F.top_exponents(N)
     X, Z = (TruncatedSeries.variable(ctx, ("x", "y", "z"), N, v) for v in ("x", "z"))
     left = F.composed_terms({xname: X, yname: F.moved(X, (1, 2), top_y)})
-    if F.terms == F.moved(F, (1, 0)).terms:
+    if commutative:
         return left, {(b, c, a): v for (a, b, c), v in left.items()}
     return left, F.composed_terms({xname: F.moved(X, (0, 1), top_x), yname: Z})
 
@@ -170,7 +171,8 @@ def _associativity_sides(F: TruncatedSeries) -> tuple:
 def associativity_defect(F: TruncatedSeries) -> TruncatedSeries:
     """F(x, F(y, z)) - F(F(x, y), z) as a series in (x, y, z)."""
     xyz = TruncatedSeries(F.ctx, ("x", "y", "z"), F.trunc_degree)
-    return xyz._fresh(dict(differences(F.ctx, *_associativity_sides(F))))
+    sides = _associativity_sides(F, F.terms == F.moved(F, (1, 0)).terms)
+    return xyz._fresh(dict(differences(F.ctx, *sides)))
 
 
 def check_axioms_series(F: TruncatedSeries) -> AxiomReport:
@@ -187,14 +189,15 @@ def check_axioms_series(F: TruncatedSeries) -> AxiomReport:
     x_plus_y = TruncatedSeries(ctx, F.variables, low, {(1, 0): 1, (0, 1): 1})
     T = TruncatedSeries.variable(ctx, ("T",), N, "T")
     zero1 = TruncatedSeries.zero(ctx, ("T",), N)
+    swapped = F.moved(F, (1, 0)).terms
     failures = {
         "linear_shape": first_difference(ctx, F.truncate(low).terms, x_plus_y.terms),
         "unit_right": first_difference(ctx, F.composed_terms({xname: T, yname: zero1}),
                                        T.terms),
         "unit_left": first_difference(ctx, F.composed_terms({xname: zero1, yname: T}),
                                       T.terms),
-        "commutativity": first_difference(ctx, F.terms, F.moved(F, (1, 0)).terms),
-        "associativity": first_difference(ctx, *_associativity_sides(F)),
+        "commutativity": first_difference(ctx, F.terms, swapped),
+        "associativity": first_difference(ctx, *_associativity_sides(F, F.terms == swapped)),
     }
     return AxiomReport([AxiomCheck(name, bad is None, *(bad or ()))
                         for name, bad in failures.items()])

@@ -515,12 +515,12 @@ class UnitGroup:
     gcd(d, j).  A walk longer than |U|, or a d not dividing |U|, is not a
     group's, and raises MonoidError.
 
-    One greedy pass builds all three.  Rank the units by (-order,
-    sort_key).  S, the span of the picks so far, starts at {1}.  The next
-    pick is the first ranked x with x^(d/ell) not in S for every prime ell
-    | d, d = ord x: that is <x> meet S = 1, as x^(d/ell) generates the one
-    subgroup of order ell of <x>.  S grows by x's powers, each exponent
-    prepended, until it is the group.
+    One greedy pass builds all three.  Rank the units by -order, ties in
+    unit_payloads() order, which ascends.  S, the span of the picks so
+    far, starts at {1}.  The next pick is the first ranked x with
+    x^(d/ell) not in S for every prime ell | d, d = ord x: that is <x> meet
+    S = 1, as x^(d/ell) generates the one subgroup of order ell of <x>.
+    S grows by x's powers, each exponent prepended, until it is the group.
 
     Each pick's d is the largest invariant factor not yet picked, and S
     stays a direct factor.  Say G = S x T, T's invariant factors being
@@ -553,7 +553,7 @@ class UnitGroup:
             for j, y in enumerate(walk, 1):
                 order[y] = d // math.gcd(d, j)
         primes = _primes(self.size)
-        ranked = sorted(units, key=lambda u: (-order[u], self.ctx.sort_key(u)))
+        ranked = sorted(units, key=lambda u: -order[u])
         span, picks = {one: ()}, []
         while len(span) < self.size:
             x = next((x for x in ranked if order[x] > 1 and all(

@@ -184,10 +184,6 @@ class RingContext:
     def fmt(self, a) -> str:
         raise NotImplementedError
 
-    def sort_key(self, a):
-        """Deterministic total order on payloads, for tie-breaking."""
-        raise NotImplementedError
-
     def key(self) -> tuple:
         raise NotImplementedError
 
@@ -244,9 +240,6 @@ class IntegerRing(RingContext):
     def fmt(self, a) -> str:
         return str(a)
 
-    def sort_key(self, a):
-        return (abs(a), -a)
-
     def key(self):
         return ("Z",)
 
@@ -288,9 +281,6 @@ class RationalField(RingContext):
 
     def fmt(self, a) -> str:
         return str(a)
-
-    def sort_key(self, a):
-        return (abs(a), -a)
 
     def key(self):
         return ("Q",)
@@ -406,9 +396,6 @@ class PadicIntegers(PadicRing):
 
     def fmt(self, a) -> str:
         return f"{a} + O({self.p}^{self.k})"
-
-    def sort_key(self, a):
-        return a
 
     def key(self):
         return ("Zp", self.p, self.k)
@@ -640,9 +627,6 @@ class EisensteinExtension(PadicRing):
                 parts.append(f"{x}*pi^{i}" if x != 1 else f"pi^{i}")
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(pi^{self.k})"
-
-    def sort_key(self, a):
-        return a
 
     def key(self):
         return ("Eis", self.p, self.k, self.poly)
@@ -905,9 +889,6 @@ class PolynomialQuotient(RingContext):
             else:
                 parts.append(f"({cs})" if "+" in cs else cs)
         return " + ".join(parts).replace("+ -", "- ")
-
-    def sort_key(self, a):
-        return tuple((grlex_key(e), self.base.sort_key(c)) for e, c in a)
 
     def key(self):
         return ("Poly", self.base.key(), self.variables, self.ideal)

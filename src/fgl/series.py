@@ -11,15 +11,16 @@ variables is all the formal group machinery needs, and substitution only
 accepts zero-constant-term arguments so that composition commutes with
 truncation.
 
-There is one kernel.  _pair_products is the only loop over pairs of terms;
+There is one kernel.  _pair_products multiplies two term dicts;
 multiplication calls it directly and composition calls it through
 composed_terms(assignments), the one composition loop, which checks its
 inputs, reads each power table only as deep as the outer series reaches
 and drops zero payloads.  paired_terms(h, N) is its one-variable-pair
 form, G(h(x), h(y)) for a two-variable G: h(x)^i * h(y)^j has one product
-per term, so it reads h's own table with no pair loop and no moved copy,
-forming the products composed_terms would, in the same grouping, after the
-same refusals (_target).  substitute builds a series from its terms; a law
+per term, so it reads h's own table with no moved copy and runs its own
+loop over the pairs of terms of h^i and h^j, forming the products
+composed_terms would, in the same grouping, after the same refusals
+(_target).  substitute builds a series from its terms; a law
 check, a recovered sum and an action's pair checks instead hold the term
 dicts of an identity's two sides and compare them, first_difference for
 the first failing term or differences for all of them, so no composed or
@@ -64,8 +65,8 @@ _ADD_EXPONENTS = (None, lambda a, b: (a[0] + b[0],),
 def _pair_products(N: int, a: dict, b: dict, mul, add) -> dict:
     """The truncated product of two term dicts: the sum of mul(a[ea], b[eb])
     at ea + eb over every pair of terms whose total degree stays <= N, zeros
-    not yet dropped.  This is the only loop over pairs of terms; b is
-    bucketed by degree so pairs past N are never formed."""
+    not yet dropped.  b is bucketed by degree so pairs past N are never
+    formed."""
     by_degree: list = [[] for _ in range(N + 1)]
     for eb, cb in b.items():
         d = sum(eb)

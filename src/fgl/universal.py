@@ -67,12 +67,15 @@ _CAPS = {"free_generators": 8, "finite_elements": 12, "degree": 6,
 
 
 def budget_caps() -> dict:
-    """Guardrail limits, scaled by the FGL_BUDGET environment variable."""
+    """Guardrail limits, scaled by the FGL_BUDGET environment variable: a
+    positive integer, 1 where unset or empty."""
     raw = os.environ.get("FGL_BUDGET", "")
     try:
-        mult = max(1, int(raw))
+        mult = int(raw or 1)
     except ValueError:
-        mult = 1
+        mult = 0
+    if mult < 1:
+        raise UniversalError(f"FGL_BUDGET={raw!r} is not a positive integer")
     return {k: v * mult for k, v in _CAPS.items()}
 
 

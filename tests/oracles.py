@@ -145,7 +145,7 @@ def census_unit_group(monoid: PadicTruncationMonoid):
 
     chosen: list = []
     for d in slots:
-        for x in sorted((u for u in units if orders[u] == d), key=ctx.sort_key):
+        for x in sorted(u for u in units if orders[u] == d):
             try:
                 span(chosen + [(x, d)])
             except MonoidError:

@@ -713,6 +713,17 @@ def test_oversized_carrier_is_refused_before_law_work(capsys, monkeypatch, argv)
     assert "need at least 8" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("raw", ["1e3", "abc", "0", "-5"])
+def test_malformed_fgl_budget_is_refused_not_read_as_one(capsys, monkeypatch, raw):
+    # read as 1, "1e3" would refuse this 7,501-class carrier with "set
+    # FGL_BUDGET to raise it", although the user has set it
+    monkeypatch.setenv("FGL_BUDGET", raw)
+    code, out, err = run(capsys, "demo-variation", "--p", "5", "--e1", "t^2-5",
+                         "--e2", "t^2-10", "--n", "5", "--V", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: FGL_BUDGET='{raw}' is not a positive integer\n"
+
+
 @pytest.mark.parametrize("n, V, message", [
     # 1,501 classes pass the budget; the monoid's precision check stops the
     # run before any law is built
@@ -799,3 +810,23 @@ def test_python_m_fgl_passes_the_exit_code_through():
     done = run_module(*base, "--degree", "0", "--n", "1", "--V", "2", "--table")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: ")
+
+
+def loaded_modules(module):
+    """The fgl modules a fresh interpreter holds after importing module."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = (f"import sys, {module}\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'fgl'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    return set(done.stdout.split())
+
+
+def test_an_import_loads_only_the_modules_it_uses():
+    # the package re-exports nothing, so importing one module runs no other
+    assert loaded_modules("fgl.laws") == {"fgl", "fgl.laws", "fgl.monoids", "fgl.rings",
+                                          "fgl.series"}
+    assert not loaded_modules("fgl.recovery") & {"fgl.universal", "fgl.parsing", "fgl.cli"}
+    assert loaded_modules("fgl.cli") == {
+        "fgl", "fgl.cli", "fgl.laws", "fgl.lubin_tate", "fgl.monoids", "fgl.parsing",
+        "fgl.recovery", "fgl.rings", "fgl.series", "fgl.universal"}

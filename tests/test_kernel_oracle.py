@@ -323,7 +323,8 @@ def test_a_commutative_laws_right_side_is_its_left_side_relabelled(ring, data):
     N = data.draw(st.integers(1, 4))
     F = data.draw(_series(ctx, 2, N, constant=False))
     F = F + F.moved(F, (1, 0))  # c_ij = c_ji term for term
-    left, right = _associativity_sides(F)
+    assert F.terms == F.moved(F, (1, 0)).terms
+    left, right = _associativity_sides(F, True)
     assert right == _right_side_by_composition(F)
     assert left == F.composed_terms(
         {"x": TruncatedSeries.variable(ctx, NAMES, N, "x"),
@@ -336,7 +337,7 @@ def test_a_relabelling_other_than_the_cyclic_one_is_caught(ring):
     # F(z, F(x, y)) is the left side at (b, c, a); the other cycle (c, a, b)
     # is F(y, F(z, x)), which differs from F(F(x, y), z) for this F
     F = _golden_law(LAW_RINGS[ring])
-    left, right = _associativity_sides(F)
+    left, right = _associativity_sides(F, True)
     assert right == _right_side_by_composition(F) != left
     assert {(c, a, b): v for (a, b, c), v in left.items()} != right
 

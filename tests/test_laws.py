@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgl.laws import (
+    ActionViolation,
     FglEndomorphism,
     FormalGroupLaw,
     LawError,
@@ -211,6 +212,25 @@ def test_free_action_checks_commutation():
     # words act through composition
     e6 = action.endo_for(M.check_payload((1, 1)))
     assert e6 == endomorphism_from_logarithm(law, f, g, Q.el(6))
+
+
+def test_verify_action_reports_an_identity_that_does_not_act_as_t():
+    law = FormalGroupLaw.additive(Q, 3)
+    window = RingSubsetMonoid(Q, [Fraction(2)])
+    double = FglEndomorphism(law, _one_var({1: 2}, N=3))
+    report = MonoidAction(window, law, {p: double for p in window.payloads()}).verify()
+    # [1] = 2T differs from T first at T^1, by 2 - 1
+    assert report.violations[0] == ActionViolation("identity", "1", (1,), "1")
+
+
+def test_verify_action_reports_generators_that_do_not_commute():
+    law = FormalGroupLaw.additive(Q, 3)
+    M = FreeCommutativeMonoid(("u", "v"))
+    u, v = (FglEndomorphism(law, _one_var(c, N=3)) for c in ({1: 1, 2: 1}, {1: 2}))
+    report = MonoidAction(M, law, {(1, 0): u, (0, 1): v}).verify()
+    # u(v(T)) = 2T + 4T^2 against v(u(T)) = 2T + 2T^2
+    commutation = [bad for bad in report.violations if bad.kind == "commutation"]
+    assert commutation == [ActionViolation("commutation", "u,v", (2,), "2")]
 
 
 def test_a_composite_word_is_formed_on_each_call_and_kept_by_no_one():

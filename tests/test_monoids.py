@@ -297,9 +297,6 @@ class _Mod:
     def mul(self, a, b):
         return a * b % self.m
 
-    def sort_key(self, a):
-        return a
-
     @property
     def unit_ctx(self):
         return self

@@ -467,5 +467,9 @@ def test_budget_env_override(monkeypatch):
     nine = FreeCommutativeMonoid(tuple(f"g{i}" for i in range(9)))
     pres = generate_presentation(nine, 2)
     assert len(pres.ideal) == presentation_size(nine, 2)["relations"]
-    monkeypatch.setenv("FGL_BUDGET", "junk")
+    monkeypatch.setenv("FGL_BUDGET", "")
     assert budget_caps()["degree"] == 6
+    for raw in ("junk", "1e3", "0", "-5"):
+        monkeypatch.setenv("FGL_BUDGET", raw)
+        with pytest.raises(UniversalError, match=f"FGL_BUDGET='{raw}' is not a positive"):
+            budget_caps()
