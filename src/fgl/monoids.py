@@ -66,11 +66,7 @@ class _ExponentMonoid(Monoid):
         return (0,) * len(self.generators)
 
     def label(self, payload) -> str:
-        parts = [
-            g if e == 1 else f"{g}^{e}"
-            for g, e in zip(self.generators, payload)
-            if e
-        ]
+        parts = [g if e == 1 else f"{g}^{e}" for g, e in zip(self.generators, payload) if e]
         return "*".join(parts) if parts else "1"
 
 
@@ -165,10 +161,7 @@ class FinitelyPresentedMonoid(_ExponentMonoid):
         ident = (0,) * len(generators)
         seen = {normal(ident)}
         frontier = [normal(ident)]
-        gens = [
-            tuple(1 if i == j else 0 for j in range(len(generators)))
-            for i in range(len(generators))
-        ]
+        gens = [ident[:i] + (1,) + ident[i + 1:] for i in range(len(generators))]
         while frontier:
             cur = frontier.pop()
             for g in gens:
@@ -481,16 +474,11 @@ def monoid_from_descriptor(d: dict) -> Monoid:
     if kind == "trivial":
         return FreeCommutativeMonoid(())
     if kind == "presented":
-        table = {
-            (tuple(row["a"]), tuple(row["b"])): tuple(row["ab"]) for row in d["table"]
-        }
-        return FinitelyPresentedMonoid(
-            tuple(d["generators"]), [tuple(p) for p in d["elements"]], table
-        )
+        table = {(tuple(row["a"]), tuple(row["b"])): tuple(row["ab"]) for row in d["table"]}
+        return FinitelyPresentedMonoid(tuple(d["generators"]),
+                                       [tuple(p) for p in d["elements"]], table)
     if kind == "padic_truncation":
-        return PadicTruncationMonoid(
-            context_from_descriptor(d["ring"]), d["n"], d["V"]
-        )
+        return PadicTruncationMonoid(context_from_descriptor(d["ring"]), d["n"], d["V"])
     if kind == "ring_subset":
         ctx = context_from_descriptor(d["ring"])
         return RingSubsetMonoid(ctx, [ctx.value_from_json(v) for v in d["elements"]])
@@ -521,6 +509,8 @@ class UnitGroup:
     x^(d/ell) not in S for every prime ell | d, d = ord x: that is <x> meet
     S = 1, as x^(d/ell) generates the one subgroup of order ell of <x>.
     S grows by x's powers, each exponent prepended, until it is the group.
+    The scan tests no x with d > |G|/|S|: <x> meet S = 1 makes S<x> a
+    subgroup of |S|*d elements, so |S|*d <= |G| for every x it would pick.
 
     Each pick's d is the largest invariant factor not yet picked, and S
     stays a direct factor.  Say G = S x T, T's invariant factors being
@@ -556,7 +546,7 @@ class UnitGroup:
         ranked = sorted(units, key=lambda u: -order[u])
         span, picks = {one: ()}, []
         while len(span) < self.size:
-            x = next((x for x in ranked if order[x] > 1 and all(
+            x = next((x for x in ranked if 1 < order[x] <= self.size // len(span) and all(
                 self._pow(x, order[x] // ell) not in span
                 for ell in primes if order[x] % ell == 0)), None)
             if x is None:
@@ -689,6 +679,12 @@ class TwistIsomorphism:
         if image is None:
             raise MonoidError(f"{self.source.label(payload)} maps to no class of the target")
         return image
+
+    def unit_map(self) -> dict:
+        """A fresh dict: each source unit u to the target's unit in apply((v, u))."""
+        unit = self.target.unit_group.unit
+        return {u: unit(map(operator.mul, exps, self.twist))
+                for u, exps in self.source.unit_group.dlog.items()}
 
     def verify(self) -> None:
         """The source's relations, in ring arithmetic: pi's class goes to pi's, and

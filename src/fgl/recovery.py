@@ -11,8 +11,9 @@ into the absorbing class; the adjoined zero is the exact series 0.
 
 On a finite truncation carrier a recovered ring is one row, 1 + c for every
 class c, and the rule a + b = a(1 + b/a); transport_structure moves it along
-a multiplicative isomorphism by permuting the row, which is how two rings
-sharing one monoid exhibit different additions on the same carrier.
+a twist, which keeps valuations and permutes units, by reading the row
+through the twist's map on units, which is how two rings sharing one monoid
+exhibit different additions on the same carrier.
 """
 from __future__ import annotations
 
@@ -25,13 +26,8 @@ from types import MappingProxyType
 
 from .laws import MonoidAction
 from .lubin_tate import LubinTateAction, build_action, build_fgl, standard_datum
-from .monoids import (
-    BOTTOM,
-    PadicTruncationMonoid,
-    RingSubsetMonoid,
-    padic_truncation_of,
-    unit_isomorphism_variants,
-)
+from .monoids import (BOTTOM, MonoidError, PadicTruncationMonoid, RingSubsetMonoid,
+                      TwistIsomorphism, padic_truncation_of, unit_isomorphism_variants)
 from .rings import EisensteinExtension, RingError
 from .series import _pair_products, first_difference
 
@@ -411,24 +407,31 @@ def build_addition_table(action: LubinTateAction) -> RecoveredRing:
     return RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
 
 
-def transport_structure(iso, ring2: RecoveredRing) -> RecoveredRing:
-    """Addition pulled back along a TwistIsomorphism or a table MonoidMorphism,
-    a +' b = iso_inv(iso(a) + iso(b)).  iso is verified and inverted first, so
-    a multiplicative map that is not a bijection raises MonoidError; only then
-    is a +' b = a*iso_inv(1 + iso(b/a)), so the row is permuted and the other
-    pairs are pulled back on demand.  Flags are untouched: iso keeps valuations."""
+def transport_structure(iso: TwistIsomorphism, ring2: RecoveredRing) -> RecoveredRing:
+    """a +' b = iso_inv(iso(a) + iso(b)) along a twist, after iso.verify().
+    A twist keeps valuations and maps units, (v, u) -> (v, t(u)), so the
+    row at (v, u) is row2's at (v, t(u)), its unit sent back: t is built
+    once and swapped (MonoidError where t is not injective).  Other pairs
+    are pulled back on demand, flags kept.  A table bijection may move
+    pi's class within valuation 1, so only twists are taken."""
     if iso.target.key() != ring2.monoid.key():
         raise RecoveryError("isomorphism target does not carry the given table")
+    if not isinstance(iso, TwistIsomorphism):
+        raise RecoveryError(f"transport takes a TwistIsomorphism, not a {type(iso).__name__}")
     iso.verify()
-    fwd, back = iso.apply, iso.inverse().apply
+    fwd = iso.unit_map()
+    back = {w: u for u, w in fwd.items()}
+    if len(back) < len(fwd):
+        raise MonoidError(f"twist {iso.twist} is not injective")
+    classes, row2 = iso.source.payloads().mapping, ring2.row
 
     def pull(entry):
         # CAPPED and the adjoined zero are not classes: they map to themselves
-        return entry if entry in (CAPPED, ADJOINED_ZERO) else back(entry)
+        return entry if entry in (CAPPED, ADJOINED_ZERO) else classes[entry[0], back[entry[1]]]
 
-    row = {c: pull(ring2.row[fwd(c)]) for c in iso.source.classes}
-    return RecoveredRing(iso.source, "transported", row,
-                         lambda a, b: pull(ring2.add(fwd(a), fwd(b))))
+    row = {c: pull(row2[c[0], fwd[c[1]]]) for c in iso.source.classes}
+    return RecoveredRing(iso.source, "transported", row, lambda a, b: pull(
+        ring2.add((a[0], fwd[a[1]]), (b[0], fwd[b[1]]))))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +509,7 @@ def _compare_tables(native: RecoveredRing,
     def kind(c):
         # add(1, c) is row[c] on both rings: a flagged entry is read off
         # other(), which gives the same native candidate, or on the
-        # transported ring the same pull(ring2.row[fwd(c)])
+        # transported ring the same pull of ring 2's entry at the twisted class
         z1, z2 = native.row[c], transported.row[c]
         f1, f2 = pair_flag(one, c, z1), pair_flag(one, c, z2)
         return ("both" if f1 and f2 else "flag" if f1 or f2 else

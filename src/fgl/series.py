@@ -65,21 +65,21 @@ _ADD_EXPONENTS = (None, lambda a, b: (a[0] + b[0],),
 def _pair_products(N: int, a: dict, b: dict, mul, add) -> dict:
     """The truncated product of two term dicts: the sum of mul(a[ea], b[eb])
     at ea + eb over every pair of terms whose total degree stays <= N, zeros
-    not yet dropped.  b is bucketed by degree so pairs past N are never
-    formed."""
-    by_degree: list = [[] for _ in range(N + 1)]
-    for eb, cb in b.items():
-        d = sum(eb)
-        if d <= N:
-            by_degree[d].append((eb, cb))
-    plus = _ADD_EXPONENTS[len(next(iter(b), ()))]
+    not yet dropped.  b's terms are sorted by degree, stably, so each term
+    of a stops at its first pair past N."""
+    if not a or not b:
+        return {}
+    graded = sorted([(sum(e), e, c) for e, c in b.items()], key=operator.itemgetter(0))
+    plus = _ADD_EXPONENTS[len(graded[0][1])]
     acc: dict = {}
     for ea, ca in a.items():
-        for bucket in by_degree[:max(0, N + 1 - sum(ea))]:
-            for eb, cb in bucket:
-                e = plus(ea, eb)
-                c = mul(ca, cb)
-                acc[e] = add(acc[e], c) if e in acc else c
+        room = N - sum(ea)
+        for d, eb, cb in graded:
+            if d > room:
+                break
+            e = plus(ea, eb)
+            c = mul(ca, cb)
+            acc[e] = add(acc[e], c) if e in acc else c
     return acc
 
 

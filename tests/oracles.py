@@ -17,9 +17,16 @@ folded once.
 census_unit_group is the order census and one trial span per candidate
 generator, an oracle for fgl.monoids.UnitGroup.
 
+unbounded_unit_group is UnitGroup's greedy pass with its scan unbounded:
+every unit of order above 1 is tried, however large the span, an oracle
+for the scan's bound.
+
 tabulated is a generator-matched isomorphism written out class by class
 through its apply, a table MonoidMorphism whose verify walks every pair, an
 oracle for TwistIsomorphism.verify.
+
+bucketed_pair_products is the series kernel in its per-degree bucket form,
+an oracle for fgl.series._pair_products.
 """
 from collections import Counter
 from functools import partial
@@ -165,3 +172,65 @@ def tabulated(iso) -> MonoidMorphism:
     """iso as a table morphism: every source class sent through iso.apply."""
     return MonoidMorphism(iso.source, iso.target,
                           table={c: iso.apply(c) for c in iso.source.payloads()})
+
+
+def unbounded_unit_group(monoid: PadicTruncationMonoid):
+    """(factors, generators, dlog) of UnitGroup's greedy pass, each pick the
+    first ranked unit x of order d > 1 with x^(d/ell) outside the span for
+    every prime ell | d, whatever the span's size.  Orders are read off
+    |U| by dropping primes while the power stays 1."""
+    ctx, units = monoid.unit_ctx, monoid.unit_payloads()
+    one, size = ctx.int_payload(1), len(units)
+
+    def power(x, e):
+        y = one
+        while e:
+            if e & 1:
+                y = ctx.mul(y, x)
+            x, e = ctx.mul(x, x), e >> 1
+        return y
+
+    primes = [ell for ell in range(2, size + 1)
+              if size % ell == 0 and all(ell % q for q in range(2, ell))]
+    order = {}
+    for x in units:
+        d = size
+        for ell in primes:
+            while d % ell == 0 and power(x, d // ell) == one:
+                d //= ell
+        order[x] = d
+    ranked = sorted(units, key=lambda u: -order[u])
+    span, picks = {one: ()}, []
+    while len(span) < size:
+        x = next(x for x in ranked if order[x] > 1 and all(
+            power(x, order[x] // ell) not in span
+            for ell in primes if order[x] % ell == 0))
+        grown, xe = {}, one
+        for e in range(order[x]):
+            for u, exps in span.items():
+                grown[ctx.mul(u, xe)] = (e,) + exps
+            xe = ctx.mul(xe, x)
+        span = grown
+        picks.append(x)
+    generators = picks[::-1]
+    return ([order[x] for x in generators], generators,
+            {u: span[u] for u in units})
+
+
+def bucketed_pair_products(N: int, a: dict, b: dict, mul, add) -> dict:
+    """The truncated product of two term dicts with b's terms bucketed by
+    degree on each call: each term of a meets the buckets below N + 1 minus
+    its degree, in degree order and b's order within a bucket."""
+    by_degree: list = [[] for _ in range(N + 1)]
+    for eb, cb in b.items():
+        d = sum(eb)
+        if d <= N:
+            by_degree[d].append((eb, cb))
+    acc: dict = {}
+    for ea, ca in a.items():
+        for bucket in by_degree[:max(0, N + 1 - sum(ea))]:
+            for eb, cb in bucket:
+                e = tuple(x + y for x, y in zip(ea, eb))
+                c = mul(ca, cb)
+                acc[e] = add(acc[e], c) if e in acc else c
+    return acc

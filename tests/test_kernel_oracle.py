@@ -28,7 +28,9 @@ from fgl.monoids import BOTTOM, padic_truncation_of
 from fgl.recovery import ADJOINED_ZERO, CAPPED, build_addition_table
 from fgl.rings import (EisensteinExtension, PadicIntegers, PolynomialQuotient, RationalField,
                        RingError)
-from fgl.series import SeriesError, TruncatedSeries, differences, first_difference
+from fgl.series import (SeriesError, TruncatedSeries, _pair_products, differences,
+                        first_difference)
+from oracles import bucketed_pair_products
 
 Q = RationalField()
 E = EisensteinExtension(5, 9, (-5, 0, 1))
@@ -135,6 +137,36 @@ def test_substitute_matches_naive_expansion(ring, data):
     f, args = data.draw(_substitution(RINGS[ring]))
     out = f.substitute(dict(zip(f.variables, args)))
     assert _oracle(out) == _oracle_substitute(f, args)
+
+
+@pytest.mark.parametrize("ring", sorted(LAW_RINGS))
+@SETTINGS
+@given(data=st.data())
+def test_pair_products_match_the_bucketed_kernel(ring, data):
+    # the same pairs summed in the same order: equal dicts in equal key
+    # order, also where P's normal forms depend on the order of summation;
+    # terms past N and empty operands included
+    ctx = LAW_RINGS[ring]
+    width = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(0, 4))
+    exps = _exponents(width, N + 1)
+    a, b = ({e: ctx.normalize(data.draw(_coefficient(ctx))) for e in
+             data.draw(st.lists(st.sampled_from(exps), max_size=8, unique=True))}
+            for _ in range(2))
+    got = _pair_products(N, a, b, ctx.mul, ctx.add)
+    assert list(got.items()) == list(bucketed_pair_products(N, a, b, ctx.mul, ctx.add).items())
+
+
+@pytest.mark.parametrize("ring", sorted(LAW_RINGS))
+def test_pair_products_keep_the_order_of_b_within_a_degree(ring):
+    # x before y in b, and a term past N between them: x's products come
+    # first for each term of a, as they did in the bucketed kernel
+    ctx = LAW_RINGS[ring]
+    one = ctx.int_payload(1)
+    a, b = {(0, 0): one, (1, 0): one}, {(1, 0): one, (0, 3): one, (0, 1): one}
+    got = _pair_products(2, a, b, ctx.mul, ctx.add)
+    assert list(got) == [(1, 0), (0, 1), (2, 0), (1, 1)]
+    assert list(got.items()) == list(bucketed_pair_products(2, a, b, ctx.mul, ctx.add).items())
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))

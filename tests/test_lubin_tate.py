@@ -17,6 +17,7 @@ from fgl.laws import (
     verify_action,
 )
 from fgl.lubin_tate import (
+    LubinTateComparison,
     LubinTateDatum,
     LubinTateError,
     build_action,
@@ -27,6 +28,7 @@ from fgl.lubin_tate import (
     lift_series,
     multiplicative_datum,
     reduce_series,
+    series_integrality,
     standard_datum,
 )
 from fgl.monoids import BOTTOM, padic_factorial_valuation, padic_truncation_of
@@ -367,6 +369,26 @@ def test_comparison_standard_vs_multiplicative():
     assert cmp.integrality.all_integral
     assert cmp.verified_in_ring
     assert cmp.h_ring.terms[(1,)] == 1
+
+
+def test_comparison_to_json_gives_h_in_the_ring_or_in_the_field():
+    Z5 = PadicIntegers(5, 8)
+    cmp = compare_lubin_tate(
+        standard_datum(Z5, degree=6), multiplicative_datum(Z5, degree=6), 6
+    )
+    out = json.loads(json.dumps(cmp.to_json()))
+    assert out == {"integrality": cmp.integrality.to_json(), "verified_in_ring": True,
+                   "h": cmp.h_ring.to_json()}
+    assert out["integrality"]["all_integral"] and "first_blocking" not in out["integrality"]
+    assert out["h"]["terms"][0] == {"exp": [1], "coeff": {"residue": "1", "precision": 8}}
+    # an h that is not integral stays in the field, as printed there
+    h = TruncatedSeries(RationalField(), ("T",), 3, {(1,): 1, (2,): Fraction(1, 5)})
+    report = series_integrality(Z5, h)
+    out = json.loads(json.dumps(LubinTateComparison(h, report, None, False).to_json()))
+    assert out["h"] == {"field_form": "T + 1/5*T^2"}
+    assert not out["verified_in_ring"]
+    assert out["integrality"]["first_blocking"] == {"degree": 2, "valuation": -1,
+                                                    "integral": False}
 
 
 def _small_truncation_action():

@@ -27,7 +27,7 @@ from fgl.monoids import (
     unit_isomorphism_variants,
 )
 from fgl.rings import EisensteinExtension, PadicIntegers, RationalField
-from oracles import census_unit_group
+from oracles import census_unit_group, unbounded_unit_group
 
 
 def test_free_monoid_words():
@@ -254,6 +254,27 @@ def test_unit_group_matches_the_census_oracle(p, poly, n):
         assert G.unit(exps) == G.unit([e + 2 * d for e, d in zip(exps, G.factors)]) == u
 
 
+# (p, Eisenstein polynomial constant first or None for Z_p, n)
+SCAN_CARRIERS = [
+    *((p, None, n) for p in (2, 3, 5, 7) for n in range(1, 5)),
+    *((p, poly, n) for p, poly in ((2, (2, 0, 1)), (2, (2, 2, 1)), (3, (3, 0, 0, 1)),
+                                   (5, (-5, 0, 1)), (5, (-10, 0, 1)))
+      for n in range(1, 5)),
+]
+
+
+@pytest.mark.parametrize("p, poly, n", SCAN_CARRIERS)
+def test_unit_group_scan_bound_skips_no_pick(p, poly, n):
+    # the scan tests no unit of order above |G|/|S|, which the span test
+    # would refuse; the unbounded scan picks the same generators
+    ctx = PadicIntegers(p, 8) if poly is None else EisensteinExtension(p, 8, poly)
+    monoid = padic_truncation_of(ctx, n, 1)
+    G = monoid.unit_group
+    factors, generators, dlog = unbounded_unit_group(monoid)
+    assert (G.factors, G.generators, list(G.dlog.items())) == (factors, generators,
+                                                               list(dlog.items()))
+
+
 def test_unit_group_build_makes_a_bounded_number_of_products(monkeypatch):
     # one walk per cyclic subgroup met, not a power chain per unit
     monoid = padic_truncation_of(EisensteinExtension(5, 8, (-5, 0, 1)), 5, 1)
@@ -356,6 +377,22 @@ def test_morphism_table_verify_catches_non_multiplicative():
     )
     with pytest.raises(MonoidError, match=r"multiplicativity fails at \(g, g\)"):
         bad.verify()
+
+
+def test_morphism_inverse_refuses_a_map_that_is_not_a_bijection():
+    # (v, u) -> (v, 1) on Z_5[sqrt 5], n = 1, V = 2, is multiplicative, so
+    # verify passes it; inverting it is what must refuse it
+    monoid = padic_truncation_of(EisensteinExtension(5, 6, (-5, 0, 1)), 1, 2)
+    one = monoid.identity_payload()[1]
+    collapse = MonoidMorphism(monoid, monoid, table={
+        c: c if c == BOTTOM else (c[0], one) for c in monoid.payloads()})
+    collapse.verify()
+    with pytest.raises(MonoidError, match="not injective"):
+        collapse.inverse()
+    # injective but into a larger target: not surjective
+    window = MonoidMorphism(monoid, _t2_5(2, 2), table={c: c for c in monoid.payloads()})
+    with pytest.raises(MonoidError, match="not surjective"):
+        window.inverse()
 
 
 def test_unit_isomorphism_variants_are_isomorphisms():

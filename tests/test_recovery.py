@@ -1,12 +1,13 @@
 import functools
 import gc
+import math
 import random
 import re
 import sys
 import tracemalloc
 
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 from fractions import Fraction
 
@@ -36,9 +37,10 @@ from fgl.lubin_tate import (
 from fgl.monoids import (
     BOTTOM,
     MonoidError,
-    MonoidMorphism,
     PadicTruncationMonoid,
     RingSubsetMonoid,
+    TwistIsomorphism,
+    build_monoid_isomorphism,
     padic_truncation_of,
     unit_isomorphism_variants,
 )
@@ -569,31 +571,6 @@ def test_per_class_compare_matches_a_walk_of_every_pair(name):
     assert len(variants) > disagreeing > 0
 
 
-def test_transport_refuses_a_non_multiplicative_table():
-    native, r2 = _demo_rings("t2-5-t2-10")
-    iso, = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
-    table = tabulated(iso)
-    u, w = native.elements[1:3]  # two units, neither of them 1
-    table.table[u], table.table[w] = table.table[w], table.table[u]
-    with pytest.raises(MonoidError, match="multiplicativity fails"):
-        transport_structure(table, r2)
-
-
-def test_transport_refuses_a_multiplicative_map_that_is_not_a_bijection():
-    # (v, u) -> (v, 1) on Z_5[sqrt 5], n = 1, V = 2, is multiplicative, so
-    # verify passes it; inverting it is what must refuse it
-    E = EisensteinExtension(5, 6, (-5, 0, 1))
-    d = standard_datum(E)
-    monoid = padic_truncation_of(E, 1, 2)
-    ring = build_addition_table(build_action(d, build_fgl(d, 2), monoid=monoid))
-    one = monoid.identity_payload()[1]
-    collapse = MonoidMorphism(monoid, monoid, table={
-        c: c if c == BOTTOM else (c[0], one) for c in monoid.payloads()})
-    collapse.verify()
-    with pytest.raises(MonoidError, match="not injective"):
-        transport_structure(collapse, ring)
-
-
 def test_transport_refuses_a_ring_off_the_isomorphisms_target():
     # the isomorphism runs to r2's carrier; the native ring is on its source
     native, r2 = _demo_rings("t2-5-t2-10")
@@ -661,6 +638,90 @@ def _carrier_action(name):
     ctx = _ring_of(spec)
     d = (multiplicative_datum if preset == "multiplicative" else standard_datum)(ctx, N)
     return build_action(d, build_fgl(d, N), monoid=padic_truncation_of(ctx, n, V))
+
+
+# the other carrier of a shared pair; any other carrier twists onto itself
+PARTNERS = {"criterion-5-t2-5": "criterion-5-t2-10", "criterion-5-t2-10": "criterion-5-t2-5"}
+
+
+def _twists(m1, m2):
+    """Every generator-matched isomorphism m1 -> m2: one exponent prime to
+    each invariant factor."""
+    return [build_monoid_isomorphism(m1, m2, twist) for twist in product(
+        *([t for t in range(d) if math.gcd(t, d) == 1] for d in m1.unit_group.factors))]
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_transport_moves_the_row_as_apply_and_its_inverse_do(name):
+    # the row read through the twist's unit map is the row read class by
+    # class through apply and inverse().apply, object for object; so are
+    # the flagged pairs that other() pulls back
+    ring2 = build_addition_table(_carrier_action(name))
+    m1 = _carrier_action(PARTNERS.get(name, name)).monoid
+    isos = _twists(m1, ring2.monoid)
+    assert len(isos) > 1
+    for iso in isos:
+        fwd, back = iso.apply, iso.inverse().apply
+
+        def pull(entry):
+            return entry if entry in (CAPPED, ADJOINED_ZERO) else back(entry)
+
+        moved = transport_structure(iso, ring2)
+        assert all(c is k for c, k in zip(m1.classes, moved.row, strict=True))
+        for c in m1.classes:
+            assert moved.row[c] is pull(ring2.row[fwd(c)]), (iso.twist, c)
+        for a, b in islice(moved.flagged_pairs(), 200):
+            assert moved.other(a, b) is pull(ring2.add(fwd(a), fwd(b))), (iso.twist, a, b)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_PAIRS))
+def test_every_transported_ring_passes_the_ring_axioms_with_ring_2s_counts(name):
+    # at n = 2, V = 2 a twist is an isomorphism of rings, so every
+    # transported ring checks as many pairs and triples as ring 2
+    native, r2 = _demo_rings(name)
+    counts = r2.verify_ring_axioms()
+    for iso in _twists(native.monoid, r2.monoid):
+        assert transport_structure(iso, r2).verify_ring_axioms() == counts, iso.twist
+
+
+def test_a_transported_criterion_5_ring_passes_the_ring_axioms_with_ring_2s_counts():
+    native, r2 = (build_addition_table(_carrier_action(name))
+                  for name in ("criterion-5-t2-5", "criterion-5-t2-10"))
+    iso = unit_isomorphism_variants(native.monoid, r2.monoid, count=3)[-1]
+    assert transport_structure(iso, r2).verify_ring_axioms() == r2.verify_ring_axioms()
+
+
+def test_transport_takes_only_twists():
+    # a table bijection may move pi's class within valuation 1, which no
+    # unit map reads, so a table morphism is refused, multiplicative or not
+    native, r2 = _demo_rings("t2-5-t2-10")
+    iso, = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
+    with pytest.raises(RecoveryError, match="takes a TwistIsomorphism, not a MonoidMorphism"):
+        transport_structure(tabulated(iso), r2)
+
+
+def test_transport_refuses_a_twist_that_is_not_injective():
+    # g -> g^5 on units cyclic of order 20 keeps g^20 = 1, so verify passes
+    # it; swapping its unit map is what must refuse it
+    native, r2 = _demo_rings("t2-5-t2-10")
+    assert native.monoid.unit_group.factors == [20]
+    iso = TwistIsomorphism(native.monoid, r2.monoid, (5,))
+    iso.verify()
+    with pytest.raises(MonoidError, match="not injective"):
+        transport_structure(iso, r2)
+
+
+def test_transport_verifies_the_twist_before_it_reads_it(monkeypatch):
+    native, r2 = _demo_rings("t2-5-t2-10")
+    iso, = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
+
+    def refused(self):
+        raise MonoidError("planted")
+
+    monkeypatch.setattr(TwistIsomorphism, "verify", refused)
+    monkeypatch.setattr(TwistIsomorphism, "unit_map", lambda self: pytest.fail("read first"))
+    with pytest.raises(MonoidError, match="planted"):
+        transport_structure(iso, r2)
 
 
 def test_adding_one_reads_the_row_on_criterion_5_and_transported_rings():
