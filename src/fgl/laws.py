@@ -484,10 +484,6 @@ class MonoidAction(_Fixed):
             series = self.assignment[gen].series.substitute_single(series)
         return FglEndomorphism(law, series)
 
-    def series_at(self, payload, lift) -> TruncatedSeries:
-        """[payload]'s series; a LubinTateAction builds it at lift instead."""
-        return self.endo_for(payload).series
-
     def verify(self) -> ActionReport:
         return verify_action(self)
 

@@ -32,7 +32,6 @@ from typing import NamedTuple
 from .laws import (
     FglEndomorphism,
     FormalGroupLaw,
-    LawError,
     MonoidAction,
     _integrated_log,
     _law_from_log,
@@ -226,9 +225,7 @@ def _certify_rows(ctx: PadicRing, table: dict, N: int) -> tuple:
     field, q = ctx.fraction_field(), ctx.p  # the residue field is F_p
     add, mul, neg, one = field.add, field.mul, field.neg, field.int_payload(1)
     pi = ctx.lift(ctx.uniformizer().payload)
-    nodes = [field.int_payload(0)]  # a_i = (i mod q) + pi * a_(i // q)
-    for i in range(1, N + 1):
-        nodes.append(add(field.int_payload(i % q), mul(pi, nodes[i // q])))
+    nodes = certificate_nodes(field, pi, q, N)
     newton, inverses = [], []  # newton[m][j] = -F_j(a_m), j < m; 1 / D_i
     for m, x in enumerate(nodes[:max(table, default=-1) + 1]):  # the rows' nodes
         w = list(accumulate((add(x, neg(a)) for a in nodes[:m]), mul, initial=one))
@@ -244,6 +241,16 @@ def _certify_rows(ctx: PadicRing, table: dict, N: int) -> tuple:
                                      "table is not integral; [a] not integral on the ring?")
             coordinates.append(c)
     return nodes, values
+
+
+def certificate_nodes(ctx, pi, q: int, N: int) -> list:
+    """The nodes a_0..a_N of _certify_rows in ctx, pi its uniformizer and q
+    its residue field's size: a_0 = 0 and a_i = (i mod q) + pi * a_(i // q),
+    so a_i = i below q."""
+    nodes = [ctx.int_payload(0)]
+    for i in range(1, N + 1):
+        nodes.append(ctx.add(ctx.int_payload(i % q), ctx.mul(pi, nodes[i // q])))
+    return nodes
 
 
 def build_fgl(d: LubinTateDatum, N: int) -> FormalGroupLaw:
@@ -331,7 +338,7 @@ class LubinTateAction(MonoidAction):
     of [a] builds a new series from them at the lift of a (canonical_lift:
     u * pi^v for a class (v, u), a itself on a ring subset), which dies with
     its reader, power memos and all; assignment wraps it as an endomorphism
-    with law_violation None, and series_at hands it over bare."""
+    with law_violation None."""
 
     def __init__(self, datum: LubinTateDatum, law: FormalGroupLaw, monoid):
         if not isinstance(monoid, (PadicTruncationMonoid, RingSubsetMonoid)):
@@ -346,11 +353,6 @@ class LubinTateAction(MonoidAction):
         self.monoid, self.law, self.datum = monoid, law, datum
         self.field, self.table = fld, scalar_table(fld.log, fld.exp)
         self.assignment = _OnDemand(law, fld, self.table, monoid)
-
-    def series_at(self, payload, lift) -> TruncatedSeries:
-        if payload not in self.assignment:
-            raise LawError(f"no endomorphism assigned for {payload}")
-        return _reduced_series(self.assignment._model, self.field, self.table, lift)
 
 
 def build_action(d: LubinTateDatum, law: FormalGroupLaw, monoid) -> LubinTateAction:

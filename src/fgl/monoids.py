@@ -645,16 +645,6 @@ class MonoidMorphism:
                     raise MonoidError(f"no image for generator {g!r}")
                 self.target.check_payload(self.gen_images[g])
 
-    def inverse(self) -> "MonoidMorphism":
-        if self.table is None:
-            raise MonoidError("only table morphisms invert")
-        inv = {b: a for a, b in self.table.items()}
-        if len(inv) != len(self.table):
-            raise MonoidError("morphism is not injective")
-        if len(inv) != len(self.target.payloads()):
-            raise MonoidError("morphism is not surjective")
-        return MonoidMorphism(self.target, self.source, table=inv)
-
 
 class TwistIsomorphism:
     """(v, u) -> (v, unit_2(t * dlog_1(u))) and BOTTOM -> BOTTOM between truncation

@@ -25,11 +25,12 @@ from itertools import chain, islice
 from types import MappingProxyType
 
 from .laws import MonoidAction
-from .lubin_tate import LubinTateAction, build_action, build_fgl, standard_datum
+from .lubin_tate import (LubinTateAction, build_action, build_fgl, certificate_nodes,
+                         standard_datum)
 from .monoids import (BOTTOM, MonoidError, PadicTruncationMonoid, RingSubsetMonoid,
                       TwistIsomorphism, padic_truncation_of, unit_isomorphism_variants)
 from .rings import EisensteinExtension, RingError
-from .series import _pair_products, first_difference
+from .series import first_difference
 
 
 class RecoveryError(RingError):
@@ -90,75 +91,6 @@ def _native_sum(monoid, p1, p2):
     return _entry_of(monoid, monoid.ctx.add(lift(p1), lift(p2)))
 
 
-def sum_with(action: MonoidAction, p1):
-    """The function p2 -> recover_sum(action, p1, p2), with p1 lifted once,
-    [p1] read at that lift, and F([p1], y) = sum_j g_j * y^j, g_j = sum_i
-    F_ij * [p1]^i, folded once.
-
-    Each p2 is lifted once, for the native sum and for [p2], which
-    action.series_at reads off a LubinTateAction's scalar table at that
-    lift, as it reads [candidate]; each then costs sum_j g_j * [p2]^j, one
-    _pair_products per j, reading [p2]'s powers only to F's top y-exponent.
-    That is F.composed_terms({x: [p1], y: [p2]}) with each term c * ([p1]^i
-    * [p2]^j) regrouped as (c * [p1]^i) * [p2]^j and the sums reordered,
-    which is exact where products are commutative and associative on normal
-    forms: over Q and the PadicRings that build_action accepts.  A
-    PolynomialQuotient whose generators are not confluent may reduce the
-    two groupings to different normal forms (fgl.rings); no caller confirms
-    a sum there."""
-    if p1 == ADJOINED_ZERO:
-        return lambda p2: p2
-    if p1 == BOTTOM:
-        return lambda p2: p1 if p2 == ADJOINED_ZERO else CAPPED
-    monoid, F = action.monoid, action.law.F
-    if not isinstance(monoid, (PadicTruncationMonoid, RingSubsetMonoid)):
-        raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
-    N, truncation = F.trunc_degree, isinstance(monoid, PadicTruncationMonoid)
-    top_x, top_y = F.top_exponents(N)
-    lift, plus, series_at = monoid.canonical_lift, monoid.ctx.add, action.series_at
-    lift1 = lift(p1)
-    first = series_at(p1, lift1)
-    ctx, powers = first.ctx, first.powers(top_x)
-    mul, add, one = ctx.mul, ctx.add, {(0,): ctx.int_payload(1)}
-    g = [{} for _ in range(top_y + 1)]
-    for (i, j), c in F.terms.items():
-        gj = g[j]
-        for e, v in (powers[i].terms if i else one).items():
-            if e[0] + j <= N:  # [p2]^j starts at degree j
-                v = mul(c, v)
-                gj[e] = add(gj[e], v) if e in gj else v
-    g0, *g = [{e: v for e, v in gj.items() if not ctx.is_zero(v)} for gj in g]
-
-    def add_p1(p2):
-        if p2 == ADJOINED_ZERO:
-            return p1
-        if p2 == BOTTOM:
-            return CAPPED
-        lift2 = lift(p2)
-        candidate = _entry_of(monoid, plus(lift1, lift2))
-        if candidate == CAPPED:
-            return CAPPED
-        target, precisions = {}, None
-        if candidate != ADJOINED_ZERO:
-            target = series_at(candidate, lift(candidate)).terms
-            if truncation:
-                precisions = monoid.class_precisions(candidate[0], N)
-        summed = dict(g0)
-        for gj, power in zip(g, series_at(p2, lift2).powers(top_y)[1:]):
-            for e, v in _pair_products(N, gj, power.terms, mul, add).items():
-                summed[e] = add(summed[e], v) if e in summed else v
-        bad = first_difference(ctx, summed, target, precisions)
-        if bad:
-            raise RecoveryError(
-                f"F([{monoid.label(p1)}], [{monoid.label(p2)}]) differs from "
-                f"[{entry_label(monoid, candidate)}] at degree {sum(bad[0])}; "
-                f"action not strict here?"
-            )
-        return candidate
-
-    return add_p1
-
-
 def recover_sum(action: MonoidAction, p1, p2):
     """The carrier element whose endomorphism matches F([p1], [p2]).
 
@@ -166,14 +98,42 @@ def recover_sum(action: MonoidAction, p1, p2):
     absorbing operand) whose valuation reaches a truncation monoid's cap.
     The candidate is the native sum of the lifts (the canonical lifts of two
     classes, or two listed elements), which is the linear coefficient of
-    F([p1], [p2]).  The law then confirms it: the full series must match
-    [candidate] at the candidate's class precision over a truncation
-    monoid, exactly over a window, and vanish exactly when the candidate is
-    the adjoined zero.  A mismatch is a hard error; a window sum that is
-    not listed raises NoMatch before any confirmation.  This is
-    sum_with(action, p1) applied to p2, the one confirmation path.
+    F([p1], [p2]).  The law then confirms it by one composition,
+    F.composed_terms of [p1] and [p2]: the series must match [candidate]
+    at the candidate's class precision over a truncation monoid, exactly
+    over a window, and vanish exactly when the candidate is the adjoined
+    zero.  A mismatch is a hard error; a window sum that is not listed
+    raises NoMatch before any confirmation.
     """
-    return sum_with(action, p1)(p2)
+    if p1 == ADJOINED_ZERO:
+        return p2
+    if p1 == BOTTOM:
+        return p1 if p2 == ADJOINED_ZERO else CAPPED
+    monoid, F = action.monoid, action.law.F
+    if not isinstance(monoid, (PadicTruncationMonoid, RingSubsetMonoid)):
+        raise RecoveryError(f"no sum identification for {type(monoid).__name__}")
+    first = action.endo_for(p1).series  # an unassigned p1 is refused whatever p2 is
+    if p2 == ADJOINED_ZERO:
+        return p1
+    if p2 == BOTTOM:
+        return CAPPED
+    candidate = _native_sum(monoid, p1, p2)
+    if candidate == CAPPED:
+        return CAPPED
+    target, precisions = {}, None
+    if candidate != ADJOINED_ZERO:
+        target = action.endo_for(candidate).series.terms
+        if isinstance(monoid, PadicTruncationMonoid):
+            precisions = monoid.class_precisions(candidate[0], F.trunc_degree)
+    composed = F.composed_terms(dict(zip(F.variables, (first, action.endo_for(p2).series))))
+    bad = first_difference(first.ctx, composed, target, precisions)
+    if bad:
+        raise RecoveryError(
+            f"F([{monoid.label(p1)}], [{monoid.label(p2)}]) differs from "
+            f"[{entry_label(monoid, candidate)}] at degree {sum(bad[0])}; "
+            f"action not strict here?"
+        )
+    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +315,16 @@ class RecoveredRing:
 
 
 def build_addition_table(action: LubinTateAction) -> RecoveredRing:
-    """Every pairwise sum, read off the row Z[c] = recover_sum(action, 1, c)
-    that the law confirms at class precision; a failed confirmation is a
-    hard error.  The row folds F([1], y) once (sum_with) and applies it to
-    every class, each [c] read off the scalar table at c's lift.  Only an
-    action that build_action built is taken: the lemma below proves every
-    other pair and check from its certificate.  Any other action is
-    refused; verify_action checks one pair by pair.
+    """Every pairwise sum, read off the row Z[c] = 1 + c: for every class c,
+    the native sum of the canonical lifts of 1 and c, the candidate that
+    recover_sum(action, 1, c) confirms.  Only an action that build_action
+    built is taken: the lemma below proves every entry and check from its
+    certificate.  The law still confirms 1 + c through recover_sum for c
+    each generator of the monoid and the class of each of the certificate's
+    nodes a_1..a_N (fgl.lubin_tate.certificate_nodes), at most |gens| + N
+    compositions, so a broken series path fails here; a failed confirmation
+    is a hard error.  Any other action is refused; verify_action checks one
+    pair by pair.
 
     Lemma.  Let M be the datum's scalar table, [s] = s*T + sum_k P_k(s) *
     T^k with P_k(s) = sum_j M[k][j] * s^j, for s in the fraction field.
@@ -402,8 +365,13 @@ def build_addition_table(action: LubinTateAction) -> RecoveredRing:
     monoid = action.monoid
     if not isinstance(monoid, PadicTruncationMonoid):
         raise RecoveryError("full tables need a finite truncation carrier")
-    add_one = sum_with(action, monoid.identity_payload())
-    row = {c: add_one(c) for c in monoid.classes}
+    ctx, one = monoid.ctx, monoid.identity_payload()
+    row = {c: _native_sum(monoid, one, c) for c in monoid.classes}
+    nodes = certificate_nodes(ctx, ctx.uniformizer().payload, ctx.p, action.law.trunc_degree)
+    for c in dict.fromkeys(chain(monoid.generators(),
+                                 map(partial(_entry_of, monoid), nodes[1:]))):
+        if c in row:  # BOTTOM, a capped node and a zero one have no entry
+            recover_sum(action, one, c)
     return RecoveredRing(monoid, "recovered", row, partial(_native_sum, monoid))
 
 
@@ -411,9 +379,10 @@ def transport_structure(iso: TwistIsomorphism, ring2: RecoveredRing) -> Recovere
     """a +' b = iso_inv(iso(a) + iso(b)) along a twist, after iso.verify().
     A twist keeps valuations and maps units, (v, u) -> (v, t(u)), so the
     row at (v, u) is row2's at (v, t(u)), its unit sent back: t is built
-    once and swapped (MonoidError where t is not injective).  Other pairs
-    are pulled back on demand, flags kept.  A table bijection may move
-    pi's class within valuation 1, so only twists are taken."""
+    once and swapped (MonoidError where t is not injective), and both maps
+    die on return.  Other pairs are pulled back on demand through iso.apply
+    and iso.inverse(), flags kept.  A table bijection may move pi's class
+    within valuation 1, so only twists are taken."""
     if iso.target.key() != ring2.monoid.key():
         raise RecoveryError("isomorphism target does not carry the given table")
     if not isinstance(iso, TwistIsomorphism):
@@ -426,12 +395,18 @@ def transport_structure(iso: TwistIsomorphism, ring2: RecoveredRing) -> Recovere
     classes, row2 = iso.source.payloads().mapping, ring2.row
 
     def pull(entry):
-        # CAPPED and the adjoined zero are not classes: they map to themselves
-        return entry if entry in (CAPPED, ADJOINED_ZERO) else classes[entry[0], back[entry[1]]]
+        return classes[entry[0], back[entry[1]]]
 
-    row = {c: pull(row2[c[0], fwd[c[1]]]) for c in iso.source.classes}
-    return RecoveredRing(iso.source, "transported", row, lambda a, b: pull(
-        ring2.add((a[0], fwd[a[1]]), (b[0], fwd[b[1]]))))
+    row = {c: _pulled(row2[c[0], fwd[c[1]]], pull) for c in iso.source.classes}
+    inverse = iso.inverse()
+    return RecoveredRing(iso.source, "transported", row, lambda a, b: _pulled(
+        ring2.add(iso.apply(a), iso.apply(b)), inverse.apply))
+
+
+def _pulled(entry, pull):
+    """pull(entry), but CAPPED and the adjoined zero, which are not classes,
+    as themselves."""
+    return entry if entry in (CAPPED, ADJOINED_ZERO) else pull(entry)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ reaches it.
 
 composed_row is the row of a truncation action with each entry confirmed
 by composing [1] and [c] into F, one F.composed_terms per class, an oracle
-for the row that fgl.recovery.sum_with confirms with F's first argument
-folded once.
+for the row of fgl.recovery.build_addition_table, which reads every entry
+off the native sums and confirms the entries of the monoid's generators and
+the certificate's nodes only.
 
 census_unit_group is the order census and one trial span per candidate
 generator, an oracle for fgl.monoids.UnitGroup.

@@ -711,6 +711,18 @@ def test_transport_refuses_a_twist_that_is_not_injective():
         transport_structure(iso, r2)
 
 
+def test_a_transported_ring_keeps_no_unit_map():
+    # the row moves through the twist's two |U|-entry unit maps, which die
+    # when transport returns: other() reads through the twist and its
+    # inverse, beside ring 2
+    native, r2 = _demo_rings("t2-5-t2-10")
+    iso, = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
+    moved = transport_structure(iso, r2)
+    held = [cell.cell_contents for cell in moved.other.__closure__]
+    assert sorted(type(x).__name__ for x in held) == [
+        "RecoveredRing", "TwistIsomorphism", "TwistIsomorphism"]
+
+
 def test_transport_verifies_the_twist_before_it_reads_it(monkeypatch):
     native, r2 = _demo_rings("t2-5-t2-10")
     iso, = unit_isomorphism_variants(native.monoid, r2.monoid, count=1)
@@ -759,16 +771,33 @@ def _confirmations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name, compositions", [
-    # a build confirms the row entries only, at every N; a confirmation per
-    # pair would make 1,770, 43,600 and 66
-    ("criterion-4", 60),           # 60 row entries
-    ("criterion-5-t2-5", 299),     # 299 row entries (one capped)
-    ("p3-n2-V2", 11),              # N >= q: 12 row entries (one capped)
+def _confirmed_classes(action):
+    """The classes c whose entry 1 + c a build confirms by the law, in
+    order: the monoid's generators but BOTTOM, then the classes of the
+    certificate's nodes a_i = (i mod q) + pi * a_(i // q), i = 1..N, each
+    once, BOTTOM and zero left out."""
+    monoid, N = action.monoid, action.law.trunc_degree
+    ctx = monoid.ctx
+    q, pi = ctx.p, ctx.uniformizer()
+    nodes = [ctx.zero()]
+    for i in range(1, N + 1):
+        nodes.append(ctx.el(ctx.normalize(i % q)) + pi * nodes[i // q])
+    classes = [*monoid.generators(), *(monoid.class_of(a.payload) for a in nodes[1:]
+                                       if not ctx.is_zero(a.payload))]
+    return [c for c in dict.fromkeys(classes) if c != BOTTOM]
+
+
+@pytest.mark.parametrize("name, entries", [
+    # the uncapped row entries, each of which a confirmation per entry
+    # would compose; a confirmation per pair would make 1,770, 43,600 and 66
+    ("criterion-4", 60),
+    ("criterion-5-t2-5", 299),     # one capped
+    ("p3-n2-V2", 11),              # N >= q: one capped
 ])
-def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
-    # each confirmation is F([1], [c]), F's first argument folded once per
-    # row, so the law itself is composed into nothing
+def test_two_variable_compositions_per_table(monkeypatch, name, entries):
+    # a build confirms the entries of its generators and the certificate's
+    # nodes only, at most |gens| + N, each by one composition of [1] and [c]
+    # into F
     action = _carrier_action(name)
     composed = []
     composed_terms = TruncatedSeries.composed_terms
@@ -780,9 +809,12 @@ def test_two_variable_compositions_per_table(monkeypatch, name, compositions):
 
     monkeypatch.setattr(TruncatedSeries, "composed_terms", counted)
     confirmations = _confirmations(monkeypatch)
-    build_addition_table(action)
-    assert len(confirmations) == compositions
-    assert composed == []
+    ring = build_addition_table(action)
+    assert sum(z != CAPPED for z in ring.row.values()) == entries
+    confirmed = _confirmed_classes(action)
+    assert len(confirmed) <= len(action.monoid.generators()) + action.law.trunc_degree
+    assert len(confirmations) == len(composed) == len(confirmed) == {
+        "criterion-4": 5, "criterion-5-t2-5": 4, "p3-n2-V2": 4}[name]
 
 
 def _power_reads(monkeypatch):
@@ -807,8 +839,8 @@ def _no_memo_served(action):
 
 
 def test_a_table_at_degree_2_multiplies_no_series(monkeypatch):
-    # F = x + y at N = 2 reads [1] and each [c] to degree 1, and [None, s]
-    # is no product
+    # F = x + y at N = 2: each confirmation reads [1] and [c] to degree 1,
+    # and [None, s] is no product; the row reads no series
     action = _carrier_action.__wrapped__("criterion-5-t2-5")
     products = []
     mul = TruncatedSeries.__mul__
@@ -818,7 +850,7 @@ def test_a_table_at_degree_2_multiplies_no_series(monkeypatch):
     build_addition_table(action)
     assert products == []
     assert len(action.assignment) == 300
-    assert len(reads) == 1 + 299  # [1] folded once; one entry capped
+    assert len(reads) == 2 * len(_confirmed_classes(action))  # [1] and [c] per confirmation
     for series, top, memo in reads:
         assert (top, memo) == (1, 2)
         assert series._powers[1].terms is series.terms
@@ -827,14 +859,14 @@ def test_a_table_at_degree_2_multiplies_no_series(monkeypatch):
 
 def test_a_row_reads_each_class_to_the_law_top_exponent(monkeypatch):
     # at p = 3, N = 4 the law is x + y + u*x^2*y + u*x*y^2, so no [c]^3 or
-    # [c]^4 is built, for [1] or for any [c]
+    # [c]^4 is built, for [1] or for any [c] a confirmation reads
     action = _carrier_action.__wrapped__("p3-n2-V2")
     N = action.law.trunc_degree
     top = max(action.law.F.top_exponents(N))
     assert (N, top) == (4, 2)
     reads = _power_reads(monkeypatch)
     build_addition_table(action)
-    assert len(reads) == 1 + 11  # [1] folded once; one entry capped
+    assert len(reads) == 2 * len(_confirmed_classes(action))  # [1] and [c] per confirmation
     assert all((t, memo) == (top, top + 1) for _, t, memo in reads)
     assert _no_memo_served(action)
 
@@ -843,38 +875,33 @@ def test_a_row_reads_each_class_to_the_law_top_exponent(monkeypatch):
 def test_a_certified_build_confirms_only_the_row(monkeypatch, name):
     action = _carrier_action(name)
     one = action.monoid.identity_payload()
-    folds, calls = [], []
-    real = recovery.sum_with
-
-    def counted(act, p1):
-        add = real(act, p1)
-        folds.append(p1)
-        return lambda p2: calls.append((p1, p2)) or add(p2)
-
-    monkeypatch.setattr(recovery, "sum_with", counted)
+    calls = []
+    real = recovery.recover_sum
+    monkeypatch.setattr(recovery, "recover_sum",
+                        lambda act, p1, p2: calls.append((p1, p2)) or real(act, p1, p2))
     ring = build_addition_table(action)
     assert sum(ring.flag_counts().values()) > 0
-    assert folds == [one]
-    assert calls == [(one, c) for c in action.monoid.payloads() if c != BOTTOM]
+    assert calls == [(one, c) for c in _confirmed_classes(action)]
 
 
-def test_a_row_wraps_no_endomorphism_and_lifts_each_operand_once(monkeypatch):
-    # [1], [c] and [candidate] are all read off the scalar table at the
-    # lifts the sums already formed, so the row wraps no endomorphism and
-    # lifts 1 once
-    wrapped, lifts = [], []
+def test_a_row_wraps_no_endomorphism(monkeypatch):
+    # an entry is the native sum of the canonical lifts of 1 and c, so the
+    # row lifts 1 and c once per entry and builds no [c]; only the
+    # confirmations, stubbed here, read a series
+    wrapped, lifts, confirmed = [], [], []
     certified, canonical_lift = FglEndomorphism._certified, PadicTruncationMonoid.canonical_lift
     monkeypatch.setattr(FglEndomorphism, "_certified", classmethod(
         lambda cls, law, series: wrapped.append(series) or certified(law, series)))
     monkeypatch.setattr(PadicTruncationMonoid, "canonical_lift",
                         lambda self, p: lifts.append(p) or canonical_lift(self, p))
+    monkeypatch.setattr(recovery, "recover_sum", lambda act, p1, p2: confirmed.append(p2))
     action = _carrier_action.__wrapped__("criterion-5-t2-5")
     one = action.monoid.identity_payload()
     ring = build_addition_table(action)
     assert wrapped == []
-    candidates = [z for z in ring.row.values() if z not in (ADJOINED_ZERO, CAPPED)]
-    assert len(candidates) == 299
-    assert Counter(lifts) == Counter([one, *ring.row, *candidates])
+    assert confirmed == _confirmed_classes(action)
+    assert len(ring.row) == 300
+    assert Counter(lifts) == Counter([one] * len(ring.row) + list(ring.row))
 
 
 def test_a_planted_wrong_candidate_fails_its_confirmation(monkeypatch):
@@ -891,15 +918,106 @@ def test_a_planted_wrong_candidate_fails_its_confirmation(monkeypatch):
         build_addition_table(action)
 
 
+def _unread_units(action):
+    """The unit classes past 1, in order, that a build reads no series of:
+    neither confirmed nor the sum of 1 and a confirmed class."""
+    monoid = action.monoid
+    one = monoid.identity_payload()
+    confirmed = _confirmed_classes(action)
+    read = {one, *confirmed, *(recovery._native_sum(monoid, one, x) for x in confirmed)}
+    return [c for c in monoid.unit_classes if c not in read]
+
+
+def _wrong_class_of(monkeypatch):
+    # sums in the first unread unit class read as the next one
+    action = _carrier_action("criterion-4")
+    t, t2, *_ = _unread_units(action)
+    class_of = PadicTruncationMonoid.class_of
+    monkeypatch.setattr(PadicTruncationMonoid, "class_of",
+                        lambda self, a: t2 if class_of(self, a) == t else class_of(self, a))
+    return action
+
+
+def _wrong_canonical_lift(monkeypatch):
+    # the first unread unit class lifted to u + pi, off its class at n = 2,
+    # before the action is built, so its [u] is built at that lift too
+    t = _unread_units(_carrier_action("criterion-4"))[0]
+    lift = PadicTruncationMonoid.canonical_lift
+    monkeypatch.setattr(PadicTruncationMonoid, "canonical_lift", lambda self, p: (
+        self.ctx.add(lift(self, p), self.ctx.uniformizer().payload) if p == t
+        else lift(self, p)))
+    return _carrier_action.__wrapped__("criterion-4")
+
+
+def _wrong_class_precisions(monkeypatch):
+    # v + n at every degree: the v_p(k!) a class loses from degree q = 3 on
+    # is dropped
+    monkeypatch.setattr(PadicTruncationMonoid, "class_precisions",
+                        lambda self, v, N: (v + self.n,) * (N + 1))
+    return _carrier_action("p3-n2-V2")
+
+
+def _bumped_scalar_table(k, i):
+    def plant(monkeypatch):
+        # the non-additive datum's M[k][i] + 1, past the certificate, which
+        # refuses it
+        field, real = SQRT5.fraction_field(), lubin_tate.scalar_table
+
+        def bumped(log, exp):
+            table = {r: list(row) for r, row in real(log, exp).items()}
+            j, m = table[k][i]
+            table[k][i] = (j, field.add(m, field.int_payload(1)))
+            return table
+
+        monkeypatch.setattr(lubin_tate, "scalar_table", bumped)
+        monkeypatch.setattr(lubin_tate, "_certify", lambda ctx, fld: None)
+        d = _nonadditive_datum(SQRT5)
+        return build_action(d, build_fgl(d, 4), monoid=padic_truncation_of(SQRT5, 2, 3))
+    return plant
+
+
+# fault: (plant, a build catches it, the composed-row oracle catches it)
+FAULTS = {
+    "class_of": (_wrong_class_of, False, True),
+    "canonical_lift": (_wrong_canonical_lift, False, True),
+    "class_precisions": (_wrong_class_precisions, False, True),
+    "scalar-table-M2-a^2": (_bumped_scalar_table(2, 1), True, True),
+    "scalar-table-M4-a": (_bumped_scalar_table(4, 0), False, False),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_planted_fault_is_caught_where_a_confirmation_reads_it(monkeypatch, fault):
+    # a build confirms the entries of its generators and the certificate's
+    # nodes; a fault on a class none of them reads passes it, and the
+    # composed row, which confirms every entry, catches it.  A bumped
+    # scalar-table row moves every [c], so the first confirmation, 1 + pi,
+    # reads it, unless the bump is a*T^N: linear in a at the top degree,
+    # it is additive, and no sum sees it; [1] = T fails there, which
+    # verify_action checks
+    plant, by_build, by_oracle = FAULTS[fault]
+    action = plant(monkeypatch)
+    for check, caught in ((build_addition_table, by_build), (composed_row, by_oracle)):
+        if caught:
+            with pytest.raises(RecoveryError, match="differs from"):
+                check(action)
+        else:
+            check(action)
+    if not by_oracle:
+        one = action.endo_for(action.monoid.identity_payload()).series
+        assert one != TruncatedSeries.variable(one.ctx, ("T",), one.trunc_degree, "T")
+
+
 @pytest.mark.parametrize("name", ["criterion-5-t2-5", "p3-n2-V2", "nonadditive-n2-V3-N4"])
 def test_a_row_confirms_the_same_through_a_plain_action(name):
-    # a LubinTateAction builds [c] from its table at the lift; a plain
-    # action over the same endomorphisms reads its assignment
+    # recover_sum reads [c] through endo_for: a LubinTateAction builds it
+    # from its table at the lift, a plain action over the same
+    # endomorphisms reads its assignment, and it confirms every entry
     action = ROW_CASES[name]()
     monoid = action.monoid
     plain = MonoidAction(monoid, action.law, dict(action.assignment))
-    add_one = recovery.sum_with(plain, monoid.identity_payload())
-    row = {c: add_one(c) for c in monoid.payloads() if c != BOTTOM}
+    one = monoid.identity_payload()
+    row = {c: recover_sum(plain, one, c) for c in monoid.payloads() if c != BOTTOM}
     assert build_addition_table(action).row == row
 
 
@@ -1027,16 +1145,14 @@ def test_table_refuses_an_action_that_fails_verification(mutant):
 
 
 def _plant_row_entry(monkeypatch, action, c0, entry):
-    """recover_sum and the row answer entry for 1 + c0, and the law for
-    every other sum."""
+    """recover_sum and the native sum answer entry for 1 + c0, unconfirmed,
+    and the law for every other sum."""
     one = action.monoid.identity_payload()
-    real = recovery.sum_with
-
-    def planted(action, p1):
-        add = real(action, p1)
-        return lambda p2: entry if (p1, p2) == (one, c0) else add(p2)
-
-    monkeypatch.setattr(recovery, "sum_with", planted)
+    native, real = recovery._native_sum, recovery.recover_sum
+    monkeypatch.setattr(recovery, "_native_sum", lambda monoid, p1, p2: (
+        entry if (p1, p2) == (one, c0) else native(monoid, p1, p2)))
+    monkeypatch.setattr(recovery, "recover_sum", lambda act, p1, p2: (
+        entry if (p1, p2) == (one, c0) else real(act, p1, p2)))
 
 
 def test_a_planted_row_entry_fails_the_per_pair_table(monkeypatch):
@@ -1198,8 +1314,9 @@ def test_certified_table_matches_the_flagged_pair_oracle(name):
     assert oracle.flag_counts()["precision"] > 0
 
 
-# the rows the fold is checked on: every carrier above, and the non-additive
-# datum over Z_5[sqrt 5] at N = 2, 3 and 4, whose laws have terms below q
+# the rows checked against the composed-row oracle: every carrier above, and
+# the non-additive datum over Z_5[sqrt 5] at N = 2, 3 and 4, whose laws have
+# terms below q
 ROW_CASES = {
     **{name: functools.partial(_carrier_action, name) for name in CARRIERS},
     **{f"nonadditive-n2-V3-N{N}": functools.partial(
@@ -1213,12 +1330,24 @@ def test_the_folded_row_matches_the_composed_row(name):
     assert build_addition_table(action).row == composed_row(action)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("poly", [(-5, 0, 1), (-10, 0, 1)], ids=["t2-5", "t2-10"])
+def test_a_demo_row_matches_the_composed_row(n, poly):
+    # both rings of the n = 3 and n = 4 demos, at variation_demo's V = 3,
+    # N = 2 and precision n + V + 3
+    ctx = EisensteinExtension(5, n + 6, poly)
+    action = _datum_action(ctx, standard_datum(ctx), n, 3, 2)
+    assert build_addition_table(action).row == composed_row(action)
+
+
 @pytest.mark.parametrize("name", ["criterion-4", "criterion-5-t2-5", "p3-n2-V2",
                                   "nonadditive-n2-V3-N2", "nonadditive-n2-V3-N4"])
 def test_a_perturbed_class_fails_the_folded_row(monkeypatch, name):
-    # [c] is read as F's second argument at row entry c and as the target
-    # of the entry whose sum is c; c is the first class past 1 that the row
-    # reads as an argument first, and its T^N coefficient gains a unit
+    # the oracle reads [c] as F's second argument at row entry c and as the
+    # target of the entry whose sum is c; c is the first class past 1 that
+    # it reads as an argument first, and its T^N coefficient gains a unit.
+    # A build reads [c] only where c is a confirmed class or the sum of 1
+    # and one; here c is 1 + pi, pi's class a generator
     action = ROW_CASES[name]()
     monoid, N = action.monoid, action.law.trunc_degree
     one = monoid.identity_payload()
@@ -1236,12 +1365,14 @@ def test_a_perturbed_class_fails_the_folded_row(monkeypatch, name):
             return series
         return series + TruncatedSeries(model.ctx, ("T",), N, {(N,): 1})
 
+    assert c == monoid.class_of(monoid.ctx.add(monoid.ctx.int_payload(1),
+                                               monoid.ctx.uniformizer().payload))
     monkeypatch.setattr(lubin_tate, "_reduced_series", perturbed)
     named = re.escape(f"F([{monoid.label(one)}], [{monoid.label(c)}]) differs from")
     with pytest.raises(RecoveryError, match=named):
-        build_addition_table(action)
-    with pytest.raises(RecoveryError, match=named):
         composed_row(action)
+    with pytest.raises(RecoveryError, match="differs from"):
+        build_addition_table(action)
 
 
 @pytest.mark.parametrize("name", ["p3-n2-V2", "nonadditive-n2-V3-N2",
